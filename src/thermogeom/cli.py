@@ -234,9 +234,7 @@ def cmd_gibbs(cfg: RunConfig) -> Artifact:
 def cmd_metric(cfg: RunConfig) -> Artifact:
     sec = _section(cfg, "metric")
     pts = _grid_points(sec.get("grid"), cfg.obs.n)
-    g = metric_grid(cfg.obs, pts, cfg.scheme) if pts.shape[0] else np.empty(
-        (0, cfg.obs.n, cfg.obs.n)
-    )
+    g = metric_grid(cfg.obs, pts)
     n = cfg.obs.n
     pairs = [(i, j) for i in range(n) for j in range(i, n)]
     header = [f"l{i + 1}" for i in range(n)] + [f"g_{i + 1}_{j + 1}" for i, j in pairs]
@@ -254,7 +252,7 @@ def cmd_metric(cfg: RunConfig) -> Artifact:
 def cmd_length(cfg: RunConfig) -> Artifact:
     sec = _section(cfg, "length")
     path = ser.path_from_json(sec.get("path"), cfg.obs.n)
-    report = thermo_length(cfg.obs, path, cfg.scheme)
+    report = thermo_length(cfg.obs, path)
     payload = {
         "length": report.length,
         "energy": report.energy,
@@ -270,7 +268,7 @@ def cmd_entropy_production(cfg: RunConfig) -> Artifact:
     sec = _section(cfg, "entropy_production")
     path = ser.path_from_json(sec.get("path"), cfg.obs.n)
     kappa = _as_float(sec.get("kappa"), cfg.kappa, "entropy_production.kappa")
-    rates, total = entropy_production(cfg.obs, path, kappa, cfg.scheme)
+    rates, total = entropy_production(cfg.obs, path, kappa)
     times = path.times
     payload = {
         "kappa": kappa,
@@ -297,7 +295,7 @@ def _geodesic_problem(cfg: RunConfig, sec: dict) -> GeodesicProblem:
 def cmd_geodesic(cfg: RunConfig) -> Artifact:
     sec = _section(cfg, "geodesic")
     problem = _geodesic_problem(cfg, sec)
-    path, report, record = geodesic_between(cfg.obs, problem, cfg.scheme)
+    path, report, record = geodesic_between(cfg.obs, problem)
     payload = {
         "samples": [list(map(float, row)) for row in path.samples],
         "duration": path.duration,
@@ -334,7 +332,6 @@ def cmd_third_law(cfg: RunConfig) -> Artifact:
         _vector(sec.get("direction"), cfg.obs.n, "third_law.direction"),
         np.asarray(lambdas, dtype=float),
         steps=_as_int(sec.get("steps"), 1024, "third_law.steps"),
-        scheme=cfg.scheme,
     )
     increments = [None] + [float(v) for v in scan.increments]
     payload = {

@@ -46,6 +46,12 @@ MU_VALIDATION_POINTS = 32
 MU_VALIDATION_TOL = 1e-8
 _MU_GRID_SEED = 173651
 
+# central-difference offsets (units of step) and weights (units of 1/step)
+_STENCILS = {
+    2: (np.array([-1.0, 1.0]), np.array([-0.5, 0.5])),
+    4: (np.array([-2.0, -1.0, 1.0, 2.0]), np.array([1.0, -8.0, 8.0, -1.0]) / 12.0),
+}
+
 
 def _frozen_vector(x, n: int, what: str) -> np.ndarray:
     v = np.asarray(x, dtype=float).reshape(-1)
@@ -318,16 +324,16 @@ def legendrian_residual(
 ) -> float:
     """max |dS/dlam_k - sum_i lam_i da_i/dlam_k| over a grid of base points.
 
-    Derivatives are fourth-order central differences with the scheme's
-    step; the residual vanishes on the equilibrium submanifold (the first
-    law), so this is the Legendrian diagnostic.
+    Derivatives are central differences of the scheme's order and step;
+    the residual vanishes on the equilibrium submanifold (the first law),
+    so this is the Legendrian diagnostic.
     """
     grid = np.atleast_2d(np.asarray(lambda_grid, dtype=float))
     if grid.shape[1] != obs.n:
         raise ValidationError(f"grid points must have {obs.n} components")
     n = obs.n
-    offsets = np.array([-2.0, -1.0, 1.0, 2.0])
-    weights = np.array([1.0, -8.0, 8.0, -1.0]) / (12.0 * scheme.step)
+    offsets, weights = _STENCILS[scheme.order]
+    weights = weights / scheme.step
     pts = grid[:, None, None, :] + (
         scheme.step * offsets[None, None, :, None] * np.eye(n)[None, :, None, :]
     )

@@ -2,8 +2,10 @@
 
 The metric comes from symmetric logarithmic derivatives: with
 L_i solving rho L_i + L_i rho = 2 d rho / d lam_i, the components are
-g_ij = Re tr(rho L_i L_j).  State derivatives are Richardson-extrapolated
-central differences of the family map; the distance is
+g_ij = Re tr(rho L_i L_j).  Both the state derivatives and the SLDs are
+closed-form in the eigenbasis of the exponent (Daleckii-Krein divided
+differences; Bhatia, Matrix Analysis, V.3), so one eigendecomposition per
+point gives the exact metric.  The distance is
 d^2 = tr A + tr B - 2 tr[(A^{1/2} B A^{1/2})^{1/2}].
 """
 
@@ -18,13 +20,12 @@ from .errors import (
     NumericalConsistencyError,
     ValidationError,
 )
-from .gibbs import ObservableSet, gibbs_batch, gibbs_point
+from .gibbs import FamilyBatch, ObservableSet, gibbs_batch
 from .linalg import (
     SLD_DENOM_FLOOR,
     DensityOperator,
     HermitianOperator,
     hermitize,
-    sld_solve,
 )
 
 __all__ = [
@@ -37,19 +38,10 @@ __all__ = [
     "metric_grid",
 ]
 
-# offsets (units of step) and weights (units of 1/step) for d/dx
-_STENCILS = {
-    2: (np.array([-1.0, 1.0]), np.array([-0.5, 0.5])),
-    4: (
-        np.array([-2.0, -1.0, 1.0, 2.0]),
-        np.array([1.0 / 12.0, -8.0 / 12.0, 8.0 / 12.0, -1.0 / 12.0]),
-    ),
-}
-
 
 @dataclass(frozen=True)
 class FDScheme:
-    """Central-difference configuration for derivatives of the family map."""
+    """Central-difference step and order for the Legendrian diagnostic."""
 
     step: float = 1e-5
     order: int = 4
@@ -142,71 +134,57 @@ def bw_distance(a: HermitianOperator, b: HermitianOperator) -> float:
     return float(np.sqrt(max(radicand, 0.0)))
 
 
-def _stencil_points(lams: np.ndarray, n: int, scheme: FDScheme) -> np.ndarray:
-    """All shifted parameter points, shape (P, n, n_off, n)."""
-    offsets, _ = _STENCILS[scheme.order]
-    pts = lams[:, None, None, :] + (
-        scheme.step * offsets[None, None, :, None] * np.eye(n)[None, :, None, :]
-    )
-    return pts
+def _eigenbasis_state_derivatives(obs: ObservableSet, batch: FamilyBatch) -> np.ndarray:
+    """d rho / d lam_i in each point's eigenbasis U, shape (P, n, m, m).
+
+    Daleckii-Krein: (U^dagger d_i rho U)_ab = -At_i,ab (p_a - p_b)/(x_a - x_b)
+    with At_i = U^dagger A_i U - a_i.  The divided difference is taken from
+    the larger population as p_hi (1 - exp(-|dx|)) / |dx|, which tends to
+    p_a on degenerate pairs and stays exact when the smaller one underflows.
+    """
+    x, p, u = batch.x, batch.p, batch.U
+    gap = np.abs(x[:, :, None] - x[:, None, :])
+    ratio = np.ones_like(gap)
+    np.divide(-np.expm1(-gap), gap, out=ratio, where=gap > 0.0)
+    divided = np.maximum(p[:, :, None], p[:, None, :]) * ratio
+    a_tilde = u.conj().swapaxes(1, 2)[:, None] @ obs._stack @ u[:, None]
+    diag = np.arange(obs.dim)
+    a_tilde[:, :, diag, diag] -= batch.a[:, :, None]
+    return -a_tilde * divided[:, None]
 
 
-def _batched_state_derivatives(
-    obs: ObservableSet, lams: np.ndarray, scheme: FDScheme
-) -> np.ndarray:
-    """d rho / d lam_i for every point, shape (P, n, m, m)."""
-    n = obs.n
-    offsets, weights = _STENCILS[scheme.order]
-    pts = _stencil_points(lams, n, scheme)
-    flat = pts.reshape(-1, n)
-    rho = gibbs_batch(obs, flat).rho.reshape(
-        lams.shape[0], n, offsets.size, obs.dim, obs.dim
-    )
-    drho = np.einsum("o,piokl->pikl", weights / scheme.step, rho)
-    return (drho + drho.conj().swapaxes(2, 3)) / 2
-
-
-def state_derivatives(
-    obs: ObservableSet, lam, scheme: FDScheme = FDScheme()
-) -> list[HermitianOperator]:
+def state_derivatives(obs: ObservableSet, lam) -> list[HermitianOperator]:
     """Partial derivatives of the family map, one per parameter direction.
 
     Each derivative is self-adjoint and traceless (the trace of rho is
     constant along the family).
     """
-    lam = np.asarray(lam, dtype=float).reshape(1, -1)
-    drho = _batched_state_derivatives(obs, lam, scheme)[0]
-    return [HermitianOperator(drho[i]) for i in range(obs.n)]
+    batch = gibbs_batch(obs, np.asarray(lam, dtype=float).reshape(1, -1))
+    u = batch.U[0]
+    drho = u @ _eigenbasis_state_derivatives(obs, batch)[0] @ u.conj().T
+    return [HermitianOperator(d) for d in drho]
 
 
-def metric_tensor(obs: ObservableSet, lam, scheme: FDScheme = FDScheme()) -> MetricTensor:
-    """Metric components g_ij = Re tr(rho L_i L_j) from SLD solves at lam."""
-    point = gibbs_point(obs, lam)
-    ders = state_derivatives(obs, lam, scheme)
-    slds = [sld_solve(point.rho, d) for d in ders]
-    n = obs.n
-    g = np.empty((n, n))
-    for i in range(n):
-        for j in range(i, n):
-            val = np.trace(point.rho.matrix @ slds[i].matrix @ slds[j].matrix).real
-            g[i, j] = g[j, i] = float(val)
-    return MetricTensor(point.lam, (g + g.T) / 2)
+def metric_tensor(obs: ObservableSet, lam) -> MetricTensor:
+    """The metric at a single point: `metric_grid` on a block of one."""
+    lam = np.asarray(lam, dtype=float).reshape(-1)
+    return MetricTensor(lam, metric_grid(obs, lam[None])[0])
 
 
-def metric_grid(obs: ObservableSet, lams, scheme: FDScheme = FDScheme()) -> np.ndarray:
+def metric_grid(obs: ObservableSet, lams) -> np.ndarray:
     """Metric at a (P, n) block of points, returned as a (P, n, n) array.
 
-    Same Lyapunov construction as `metric_tensor`, vectorized over the
-    block with a single stacked eigendecomposition per stencil; grids and
-    paths are embarrassingly parallel and this is the fan-out surface.
+    In the eigenbasis of each point the SLDs are
+    L_i,ab = 2 (d_i rho)_ab / (p_a + p_b), so
+    g_ij = sum_ab 1/2 (p_a + p_b) Re(L_i,ab L_j,ba)
+         = Re sum_ab 2 / (p_a + p_b) (d_i rho)_ab conj((d_j rho)_ab),
+    one stacked eigendecomposition for the whole block.
     """
     lams = np.atleast_2d(np.asarray(lams, dtype=float))
     if lams.shape[0] == 0:
         return np.empty((0, obs.n, obs.n))
-    centers = gibbs_batch(obs, lams)
-    drho = _batched_state_derivatives(obs, lams, scheme)
-    u = centers.U
-    p = centers.p
+    batch = gibbs_batch(obs, lams)
+    p = batch.p
     denom = p[:, :, None] + p[:, None, :]
     worst = float(denom.min())
     if worst < SLD_DENOM_FLOOR:
@@ -215,7 +193,7 @@ def metric_grid(obs: ObservableSet, lams, scheme: FDScheme = FDScheme()) -> np.n
             f"eigenvalue sum {worst:.3e} below {SLD_DENOM_FLOOR:.0e} at "
             f"lambda = {lams[idx].tolist()}; too close to the boundary"
         )
-    d_tilde = np.einsum("pba,pibc,pcd->piad", u.conj(), drho, u)
-    l_tilde = 2.0 * d_tilde / denom[:, None, :, :]
-    g = np.einsum("pa,piab,pjba->pij", p, l_tilde, l_tilde).real
+    drho = _eigenbasis_state_derivatives(obs, batch)
+    f = (drho * np.sqrt(2.0 / denom)[:, None]).reshape(lams.shape[0], obs.n, -1)
+    g = (f @ f.conj().swapaxes(1, 2)).real
     return (g + g.swapaxes(1, 2)) / 2

@@ -114,7 +114,8 @@ class FamilyBatch(NamedTuple):
 
     lam: np.ndarray  # (P, n)
     log_Z: np.ndarray  # (P,)
-    p: np.ndarray  # (P, m) populations, ascending
+    x: np.ndarray  # (P, m) eigenvalues of the exponent -sum_i lam_i A_i, ascending
+    p: np.ndarray  # (P, m) populations exp(x) / Z, ascending
     U: np.ndarray  # (P, m, m) eigenvectors (columns) shared with the exponent
     rho: np.ndarray  # (P, m, m)
     a: np.ndarray  # (P, n)
@@ -141,7 +142,8 @@ def gibbs_batch(obs: ObservableSet, lams) -> FamilyBatch:
     """Evaluate the family at a (P, n) block of parameter points at once.
 
     One stacked eigendecomposition serves every point; this is the
-    workhorse behind grids, paths and finite-difference stencils.
+    workhorse behind grids and paths, and its eigenpairs (x, U) are all
+    the closed-form metric needs.
     """
     lams = _check_lambdas(lams, obs.n)
     exponent = -np.einsum("pk,kij->pij", lams, obs._stack)
@@ -156,7 +158,7 @@ def gibbs_batch(obs: ObservableSet, lams) -> FamilyBatch:
     a = np.einsum("kij,pji->pk", obs._stack, rho).real
     logp = np.where(p > 0.0, np.log(np.where(p > 0.0, p, 1.0)), 0.0)
     s = -(p * logp).sum(axis=1)
-    return FamilyBatch(lams, log_z, p, u, rho, a, s)
+    return FamilyBatch(lams, log_z, w, p, u, rho, a, s)
 
 
 def gibbs_point(obs: ObservableSet, lam) -> GibbsPoint:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalConsistencyError, ValidationError
-from .geometry import FDScheme, metric_grid
+from .geometry import metric_grid
 from .gibbs import ObservableSet, gibbs_batch
 
 __all__ = [
@@ -110,19 +110,15 @@ def _grid_velocities(samples: np.ndarray, dt: float) -> np.ndarray:
     return v
 
 
-def _speed_squared(
-    obs: ObservableSet, path: ParamPath, scheme: FDScheme
-) -> np.ndarray:
+def _speed_squared(obs: ObservableSet, path: ParamPath) -> np.ndarray:
     dt = path.duration / path.steps
     v = _grid_velocities(path.samples, dt)
-    g = metric_grid(obs, path.samples, scheme)
+    g = metric_grid(obs, path.samples)
     q = np.einsum("ki,kij,kj->k", v, g, v)
     return np.clip(q, 0.0, None)
 
 
-def thermo_length(
-    obs: ObservableSet, path: ParamPath, scheme: FDScheme = FDScheme()
-) -> LengthReport:
+def thermo_length(obs: ObservableSet, path: ParamPath) -> LengthReport:
     """Thermodynamic length int sqrt(g(gamma', gamma')) dt along the path.
 
     Also reports the path energy int g(gamma', gamma') dt; the report
@@ -130,15 +126,13 @@ def thermo_length(
     length is reparametrization-invariant up to quadrature error.
     """
     dt = path.duration / path.steps
-    q = _speed_squared(obs, path, scheme)
+    q = _speed_squared(obs, path)
     speeds = np.sqrt(q)
-    seg_len = 0.5 * (speeds[:-1] + speeds[1:]) * dt
-    seg_en = 0.5 * (q[:-1] + q[1:]) * dt
     return LengthReport(
-        length=float(seg_len.sum()),
-        energy=float(seg_en.sum()),
-        segment_lengths=seg_len,
-        segment_energies=seg_en,
+        length=_trapezoid(speeds, dt),
+        energy=_trapezoid(q, dt),
+        segment_lengths=0.5 * (speeds[:-1] + speeds[1:]) * dt,
+        segment_energies=0.5 * (q[:-1] + q[1:]) * dt,
     )
 
 
@@ -146,7 +140,6 @@ def entropy_production(
     obs: ObservableSet,
     path: ParamPath,
     kappa: float = 1.0,
-    scheme: FDScheme = FDScheme(),
 ) -> tuple[np.ndarray, float]:
     """Rate series kappa * g(gamma', gamma') at the grid nodes and its integral.
 
@@ -156,7 +149,7 @@ def entropy_production(
     if not (kappa > 0.0 and np.isfinite(kappa)):
         raise ValidationError(f"kappa must be positive, got {kappa!r}")
     dt = path.duration / path.steps
-    rates = kappa * _speed_squared(obs, path, scheme)
+    rates = kappa * _speed_squared(obs, path)
     return rates, _trapezoid(rates, dt)
 
 
@@ -201,45 +194,34 @@ class ConvergenceRecord:
     energy_final: float
 
 
-def _segment_energies(
-    obs: ObservableSet, samples: np.ndarray, dt: float, scheme: FDScheme
-) -> np.ndarray:
+def _segment_energies(obs: ObservableSet, samples: np.ndarray, dt: float) -> np.ndarray:
     """Midpoint-rule energy of each segment: (dl^T g(mid) dl) / dt."""
     mids = 0.5 * (samples[:-1] + samples[1:])
     deltas = samples[1:] - samples[:-1]
-    g = metric_grid(obs, mids, scheme)
+    g = metric_grid(obs, mids)
     return np.einsum("ki,kij,kj->k", deltas, g, deltas) / dt
 
 
-def discrete_path_energy(
-    obs: ObservableSet,
-    samples: np.ndarray,
-    duration: float,
-    scheme: FDScheme = FDScheme(),
-) -> float:
+def discrete_path_energy(obs: ObservableSet, samples: np.ndarray, duration: float) -> float:
     """The geodesic objective: sum of midpoint-rule segment energies."""
     samples = np.asarray(samples, dtype=float)
     dt = duration / (samples.shape[0] - 1)
-    return float(_segment_energies(obs, samples, dt, scheme).sum())
+    return float(_segment_energies(obs, samples, dt).sum())
 
 
 def segment_speed_profile(
-    obs: ObservableSet,
-    samples: np.ndarray,
-    duration: float,
-    scheme: FDScheme = FDScheme(),
+    obs: ObservableSet, samples: np.ndarray, duration: float
 ) -> np.ndarray:
     """Per-segment metric speeds |dl|_g / dt in the geodesic discretization."""
     samples = np.asarray(samples, dtype=float)
     dt = duration / (samples.shape[0] - 1)
-    return np.sqrt(np.clip(_segment_energies(obs, samples, dt, scheme), 0.0, None) / dt)
+    return np.sqrt(np.clip(_segment_energies(obs, samples, dt), 0.0, None) / dt)
 
 
 def _energy_gradient(
     obs: ObservableSet,
     samples: np.ndarray,
     dt: float,
-    scheme: FDScheme,
     fd_step: float = 1e-6,
 ) -> np.ndarray:
     """Gradient of the discrete energy w.r.t. interior samples, batched.
@@ -263,16 +245,14 @@ def _energy_gradient(
                 deltas.append(samples[j + 1] - x)
     mids_arr = np.asarray(mids)
     deltas_arr = np.asarray(deltas)
-    g = metric_grid(obs, mids_arr, scheme)
+    g = metric_grid(obs, mids_arr)
     seg = np.einsum("ki,kij,kj->k", deltas_arr, g, deltas_arr) / dt
     seg = seg.reshape(p_int, n, 2, 2).sum(axis=3)
     return (seg[:, :, 0] - seg[:, :, 1]) / (2.0 * fd_step)
 
 
 def geodesic_between(
-    obs: ObservableSet,
-    problem: GeodesicProblem,
-    scheme: FDScheme = FDScheme(),
+    obs: ObservableSet, problem: GeodesicProblem
 ) -> tuple[ParamPath, LengthReport, ConvergenceRecord]:
     """Minimize the discrete path energy by gradient descent with backtracking.
 
@@ -287,7 +267,7 @@ def geodesic_between(
     samples = straight_path(
         problem.start, problem.end, steps=k_total, duration=problem.duration
     ).samples.copy()
-    energy = float(_segment_energies(obs, samples, dt, scheme).sum())
+    energy = float(_segment_energies(obs, samples, dt).sum())
     energy_initial = energy
     best_samples = samples.copy()
     best_energy = energy
@@ -301,7 +281,7 @@ def geodesic_between(
     prev_x = None
     prev_g = None
     for iterations in range(1, problem.max_iters + 1):
-        grad = _energy_gradient(obs, samples, dt, scheme)
+        grad = _energy_gradient(obs, samples, dt)
         grad_norm = float(np.abs(grad).max())
         if grad_norm < problem.tolerance:
             converged = True
@@ -323,7 +303,7 @@ def geodesic_between(
         for _ in range(60):
             trial = samples.copy()
             trial[1:-1] = x - t * grad
-            trial_energy = float(_segment_energies(obs, trial, dt, scheme).sum())
+            trial_energy = float(_segment_energies(obs, trial, dt).sum())
             if trial_energy <= reference - 1e-4 * t * g_sq:
                 samples = trial
                 energy = trial_energy
@@ -342,7 +322,7 @@ def geodesic_between(
         samples = best_samples
         energy = best_energy
     path = ParamPath(problem.duration, samples)
-    report = thermo_length(obs, path, scheme)
+    report = thermo_length(obs, path)
     record = ConvergenceRecord(
         iterations=iterations,
         grad_norm=grad_norm,
@@ -390,14 +370,13 @@ def third_law_scan(
     direction,
     lambdas,
     steps: int = 1024,
-    scheme: FDScheme = FDScheme(),
 ) -> ThirdLawScan:
     """Table of thermodynamic lengths along a ray toward the boundary."""
     d = _unit_direction(direction, obs.n)
     lam = _check_lambda_list(lambdas)
     lengths = np.array(
         [
-            thermo_length(obs, straight_path(np.zeros(obs.n), l * d, steps), scheme).length
+            thermo_length(obs, straight_path(np.zeros(obs.n), l * d, steps)).length
             for l in lam
         ]
     )

@@ -23,7 +23,7 @@ from thermogeom.contact import (
     wedge_top_coefficient,
 )
 from thermogeom.errors import SignatureError, ValidationError
-from thermogeom.geometry import metric_tensor
+from thermogeom.geometry import FDScheme, metric_tensor
 from thermogeom.gibbs import ObservableSet, gibbs_point
 from thermogeom.linalg import HermitianOperator, von_neumann_entropy
 
@@ -112,6 +112,14 @@ class TestLegendrianResidual:
         axis = np.linspace(-1.5, 1.5, 7)
         grid = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
         assert legendrian_residual(TWO_QUBIT, grid) < 1e-7
+
+    def test_order_two_converges_quadratically(self):
+        grid = np.linspace(-1.5, 1.5, 7)[:, None]
+        coarse, fine = (
+            legendrian_residual(QUBIT, grid, FDScheme(step=h, order=2)) for h in (1e-2, 5e-3)
+        )
+        assert coarse != legendrian_residual(QUBIT, grid, FDScheme(step=1e-2, order=4))
+        assert coarse / fine == pytest.approx(4.0, rel=0.02)
 
     def test_every_shipped_family_is_legendrian(self):
         qutrit = ObservableSet([HermitianOperator(np.diag([1.0, 0.0, 0.0]))], ["P0"])

@@ -13,8 +13,8 @@ from thermogeom.geometry import (
     metric_tensor,
     state_derivatives,
 )
-from thermogeom.gibbs import ObservableSet, gibbs_point
-from thermogeom.linalg import DensityOperator, HermitianOperator
+from thermogeom.gibbs import ObservableSet, gibbs_batch, gibbs_point
+from thermogeom.linalg import DensityOperator, HermitianOperator, hermitize, sld_solve
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Z = np.diag([1.0, -1.0]).astype(complex)
@@ -30,6 +30,30 @@ def random_density(m):
 
 def sech(x):
     return 1.0 / math.cosh(x)
+
+
+PAULIS = [SIGMA_Z, SIGMA_X, np.array([[0.0, -1.0j], [1.0j, 0.0]])]
+PAULI = ObservableSet([HermitianOperator(a) for a in PAULIS], ["sz", "sx", "sy"])
+
+
+def fd_state_derivatives(obs, lam, step=5e-4):
+    """Fourth-order central differences of the family map, shape (n, m, m)."""
+    offsets = np.array([-2.0, -1.0, 1.0, 2.0])
+    weights = np.array([1.0, -8.0, 8.0, -1.0]) / (12.0 * step)
+    pts = lam + step * offsets[None, :, None] * np.eye(obs.n)[:, None, :]
+    rho = gibbs_batch(obs, pts.reshape(-1, obs.n)).rho
+    return np.einsum("o,iokl->ikl", weights, rho.reshape(obs.n, 4, obs.dim, obs.dim))
+
+
+def sld_metric(obs, lam):
+    """Oracle g_ij = Re tr(rho L_i L_j) from differenced states and SLD solves."""
+    rho = gibbs_point(obs, lam).rho
+    slds = [
+        sld_solve(rho, HermitianOperator(hermitize(d))).matrix
+        for d in fd_state_derivatives(obs, lam)
+    ]
+    g = np.array([[np.trace(rho.matrix @ li @ lj).real for lj in slds] for li in slds])
+    return (g + g.T) / 2
 
 
 class TestFDScheme:
@@ -116,11 +140,33 @@ class TestStateDerivatives:
             for d in state_derivatives(obs, lam):
                 assert abs(np.trace(d.matrix)) < 1e-10
 
-    def test_order4_vs_order2(self):
-        step = 1e-3
-        (d4,) = state_derivatives(QUBIT, [0.6], FDScheme(step=step, order=4))
-        (d2,) = state_derivatives(QUBIT, [0.6], FDScheme(step=step, order=2))
-        assert np.abs(d4.matrix - d2.matrix).max() < 10 * step**2
+    def test_exact_at_the_maximally_mixed_point(self):
+        # lam = 0: every pair is degenerate and d_i rho = -(A_i - tr A_i / m) / m
+        for d, a in zip(state_derivatives(PAULI, [0.0, 0.0, 0.0]), PAULIS):
+            assert np.abs(d.matrix + a / 2).max() < 1e-15
+
+    def test_transverse_derivative_when_a_population_underflows(self):
+        # at lam = 400 sz the lower population exp(-800) is 0.0 in floating
+        # point; rho = (I - tanh r n.sigma) / 2 still gives -tanh(r) / (2 r) sx
+        d_x = state_derivatives(PAULI, [400.0, 0.0, 0.0])[1]
+        assert gibbs_point(PAULI, [400.0, 0.0, 0.0]).rho.eigenvalues[-1] == 0.0
+        assert np.abs(d_x.matrix + SIGMA_X / 800.0).max() < 1e-17
+
+    def test_degenerate_two_qubit_spectrum(self):
+        # H = 0.7 (z1 + z2) has a doubly degenerate middle eigenvalue, and
+        # x1 x2 couples exactly that pair
+        obs = ObservableSet(
+            [
+                HermitianOperator(np.kron(SIGMA_Z, np.eye(2)) + np.kron(np.eye(2), SIGMA_Z)),
+                HermitianOperator(np.kron(SIGMA_X, SIGMA_X)),
+            ]
+        )
+        lam = np.array([0.7, 0.0])
+        ders = state_derivatives(obs, lam)
+        reference = fd_state_derivatives(obs, lam)
+        for d, ref in zip(ders, reference):
+            assert abs(np.trace(d.matrix)) < 1e-14
+            assert np.abs(d.matrix - ref).max() < 1e-9
 
 
 class TestMetricTensor:
@@ -175,6 +221,27 @@ class TestMetricTensor:
         grids = metric_grid(obs, pts)
         for j, lam in enumerate(pts):
             assert np.abs(grids[j] - metric_tensor(obs, lam).g).max() < 1e-12
+
+    @pytest.mark.parametrize("r", [0.0, 1e-10, 0.5, 3.0, 10.0, 15.0])
+    def test_qubit_bures_oracle(self, r):
+        # Huebner (1992): sech^2 r along lam, tanh^2 r / r^2 across it
+        for n in (np.array([1.0, 0.0, 0.0]), np.array([2.0, -1.0, 2.0]) / 3.0):
+            g = metric_tensor(PAULI, r * n).g
+            across = 1.0 if r == 0.0 else math.tanh(r) ** 2 / r**2
+            nn = np.outer(n, n)
+            ref = sech(r) ** 2 * nn + across * (np.eye(3) - nn)
+            scale = np.where(ref != 0.0, np.abs(ref), np.abs(ref).max())
+            assert np.all(np.abs(g - ref) <= 1e-13 * scale)
+
+    @pytest.mark.parametrize("m,n", [(4, 3), (8, 8)])
+    def test_random_non_commuting_family(self, m, n):
+        rng = np.random.default_rng(7)
+        a = rng.normal(size=(n, m, m)) + 1j * rng.normal(size=(n, m, m))
+        obs = ObservableSet([HermitianOperator(hermitize(x)) for x in a])
+        pts = rng.uniform(-0.5, 0.5, size=(6, n))
+        for g, lam in zip(metric_grid(obs, pts), pts):
+            ref = sld_metric(obs, lam)
+            assert np.abs(g - ref).max() <= 2e-11 * np.abs(ref).max()
 
     def test_boundary_proximity_raises(self):
         with pytest.raises(NearSingularError):
