@@ -311,15 +311,20 @@ class FlatnessReport:
     max_abs_curvature: float
 
 
-def flatness_check(
-    spec: ConnectionSpec, grid_points, tol: float = 1e-7
-) -> FlatnessReport:
-    """Flat iff max |R_kl| over all pairs and grid points stays below tol."""
+def _flatness_grid(spec: ConnectionSpec, grid_points) -> np.ndarray:
     pts = np.atleast_2d(np.asarray(grid_points, dtype=float))
     if pts.shape[0] < 1:
         raise ValidationError("flatness grid must be nonempty")
     if pts.shape[1] != spec.n:
         raise ValidationError(f"grid points must have {spec.n} components")
+    return pts
+
+
+def flatness_check(
+    spec: ConnectionSpec, grid_points, tol: float = 1e-7
+) -> FlatnessReport:
+    """Flat iff max |R_kl| over all pairs and grid points stays below tol."""
+    pts = _flatness_grid(spec, grid_points)
     worst = 0.0
     for lam in pts:
         for k in range(spec.n):

@@ -8,6 +8,7 @@ significant digits so artifacts round-trip and diff cleanly.
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
 from pathlib import Path
@@ -21,9 +22,12 @@ from .connection import ConnectionSpec
 from .errors import ValidationError
 from .gibbs import ObservableSet
 from .linalg import HermitianOperator
-from .processes import ParamPath
+from .processes import MIN_PATH_STEPS, ParamPath
 
 __all__ = [
+    "MAX_COUNT",
+    "number",
+    "count",
     "format_float",
     "complex_matrix_to_json",
     "complex_matrix_from_json",
@@ -37,6 +41,36 @@ __all__ = [
     "load_json_file",
     "atomic_write_text",
 ]
+
+
+# Upper bound on every count a config can ask for (grid points, path steps,
+# iterations); checked before anything of that size is allocated.
+MAX_COUNT = 1 << 20
+
+
+def number(value: Any, what: str) -> float:
+    """A finite JSON number; bool is not a number here."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            x = float(value)
+        except OverflowError:
+            x = math.inf
+        if math.isfinite(x):
+            return x
+    raise ValidationError(f"{what} must be a finite number, got {value!r}")
+
+
+def count(value: Any, what: str, floor: int = 0) -> int:
+    """An integer in [floor, MAX_COUNT]; bool is not an integer here."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, int)
+        or not floor <= value <= MAX_COUNT
+    ):
+        raise ValidationError(
+            f"{what} must be an integer in [{floor}, {MAX_COUNT}], got {value!r}"
+        )
+    return value
 
 
 def format_float(x: float) -> str:
@@ -59,15 +93,10 @@ def complex_matrix_from_json(obj: Any, expect_dim: int | None = None) -> np.ndar
         if not isinstance(row, list) or len(row) != dim:
             raise ValidationError(f"matrix row {i} must have {dim} entries")
         for j, cell in enumerate(row):
-            if (
-                not isinstance(cell, list)
-                or len(cell) != 2
-                or not all(isinstance(v, (int, float)) for v in cell)
-            ):
-                raise ValidationError(
-                    f"matrix entry ({i}, {j}) must be a [re, im] pair"
-                )
-            out[i, j] = complex(cell[0], cell[1])
+            what = f"matrix entry ({i}, {j})"
+            if not isinstance(cell, list) or len(cell) != 2:
+                raise ValidationError(f"{what} must be a [re, im] pair")
+            out[i, j] = complex(number(cell[0], what), number(cell[1], what))
     return out
 
 
@@ -84,9 +113,7 @@ def observable_set_to_json(obs: ObservableSet) -> dict:
 def observable_set_from_json(obj: Any) -> ObservableSet:
     if not isinstance(obj, dict):
         raise ValidationError("observable set must be a JSON object")
-    dim = obj.get("dim")
-    if not isinstance(dim, int) or dim < 1:
-        raise ValidationError(f"invalid dim {dim!r}")
+    dim = count(obj.get("dim"), "dim", floor=1)
     entries = obj.get("observables")
     if not isinstance(entries, list) or not entries:
         raise ValidationError("observables must be a nonempty array")
@@ -111,35 +138,31 @@ def path_from_json(obj: Any, n: int) -> ParamPath:
     """Either explicit samples or lambda_exprs in t evaluated on the grid."""
     if not isinstance(obj, dict):
         raise ValidationError("path must be a JSON object")
-    duration = obj.get("duration")
-    if not isinstance(duration, (int, float)) or duration <= 0:
+    duration = number(obj.get("duration"), "path.duration")
+    if duration <= 0:
         raise ValidationError(f"invalid path duration {duration!r}")
     if "samples" in obj:
-        samples = np.asarray(obj["samples"], dtype=float)
-        if samples.ndim != 2 or samples.shape[1] != n:
-            raise ValidationError(
-                f"path samples must be rows of {n} coordinates"
-            )
-        return ParamPath(float(duration), samples)
+        rows = obj["samples"]
+        if not isinstance(rows, list) or not all(
+            isinstance(row, list) and len(row) == n for row in rows
+        ):
+            raise ValidationError(f"path samples must be rows of {n} coordinates")
+        samples = [[number(v, "path sample") for v in row] for row in rows]
+        return ParamPath(duration, np.array(samples, dtype=float))
     if "lambda_exprs" in obj:
-        steps = obj.get("steps")
-        if not isinstance(steps, int) or steps < 8:
-            raise ValidationError(f"steps must be an integer >= 8, got {steps!r}")
-        texts = obj["lambda_exprs"]
-        if not isinstance(texts, list) or len(texts) != n:
-            raise ValidationError(f"lambda_exprs must list {n} expressions")
-        exprs = [exprlang.parse(t, n) for t in texts]
+        steps = count(obj.get("steps"), "path.steps", floor=MIN_PATH_STEPS)
+        exprs = [exprlang.parse(t, n) for t in _expr_list(obj, "lambda_exprs", n)]
         for k, e in enumerate(exprs):
             extra = exprlang.free_vars(e) - {"t"}
             if extra:
                 raise ValidationError(
                     f"path expression {k + 1} may only use t, found {sorted(extra)}"
                 )
-        ts = np.linspace(0.0, float(duration), steps + 1)
+        ts = np.linspace(0.0, duration, steps + 1)
         samples = np.array(
             [[exprlang.eval_expr(e, {"t": t}) for e in exprs] for t in ts]
         )
-        return ParamPath(float(duration), samples, provenance="expression-defined")
+        return ParamPath(duration, samples, provenance="expression-defined")
     raise ValidationError("path needs either samples or lambda_exprs")
 
 
@@ -161,10 +184,8 @@ def mmetric_spec_from_json(obj: Any, n: int) -> MMetricSpec:
 def connection_spec_from_json(obj: Any, n: int) -> ConnectionSpec:
     if not isinstance(obj, dict) or not isinstance(obj.get("g_S"), str):
         raise ValidationError("connection spec needs a g_S expression string")
-    fd_step = obj.get("fd_step", 1e-5)
-    if not isinstance(fd_step, (int, float)):
-        raise ValidationError(f"fd_step must be a number, got {fd_step!r}")
-    return ConnectionSpec.parsed(obj["g_S"], _expr_list(obj, "h", n), n, float(fd_step))
+    fd_step = number(obj.get("fd_step", 1e-5), "fd_step")
+    return ConnectionSpec.parsed(obj["g_S"], _expr_list(obj, "h", n), n, fd_step)
 
 
 def mu_extension_from_json(obj: Any, obs: ObservableSet) -> MuExtension:
@@ -179,8 +200,10 @@ def load_json_file(path: str | Path) -> Any:
         raise ValidationError(f"file not found: {p}")
     try:
         return json.loads(p.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"malformed JSON in {p}: {exc}") from None
+    except (OSError, ValueError, RecursionError) as exc:
+        # ValueError covers JSONDecodeError, UnicodeDecodeError and ints
+        # past the interpreter's digit limit
+        raise ValidationError(f"unreadable JSON in {p}: {exc}") from None
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:

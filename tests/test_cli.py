@@ -1,12 +1,17 @@
+import copy
+import functools
 import json
 import math
+import operator
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from thermogeom.cli import main
+from thermogeom.serialization import MAX_COUNT
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -380,3 +385,118 @@ class TestModuleEntryPoint:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["Z"] == pytest.approx(2.0)
+
+
+SHIPPED = sorted(p.stem[len("run_"):] for p in CONFIG_DIR.glob("run_*.json"))
+
+
+def shipped_config(config):
+    """A shipped run config whose observables path no longer depends on its folder."""
+    doc = json.loads((CONFIG_DIR / f"run_{config}.json").read_text())
+    doc["observables"] = str(CONFIG_DIR / doc["observables"])
+    return doc
+
+
+def _open_loop(sec):
+    sec["loop"] = {"duration": 1.0, "samples": [[0.0625 * k, 0.0] for k in range(17)]}
+
+
+def _no_rectangle(sec):
+    sec.pop("rectangle")
+    sec["method"] = "curvature-integral"
+
+
+# (config, edit of its section) pairs that neither --validate nor the run may accept
+INVALID_EDITS = {
+    "rectangle_steps_8": ("holonomy", lambda s: s["rectangle"].update(steps=8)),
+    "third_law_steps_4": ("third_law", lambda s: s.update(steps=4)),
+    "third_law_lambda_decreasing": ("third_law", lambda s: s.update(Lambda=[8.0, 4.0, 2.0])),
+    "third_law_direction_not_unit": ("third_law", lambda s: s.update(direction=[2.0])),
+    "boundary_lambda_decreasing": ("boundary_entropy", lambda s: s.update(Lambda=[16.0, 0.0])),
+    "curvature_method_without_rectangle": ("holonomy", _no_rectangle),
+    "open_loop": ("holonomy", _open_loop),
+    "pairs_same_index": ("curvature_map", lambda s: s.update(pairs=[[1, 1]])),
+    "flatness_tol_negative": ("flatness", lambda s: s.update(tol=-1)),
+    "section_kappa_negative": ("entropy_production", lambda s: s.update(kappa=-1)),
+    "contact_grid_empty": ("contact_check", lambda s: s["grid"].update(num=[0])),
+    "samples_not_numeric": ("length", lambda s: s.update(path={"duration": 1.0, "samples": [["a"]] * 9})),
+    "samples_ragged": (
+        "length", lambda s: s.update(path={"duration": 1.0, "samples": [[0.0]] * 8 + [[0.0, 1.0]]})
+    ),
+    "third_law_lambda_string": ("third_law", lambda s: s.update(Lambda=["a"])),
+    "pairs_not_a_list": ("curvature_map", lambda s: s.update(pairs=3)),
+    "lambda_bool": ("gibbs", lambda s: s.update({"lambda": [True]})),
+    "grid_over_cap": ("curvature_map", lambda s: s["grid"].update(num=[2048, 1024])),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INVALID_EDITS) + ["kappa_bool"])
+def test_invalid_edit_exits_2_under_validate_and_run(name, tmp_path):
+    if name == "kappa_bool":
+        config = "gibbs"
+        doc = shipped_config(config)
+        doc["kappa"] = True
+    else:
+        config, edit = INVALID_EDITS[name]
+        doc = shipped_config(config)
+        edit(doc[config])
+    cfg = write_config(tmp_path, "cfg.json", doc)
+    out = tmp_path / "artifact"
+    command = config.replace("_", "-")
+    assert run([command, "--config", cfg, "--validate", "--out", out]) == 2
+    assert run([command, "--config", cfg, "--out", out]) == 2
+    assert not out.exists()
+
+
+_DELETE = object()
+_JSON_VALUES = st.one_of(
+    st.integers(-3, 20),
+    st.floats(-1e3, 1e3),
+    st.booleans(),
+    st.text(max_size=3),
+    st.none(),
+    st.lists(st.lists(st.integers(-2, 3), max_size=3), max_size=3),
+    st.just({}),
+    st.just(MAX_COUNT + 1),
+)
+
+
+def _sites(doc, prefix=()):
+    """Paths to every key and list element, containers included."""
+    if isinstance(doc, dict):
+        items = doc.items()
+    elif isinstance(doc, list):
+        items = enumerate(doc)
+    else:
+        return
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _sites(value, prefix + (key,))
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@pytest.mark.parametrize("config", SHIPPED)
+@settings(max_examples=25, derandomize=True, deadline=None, database=None)
+@given(data=st.data())
+def test_mutated_config_keeps_the_exit_contract(config, data, fuzz_dir):
+    doc = shipped_config(config)
+    *parents, last = data.draw(st.sampled_from(list(_sites(doc))), label="site")
+    value = data.draw(st.one_of(st.just(_DELETE), _JSON_VALUES), label="value")
+    holder = functools.reduce(operator.getitem, parents, doc)
+    if value is _DELETE:
+        del holder[last]
+    else:
+        holder[last] = value
+    cfg = write_config(fuzz_dir, f"{config}.json", doc)
+    out = fuzz_dir / f"{config}.out"
+    out.unlink(missing_ok=True)
+    command = config.replace("_", "-")
+    validate = run([command, "--config", cfg, "--validate"])
+    ran = run([command, "--config", cfg, "--out", out])
+    assert validate in (0, 2, 3) and ran in (0, 2, 3, 4)
+    assert (validate == 2) == (ran == 2)
+    assert out.exists() == (ran in (0, 4))

@@ -1,15 +1,21 @@
+import math
+
 import numpy as np
 import pytest
 
 from thermogeom.errors import ValidationError
 from thermogeom.processes import ParamPath
 from thermogeom.serialization import (
+    MAX_COUNT,
     atomic_write_text,
+    count,
     complex_matrix_from_json,
     complex_matrix_to_json,
     connection_spec_from_json,
     format_float,
+    load_json_file,
     mmetric_spec_from_json,
+    number,
     path_from_json,
     path_to_json,
 )
@@ -108,3 +114,27 @@ class TestFloatFormat:
         assert format_float(1 / 3) == "0.33333333333333331"
         assert format_float(2.0) == "2"
         assert float(format_float(0.1)) == 0.1
+
+
+class TestScalarChecks:
+    @pytest.mark.parametrize("value", [True, "1", None, [1.0], math.nan, -math.inf, 10**400])
+    def test_number_rejects(self, value):
+        with pytest.raises(ValidationError):
+            number(value, "x")
+
+    def test_number_accepts_ints_and_floats(self):
+        assert number(3, "x") == 3.0 and number(-2.5, "x") == -2.5
+
+    @pytest.mark.parametrize("value", [True, 1.0, "2", None, 1, MAX_COUNT + 1])
+    def test_count_rejects(self, value):
+        with pytest.raises(ValidationError):
+            count(value, "x", floor=2)
+
+    def test_count_accepts_the_bounds(self):
+        assert count(2, "x", floor=2) == 2 and count(MAX_COUNT, "x") == MAX_COUNT
+
+    def test_oversized_json_int_is_a_validation_error(self, tmp_path):
+        path = tmp_path / "big.json"
+        path.write_text("9" * 5000)
+        with pytest.raises(ValidationError):
+            load_json_file(path)
