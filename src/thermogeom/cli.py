@@ -438,11 +438,8 @@ def cmd_curvature_map(cfg: RunConfig) -> Job:
         header = [f"l{i + 1}" for i in range(n)] + [
             f"R_{k + 1}_{l + 1}" for k, l in pairs
         ]
-        rows = [
-            list(map(float, pt)) + [curvature(spec, pt, k, l) for k, l in pairs]
-            for pt in pts
-        ]
-        payload = {"columns": header, "rows": [[float(v) for v in r] for r in rows]}
+        rows = np.column_stack([pts] + [curvature(spec, pts, k, l) for k, l in pairs]).tolist()
+        payload = {"columns": header, "rows": rows}
         return payload, header, rows
 
     return run

@@ -7,6 +7,11 @@ coordinates.  Horizontal lifts integrate S' = -sum_k Gamma^k_0 lam_k',
 holonomy is the vertical displacement of a lifted loop, and the same
 number is recovered as minus the curvature flux through a spanning
 rectangle (Stokes, since the group is abelian).
+
+Every layer is batched over points: `ConnectionSpec.gamma` maps lam of
+shape (..., n) to (..., n) with one evaluation of each expression, a
+curvature batch carries its stencil taps and directions as array axes,
+and a lift makes one gamma call for its samples and midpoints.
 """
 
 from __future__ import annotations
@@ -73,15 +78,26 @@ class ConnectionSpec:
         return cls(exprlang.parse(g_S, n), [exprlang.parse(t, n) for t in h], n, fd_step)
 
     def gamma(self, lam) -> np.ndarray:
-        """Gamma^k_0 = h_k / g_S at lam; degenerate g_S raises."""
-        lam = np.asarray(lam, dtype=float).reshape(-1)
-        env = {f"l{i + 1}": float(lam[i]) for i in range(self.n)}
-        g_s = exprlang.eval_expr(self.g_S, env)
-        if abs(g_s) <= 1e-12:
+        """Gamma^k_0 = h_k / g_S, mapping lam of shape (..., n) to (..., n).
+
+        One evaluation of each expression covers every point; |g_S| <= 1e-12
+        at any point raises, naming the first such point in C order.
+        """
+        lam = np.asarray(lam, dtype=float)
+        if lam.ndim == 0 or lam.shape[-1] != self.n:
+            raise ValidationError(f"lam must have {self.n} components in its last axis")
+        # contiguous copies of the components: ufuncs on strided views cost more
+        columns = np.moveaxis(lam, -1, 0).copy()
+        env = {f"l{i + 1}": columns[i] for i in range(self.n)}
+        g_s = np.asarray(exprlang.eval_expr(self.g_S, env))
+        degenerate = np.abs(g_s) <= 1e-12
+        if degenerate.any():
+            at = np.unravel_index(int(np.argmax(degenerate)), g_s.shape)
             raise DegenerateMetricError(
-                f"|g_S| = {abs(g_s):.3e} at lambda = {lam.tolist()}"
+                f"|g_S| = {abs(float(g_s[at])):.3e} at lambda = {lam[at].tolist()}"
             )
-        return np.array([exprlang.eval_expr(e, env) for e in self.h]) / g_s
+        h = np.stack([exprlang.eval_expr(e, env) for e in self.h], axis=-1)
+        return h / g_s[..., None]
 
 
 @dataclass(frozen=True)
@@ -180,8 +196,23 @@ def rectangle_loop(
     return Loop(ParamPath(duration, samples))
 
 
-def _gamma_dot(spec: ConnectionSpec, lam: np.ndarray, velocity: np.ndarray) -> float:
-    return float(spec.gamma(lam) @ velocity)
+def _lift_entropy(spec: ConnectionSpec, base: ParamPath, p0: ThermoPoint) -> np.ndarray:
+    """S at every base sample of the horizontal lift started at p0."""
+    if p0.n != base.n or spec.n != base.n:
+        raise ValidationError("spec, base path and start point disagree on n")
+    if float(np.max(np.abs(p0.lam - base.samples[0]))) > 1e-12:
+        raise ValidationError("p0 must sit over the first base sample")
+    dt = base.duration / base.steps
+    lam0, lam1 = base.samples[:-1], base.samples[1:]
+    vel = (lam1 - lam0) / dt
+    # one gamma call: the K+1 samples, then the K segment midpoints
+    g = spec.gamma(np.concatenate((base.samples, 0.5 * (lam0 + lam1))))
+    g_node, g_mid = g[: base.steps + 1], g[base.steps + 1 :]
+    k1 = -np.einsum("ij,ij->i", g_node[:-1], vel)
+    k_mid = -np.einsum("ij,ij->i", g_mid, vel)
+    k4 = -np.einsum("ij,ij->i", g_node[1:], vel)
+    increments = (dt / 6.0) * (k1 + 4.0 * k_mid + k4)
+    return np.cumsum(np.concatenate(([p0.S], increments)))
 
 
 def horizontal_lift(
@@ -190,58 +221,60 @@ def horizontal_lift(
     """Lift a base path horizontally: S' = -sum_k Gamma^k_0 lam_k', a' = 0.
 
     Classical RK4 on each grid segment (the base is piecewise linear, so
-    this is Simpson quadrature of the connection line integral).  The
-    lifted lam samples coincide with the base exactly.
+    this is Simpson quadrature of the connection line integral): one
+    batched gamma call over the samples and segment midpoints, then a
+    cumulative sum.  The lifted lam samples coincide with the base exactly.
     """
-    if p0.n != base.n or spec.n != base.n:
-        raise ValidationError("spec, base path and start point disagree on n")
-    if float(np.max(np.abs(p0.lam - base.samples[0]))) > 1e-12:
-        raise ValidationError("p0 must sit over the first base sample")
-    dt = base.duration / base.steps
-    s_vals = np.empty(base.steps + 1)
-    s_vals[0] = p0.S
-    for seg in range(base.steps):
-        lam0 = base.samples[seg]
-        lam1 = base.samples[seg + 1]
-        vel = (lam1 - lam0) / dt
-        k1 = -_gamma_dot(spec, lam0, vel)
-        k_mid = -_gamma_dot(spec, 0.5 * (lam0 + lam1), vel)
-        k4 = -_gamma_dot(spec, lam1, vel)
-        s_vals[seg + 1] = s_vals[seg] + (dt / 6.0) * (k1 + 4.0 * k_mid + k4)
+    s_vals = _lift_entropy(spec, base, p0)
     return [
         ThermoPoint(float(s_vals[j]), p0.a, base.samples[j])
         for j in range(base.steps + 1)
     ]
 
 
-def curvature(spec: ConnectionSpec, lam, k: int, l: int) -> float:
+# fourth-order central first derivative: tap offsets (in fd_step) and weights
+_FD_OFFSETS = np.array([-2.0, -1.0, 1.0, 2.0])
+_FD_WEIGHTS = np.array([1.0, -8.0, 8.0, -1.0])
+# points per batched gamma call in curvature, which bounds its working set
+_CURVATURE_CHUNK = 4096
+
+
+def _curvature_rows(spec: ConnectionSpec, lam: np.ndarray, k: int, l: int) -> np.ndarray:
+    h = spec.fd_step
+    # taps[p, d, j] = lam[p] shifted by offset j along direction d (k, then l)
+    shape = (lam.shape[0], 2, _FD_OFFSETS.size, spec.n)
+    taps = np.broadcast_to(lam[:, None, None, :], shape).copy()
+    taps[:, 0, :, k] += _FD_OFFSETS * h
+    taps[:, 1, :, l] += _FD_OFFSETS * h
+    g = spec.gamma(taps)
+    weights = _FD_WEIGHTS / (12.0 * h)
+    d_k_gamma_l = sum(w * g[:, 0, j, l] for j, w in enumerate(weights))
+    d_l_gamma_k = sum(w * g[:, 1, j, k] for j, w in enumerate(weights))
+    return d_k_gamma_l - d_l_gamma_k
+
+
+def curvature(spec: ConnectionSpec, lam, k: int, l: int) -> float | np.ndarray:
     """R_kl = d(h_l/g_S)/dlam_k - d(h_k/g_S)/dlam_l, the dS-coefficient.
 
-    Fourth-order central differences with the spec's fd_step;
-    antisymmetric in (k, l) by construction.
+    lam of shape (n,) gives a float; a batch of shape (P, n) gives a (P,)
+    array.  Fourth-order central differences with the spec's fd_step, with
+    the 4 stencil taps and the 2 directions as array axes of one gamma
+    call; antisymmetric in (k, l) by construction.
     """
     if spec.n < 2:
         raise ValidationError("curvature needs at least two parameters")
     if not (0 <= k < spec.n and 0 <= l < spec.n):
         raise ValidationError(f"plane indices ({k}, {l}) out of range for n={spec.n}")
-    lam = np.asarray(lam, dtype=float).reshape(-1)
-    if lam.size != spec.n:
-        raise ValidationError(f"lam must have {spec.n} components")
-    if k == l:
-        return 0.0
-    h = spec.fd_step
-    offsets = np.array([-2.0, -1.0, 1.0, 2.0])
-    weights = np.array([1.0, -8.0, 8.0, -1.0]) / (12.0 * h)
-
-    def partial(direction: int, component: int) -> float:
-        acc = 0.0
-        for off, wgt in zip(offsets, weights):
-            shifted = lam.copy()
-            shifted[direction] += off * h
-            acc += wgt * float(spec.gamma(shifted)[component])
-        return acc
-
-    return partial(k, l) - partial(l, k)
+    lam = np.asarray(lam, dtype=float)
+    if lam.ndim not in (1, 2) or lam.shape[-1] != spec.n:
+        raise ValidationError(f"lam must have {spec.n} components (shape (n,) or (P, n))")
+    pts = np.atleast_2d(lam)
+    out = np.zeros(pts.shape[0])
+    if k != l:
+        for start in range(0, pts.shape[0], _CURVATURE_CHUNK):
+            stop = start + _CURVATURE_CHUNK
+            out[start:stop] = _curvature_rows(spec, pts[start:stop], k, l)
+    return float(out[0]) if lam.ndim == 1 else out
 
 
 def holonomy_via_lift(
@@ -252,9 +285,9 @@ def holonomy_via_lift(
     The lift ODE never reads (S, a), so the result is independent of the
     base point's vertical coordinates.
     """
-    lifted = horizontal_lift(spec, loop.path, p0)
+    s_vals = _lift_entropy(spec, loop.path, p0)
     return HolonomyResult(
-        dS=lifted[-1].S - lifted[0].S,
+        dS=float(s_vals[-1] - s_vals[0]),
         da=np.zeros(spec.n),
         method="lift",
     )
@@ -271,11 +304,15 @@ def holonomy_via_curvature(
 ) -> HolonomyResult:
     """Hol dS = -double integral of R_kl over a coordinate rectangle.
 
-    Composite 2-D trapezoid on an (N_k+1) x (N_l+1) grid; matches the
-    lift holonomy of the counterclockwise boundary loop by Stokes.
+    Composite 2-D trapezoid on an (N_k+1) x (N_l+1) grid, whose nodes go
+    to `curvature` as one batch; matches the lift holonomy of the
+    counterclockwise boundary loop by Stokes.  The plane (k, l) must be
+    two distinct indices in [0, n).
     """
     if spec.n < 2:
         raise ValidationError("surface holonomy needs at least two parameters")
+    if k == l or not (0 <= k < spec.n and 0 <= l < spec.n):
+        raise ValidationError(f"invalid plane indices ({k}, {l}) for n={spec.n}")
     lo = np.asarray(lo, dtype=float).reshape(-1)
     hi = np.asarray(hi, dtype=float).reshape(-1)
     if lo.shape != (2,) or hi.shape != (2,):
@@ -288,13 +325,10 @@ def holonomy_via_curvature(
         raise ValidationError(f"base point must have {spec.n} components")
     xs = np.linspace(lo[0], hi[0], n_k + 1)
     ys = np.linspace(lo[1], hi[1], n_l + 1)
-    values = np.empty((n_k + 1, n_l + 1))
-    lam = center.copy()
-    for i, x in enumerate(xs):
-        for j, y in enumerate(ys):
-            lam[k] = x
-            lam[l] = y
-            values[i, j] = curvature(spec, lam, k, l)
+    pts = np.tile(center, ((n_k + 1) * (n_l + 1), 1))
+    pts[:, k] = np.repeat(xs, n_l + 1)
+    pts[:, l] = np.tile(ys, n_k + 1)
+    values = curvature(spec, pts, k, l).reshape(n_k + 1, n_l + 1)
     wx = np.full(n_k + 1, 1.0)
     wx[0] = wx[-1] = 0.5
     wy = np.full(n_l + 1, 1.0)
@@ -323,11 +357,14 @@ def _flatness_grid(spec: ConnectionSpec, grid_points) -> np.ndarray:
 def flatness_check(
     spec: ConnectionSpec, grid_points, tol: float = 1e-7
 ) -> FlatnessReport:
-    """Flat iff max |R_kl| over all pairs and grid points stays below tol."""
+    """Flat iff max |R_kl| over all pairs and grid points stays below tol.
+
+    One batched `curvature` call per plane covers every grid point.
+    """
     pts = _flatness_grid(spec, grid_points)
-    worst = 0.0
-    for lam in pts:
-        for k in range(spec.n):
-            for l in range(k + 1, spec.n):
-                worst = max(worst, abs(curvature(spec, lam, k, l)))
+    pairs = [(k, l) for k in range(spec.n) for l in range(k + 1, spec.n)]
+    worst = max(
+        (float(np.max(np.abs(curvature(spec, pts, k, l)))) for k, l in pairs),
+        default=0.0,
+    )
     return FlatnessReport(flat=bool(worst <= tol), max_abs_curvature=worst)

@@ -106,11 +106,12 @@ class TangentVector:
         object.__setattr__(self, "dlam", dlam)
 
 
-def _point_env(p: ThermoPoint) -> dict[str, float]:
-    env = {"S": p.S, "t": 0.0}
-    for i in range(p.n):
-        env[f"a{i + 1}"] = float(p.a[i])
-        env[f"l{i + 1}"] = float(p.lam[i])
+def _point_env(S, a: np.ndarray, lam: np.ndarray) -> dict:
+    """Expression variables at points (S, a, lam); a and lam have shape (..., n)."""
+    env = {"S": S, "t": 0.0}
+    for i in range(lam.shape[-1]):
+        env[f"a{i + 1}"] = a[..., i]
+        env[f"l{i + 1}"] = lam[..., i]
     return env
 
 
@@ -154,15 +155,15 @@ class MuExtension:
         rng = np.random.default_rng(_MU_GRID_SEED)
         lams = rng.uniform(-box, box, size=(MU_VALIDATION_POINTS, obs.n))
         batch = gibbs_batch(obs, lams)
-        for j in range(MU_VALIDATION_POINTS):
-            point = ThermoPoint(float(batch.S[j]), batch.a[j], lams[j])
-            f = mu.offsets(point)
-            worst = float(np.max(np.abs(f)))
-            if worst >= MU_VALIDATION_TOL:
-                raise ValidationError(
-                    f"extension does not vanish on equilibrium: |f| = {worst:.3e} "
-                    f"at lambda = {lams[j].tolist()}"
-                )
+        env = _point_env(batch.S, batch.a, lams)
+        worst = np.max(np.abs([exprlang.eval_expr(e, env) for e in exprs]), axis=0)
+        failing = worst >= MU_VALIDATION_TOL
+        if failing.any():
+            j = int(np.argmax(failing))
+            raise ValidationError(
+                f"extension does not vanish on equilibrium: |f| = {worst[j]:.3e} "
+                f"at lambda = {lams[j].tolist()}"
+            )
         return mu
 
     @classmethod
@@ -170,7 +171,7 @@ class MuExtension:
         return cls([exprlang.Num(0.0)] * n, n)
 
     def offsets(self, p: ThermoPoint) -> np.ndarray:
-        env = _point_env(p)
+        env = _point_env(p.S, p.a, p.lam)
         return np.array([exprlang.eval_expr(e, env) for e in self.exprs])
 
     def mu_values(self, p: ThermoPoint) -> np.ndarray:

@@ -6,14 +6,20 @@ state-function extensions and path coordinates.  Precedence, low to high:
 ``-l1^2`` means ``-(l1^2)``.  Functions: exp, log, sqrt, sin, cos, sinh,
 cosh, tanh, abs (unary) and min, max, pow (binary).  The variable alphabet
 is fixed by the parameter count n at parse time: {t, S, a1..an, l1..ln}.
+
+`eval_expr` is the one evaluator: it walks the tree once and applies
+numpy ufuncs to whole arrays of variable values, in IEEE doubles per
+element, so a batch of points costs one walk and a single point is the
+one-element case.  Domain violations are checked as masks over the batch.
 """
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 from typing import Mapping, Union
+
+import numpy as np
 
 from .errors import ExprArityError, ExprDomainError, ExprNameError, ExprSyntaxError
 
@@ -245,85 +251,139 @@ def free_vars(e: Expr) -> frozenset[str]:
     return frozenset().union(*(free_vars(a) for a in e.args)) if e.args else frozenset()
 
 
-def _domain(node: Expr, what: str, value: float) -> ExprDomainError:
-    return ExprDomainError(f"{what} in {pretty(node)!r} (operand {value!r})")
+def _env_shape(values: tuple) -> tuple[int, ...]:
+    """Broadcast shape of the env values; np.broadcast takes 64 operands at most."""
+    shape: tuple[int, ...] = ()
+    for i in range(0, len(values), 63):
+        shape = np.broadcast(np.empty(shape, dtype=bool), *values[i : i + 63]).shape
+    return shape
 
 
-def _eval_pow(base: float, expo: float, node: Expr) -> float:
-    if base == 0.0 and expo < 0.0:
-        raise _domain(node, "zero raised to a negative power", base)
-    if base < 0.0:
-        if expo != math.floor(expo):
-            raise _domain(node, "negative base with non-integer exponent", base)
-        # integer fast path keeps (-2)^3 = -8 well defined
-        try:
-            return float(base ** int(expo))
-        except OverflowError:
-            raise _domain(node, "overflow", base) from None
-    try:
-        return math.pow(base, expo)
-    except (OverflowError, ValueError):
-        raise _domain(node, "overflow", base) from None
+def _domain(
+    node: Expr, what: str, operand, bad, env: Mapping[str, float | np.ndarray]
+) -> ExprDomainError:
+    """The error for the first element in C order where `bad` holds."""
+    shape = _env_shape((bad, *env.values()))
+    at = np.unravel_index(int(np.argmax(np.broadcast_to(bad, shape))), shape)
+
+    def value(x) -> float:
+        return float(np.broadcast_to(np.asarray(x, dtype=float), shape)[at])
+
+    where = ", ".join(f"{name}={value(x)!r}" for name, x in env.items())
+    return ExprDomainError(
+        f"{what} in {pretty(node)!r} (operand {value(operand)!r}"
+        + (f" at {where})" if where else ")")
+    )
 
 
-def eval_expr(e: Expr, env: Mapping[str, float]) -> float:
-    """Evaluate in IEEE doubles; raises ExprDomainError on domain violations."""
-    if isinstance(e, Num):
+def _check(bad, node: Expr, what: str, operand, env) -> None:
+    # count_nonzero is the cheapest "any" on small arrays and plain bools
+    if np.count_nonzero(bad):
+        raise _domain(node, what, operand, bad, env)
+
+
+def _check_overflow(out, node: Expr, operands, env) -> None:
+    """A non-finite result from finite operands is an overflow."""
+    bad = ~np.isfinite(out)
+    if np.count_nonzero(bad):
+        for x in operands:
+            bad &= np.isfinite(x)
+        _check(bad, node, "overflow", operands[0], env)
+
+
+def _eval_pow(base, expo, node: Expr, env):
+    _check((base == 0.0) & (expo < 0.0), node, "zero raised to a negative power", base, env)
+    # a negative base takes integer exponents only: (-2)^3 = -8
+    _check(
+        (base < 0.0) & (expo != np.floor(expo)),
+        node,
+        "negative base with non-integer exponent",
+        base,
+        env,
+    )
+    out = np.power(base, expo)
+    _check_overflow(out, node, (base, expo), env)
+    return out
+
+
+_UFUNCS = {
+    "exp": np.exp,
+    "log": np.log,
+    "sqrt": np.sqrt,
+    "sin": np.sin,
+    "cos": np.cos,
+    "sinh": np.sinh,
+    "cosh": np.cosh,
+    "tanh": np.tanh,
+    "abs": np.abs,
+    "min": np.minimum,
+    "max": np.maximum,
+}
+_OVERFLOWING = frozenset(("exp", "sinh", "cosh"))
+
+
+def _eval(e: Expr, env: Mapping[str, float | np.ndarray]):
+    kind = type(e)
+    if kind is BinOp:
+        a = _eval(e.left, env)
+        b = _eval(e.right, env)
+        op = e.op
+        if op == "+":
+            return a + b
+        if op == "-":
+            return a - b
+        if op == "*":
+            return a * b
+        if op == "/":
+            _check(b == 0.0, e, "division by zero", b, env)
+            return a / b
+        return _eval_pow(a, b, e, env)
+    if kind is Num:
         return e.value
-    if isinstance(e, Var):
+    if kind is Var:
         try:
-            return float(env[e.name])
+            return np.asarray(env[e.name], dtype=float)
         except KeyError:
             raise ExprNameError(f"unbound variable {e.name!r}") from None
-    if isinstance(e, Neg):
-        return -eval_expr(e.arg, env)
-    if isinstance(e, BinOp):
-        a = eval_expr(e.left, env)
-        b = eval_expr(e.right, env)
-        if e.op == "+":
-            return a + b
-        if e.op == "-":
-            return a - b
-        if e.op == "*":
-            return a * b
-        if e.op == "/":
-            if b == 0.0:
-                raise _domain(e, "division by zero", b)
-            return a / b
-        return _eval_pow(a, b, e)
-    fn = e.func
-    vals = [eval_expr(a, env) for a in e.args]
+    if kind is Neg:
+        return -_eval(e.arg, env)
+    vals = [_eval(a, env) for a in e.args]
     x = vals[0]
-    try:
-        if fn == "exp":
-            return math.exp(x)
-        if fn == "log":
-            if x <= 0.0:
-                raise _domain(e, "log of non-positive value", x)
-            return math.log(x)
-        if fn == "sqrt":
-            if x < 0.0:
-                raise _domain(e, "sqrt of negative value", x)
-            return math.sqrt(x)
-        if fn == "sin":
-            return math.sin(x)
-        if fn == "cos":
-            return math.cos(x)
-        if fn == "sinh":
-            return math.sinh(x)
-        if fn == "cosh":
-            return math.cosh(x)
-        if fn == "tanh":
-            return math.tanh(x)
-        if fn == "abs":
-            return abs(x)
-        if fn == "min":
-            return min(x, vals[1])
-        if fn == "max":
-            return max(x, vals[1])
-        return _eval_pow(x, vals[1], e)
-    except OverflowError:
-        raise _domain(e, "overflow", x) from None
+    fn = e.func
+    if fn == "pow":
+        return _eval_pow(x, vals[1], e, env)
+    if fn == "log":
+        _check(x <= 0.0, e, "log of non-positive value", x, env)
+    elif fn == "sqrt":
+        _check(x < 0.0, e, "sqrt of negative value", x, env)
+    out = _UFUNCS[fn](*vals)
+    if fn in _OVERFLOWING:
+        _check_overflow(out, e, (x,), env)
+    return out
+
+
+def eval_expr(e: Expr, env: Mapping[str, float | np.ndarray]) -> float | np.ndarray:
+    """Evaluate elementwise in IEEE doubles over the broadcast of the env values.
+
+    Each variable value is a float or an array, and the arrays must
+    broadcast together.  One walk of the tree applies numpy ufuncs to
+    whole arrays.  The result has the broadcast shape of all env values;
+    it is a float when every value is a scalar, so a single point is the
+    one-element case of the same walk.  A domain violation at any element
+    (division by zero, log or sqrt outside its domain, zero to a negative
+    power, a negative base with a non-integer exponent, overflow in exp,
+    sinh, cosh or pow) raises ExprDomainError naming the node, the operand
+    at the first offending element in C order, and the variable values
+    there.
+    """
+    with np.errstate(all="ignore"):
+        out = _eval(e, env)
+    shape = _env_shape(tuple(env.values()))
+    if not shape:
+        return float(out)
+    if np.shape(out) != shape:
+        out = np.broadcast_to(out, shape).copy()
+    return out
 
 
 # precedence levels for printing

@@ -159,9 +159,7 @@ def path_from_json(obj: Any, n: int) -> ParamPath:
                     f"path expression {k + 1} may only use t, found {sorted(extra)}"
                 )
         ts = np.linspace(0.0, duration, steps + 1)
-        samples = np.array(
-            [[exprlang.eval_expr(e, {"t": t}) for e in exprs] for t in ts]
-        )
+        samples = np.stack([exprlang.eval_expr(e, {"t": ts}) for e in exprs], axis=-1)
         return ParamPath(duration, samples, provenance="expression-defined")
     raise ValidationError("path needs either samples or lambda_exprs")
 

@@ -239,7 +239,7 @@ def test_holonomy_stokes_equivalence():
         ok,
         f"lift {lift:.9f}, flux {surf:.9f}, max flat |Hol| {worst_flat:.1e}",
         t.elapsed,
-        5.0,
+        1.0,
     )
 
 

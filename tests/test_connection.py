@@ -1,8 +1,10 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
+from thermogeom.cli import main
 from thermogeom.connection import (
     ConnectionSpec,
     HolonomyResult,
@@ -249,3 +251,144 @@ class TestHolonomyResult:
     def test_unknown_method_rejected(self):
         with pytest.raises(ValidationError):
             HolonomyResult(dS=0.0, da=np.zeros(1), method="guess")
+
+
+class TestPlaneValidation:
+    @pytest.mark.parametrize("k, l", [(0, 2), (2, 0), (0, 0), (1, 1), (-1, 1)])
+    def test_curvature_integral_rejects_invalid_plane(self, k, l):
+        with pytest.raises(ValidationError):
+            holonomy_via_curvature(spec2(h=("0", "l1")), [0, 0], [1, 1], k, l, grid=(4, 4))
+
+
+# a curved n = 3 spec: R_kl is nonzero and varies in every plane
+CURVED3 = ConnectionSpec.parsed(
+    "1+0.3*l1^2+0.2*exp(sin(l2))",
+    ["l2*l3+sin(l1)", "cos(l1*l3)-l3^2", "l1*l2/(2+l3^2)+tanh(l2)"],
+    3,
+)
+PAIRS3 = [(0, 1), (0, 2), (1, 2), (2, 0)]
+POINTS3 = np.random.default_rng(7).uniform(-0.8, 0.8, (40, 3))
+TS = np.linspace(0.0, 1.0, 25)
+
+
+def pointwise_curvature(spec, pts, k, l):
+    return np.array([curvature(spec, p, k, l) for p in pts])
+
+
+def assert_rel_close(batched, pointwise, rel=1e-12):
+    np.testing.assert_allclose(batched, pointwise, rtol=0.0, atol=rel * np.max(np.abs(pointwise)))
+
+
+def sequential_lift(spec, path, s0):
+    """RK4 of S' = -Gamma . lam' one segment at a time, gamma at single points."""
+    dt = path.duration / path.steps
+    s = [s0]
+    for a, b in zip(path.samples[:-1], path.samples[1:]):
+        vel = (b - a) / dt
+        rates = [-float(spec.gamma(lam) @ vel) for lam in (a, 0.5 * (a + b), b)]
+        s.append(s[-1] + (dt / 6.0) * (rates[0] + 4.0 * rates[1] + rates[2]))
+    return np.array(s)
+
+
+class TestBatchedMatchesPointwise:
+    def test_gamma_maps_any_leading_shape(self):
+        lams = POINTS3[:12].reshape(3, 4, 3)
+        out = CURVED3.gamma(lams)
+        assert out.shape == (3, 4, 3)
+        expect = np.array([CURVED3.gamma(p) for p in POINTS3[:12]]).reshape(3, 4, 3)
+        assert_rel_close(out, expect)
+
+    def test_gamma_degenerate_names_first_point(self):
+        spec = spec2(g_S="l1")
+        with pytest.raises(DegenerateMetricError, match=r"\[0\.0, 5\.0\]"):
+            spec.gamma(np.array([[1.0, 0.0], [0.0, 5.0], [0.0, 7.0]]))
+
+    def test_curvature_shapes(self):
+        assert isinstance(curvature(CURVED3, POINTS3[0], 0, 1), float)
+        assert curvature(CURVED3, POINTS3, 0, 1).shape == (40,)
+        assert curvature(CURVED3, POINTS3[:1], 0, 1).shape == (1,)
+        assert np.array_equal(curvature(CURVED3, POINTS3, 1, 1), np.zeros(40))
+
+    @pytest.mark.parametrize("k, l", PAIRS3)
+    def test_curvature_batch(self, k, l):
+        batched = curvature(CURVED3, POINTS3, k, l)
+        assert_rel_close(batched, pointwise_curvature(CURVED3, POINTS3, k, l))
+        assert np.min(np.abs(batched)) > 1e-3  # the spec is curved here
+
+    @pytest.mark.parametrize("k, l", [(0, 1), (2, 1)])
+    def test_holonomy_via_curvature(self, k, l):
+        lo, hi, base = [-0.4, 0.1], [0.5, 0.7], np.array([0.3, -0.2, 0.6])
+        grid = (8, 6)
+        xs = np.linspace(lo[0], hi[0], grid[0] + 1)
+        ys = np.linspace(lo[1], hi[1], grid[1] + 1)
+        values = np.empty((xs.size, ys.size))
+        for i, x in enumerate(xs):
+            for j, y in enumerate(ys):
+                lam = base.copy()
+                lam[k], lam[l] = x, y
+                values[i, j] = curvature(CURVED3, lam, k, l)
+        wx, wy = np.ones(xs.size), np.ones(ys.size)
+        wx[[0, -1]] = wy[[0, -1]] = 0.5
+        expect = -(xs[1] - xs[0]) * (ys[1] - ys[0]) * float(wx @ values @ wy)
+        got = holonomy_via_curvature(CURVED3, lo, hi, k, l, grid=grid, base=base).dS
+        assert got == pytest.approx(expect, rel=1e-12)
+
+    def test_flatness_check(self):
+        expect = max(
+            float(np.max(np.abs(pointwise_curvature(CURVED3, POINTS3, k, l))))
+            for k, l in [(0, 1), (0, 2), (1, 2)]
+        )
+        report = flatness_check(CURVED3, POINTS3)
+        assert report.max_abs_curvature == pytest.approx(expect, rel=1e-12)
+        assert not report.flat
+
+    def test_curvature_map_rows(self, tmp_path):
+        pauli = [
+            [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-1.0, 0.0]]],
+            [[[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]],
+            [[[0.0, 0.0], [0.0, -1.0]], [[0.0, 1.0], [0.0, 0.0]]],
+        ]
+        doc = {
+            "observables": {
+                "dim": 2,
+                "observables": [{"name": f"s{i}", "matrix": m} for i, m in enumerate(pauli)],
+            },
+            "connection": {
+                "g_S": "1+0.3*l1^2+0.2*exp(sin(l2))",
+                "h": ["l2*l3+sin(l1)", "cos(l1*l3)-l3^2", "l1*l2/(2+l3^2)+tanh(l2)"],
+            },
+            "curvature_map": {
+                "grid": {"start": [-0.5, 0.0, 0.2], "stop": [0.5, 0.6, 0.4], "num": [3, 4, 2]}
+            },
+        }
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "map.json"
+        assert main(["curvature-map", "--config", str(cfg), "--out", str(out)]) == 0
+        result = json.loads(out.read_text())
+        assert result["columns"] == ["l1", "l2", "l3", "R_1_2", "R_1_3", "R_2_3"]
+        rows = np.array(result["rows"])
+        assert rows.shape == (24, 6)
+        for col, (k, l) in enumerate([(0, 1), (0, 2), (1, 2)], start=3):
+            assert_rel_close(rows[:, col], pointwise_curvature(CURVED3, rows[:, :3], k, l))
+
+    @pytest.mark.parametrize(
+        "path",
+        [
+            rectangle_loop([-0.3, 0.1], [0.6, 0.9], 0, 2, steps=64, n=3, base=[0.0, 0.4, 0.0]).path,
+            ParamPath(2.0, np.stack([0.5 * np.sin(6 * TS), 0.3 * np.cos(TS), TS**2 - 0.2], axis=1)),
+        ],
+    )
+    def test_horizontal_lift_matches_sequential_rk4(self, path):
+        p0 = ThermoPoint(0.25, np.array([1.0, 2.0, 3.0]), path.samples[0])
+        expect = sequential_lift(CURVED3, path, 0.25)
+        lift = horizontal_lift(CURVED3, path, p0)
+        assert len(lift) == path.steps + 1
+        np.testing.assert_allclose([q.S for q in lift], expect, rtol=0.0, atol=1e-13)
+        assert all(np.array_equal(q.a, p0.a) for q in lift)
+
+    def test_holonomy_via_lift_matches_sequential_rk4(self):
+        loop = rectangle_loop([-0.3, 0.1], [0.6, 0.9], 1, 2, steps=64, n=3, base=[0.2, 0.0, 0.0])
+        p0 = point(loop.path.samples[0])
+        s = sequential_lift(CURVED3, loop.path, 0.0)
+        assert holonomy_via_lift(CURVED3, loop, p0).dS == pytest.approx(s[-1] - s[0], abs=1e-13)

@@ -1,5 +1,7 @@
 import math
+import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,7 +13,7 @@ from thermogeom.errors import (
     ExprSyntaxError,
     ThermoGeomError,
 )
-from thermogeom.exprlang import eval_expr, free_vars, parse, pretty
+from thermogeom.exprlang import BinOp, Call, Neg, Num, Var, eval_expr, free_vars, parse, pretty
 
 
 def ev(text, n=2, **env):
@@ -217,3 +219,102 @@ def test_parser_never_crashes_on_near_misses(text):
         parse(text, 2)
     except ThermoGeomError:
         pass
+
+
+# ---- array evaluation --------------------------------------------------------
+
+
+def test_float_env_returns_float():
+    assert type(ev("l1*l2", l1=0.5, l2=2.0)) is float
+
+
+def test_array_env_broadcasts_every_value():
+    e = parse("l1*l2 + 1", 2)
+    l1 = np.array([1.0, 2.0, 3.0])
+    l2 = np.array([[1.0], [-1.0]])
+    out = eval_expr(e, {"l1": l1, "l2": l2})
+    assert out.shape == (2, 3)
+    assert np.array_equal(out, l1 * l2 + 1.0)
+    # a constant takes the broadcast shape of the env too, as a writable array
+    const = eval_expr(parse("2", 2), {"l1": l1, "l2": l2})
+    assert const.shape == (2, 3) and np.all(const == 2.0)
+    const[0, 0] = 5.0
+
+
+@pytest.mark.parametrize(
+    "text, values, node, operand",
+    [
+        ("l2 + log(l1)", [1.0, 0.5, 0.0, -0.5, -1.0], "log(l1)", "0.0"),
+        ("l2 * (1/l1)", [2.0, 1.0, 0.0, -1.0, -2.0], "1.0/l1", "0.0"),
+        ("l2 + sqrt(l1)", [4.0, 1.0, -1.0, 0.0, -4.0], "sqrt(l1)", "-1.0"),
+        ("l2 + exp(l1)", [1.0, 10.0, 1000.0, 1e4, 1.0], "exp(l1)", "1000.0"),
+        ("l2 + l1^0.5", [4.0, 1.0, -2.0, -3.0, 0.0], "l1^0.5", "-2.0"),
+        ("l2 + pow(l1, -1)", [4.0, 1.0, 0.0, -3.0, 0.0], "pow(l1, -1.0)", "0.0"),
+    ],
+)
+def test_array_domain_error_names_node_operand_and_element(text, values, node, operand):
+    # the first offending element in C order is (row 0, column 2)
+    l1 = np.array(values)
+    l2 = np.array([[0.25], [0.75], [1.5]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ExprDomainError) as err:
+            eval_expr(parse(text, 2), {"l1": l1, "l2": l2})
+    msg = str(err.value)
+    assert repr(node) in msg
+    assert f"operand {operand}" in msg
+    assert f"l1={values[2]!r}, l2=0.25" in msg
+
+
+def _leaf():
+    return st.one_of(
+        st.sampled_from([Var("l1"), Var("l2")]),
+        st.sampled_from([0.0, 1.0, 2.0, 0.5, 3.0]).map(Num),
+        st.floats(0.0, 8.0, allow_nan=False).map(Num),
+    )
+
+
+def _node(children):
+    unary = st.sampled_from(["exp", "log", "sqrt", "sin", "cos", "sinh", "cosh", "tanh", "abs"])
+    return st.one_of(
+        children.map(Neg),
+        st.builds(BinOp, st.sampled_from(list("+-*/^")), children, children),
+        st.builds(lambda f, x: Call(f, (x,)), unary, children),
+        st.builds(
+            lambda f, x, y: Call(f, (x, y)), st.sampled_from(["min", "max", "pow"]), children, children
+        ),
+    )
+
+
+_EXPRS = st.recursive(_leaf(), _node, max_leaves=10)
+_VALUES = st.one_of(
+    st.sampled_from([0.0, 1.0, -1.0, 2.0, -0.5, 700.0]),
+    st.floats(-30.0, 30.0, allow_nan=False),
+)
+
+
+def _outcome(e, env):
+    try:
+        return eval_expr(e, env)
+    except ExprDomainError:
+        return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(_EXPRS, st.lists(st.tuples(_VALUES, _VALUES), min_size=1, max_size=6))
+def test_array_evaluation_matches_each_element_alone(e, points):
+    l1, l2 = (np.array(column) for column in zip(*points))
+    singles = [_outcome(e, {"l1": a, "l2": b}) for a, b in points]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if any(s is None for s in singles):
+            with pytest.raises(ExprDomainError):
+                eval_expr(e, {"l1": l1, "l2": l2})
+            return
+        out = eval_expr(e, {"l1": l1, "l2": l2})
+    singles = np.array(singles)
+    assert out.shape == singles.shape
+    same = (out == singles) | (np.isnan(out) & np.isnan(singles))
+    finite = np.isfinite(out) & np.isfinite(singles)
+    scale = np.maximum(np.abs(out), np.abs(singles), where=finite, out=np.ones_like(out))
+    assert np.all(same | (finite & (np.abs(out - singles) <= 4 * np.spacing(scale))))
