@@ -10,7 +10,7 @@ rectangle (Stokes, since the group is abelian).
 
 Every layer is batched over points: `ConnectionSpec.gamma` maps lam of
 shape (..., n) to (..., n) with one evaluation of each expression, a
-curvature batch carries its stencil taps and directions as array axes,
+curvature batch differentiates it through `linalg.central_difference`,
 and a lift makes one gamma call for its samples and midpoints.
 """
 
@@ -25,6 +25,7 @@ from . import exprlang
 from .errors import DegenerateMetricError, ValidationError
 from .exprlang import Expr
 from .contact import ThermoPoint
+from .linalg import central_difference
 from .processes import ParamPath
 
 __all__ = [
@@ -232,34 +233,22 @@ def horizontal_lift(
     ]
 
 
-# fourth-order central first derivative: tap offsets (in fd_step) and weights
-_FD_OFFSETS = np.array([-2.0, -1.0, 1.0, 2.0])
-_FD_WEIGHTS = np.array([1.0, -8.0, 8.0, -1.0])
 # points per batched gamma call in curvature, which bounds its working set
 _CURVATURE_CHUNK = 4096
 
 
 def _curvature_rows(spec: ConnectionSpec, lam: np.ndarray, k: int, l: int) -> np.ndarray:
-    h = spec.fd_step
-    # taps[p, d, j] = lam[p] shifted by offset j along direction d (k, then l)
-    shape = (lam.shape[0], 2, _FD_OFFSETS.size, spec.n)
-    taps = np.broadcast_to(lam[:, None, None, :], shape).copy()
-    taps[:, 0, :, k] += _FD_OFFSETS * h
-    taps[:, 1, :, l] += _FD_OFFSETS * h
-    g = spec.gamma(taps)
-    weights = _FD_WEIGHTS / (12.0 * h)
-    d_k_gamma_l = sum(w * g[:, 0, j, l] for j, w in enumerate(weights))
-    d_l_gamma_k = sum(w * g[:, 1, j, k] for j, w in enumerate(weights))
-    return d_k_gamma_l - d_l_gamma_k
+    d = central_difference(spec.gamma, lam, spec.fd_step, 4, axes=(k, l))
+    return d[:, 0, l] - d[:, 1, k]
 
 
 def curvature(spec: ConnectionSpec, lam, k: int, l: int) -> float | np.ndarray:
     """R_kl = d(h_l/g_S)/dlam_k - d(h_k/g_S)/dlam_l, the dS-coefficient.
 
     lam of shape (n,) gives a float; a batch of shape (P, n) gives a (P,)
-    array.  Fourth-order central differences with the spec's fd_step, with
-    the 4 stencil taps and the 2 directions as array axes of one gamma
-    call; antisymmetric in (k, l) by construction.
+    array.  `linalg.central_difference` differentiates `spec.gamma` along
+    (k, l) at fourth order with the spec's fd_step, in one gamma call over
+    all taps; antisymmetric in (k, l) by construction.
     """
     if spec.n < 2:
         raise ValidationError("curvature needs at least two parameters")

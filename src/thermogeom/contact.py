@@ -20,7 +20,8 @@ from .errors import DegenerateMetricError, SignatureError, ValidationError
 from .exprlang import Expr
 from .geometry import FDScheme, MetricTensor
 from .gibbs import ObservableSet, gibbs_batch, gibbs_point
-from .linalg import DensityOperator
+from .linalg import DensityOperator, central_difference
+from .processes import _trapezoid
 
 __all__ = [
     "ThermoPoint",
@@ -45,12 +46,6 @@ __all__ = [
 MU_VALIDATION_POINTS = 32
 MU_VALIDATION_TOL = 1e-8
 _MU_GRID_SEED = 173651
-
-# central-difference offsets (units of step) and weights (units of 1/step)
-_STENCILS = {
-    2: (np.array([-1.0, 1.0]), np.array([-0.5, 0.5])),
-    4: (np.array([-2.0, -1.0, 1.0, 2.0]), np.array([1.0, -8.0, 8.0, -1.0]) / 12.0),
-}
 
 
 def _frozen_vector(x, n: int, what: str) -> np.ndarray:
@@ -325,26 +320,23 @@ def legendrian_residual(
 ) -> float:
     """max |dS/dlam_k - sum_i lam_i da_i/dlam_k| over a grid of base points.
 
-    Derivatives are central differences of the scheme's order and step;
-    the residual vanishes on the equilibrium submanifold (the first law),
-    so this is the Legendrian diagnostic.
+    `linalg.central_difference`, at the scheme's order and step,
+    differentiates (S, a) from one `gibbs_batch` call over every tap; the
+    residual vanishes on the equilibrium submanifold (the first law), so
+    this is the Legendrian diagnostic.
     """
     grid = np.atleast_2d(np.asarray(lambda_grid, dtype=float))
     if grid.shape[1] != obs.n:
         raise ValidationError(f"grid points must have {obs.n} components")
     n = obs.n
-    offsets, weights = _STENCILS[scheme.order]
-    weights = weights / scheme.step
-    pts = grid[:, None, None, :] + (
-        scheme.step * offsets[None, None, :, None] * np.eye(n)[None, :, None, :]
-    )
-    batch = gibbs_batch(obs, pts.reshape(-1, n))
-    shape = (grid.shape[0], n, offsets.size)
-    s_vals = batch.S.reshape(shape)
-    a_vals = batch.a.reshape(shape + (n,))
-    ds = np.einsum("o,pko->pk", weights, s_vals)
-    da = np.einsum("o,pkoi->pki", weights, a_vals)
-    residual = ds - np.einsum("pi,pki->pk", grid, da)
+
+    def entropy_and_expectations(taps: np.ndarray) -> np.ndarray:
+        batch = gibbs_batch(obs, taps.reshape(-1, n))
+        values = np.concatenate((batch.S[:, None], batch.a), axis=1)
+        return values.reshape(*taps.shape[:-1], n + 1)
+
+    d = central_difference(entropy_and_expectations, grid, scheme.step, scheme.order)
+    residual = d[..., 0] - np.einsum("pi,pki->pk", grid, d[..., 1:])
     return float(np.max(np.abs(residual)))
 
 
@@ -374,21 +366,21 @@ def fiber_membership(
 def mu_jacobian(mu: MuExtension, p: ThermoPoint, step: float = 1e-6) -> np.ndarray:
     """Central-difference Jacobian of mu over (S, a, lam), shape (n, 2n+1).
 
-    Rank n certifies the fiber is a smooth (n+1)-dimensional level set.
+    `linalg.central_difference` differentiates mu_i = lam_i + f_i, each f_i
+    evaluated once over all taps; `step` must lie in (0, 1e-2].  Rank n
+    certifies the fiber is a smooth (n+1)-dimensional level set.
     """
+    if not (0.0 < step <= 1e-2):
+        raise ValidationError(f"step must be in (0, 1e-2], got {step!r}")
     n = p.n
-    dim = 2 * n + 1
+
+    def mu_values(coords: np.ndarray) -> np.ndarray:
+        lam = coords[..., n + 1 :]
+        env = _point_env(coords[..., 0], coords[..., 1 : n + 1], lam)
+        return lam + np.stack([exprlang.eval_expr(e, env) for e in mu.exprs], axis=-1)
+
     coords = np.concatenate(([p.S], p.a, p.lam))
-    jac = np.empty((n, dim))
-    for c in range(dim):
-        plus = coords.copy()
-        minus = coords.copy()
-        plus[c] += step
-        minus[c] -= step
-        p_plus = ThermoPoint(plus[0], plus[1 : n + 1], plus[n + 1 :])
-        p_minus = ThermoPoint(minus[0], minus[1 : n + 1], minus[n + 1 :])
-        jac[:, c] = (mu.mu_values(p_plus) - mu.mu_values(p_minus)) / (2.0 * step)
-    return jac
+    return central_difference(mu_values, coords, step, 2).T
 
 
 def equilibrium_point(obs: ObservableSet, c) -> ThermoPoint:
@@ -455,4 +447,4 @@ def fiber_path_length(
     s_dot = np.gradient(s_vals, dt)
     a_dot = np.gradient(a_vals, dt, axis=0)
     speed = np.sqrt(g_s * s_dot**2 + (a_dot**2) @ g_a)
-    return float(dt * (0.5 * (speed[0] + speed[-1]) + speed[1:-1].sum()))
+    return _trapezoid(speed, dt)

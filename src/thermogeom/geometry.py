@@ -22,6 +22,7 @@ from .errors import (
 )
 from .gibbs import FamilyBatch, ObservableSet, gibbs_batch
 from .linalg import (
+    CENTRAL_STENCILS,
     SLD_DENOM_FLOOR,
     DensityOperator,
     HermitianOperator,
@@ -41,7 +42,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class FDScheme:
-    """Central-difference step and order for the Legendrian diagnostic."""
+    """Step and order `legendrian_residual` hands to `linalg.central_difference`."""
 
     step: float = 1e-5
     order: int = 4
@@ -49,8 +50,8 @@ class FDScheme:
     def __post_init__(self) -> None:
         if not (1e-8 <= self.step <= 1e-2):
             raise ValidationError(f"step must be in [1e-8, 1e-2], got {self.step!r}")
-        if self.order not in (2, 4):
-            raise ValidationError(f"order must be 2 or 4, got {self.order!r}")
+        if self.order not in CENTRAL_STENCILS:
+            raise ValidationError(f"order {self.order!r} is not in {sorted(CENTRAL_STENCILS)}")
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,9 @@ Everything is spectral: matrix functions, SLD Lyapunov solves and the
 entropy all go through one explicit eigendecomposition, giving exact
 control of the spectrum for the small dimensions (m <= ~16) this toolkit
 targets.  All values are immutable after construction.
+
+It also holds the one stencil table and the batched `central_difference`
+behind every finite difference in the package.
 """
 
 from __future__ import annotations
@@ -38,6 +41,32 @@ HERMITICITY_ATOL = 1e-12
 EIGENVALUE_CLAMP = 1e-12  # density eigenvalues in [-clamp, 0] are set to 0
 RANK_TOLERANCE = 1e-10  # min eigenvalue above this counts as full rank
 SLD_DENOM_FLOOR = 1e-14  # p_i + p_j below this is a boundary condition
+
+# Central first-derivative stencils keyed by order (Fornberg, Math. Comp. 51,
+# 1988): tap offsets in units of the step, integer weights, common denominator.
+CENTRAL_STENCILS = {
+    2: (np.array([-1.0, 1.0]), np.array([-1.0, 1.0]), 2.0),
+    4: (np.array([-2.0, -1.0, 1.0, 2.0]), np.array([1.0, -8.0, 8.0, -1.0]), 12.0),
+}
+
+
+def central_difference(f, x, step: float, order: int, axes=None) -> np.ndarray:
+    """Central first derivatives of f at the points x of shape (..., n).
+
+    f maps points of shape (..., n) to values of shape (..., *out).  The
+    taps of every point along every coordinate in `axes` (default: all n)
+    form one array of shape (..., len(axes), taps, n), so f is called once.
+    The result has shape (..., len(axes), *out); entry [..., a, ...] is the
+    derivative along coordinate axes[a].
+    """
+    offsets, weights, denom = CENTRAL_STENCILS[order]
+    x = np.asarray(x, dtype=float)
+    axes = np.arange(x.shape[-1]) if axes is None else np.asarray(axes)
+    shape = (*x.shape[:-1], axes.size, offsets.size, x.shape[-1])
+    taps = np.broadcast_to(x[..., None, None, :], shape).copy()
+    taps[..., np.arange(axes.size), :, axes] += offsets * step
+    vals = np.moveaxis(f(taps), x.ndim, -1)
+    return (vals @ weights) / (denom * step)
 
 
 def hermitize(a: np.ndarray) -> np.ndarray:

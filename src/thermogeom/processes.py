@@ -16,6 +16,7 @@ import numpy as np
 from .errors import NumericalConsistencyError, ValidationError
 from .geometry import metric_grid
 from .gibbs import ObservableSet, gibbs_batch
+from .linalg import central_difference
 
 __all__ = [
     "ParamPath",
@@ -102,17 +103,9 @@ def _trapezoid(y: np.ndarray, dx: float) -> float:
     return float(dx * (0.5 * (y[0] + y[-1]) + y[1:-1].sum()))
 
 
-def _grid_velocities(samples: np.ndarray, dt: float) -> np.ndarray:
-    v = np.empty_like(samples)
-    v[1:-1] = (samples[2:] - samples[:-2]) / (2.0 * dt)
-    v[0] = (samples[1] - samples[0]) / dt
-    v[-1] = (samples[-1] - samples[-2]) / dt
-    return v
-
-
 def _speed_squared(obs: ObservableSet, path: ParamPath) -> np.ndarray:
     dt = path.duration / path.steps
-    v = _grid_velocities(path.samples, dt)
+    v = np.gradient(path.samples, dt, axis=0)
     g = metric_grid(obs, path.samples)
     q = np.einsum("ki,kij,kj->k", v, g, v)
     return np.clip(q, 0.0, None)
@@ -175,8 +168,9 @@ class GeodesicProblem:
             raise ValidationError(
                 f"need at least {MIN_PATH_STEPS - 1} interior points"
             )
-        if self.duration <= 0.0 or self.max_iters < 1 or self.tolerance <= 0.0:
-            raise ValidationError("duration, max_iters, tolerance must be positive")
+        finite = all(v > 0.0 and np.isfinite(v) for v in (self.duration, self.tolerance))
+        if not finite or self.max_iters < 1:
+            raise ValidationError("duration, max_iters, tolerance must be positive and finite")
         start = start.copy()
         start.flags.writeable = False
         end = end.copy()
@@ -226,29 +220,23 @@ def _energy_gradient(
 ) -> np.ndarray:
     """Gradient of the discrete energy w.r.t. interior samples, batched.
 
-    Perturbing interior point j only changes segments j and j+1, so each
-    directional derivative costs four segment evaluations, all collected
-    into a single metric_grid call.
+    Moving interior node j changes only segments j and j+1, so
+    `linalg.central_difference` differentiates the sum of those two
+    segment energies at every interior node; the 2n taps of all nodes
+    and their two segments go to one metric_grid call.
     """
-    p_int = samples.shape[0] - 2
     n = samples.shape[1]
-    mids = []
-    deltas = []
-    for j in range(1, p_int + 1):
-        for c in range(n):
-            for sign in (+1.0, -1.0):
-                x = samples[j].copy()
-                x[c] += sign * fd_step
-                mids.append(0.5 * (samples[j - 1] + x))
-                deltas.append(x - samples[j - 1])
-                mids.append(0.5 * (x + samples[j + 1]))
-                deltas.append(samples[j + 1] - x)
-    mids_arr = np.asarray(mids)
-    deltas_arr = np.asarray(deltas)
-    g = metric_grid(obs, mids_arr)
-    seg = np.einsum("ki,kij,kj->k", deltas_arr, g, deltas_arr) / dt
-    seg = seg.reshape(p_int, n, 2, 2).sum(axis=3)
-    return (seg[:, :, 0] - seg[:, :, 1]) / (2.0 * fd_step)
+    before, after = samples[:-2, None, None], samples[2:, None, None]
+
+    def touched_energy(taps: np.ndarray) -> np.ndarray:
+        mids = np.stack((0.5 * (before + taps), 0.5 * (taps + after))).reshape(-1, n)
+        deltas = np.stack((taps - before, after - taps)).reshape(-1, n)
+        g = metric_grid(obs, mids)
+        seg = np.einsum("ki,kij,kj->k", deltas, g, deltas) / dt
+        seg = seg.reshape(2, *taps.shape[:-1])
+        return seg[0] + seg[1]
+
+    return central_difference(touched_energy, samples[1:-1], fd_step, 2)
 
 
 def geodesic_between(

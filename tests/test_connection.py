@@ -275,6 +275,20 @@ def pointwise_curvature(spec, pts, k, l):
     return np.array([curvature(spec, p, k, l) for p in pts])
 
 
+def tap_loop_curvature(spec, lam, k, l):
+    """Oracle: fourth-order differences of gamma, one single-point tap at a time."""
+
+    def derivative(i, j):  # d gamma_j / d lam_i
+        total = 0.0
+        for offset, weight in zip((-2, -1, 1, 2), (1, -8, 8, -1)):
+            tap = lam.copy()
+            tap[i] += offset * spec.fd_step
+            total += weight * spec.gamma(tap)[j]
+        return total / (12.0 * spec.fd_step)
+
+    return derivative(k, l) - derivative(l, k)
+
+
 def assert_rel_close(batched, pointwise, rel=1e-12):
     np.testing.assert_allclose(batched, pointwise, rtol=0.0, atol=rel * np.max(np.abs(pointwise)))
 
@@ -314,6 +328,11 @@ class TestBatchedMatchesPointwise:
         batched = curvature(CURVED3, POINTS3, k, l)
         assert_rel_close(batched, pointwise_curvature(CURVED3, POINTS3, k, l))
         assert np.min(np.abs(batched)) > 1e-3  # the spec is curved here
+
+    @pytest.mark.parametrize("k, l", PAIRS3)
+    def test_curvature_matches_a_per_tap_loop(self, k, l):
+        expect = np.array([tap_loop_curvature(CURVED3, lam, k, l) for lam in POINTS3])
+        assert_rel_close(curvature(CURVED3, POINTS3, k, l), expect, rel=1e-10)
 
     @pytest.mark.parametrize("k, l", [(0, 1), (2, 1)])
     def test_holonomy_via_curvature(self, k, l):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from thermogeom import exprlang
 from thermogeom.contact import (
     MMetricSpec,
     MuExtension,
@@ -29,6 +30,13 @@ from thermogeom.linalg import HermitianOperator, von_neumann_entropy
 
 SIGMA_Z = np.diag([1.0, -1.0]).astype(complex)
 QUBIT = ObservableSet([HermitianOperator(SIGMA_Z)], ["sz"])
+PAULI = ObservableSet(
+    [
+        HermitianOperator(SIGMA_Z),
+        HermitianOperator(np.array([[0.0, 1.0], [1.0, 0.0]])),
+        HermitianOperator(np.array([[0.0, -1j], [1j, 0.0]])),
+    ]
+)
 TWO_QUBIT = ObservableSet(
     [
         HermitianOperator(np.kron(SIGMA_Z, np.eye(2))),
@@ -137,6 +145,29 @@ class TestLegendrianResidual:
         for obs, grid in families:
             assert legendrian_residual(obs, grid) <= 1e-7
 
+    # steps at which truncation, not roundoff, sets the residual
+    @pytest.mark.parametrize("order, step", [(2, 1e-3), (4, 1e-2)])
+    def test_matches_a_per_tap_loop(self, order, step):
+        grid = np.random.default_rng(3).uniform(-1.0, 1.0, (5, 3))
+        offsets, weights, denom = {
+            2: ([-1, 1], [-1, 1], 2.0),
+            4: ([-2, -1, 1, 2], [1, -8, 8, -1], 12.0),
+        }[order]
+        worst = 0.0
+        for lam in grid:
+            for k in range(3):
+                ds, da = 0.0, np.zeros(3)
+                for o, w in zip(offsets, weights):
+                    tap = lam.copy()
+                    tap[k] += o * step
+                    point = gibbs_point(PAULI, tap)
+                    ds += w * point.S
+                    da += w * point.a
+                worst = max(worst, abs(ds - lam @ da) / (denom * step))
+        got = legendrian_residual(PAULI, grid, FDScheme(step=step, order=order))
+        # the loop and the batch round differently; FD roundoff is ~eps / step
+        assert got == pytest.approx(worst, abs=1e-13 / step)
+
 
 class TestMuExtension:
     def test_zero_extension_validates(self):
@@ -207,6 +238,23 @@ class TestFiberMembership:
         mu_a = MuExtension.validated(["a1+tanh(l1)"], QUBIT)
         p1 = equilibrium_point(QUBIT, [0.3])
         assert np.linalg.matrix_rank(mu_jacobian(mu_a, p1), tol=1e-8) == 1
+
+    def test_jacobian_matches_the_analytic_one(self):
+        mu = MuExtension([exprlang.parse("S*a2+tanh(l1)", 2), exprlang.parse("exp(a1)-l2^2", 2)], 2)
+        p = ThermoPoint(0.3, np.array([0.1, -0.4]), np.array([0.5, 0.8]))
+        expect = np.array(
+            [
+                [-0.4, 0.0, 0.3, 1.0 + 1.0 / np.cosh(0.5) ** 2, 0.0],
+                [0.0, np.exp(0.1), 0.0, 0.0, 1.0 - 1.6],
+            ]
+        )
+        np.testing.assert_allclose(mu_jacobian(mu, p), expect, rtol=0.0, atol=1e-9)
+
+    @pytest.mark.parametrize("step", [0.0, -1e-6, 0.02, math.nan])
+    def test_jacobian_step_validation(self, step):
+        p = ThermoPoint(0.2, np.array([0.1]), np.array([0.5]))
+        with pytest.raises(ValidationError, match="step"):
+            mu_jacobian(MuExtension.zero(1), p, step)
 
 
 class TestEquilibriumPoint:

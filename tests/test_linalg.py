@@ -9,8 +9,10 @@ from thermogeom.errors import (
     ValidationError,
 )
 from thermogeom.linalg import (
+    CENTRAL_STENCILS,
     DensityOperator,
     HermitianOperator,
+    central_difference,
     eig,
     matfun,
     sld_solve,
@@ -220,3 +222,76 @@ class TestEntropy:
         ]
         assert all(a > b for a, b in zip(entropies, entropies[1:]))
         assert entropies[-1] < 1e-6
+
+
+class TestCentralDifference:
+    A = np.array([[2.0, -1.0, 0.5], [-1.0, 3.0, 0.25], [0.5, 0.25, -1.5]])
+    B = np.array([0.3, -2.0, 1.1])
+    X = RNG.uniform(-1.0, 1.0, (4, 5, 3))
+
+    def quadratic(self, x):
+        return np.einsum("...i,ij,...j->...", x, self.A, x) + x @ self.B + 0.7
+
+    @staticmethod
+    def quartic(x):
+        # degree 4 in each coordinate, with mixed terms
+        return np.stack(
+            (x[..., 0] ** 4 - 2.0 * x[..., 0] ** 3 * x[..., 1] + x[..., 2] ** 2,
+             x[..., 1] ** 4 + 3.0 * x[..., 0] * x[..., 2] ** 3),
+            axis=-1,
+        )
+
+    @staticmethod
+    def quartic_gradient(x):
+        x0, x1, x2 = x[..., 0], x[..., 1], x[..., 2]
+        d0 = np.stack((4 * x0**3 - 6 * x0**2 * x1, 3 * x2**3), axis=-1)
+        d1 = np.stack((-2 * x0**3, 4 * x1**3), axis=-1)
+        d2 = np.stack((2 * x2, 9 * x0 * x2**2), axis=-1)
+        return np.stack((d0, d1, d2), axis=-2)
+
+    def test_orders_are_the_table_keys(self):
+        assert sorted(CENTRAL_STENCILS) == [2, 4]
+        for offsets, weights, denom in CENTRAL_STENCILS.values():
+            assert weights @ offsets == denom  # exact on linear functions
+
+    def test_order_two_is_exact_on_quadratics(self):
+        d = central_difference(self.quadratic, self.X, 0.1, 2)
+        assert d.shape == (4, 5, 3)
+        np.testing.assert_allclose(d, 2.0 * self.X @ self.A + self.B, rtol=0.0, atol=1e-13)
+
+    def test_order_four_is_exact_on_quartics(self):
+        d = central_difference(self.quartic, self.X, 0.1, 4)
+        assert d.shape == (4, 5, 3, 2)
+        np.testing.assert_allclose(d, self.quartic_gradient(self.X), rtol=0.0, atol=1e-12)
+        # order 2 is not: its truncation error shows at this step
+        assert np.max(np.abs(central_difference(self.quartic, self.X, 0.1, 2) - d)) > 1e-3
+
+    def test_axes_subset_and_single_point(self):
+        full = central_difference(self.quartic, self.X, 1e-3, 4)
+        sub = central_difference(self.quartic, self.X, 1e-3, 4, axes=(2, 0))
+        assert sub.shape == (4, 5, 2, 2)
+        assert np.array_equal(sub, full[..., [2, 0], :])
+        one = central_difference(self.quartic, self.X[1, 2], 1e-3, 4, axes=[1])
+        assert one.shape == (1, 2)
+        assert np.array_equal(one, full[1, 2, [1]])
+
+    def test_f_is_called_once_on_every_tap(self):
+        shapes = []
+
+        def f(taps):
+            shapes.append(taps.shape)
+            return self.quadratic(taps)
+
+        central_difference(f, self.X, 1e-4, 4, axes=(0, 2))
+        assert shapes == [(4, 5, 2, 4, 3)]
+
+    def test_taps_move_one_coordinate(self):
+        seen = []
+
+        def f(taps):
+            seen.append(taps.copy())
+            return taps[..., 0]
+
+        central_difference(f, np.array([1.0, 0.0, 2.0]), 0.5, 4, axes=(1,))
+        expect = np.array([[[1.0, -1.0, 2.0], [1.0, -0.5, 2.0], [1.0, 0.5, 2.0], [1.0, 1.0, 2.0]]])
+        assert np.array_equal(seen[0], expect)

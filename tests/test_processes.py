@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from thermogeom.errors import ValidationError
+from thermogeom.geometry import metric_grid
 from thermogeom.gibbs import ObservableSet
 from thermogeom.linalg import HermitianOperator
 from thermogeom.processes import (
     GeodesicProblem,
     ParamPath,
+    _energy_gradient,
     boundary_entropy_limit,
     discrete_path_energy,
     entropy_production,
@@ -20,7 +22,10 @@ from thermogeom.processes import (
 )
 
 SIGMA_Z = np.diag([1.0, -1.0]).astype(complex)
+SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+SIGMA_Y = np.array([[0.0, -1j], [1j, 0.0]])
 QUBIT = ObservableSet([HermitianOperator(SIGMA_Z)], ["sz"])
+PAULI = ObservableSet([HermitianOperator(s) for s in (SIGMA_Z, SIGMA_X, SIGMA_Y)])
 TWO_QUBIT = ObservableSet(
     [
         HermitianOperator(np.kron(SIGMA_Z, np.eye(2))),
@@ -214,6 +219,41 @@ class TestGeodesic:
             GeodesicProblem([0.0], [1.0, 2.0])
         with pytest.raises(ValidationError):
             GeodesicProblem([0.0], [1.0], interior_points=3)
+
+    @pytest.mark.parametrize("field", ["duration", "tolerance"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
+    def test_problem_rejects_non_finite_or_non_positive(self, field, value):
+        with pytest.raises(ValidationError, match=field):
+            GeodesicProblem([0.0], [1.0], **{field: value})
+
+
+def loop_energy_gradient(obs, samples, dt, fd_step=1e-6):
+    """Oracle: perturb each coordinate of each interior node in turn."""
+    p_int, n = samples.shape[0] - 2, samples.shape[1]
+    mids, deltas = [], []
+    for j in range(1, p_int + 1):
+        for c in range(n):
+            for sign in (+1.0, -1.0):
+                x = samples[j].copy()
+                x[c] += sign * fd_step
+                mids.append(0.5 * (samples[j - 1] + x))
+                deltas.append(x - samples[j - 1])
+                mids.append(0.5 * (x + samples[j + 1]))
+                deltas.append(samples[j + 1] - x)
+    deltas = np.asarray(deltas)
+    g = metric_grid(obs, np.asarray(mids))
+    seg = np.einsum("ki,kij,kj->k", deltas, g, deltas) / dt
+    seg = seg.reshape(p_int, n, 2, 2).sum(axis=3)
+    return (seg[:, :, 0] - seg[:, :, 1]) / (2.0 * fd_step)
+
+
+class TestEnergyGradient:
+    @pytest.mark.parametrize("obs, k", [(QUBIT, 8), (TWO_QUBIT, 16), (PAULI, 9), (PAULI, 32)])
+    def test_equals_the_per_node_loop_bit_for_bit(self, obs, k):
+        samples = np.random.default_rng(k).uniform(-0.8, 0.8, (k + 1, obs.n))
+        grad = _energy_gradient(obs, samples, 1.0 / k)
+        assert grad.shape == (k - 1, obs.n)
+        assert np.array_equal(grad, loop_energy_gradient(obs, samples, 1.0 / k))
 
 
 class TestThirdLawScan:
