@@ -59,11 +59,7 @@ class ConnectionSpec:
             raise ValidationError(f"fd_step must be in [1e-8, 1e-2], got {fd_step!r}")
         lam_vars = {f"l{i + 1}" for i in range(n)}
         for name, e in (("g_S", g_S), *((f"h{k + 1}", x) for k, x in enumerate(h))):
-            extra = exprlang.free_vars(e) - lam_vars
-            if extra:
-                raise ValidationError(
-                    f"{name} may only depend on lam, found {sorted(extra)}"
-                )
+            exprlang.require_vars(e, lam_vars, name)
         object.__setattr__(self, "g_S", g_S)
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "fd_step", float(fd_step))

@@ -21,7 +21,13 @@ from typing import Mapping, Union
 
 import numpy as np
 
-from .errors import ExprArityError, ExprDomainError, ExprNameError, ExprSyntaxError
+from .errors import (
+    ExprArityError,
+    ExprDomainError,
+    ExprNameError,
+    ExprSyntaxError,
+    ValidationError,
+)
 
 __all__ = [
     "Expr",
@@ -34,6 +40,7 @@ __all__ = [
     "parse",
     "eval_expr",
     "free_vars",
+    "require_vars",
     "pretty",
 ]
 
@@ -249,6 +256,13 @@ def free_vars(e: Expr) -> frozenset[str]:
     if isinstance(e, BinOp):
         return free_vars(e.left) | free_vars(e.right)
     return frozenset().union(*(free_vars(a) for a in e.args)) if e.args else frozenset()
+
+
+def require_vars(e: Expr, allowed: set[str], what: str) -> None:
+    """Reject e if it reads a variable outside `allowed`, naming `what` and the extras."""
+    extra = free_vars(e) - allowed
+    if extra:
+        raise ValidationError(f"{what} may only use {sorted(allowed)}, found {sorted(extra)}")
 
 
 def _env_shape(values: tuple) -> tuple[int, ...]:

@@ -11,7 +11,7 @@ d^2 = tr A + tr B - 2 tr[(A^{1/2} B A^{1/2})^{1/2}].
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,6 +39,9 @@ __all__ = [
     "metric_grid",
 ]
 
+# How far below zero a metric eigenvalue may fall before the metric is not PSD.
+PSD_ATOL = 1e-10
+
 
 @dataclass(frozen=True)
 class FDScheme:
@@ -60,7 +63,6 @@ class MetricTensor:
 
     lam: np.ndarray
     g: np.ndarray
-    psd_atol: float = field(default=1e-10, repr=False)
 
     def __post_init__(self) -> None:
         g = np.asarray(self.g, dtype=float)
@@ -70,7 +72,7 @@ class MetricTensor:
         if not np.array_equal(g, g.T):
             raise ValidationError("metric must be exactly symmetric; symmetrize first")
         w_min = float(np.linalg.eigvalsh(g)[0])
-        if w_min < -self.psd_atol:
+        if w_min < -PSD_ATOL:
             raise NumericalConsistencyError(
                 f"metric has eigenvalue {w_min:.3e} below the PSD tolerance"
             )

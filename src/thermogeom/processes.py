@@ -44,7 +44,6 @@ class ParamPath:
 
     duration: float
     samples: np.ndarray
-    provenance: str = "explicit-samples"
 
     def __post_init__(self) -> None:
         if not (self.duration > 0.0 and np.isfinite(self.duration)):
@@ -58,8 +57,6 @@ class ParamPath:
             )
         if not np.all(np.isfinite(samples)):
             raise ValidationError("path samples must be finite")
-        if self.provenance not in ("explicit-samples", "expression-defined"):
-            raise ValidationError(f"unknown provenance {self.provenance!r}")
         samples = samples.copy()
         samples.flags.writeable = False
         object.__setattr__(self, "samples", samples)

@@ -17,7 +17,6 @@ from typing import Any
 import numpy as np
 
 from . import exprlang
-from .contact import MMetricSpec, MuExtension
 from .connection import ConnectionSpec
 from .errors import ValidationError
 from .gibbs import ObservableSet
@@ -35,9 +34,7 @@ __all__ = [
     "observable_set_from_json",
     "path_from_json",
     "path_to_json",
-    "mmetric_spec_from_json",
     "connection_spec_from_json",
-    "mu_extension_from_json",
     "load_json_file",
     "atomic_write_text",
 ]
@@ -153,14 +150,10 @@ def path_from_json(obj: Any, n: int) -> ParamPath:
         steps = count(obj.get("steps"), "path.steps", floor=MIN_PATH_STEPS)
         exprs = [exprlang.parse(t, n) for t in _expr_list(obj, "lambda_exprs", n)]
         for k, e in enumerate(exprs):
-            extra = exprlang.free_vars(e) - {"t"}
-            if extra:
-                raise ValidationError(
-                    f"path expression {k + 1} may only use t, found {sorted(extra)}"
-                )
+            exprlang.require_vars(e, {"t"}, f"path expression {k + 1}")
         ts = np.linspace(0.0, duration, steps + 1)
         samples = np.stack([exprlang.eval_expr(e, {"t": ts}) for e in exprs], axis=-1)
-        return ParamPath(duration, samples, provenance="expression-defined")
+        return ParamPath(duration, samples)
     raise ValidationError("path needs either samples or lambda_exprs")
 
 
@@ -173,23 +166,11 @@ def _expr_list(obj: Any, key: str, n: int) -> list[str]:
     return texts
 
 
-def mmetric_spec_from_json(obj: Any, n: int) -> MMetricSpec:
-    if not isinstance(obj, dict) or not isinstance(obj.get("g_S"), str):
-        raise ValidationError("metric spec needs a g_S expression string")
-    return MMetricSpec.parsed(obj["g_S"], _expr_list(obj, "g_a", n), _expr_list(obj, "h", n), n)
-
-
 def connection_spec_from_json(obj: Any, n: int) -> ConnectionSpec:
     if not isinstance(obj, dict) or not isinstance(obj.get("g_S"), str):
         raise ValidationError("connection spec needs a g_S expression string")
     fd_step = number(obj.get("fd_step", 1e-5), "fd_step")
     return ConnectionSpec.parsed(obj["g_S"], _expr_list(obj, "h", n), n, fd_step)
-
-
-def mu_extension_from_json(obj: Any, obs: ObservableSet) -> MuExtension:
-    if not isinstance(obj, dict):
-        raise ValidationError("mu extension must be a JSON object")
-    return MuExtension.validated(_expr_list(obj, "f", obs.n), obs)
 
 
 def load_json_file(path: str | Path) -> Any:

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -88,12 +89,46 @@ class TestEtaEval:
         assert np.linalg.matrix_rank(row[None, :]) == 1
 
 
+def brute_force_wedge_top(one_form, two_form, n):
+    """alpha wedge beta^n antisymmetrized over all (2n+1)! orderings, / 2^n."""
+    total = 0.0
+    for perm in itertools.permutations(range(2 * n + 1)):
+        prod = one_form[perm[0]]
+        for k in range(n):
+            prod *= two_form[perm[1 + 2 * k], perm[2 + 2 * k]]
+        total += perm_sign(perm) * prod
+    return total / 2.0**n
+
+
+def perm_sign(perm):
+    seen = [False] * len(perm)
+    sign = 1
+    for start in range(len(perm)):
+        if seen[start]:
+            continue
+        length = 0
+        j = start
+        while not seen[j]:
+            seen[j] = True
+            j = perm[j]
+            length += 1
+        if length % 2 == 0:
+            sign = -sign
+    return sign
+
+
+def random_forms(rng, n):
+    dim = 2 * n + 1
+    m = rng.normal(size=(dim, dim))
+    return rng.normal(size=dim), m - m.T
+
+
 class TestContactVolume:
-    @pytest.mark.parametrize("n,expected", [(1, 1.0), (2, 2.0), (3, 6.0)])
+    @pytest.mark.parametrize(
+        "n,expected", [(n, float(math.factorial(n))) for n in range(1, 9)]
+    )
     def test_nonzero_and_equals_n_factorial(self, n, expected):
-        value = contact_volume_coefficient(n)
-        assert value != 0.0
-        assert abs(value) == pytest.approx(expected, rel=1e-12)
+        assert contact_volume_coefficient(n) == expected
 
     def test_degenerate_form_vanishes(self):
         # replacing eta by dS kills the 2-form part: d(dS) = 0
@@ -103,9 +138,37 @@ class TestContactVolume:
         alpha[0] = 1.0
         assert wedge_top_coefficient(alpha, np.zeros((dim, dim)), n) == 0.0
 
-    def test_rejects_bad_n(self):
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_pfaffian_matches_brute_force(self, n):
+        rng = np.random.default_rng(6100 + n)
+        for _ in range(5):
+            alpha, beta = random_forms(rng, n)
+            expected = brute_force_wedge_top(alpha, beta, n)
+            assert wedge_top_coefficient(alpha, beta, n) == pytest.approx(
+                expected, rel=1e-12
+            )
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_zero_leading_pivot_swaps_rows(self, n):
+        # alpha_0 = 0 makes the first pivot column start with a zero,
+        # so elimination must swap rows and flip the sign
+        alpha, beta = random_forms(np.random.default_rng(6200 + n), n)
+        alpha[0] = 0.0
+        expected = brute_force_wedge_top(alpha, beta, n)
+        assert expected != 0.0
+        assert wedge_top_coefficient(alpha, beta, n) == pytest.approx(
+            expected, rel=1e-12
+        )
+
+    def test_rejects_mismatched_arrays(self):
         with pytest.raises(ValidationError):
-            contact_volume_coefficient(0)
+            wedge_top_coefficient(np.zeros(3), np.zeros((5, 5)), 2)
+
+    def test_rejects_bad_n(self):
+        # only a Python int >= 1: a bool is not a parameter count
+        for n in (0, -1, 2.5, True, "3", None):
+            with pytest.raises(ValidationError):
+                contact_volume_coefficient(n)
 
 
 class TestLegendrianResidual:
@@ -393,6 +456,21 @@ class TestFiberPathLength:
         spec = MMetricSpec.parsed("-1", ["1"], ["0"], 1)
         pts = self.vertical_points(0.0, 0.6, 0.0, 0.8)
         with pytest.raises(SignatureError):
+            fiber_path_length(spec, pts, 1.0)
+
+    @pytest.mark.parametrize("duration", [0.0, -1.0, math.nan, math.inf])
+    def test_duration_must_be_finite_and_positive(self, duration):
+        spec = MMetricSpec.parsed("1", ["1"], ["0"], 1)
+        pts = self.vertical_points(0.0, 0.6, 0.0, 0.8)
+        with pytest.raises(ValidationError, match="duration"):
+            fiber_path_length(spec, pts, duration)
+
+    @pytest.mark.parametrize("spec_n", [1, 3])
+    def test_spec_must_match_points_n(self, spec_n):
+        spec = MMetricSpec.parsed("1", ["1"] * spec_n, ["0"] * spec_n, spec_n)
+        pts = [ThermoPoint(0.1 * k, np.array([0.0, 0.1 * k]), np.array([0.4, 0.2]))
+               for k in range(5)]
+        with pytest.raises(ValidationError, match="disagree on n"):
             fiber_path_length(spec, pts, 1.0)
 
     def test_lambda_must_stay_fixed(self):

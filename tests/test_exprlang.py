@@ -12,8 +12,20 @@ from thermogeom.errors import (
     ExprNameError,
     ExprSyntaxError,
     ThermoGeomError,
+    ValidationError,
 )
-from thermogeom.exprlang import BinOp, Call, Neg, Num, Var, eval_expr, free_vars, parse, pretty
+from thermogeom.exprlang import (
+    BinOp,
+    Call,
+    Neg,
+    Num,
+    Var,
+    eval_expr,
+    free_vars,
+    parse,
+    pretty,
+    require_vars,
+)
 
 
 def ev(text, n=2, **env):
@@ -126,6 +138,13 @@ def test_empty_input():
 
 def test_free_vars():
     assert free_vars(parse("l1*t + sin(a2)", 2)) == {"l1", "t", "a2"}
+
+
+def test_require_vars_names_expression_and_extras():
+    e = parse("l1*t + sin(a2)", 2)
+    require_vars(e, {"l1", "t", "a2"}, "g_S")
+    with pytest.raises(ValidationError, match=r"g_S may only use \['l1'\], found \['a2', 't'\]"):
+        require_vars(e, {"l1"}, "g_S")
 
 
 def test_eval_is_pure():
@@ -317,4 +336,6 @@ def test_array_evaluation_matches_each_element_alone(e, points):
     same = (out == singles) | (np.isnan(out) & np.isnan(singles))
     finite = np.isfinite(out) & np.isfinite(singles)
     scale = np.maximum(np.abs(out), np.abs(singles), where=finite, out=np.ones_like(out))
-    assert np.all(same | (finite & (np.abs(out - singles) <= 4 * np.spacing(scale))))
+    # subtract only finite pairs: inf - inf on equal infinities would warn
+    gap = np.abs(np.subtract(out, singles, where=finite, out=np.zeros_like(out)))
+    assert np.all(same | (finite & (gap <= 4 * np.spacing(scale))))

@@ -14,7 +14,6 @@ from thermogeom.serialization import (
     connection_spec_from_json,
     format_float,
     load_json_file,
-    mmetric_spec_from_json,
     number,
     path_from_json,
     path_to_json,
@@ -46,14 +45,12 @@ class TestPathCodec:
         samples = np.linspace(0, 1, 9)[:, None]
         path = path_from_json({"duration": 2.0, "samples": samples.tolist()}, 1)
         assert path.duration == 2.0
-        assert path.provenance == "explicit-samples"
         assert np.allclose(path.samples, samples)
 
     def test_expression_defined(self):
         path = path_from_json(
             {"duration": 1.0, "steps": 16, "lambda_exprs": ["t^2", "1-t"]}, 2
         )
-        assert path.provenance == "expression-defined"
         ts = np.linspace(0, 1, 17)
         assert np.allclose(path.samples[:, 0], ts**2)
         assert np.allclose(path.samples[:, 1], 1 - ts)
@@ -82,16 +79,11 @@ class TestSpecCodecs:
         assert spec.fd_step == 1e-6
         assert spec.gamma([1.0, 0.0])[1] == pytest.approx(0.5)
 
-    def test_metric_spec(self):
-        spec = mmetric_spec_from_json({"g_S": "2", "g_a": ["1"], "h": ["0"]}, 1)
-        g_s, g_a, h = spec.evaluate(np.array([0.3]))
-        assert (g_s, g_a[0], h[0]) == (2.0, 1.0, 0.0)
-
     def test_missing_fields(self):
         with pytest.raises(ValidationError):
             connection_spec_from_json({"h": ["0"]}, 1)
         with pytest.raises(ValidationError):
-            mmetric_spec_from_json({"g_S": "1", "g_a": ["1"]}, 1)
+            connection_spec_from_json({"g_S": "1"}, 1)
 
 
 class TestAtomicWrite:
