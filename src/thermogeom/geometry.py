@@ -5,7 +5,9 @@ L_i solving rho L_i + L_i rho = 2 d rho / d lam_i, the components are
 g_ij = Re tr(rho L_i L_j).  Both the state derivatives and the SLDs are
 closed-form in the eigenbasis of the exponent (Daleckii-Krein divided
 differences; Bhatia, Matrix Analysis, V.3), so one eigendecomposition per
-point gives the exact metric.  The distance is
+point gives the exact metric.  The second divided differences give, from
+the same eigendecomposition, the exact gradient of v^T g v in lam that the
+geodesic solver's energy gradient is built from.  The distance is
 d^2 = tr A + tr B - 2 tr[(A^{1/2} B A^{1/2})^{1/2}].
 """
 
@@ -137,23 +139,48 @@ def bw_distance(a: HermitianOperator, b: HermitianOperator) -> float:
     return float(np.sqrt(max(radicand, 0.0)))
 
 
-def _eigenbasis_state_derivatives(obs: ObservableSet, batch: FamilyBatch) -> np.ndarray:
-    """d rho / d lam_i in each point's eigenbasis U, shape (P, n, m, m).
+def _phi(u: np.ndarray) -> np.ndarray:
+    """phi(u) = (1 - exp(-u)) / u for u >= 0, with phi(0) = 1."""
+    out = np.ones_like(u)
+    np.divide(-np.expm1(-u), u, out=out, where=u > 0.0)
+    return out
 
-    Daleckii-Krein: (U^dagger d_i rho U)_ab = -At_i,ab (p_a - p_b)/(x_a - x_b)
-    with At_i = U^dagger A_i U - a_i.  The divided difference is taken from
-    the larger population as p_hi (1 - exp(-|dx|)) / |dx|, which tends to
-    p_a on degenerate pairs and stays exact when the smaller one underflows.
+
+def _daleckii_krein(obs: ObservableSet, batch: FamilyBatch) -> tuple[np.ndarray, np.ndarray]:
+    """Centred observables and first divided differences in each eigenbasis U.
+
+    Returns At_i = U^dagger A_i U - a_i, shape (P, n, m, m), and the first
+    divided differences of exp at y = x - ln Z, shape (P, m, m), so that
+    U^dagger d_i rho U = -At_i * f1 (Daleckii-Krein).  f1 is taken from the
+    larger population as p_hi phi(|dx|), which tends to p_a on degenerate
+    pairs and stays exact when the smaller one underflows.
     """
     x, p, u = batch.x, batch.p, batch.U
     gap = np.abs(x[:, :, None] - x[:, None, :])
-    ratio = np.ones_like(gap)
-    np.divide(-np.expm1(-gap), gap, out=ratio, where=gap > 0.0)
-    divided = np.maximum(p[:, :, None], p[:, None, :]) * ratio
+    f1 = np.maximum(p[:, :, None], p[:, None, :]) * _phi(gap)
     a_tilde = u.conj().swapaxes(1, 2)[:, None] @ obs._stack @ u[:, None]
     diag = np.arange(obs.dim)
     a_tilde[:, :, diag, diag] -= batch.a[:, :, None]
-    return -a_tilde * divided[:, None]
+    return a_tilde, f1
+
+
+def _second_divided_differences(batch: FamilyBatch) -> np.ndarray:
+    """Second divided differences f2 of exp at y = x - ln Z, shape (P, m, m, m).
+
+    x ascends, so each index triple sorts to (lo, mid, hi) with
+    y_lo <= y_mid <= y_hi.  With the gaps s = y_hi - y_mid <= t = y_hi - y_lo,
+    f2 = (f1[mid, hi] - f1[lo, mid]) / t = p_hi psi(s, t) and
+    psi(s, t) = (phi(s) - exp(-s) phi(t - s)) / t, whose denominator is the
+    widest gap; below t = 1e-3 psi is its cubic Taylor polynomial.  Like f1,
+    f2 tends to p_hi / 2 on degenerate triples and never divides by p.
+    """
+    m = batch.x.shape[1]
+    lo, mid, hi = np.sort(np.indices((m, m, m)), axis=0)
+    y = batch.x
+    s, t = y[:, hi] - y[:, mid], y[:, hi] - y[:, lo]
+    psi = 0.5 - (s + t) / 6 + (s * s + s * t + t * t) / 24 - (s + t) * (s * s + t * t) / 120
+    np.divide(_phi(s) - np.exp(-s) * _phi(t - s), t, out=psi, where=t >= 1e-3)
+    return batch.p[:, hi] * psi
 
 
 def state_derivatives(obs: ObservableSet, lam) -> list[HermitianOperator]:
@@ -163,8 +190,9 @@ def state_derivatives(obs: ObservableSet, lam) -> list[HermitianOperator]:
     constant along the family).
     """
     batch = gibbs_batch(obs, np.asarray(lam, dtype=float).reshape(1, -1))
+    a_tilde, f1 = _daleckii_krein(obs, batch)
     u = batch.U[0]
-    drho = u @ _eigenbasis_state_derivatives(obs, batch)[0] @ u.conj().T
+    drho = u @ (-a_tilde[0] * f1[0]) @ u.conj().T
     return [HermitianOperator(d) for d in drho]
 
 
@@ -172,6 +200,29 @@ def metric_tensor(obs: ObservableSet, lam) -> MetricTensor:
     """The metric at a single point: `metric_grid` on a block of one."""
     lam = np.asarray(lam, dtype=float).reshape(-1)
     return MetricTensor(lam, metric_grid(obs, lam[None])[0])
+
+
+def _sld_frame(
+    obs: ObservableSet, lams: np.ndarray
+) -> tuple[FamilyBatch, np.ndarray, np.ndarray, np.ndarray]:
+    """What every SLD computation at a (P, n) block starts from.
+
+    One `gibbs_batch`, the p_a + p_b denominators checked against
+    `SLD_DENOM_FLOOR` (the exit-3 boundary), and the Daleckii-Krein parts
+    (centred observables, first divided differences).
+    """
+    batch = gibbs_batch(obs, lams)
+    p = batch.p
+    denom = p[:, :, None] + p[:, None, :]
+    worst = float(denom.min())
+    if worst < SLD_DENOM_FLOOR:
+        idx = int(np.unravel_index(np.argmin(denom), denom.shape)[0])
+        raise NearSingularError(
+            f"eigenvalue sum {worst:.3e} below {SLD_DENOM_FLOOR:.0e} at "
+            f"lambda = {lams[idx].tolist()}; too close to the boundary"
+        )
+    a_tilde, f1 = _daleckii_krein(obs, batch)
+    return batch, denom, a_tilde, f1
 
 
 def metric_grid(obs: ObservableSet, lams) -> np.ndarray:
@@ -186,17 +237,36 @@ def metric_grid(obs: ObservableSet, lams) -> np.ndarray:
     lams = np.atleast_2d(np.asarray(lams, dtype=float))
     if lams.shape[0] == 0:
         return np.empty((0, obs.n, obs.n))
-    batch = gibbs_batch(obs, lams)
-    p = batch.p
-    denom = p[:, :, None] + p[:, None, :]
-    worst = float(denom.min())
-    if worst < SLD_DENOM_FLOOR:
-        idx = int(np.unravel_index(np.argmin(denom), denom.shape)[0])
-        raise NearSingularError(
-            f"eigenvalue sum {worst:.3e} below {SLD_DENOM_FLOOR:.0e} at "
-            f"lambda = {lams[idx].tolist()}; too close to the boundary"
-        )
-    drho = _eigenbasis_state_derivatives(obs, batch)
-    f = (drho * np.sqrt(2.0 / denom)[:, None]).reshape(lams.shape[0], obs.n, -1)
+    _, denom, a_tilde, f1 = _sld_frame(obs, lams)
+    # d_i rho * sqrt(2 / (p_a + p_b)), built in At's buffer: no (P, n, m, m) copies
+    f = np.negative(a_tilde, out=a_tilde)
+    f *= f1[:, None]
+    f *= np.sqrt(2.0 / denom)[:, None]
+    f = f.reshape(lams.shape[0], obs.n, -1)
     g = (f @ f.conj().swapaxes(1, 2)).real
     return (g + g.swapaxes(1, 2)) / 2
+
+
+def _quadratic_form_derivatives(
+    obs: ObservableSet, lams: np.ndarray, v: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """g(lam) v and c = grad_lam (v^T g(lam) v) at (P, n) blocks, each (P, n).
+
+    With rho_v = sum_i v_i d_i rho and its SLD L_v = 2 rho_v / (p_a + p_b),
+    v^T g v = tr(rho_v L_v) and, differentiating the Lyapunov equation,
+    c_k = 2 Re tr(L_v d_k rho_v) - Re tr(d_k rho L_v^2).  In the eigenbasis
+    d_k rho_v is D^2 exp(y)[At_v, At_k] plus a multiple of rho, which
+    tr(L_v rho) = tr(rho_v) = 0 removes, and
+    D^2 exp(y)[H, K]_ab = sum_c (H_ac K_cb + K_ac H_cb) f2_acb
+    (Bhatia, Matrix Analysis, V.3).  The two halves of the first trace are
+    complex conjugates, so c_k = Re sum_ab At_k,ab W_ab with
+    W = 4 N^T + f1 (L_v^2)^T and N_ac = sum_b L_v,ab At_v,bc f2_abc.
+    """
+    batch, denom, a_tilde, f1 = _sld_frame(obs, lams)
+    a_v = np.einsum("pi,piab->pab", v, a_tilde)
+    sld = -2.0 * a_v * f1 / denom
+    gv = -np.einsum("piab,pab,pba->pi", a_tilde, f1, sld).real
+    n_ac = np.einsum("pab,pbc,pabc->pac", sld, a_v, _second_divided_differences(batch))
+    w = 4.0 * n_ac.swapaxes(1, 2) + f1 * (sld @ sld).swapaxes(1, 2)
+    c = np.einsum("piab,pab->pi", a_tilde, w).real
+    return gv, c

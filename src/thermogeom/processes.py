@@ -4,7 +4,8 @@ Paths are piecewise linear on a uniform time grid; velocities come from
 central differences (one-sided at the ends) and integrals from the
 composite trapezoid rule, so refinement is by raising the sample count.
 Geodesics minimize the discrete path energy with fixed endpoints, which
-makes minimizers constant-speed without second derivatives of the metric.
+makes minimizers constant-speed; its gradient is exact, from the first
+derivatives of the metric at the segment midpoints in closed form.
 """
 
 from __future__ import annotations
@@ -14,9 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalConsistencyError, ValidationError
-from .geometry import metric_grid
+from .geometry import _quadratic_form_derivatives, metric_grid
 from .gibbs import ObservableSet, gibbs_batch
-from .linalg import central_difference
 
 __all__ = [
     "ParamPath",
@@ -37,6 +37,28 @@ __all__ = [
 
 MIN_PATH_STEPS = 8
 
+# Upper bound on every count a config can ask for (grid points, path steps,
+# iterations); checked before anything of that size is allocated.
+MAX_COUNT = 1 << 20
+
+
+def count(value: object, what: str, floor: int = 0) -> int:
+    """An integer in [floor, MAX_COUNT]; bool is not an integer here."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, int)
+        or not floor <= value <= MAX_COUNT
+    ):
+        raise ValidationError(
+            f"{what} must be an integer in [{floor}, {MAX_COUNT}], got {value!r}"
+        )
+    return value
+
+
+def _check_duration(duration) -> None:
+    if not (duration > 0.0 and np.isfinite(duration)):
+        raise ValidationError(f"duration must be positive, got {duration!r}")
+
 
 @dataclass(frozen=True)
 class ParamPath:
@@ -46,8 +68,7 @@ class ParamPath:
     samples: np.ndarray
 
     def __post_init__(self) -> None:
-        if not (self.duration > 0.0 and np.isfinite(self.duration)):
-            raise ValidationError(f"duration must be positive, got {self.duration!r}")
+        _check_duration(self.duration)
         samples = np.asarray(self.samples, dtype=float)
         if samples.ndim != 2:
             raise ValidationError(f"samples must be 2-D, got shape {samples.shape}")
@@ -82,7 +103,7 @@ def straight_path(
     b = np.asarray(lam_b, dtype=float).reshape(-1)
     if a.shape != b.shape:
         raise ValidationError("endpoints must have the same dimension")
-    ts = np.linspace(0.0, 1.0, steps + 1)
+    ts = np.linspace(0.0, 1.0, count(steps, "steps", MIN_PATH_STEPS) + 1)
     return ParamPath(duration, a[None, :] + ts[:, None] * (b - a)[None, :])
 
 
@@ -136,7 +157,7 @@ def entropy_production(
     The total scales as 1/duration for a fixed path image, vanishing in
     the quasistatic limit; it is bounded below by kappa * length^2 / T.
     """
-    if not (kappa > 0.0 and np.isfinite(kappa)):
+    if isinstance(kappa, bool) or not (kappa > 0.0 and np.isfinite(kappa)):
         raise ValidationError(f"kappa must be positive, got {kappa!r}")
     dt = path.duration / path.steps
     rates = kappa * _speed_squared(obs, path)
@@ -161,13 +182,10 @@ class GeodesicProblem:
             raise ValidationError("endpoints must have the same dimension")
         if not (np.all(np.isfinite(start)) and np.all(np.isfinite(end))):
             raise ValidationError("endpoints must be finite")
-        if self.interior_points < MIN_PATH_STEPS - 1:
-            raise ValidationError(
-                f"need at least {MIN_PATH_STEPS - 1} interior points"
-            )
-        finite = all(v > 0.0 and np.isfinite(v) for v in (self.duration, self.tolerance))
-        if not finite or self.max_iters < 1:
-            raise ValidationError("duration, max_iters, tolerance must be positive and finite")
+        count(self.interior_points, "interior_points", MIN_PATH_STEPS - 1)
+        count(self.max_iters, "max_iters", 1)
+        if not all(v > 0.0 and np.isfinite(v) for v in (self.duration, self.tolerance)):
+            raise ValidationError("duration, tolerance must be positive and finite")
         start = start.copy()
         start.flags.writeable = False
         end = end.copy()
@@ -193,10 +211,18 @@ def _segment_energies(obs: ObservableSet, samples: np.ndarray, dt: float) -> np.
     return np.einsum("ki,kij,kj->k", deltas, g, deltas) / dt
 
 
+def _objective_grid(samples, duration) -> tuple[np.ndarray, float]:
+    """Samples as a float array of at least 2 rows, and the time step."""
+    _check_duration(duration)
+    samples = np.asarray(samples, dtype=float)
+    if samples.ndim != 2 or samples.shape[0] < 2:
+        raise ValidationError(f"need a 2-D block of at least 2 samples, got shape {samples.shape}")
+    return samples, duration / (samples.shape[0] - 1)
+
+
 def discrete_path_energy(obs: ObservableSet, samples: np.ndarray, duration: float) -> float:
     """The geodesic objective: sum of midpoint-rule segment energies."""
-    samples = np.asarray(samples, dtype=float)
-    dt = duration / (samples.shape[0] - 1)
+    samples, dt = _objective_grid(samples, duration)
     return float(_segment_energies(obs, samples, dt).sum())
 
 
@@ -204,36 +230,22 @@ def segment_speed_profile(
     obs: ObservableSet, samples: np.ndarray, duration: float
 ) -> np.ndarray:
     """Per-segment metric speeds |dl|_g / dt in the geodesic discretization."""
-    samples = np.asarray(samples, dtype=float)
-    dt = duration / (samples.shape[0] - 1)
+    samples, dt = _objective_grid(samples, duration)
     return np.sqrt(np.clip(_segment_energies(obs, samples, dt), 0.0, None) / dt)
 
 
-def _energy_gradient(
-    obs: ObservableSet,
-    samples: np.ndarray,
-    dt: float,
-    fd_step: float = 1e-6,
-) -> np.ndarray:
-    """Gradient of the discrete energy w.r.t. interior samples, batched.
+def _energy_gradient(obs: ObservableSet, samples: np.ndarray, dt: float) -> np.ndarray:
+    """Gradient of the discrete energy w.r.t. the interior samples, in closed form.
 
-    Moving interior node j changes only segments j and j+1, so
-    `linalg.central_difference` differentiates the sum of those two
-    segment energies at every interior node; the 2n taps of all nodes
-    and their two segments go to one metric_grid call.
+    Node j ends segment j-1 and starts segment j.  With gv_s = g(m_s) dl_s
+    and c_s = grad_lam (dl_s^T g dl_s) at the midpoint m_s, both from one
+    batched evaluation at the K midpoints,
+    dE/dx_j = [2 gv_{j-1} + c_{j-1} / 2 - 2 gv_j + c_j / 2] / dt.
     """
-    n = samples.shape[1]
-    before, after = samples[:-2, None, None], samples[2:, None, None]
-
-    def touched_energy(taps: np.ndarray) -> np.ndarray:
-        mids = np.stack((0.5 * (before + taps), 0.5 * (taps + after))).reshape(-1, n)
-        deltas = np.stack((taps - before, after - taps)).reshape(-1, n)
-        g = metric_grid(obs, mids)
-        seg = np.einsum("ki,kij,kj->k", deltas, g, deltas) / dt
-        seg = seg.reshape(2, *taps.shape[:-1])
-        return seg[0] + seg[1]
-
-    return central_difference(touched_energy, samples[1:-1], fd_step, 2)
+    mids = 0.5 * (samples[:-1] + samples[1:])
+    deltas = samples[1:] - samples[:-1]
+    gv, c = _quadratic_form_derivatives(obs, mids, deltas)
+    return (2.0 * (gv[:-1] - gv[1:]) + 0.5 * (c[:-1] + c[1:])) / dt
 
 
 def geodesic_between(

@@ -21,7 +21,7 @@ from .connection import ConnectionSpec
 from .errors import ValidationError
 from .gibbs import ObservableSet
 from .linalg import HermitianOperator
-from .processes import MIN_PATH_STEPS, ParamPath
+from .processes import MAX_COUNT, MIN_PATH_STEPS, ParamPath, count
 
 __all__ = [
     "MAX_COUNT",
@@ -40,11 +40,6 @@ __all__ = [
 ]
 
 
-# Upper bound on every count a config can ask for (grid points, path steps,
-# iterations); checked before anything of that size is allocated.
-MAX_COUNT = 1 << 20
-
-
 def number(value: Any, what: str) -> float:
     """A finite JSON number; bool is not a number here."""
     if isinstance(value, (int, float)) and not isinstance(value, bool):
@@ -55,19 +50,6 @@ def number(value: Any, what: str) -> float:
         if math.isfinite(x):
             return x
     raise ValidationError(f"{what} must be a finite number, got {value!r}")
-
-
-def count(value: Any, what: str, floor: int = 0) -> int:
-    """An integer in [floor, MAX_COUNT]; bool is not an integer here."""
-    if (
-        isinstance(value, bool)
-        or not isinstance(value, int)
-        or not floor <= value <= MAX_COUNT
-    ):
-        raise ValidationError(
-            f"{what} must be an integer in [{floor}, {MAX_COUNT}], got {value!r}"
-        )
-    return value
 
 
 def format_float(x: float) -> str:

@@ -7,6 +7,8 @@ from thermogeom.errors import NearSingularError, ValidationError
 from thermogeom.geometry import (
     FDScheme,
     MetricTensor,
+    _quadratic_form_derivatives,
+    _second_divided_differences,
     bw_distance,
     fidelity,
     metric_grid,
@@ -14,7 +16,13 @@ from thermogeom.geometry import (
     state_derivatives,
 )
 from thermogeom.gibbs import ObservableSet, gibbs_batch, gibbs_point
-from thermogeom.linalg import DensityOperator, HermitianOperator, hermitize, sld_solve
+from thermogeom.linalg import (
+    DensityOperator,
+    HermitianOperator,
+    central_difference,
+    hermitize,
+    sld_solve,
+)
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Z = np.diag([1.0, -1.0]).astype(complex)
@@ -34,6 +42,15 @@ def sech(x):
 
 PAULIS = [SIGMA_Z, SIGMA_X, np.array([[0.0, -1.0j], [1.0j, 0.0]])]
 PAULI = ObservableSet([HermitianOperator(a) for a in PAULIS], ["sz", "sx", "sy"])
+# at lam = (0.7, 0, 0), H = 0.7 (z1 + z2) has a doubly degenerate middle
+# eigenvalue that x1 x2 couples
+DEGENERATE_PAIR = ObservableSet(
+    [
+        HermitianOperator(np.kron(SIGMA_Z, np.eye(2)) + np.kron(np.eye(2), SIGMA_Z)),
+        HermitianOperator(np.kron(SIGMA_X, SIGMA_X)),
+        HermitianOperator(np.kron(PAULIS[2], np.eye(2))),
+    ]
+)
 
 
 def fd_state_derivatives(obs, lam, step=5e-4):
@@ -250,3 +267,97 @@ class TestMetricTensor:
     def test_metric_tensor_type_validates(self):
         with pytest.raises(ValidationError):
             MetricTensor(np.array([0.0]), np.array([[1.0, 0.0], [0.0, 1.0]]))
+
+
+def diagonal_batch(energies):
+    """A one-point batch whose exponent has the eigenvalues -energies."""
+    return gibbs_batch(ObservableSet([HermitianOperator(np.diag(energies))]), [[1.0]])
+
+
+class TestSecondDividedDifferences:
+    def test_textbook_quotient_at_separated_points(self):
+        batch = diagonal_batch([3.0, 1.2, 0.0])
+        x, p = batch.x[0], batch.p[0]
+
+        def f1(i, j):
+            return p[i] if i == j else (p[j] - p[i]) / (x[j] - x[i])
+
+        f2 = _second_divided_differences(batch)[0]
+        for a, b, c in np.ndindex(3, 3, 3):
+            lo, mid, hi = sorted((a, b, c))
+            if lo == hi:
+                ref = p[lo] / 2
+            else:
+                ref = (f1(mid, hi) - f1(lo, mid)) / (x[hi] - x[lo])
+            assert f2[a, b, c] == pytest.approx(ref, rel=1e-13)
+
+    def test_degenerate_triples_give_half_the_population(self):
+        batch = diagonal_batch([0.4, 0.4, 0.4])
+        assert np.allclose(_second_divided_differences(batch), batch.p[0, 0] / 2, rtol=1e-15, atol=0)
+
+    @pytest.mark.parametrize("gap", [1e-9, 1e-4, 1e-3 * (1 - 1e-9), 1e-3 * (1 + 1e-9), 1e-2])
+    def test_small_gaps_match_the_series(self, gap):
+        # f2[0, -g, -g] of exp is (1 - (1 + g) e^{-g}) / g^2, exactly
+        # 1/2 - g/3 + g^2/8 - g^3/30 + ...; both sides of the t = 1e-3 switch
+        batch = diagonal_batch([gap, gap, 0.0])
+        f2 = _second_divided_differences(batch)[0]
+        series = 0.5 - gap / 3 + gap**2 / 8 - gap**3 / 30 + gap**4 / 144 - gap**5 / 840
+        assert f2[0, 1, 2] / batch.p[0, 2] == pytest.approx(series, rel=5e-13)
+
+
+def fd_form_gradient(obs, lams, v, step=1e-3):
+    """grad_lam (v^T g v) by order-4 central differences of `metric_grid`."""
+
+    def form(taps):
+        g = metric_grid(obs, taps.reshape(-1, obs.n)).reshape(*taps.shape, obs.n)
+        vb = v[:, None, None, :]
+        return np.einsum("...i,...ij,...j->...", vb, g, vb)
+
+    return central_difference(form, lams, step, 4)
+
+
+class TestQuadraticFormDerivatives:
+    @pytest.mark.parametrize(
+        "obs, lam",
+        [
+            (PAULI, [0.0, 0.0, 0.0]),
+            (PAULI, [0.5e-9, 0.0, 0.0]),
+            (PAULI, [0.5e-6, 0.0, 0.0]),
+            (PAULI, [0.5e-3, 0.0, 0.0]),
+            (PAULI, [8.0, 0.0, 0.0]),
+            (PAULI, [0.3, -0.8, 0.2]),
+            (DEGENERATE_PAIR, [0.7, 0.0, 0.0]),
+            (DEGENERATE_PAIR, [0.7, 1e-7, 0.0]),
+            (DEGENERATE_PAIR, [0.0, 0.0, 0.0]),
+        ],
+        ids=["bloch-0", "gap-1e-9", "gap-1e-6", "gap-1e-3", "8sz", "bloch",
+             "degenerate", "near-degenerate", "two-qubit-0"],
+    )
+    def test_matches_differenced_metric(self, obs, lam):
+        # at lam = 0 the gradient vanishes, so the error is measured against
+        # the size of the form v^T g v as well as the gradient's own
+        lams = np.array([lam])
+        v = np.random.default_rng(3).normal(size=(1, obs.n))
+        gv, c = _quadratic_form_derivatives(obs, lams, v)
+        g = metric_grid(obs, lams)
+        assert np.abs(gv - np.einsum("pij,pj->pi", g, v)).max() <= 1e-14 * np.abs(gv).max()
+        ref = fd_form_gradient(obs, lams, v)
+        scale = max(np.abs(ref).max(), float(np.einsum("pi,pi->", gv, v)))
+        assert np.abs(c - ref).max() <= 1e-9 * scale
+
+    def test_random_non_commuting_block(self):
+        rng = np.random.default_rng(11)
+        a = rng.normal(size=(3, 4, 4)) + 1j * rng.normal(size=(3, 4, 4))
+        obs = ObservableSet([HermitianOperator(hermitize(x)) for x in a])
+        lams, v = rng.uniform(-0.5, 0.5, size=(5, 3)), rng.normal(size=(5, 3))
+        _, c = _quadratic_form_derivatives(obs, lams, v)
+        ref = fd_form_gradient(obs, lams, v)
+        assert np.abs(c - ref).max() <= 1e-9 * np.abs(ref).max()
+
+    def test_floor_raises_like_metric_grid(self):
+        lams = np.array([[0.0], [18.0]])
+        with pytest.raises(NearSingularError) as from_grid:
+            metric_grid(QUBIT, lams)
+        with pytest.raises(NearSingularError) as from_form:
+            _quadratic_form_derivatives(QUBIT, lams, np.ones((2, 1)))
+        assert str(from_form.value) == str(from_grid.value)

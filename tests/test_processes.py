@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from thermogeom.errors import ValidationError
-from thermogeom.geometry import metric_grid
-from thermogeom.gibbs import ObservableSet
+from thermogeom.errors import NearSingularError, ValidationError
+from thermogeom.geometry import fidelity, metric_grid
+from thermogeom.gibbs import ObservableSet, gibbs_point
 from thermogeom.linalg import HermitianOperator
 from thermogeom.processes import (
+    MAX_COUNT,
     GeodesicProblem,
     ParamPath,
     _energy_gradient,
@@ -34,6 +35,30 @@ TWO_QUBIT = ObservableSet(
     ["z1", "z2"],
 )
 RNG = np.random.default_rng(777)
+
+
+def gell_mann():
+    """The eight Gell-Mann matrices: a non-commuting basis of traceless qutrit observables."""
+    mats = []
+    for j in range(3):
+        for k in range(j + 1, 3):
+            sym = np.zeros((3, 3), dtype=complex)
+            sym[j, k] = sym[k, j] = 1.0
+            anti = np.zeros((3, 3), dtype=complex)
+            anti[j, k], anti[k, j] = -1j, 1j
+            mats += [sym, anti]
+    mats.append(np.diag([1.0, -1.0, 0.0]).astype(complex))
+    mats.append(np.diag([1.0, 1.0, -2.0]).astype(complex) / math.sqrt(3.0))
+    return ObservableSet([HermitianOperator(a) for a in mats])
+
+
+GELL_MANN = gell_mann()
+
+
+def random_family(m, n, seed):
+    rng = np.random.default_rng(seed)
+    mats = rng.normal(size=(n, m, m)) + 1j * rng.normal(size=(n, m, m))
+    return ObservableSet([HermitianOperator((a + a.conj().T) / 2) for a in mats])
 
 
 def gudermannian(x):
@@ -149,6 +174,11 @@ class TestEntropyProduction:
         with pytest.raises(ValidationError):
             entropy_production(QUBIT, path, kappa=0.0)
 
+    def test_bool_kappa_is_rejected(self):
+        path = straight_path([0.0], [1.0], steps=16)
+        with pytest.raises(ValidationError, match="kappa"):
+            entropy_production(QUBIT, path, kappa=True)
+
 
 class TestGeodesic:
     def test_one_dimensional_image_is_the_interval(self):
@@ -226,6 +256,51 @@ class TestGeodesic:
         with pytest.raises(ValidationError, match=field):
             GeodesicProblem([0.0], [1.0], **{field: value})
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("interior_points", 15.5),
+            ("interior_points", 2**40),
+            ("interior_points", MAX_COUNT + 1),
+            ("max_iters", 2.5),
+            ("max_iters", True),
+            ("max_iters", 0),
+        ],
+    )
+    def test_problem_counts_are_capped_python_ints(self, field, value):
+        with pytest.raises(ValidationError, match=field):
+            GeodesicProblem([0.0], [1.0], **{field: value})
+
+    def test_problem_accepts_the_count_cap(self):
+        problem = GeodesicProblem([0.0], [1.0], interior_points=MAX_COUNT, max_iters=MAX_COUNT)
+        assert problem.interior_points == problem.max_iters == MAX_COUNT
+
+    @pytest.mark.parametrize(
+        "family, start, end, segments",
+        [
+            (PAULI, [0.3, -0.8, 0.2], [-1.2, 0.5, 0.9], 16),
+            (PAULI, [0.3, -0.8, 0.2], [-1.2, 0.5, 0.9], 32),
+            (GELL_MANN, [0.2, -0.3, 0.1, 0.0, 0.3, 0.1, -0.2, 0.4],
+             [-0.3, 0.1, 0.2, -0.4, 0.0, 0.3, 0.3, -0.2], 16),
+        ],
+        ids=["bloch-K16", "bloch-K32", "gell-mann-K16"],
+    )
+    def test_non_commuting_bures_angle_oracle(self, family, start, end, segments):
+        # the Pauli and Gell-Mann families cover all full-rank qubit and qutrit
+        # states, so the geodesic distance is the Bures angle 2 arccos F
+        problem = GeodesicProblem(
+            start, end, interior_points=segments - 1, max_iters=2000, tolerance=1e-6
+        )
+        path, report, record = geodesic_between(family, problem)
+        exact = 2.0 * math.acos(
+            fidelity(gibbs_point(family, start).rho, gibbs_point(family, end).rho)
+        )
+        straight = thermo_length(family, straight_path(start, end, steps=segments))
+        assert record.converged
+        assert abs(report.length - exact) <= 0.3 / segments**2
+        assert report.length < straight.length
+        assert segment_speed_profile(family, path.samples, path.duration).mean() >= exact
+
 
 def loop_energy_gradient(obs, samples, dt, fd_step=1e-6):
     """Oracle: perturb each coordinate of each interior node in turn."""
@@ -248,12 +323,66 @@ def loop_energy_gradient(obs, samples, dt, fd_step=1e-6):
 
 
 class TestEnergyGradient:
-    @pytest.mark.parametrize("obs, k", [(QUBIT, 8), (TWO_QUBIT, 16), (PAULI, 9), (PAULI, 32)])
-    def test_equals_the_per_node_loop_bit_for_bit(self, obs, k):
+    @pytest.mark.parametrize(
+        "obs, k",
+        [
+            (QUBIT, 8),
+            (TWO_QUBIT, 16),
+            (PAULI, 9),
+            (PAULI, 32),
+            (random_family(4, 3, 43), 12),
+            (random_family(8, 8, 88), 10),
+        ],
+        ids=["qubit", "two-qubit", "pauli-K9", "pauli-K32", "random-m4n3", "random-m8n8"],
+    )
+    def test_agrees_with_the_finite_difference_loop(self, obs, k):
+        # the loop's own error is O(fd_step^2) truncation plus eps / fd_step roundoff
         samples = np.random.default_rng(k).uniform(-0.8, 0.8, (k + 1, obs.n))
         grad = _energy_gradient(obs, samples, 1.0 / k)
+        reference = loop_energy_gradient(obs, samples, 1.0 / k)
         assert grad.shape == (k - 1, obs.n)
-        assert np.array_equal(grad, loop_energy_gradient(obs, samples, 1.0 / k))
+        assert np.abs(grad - reference).max() <= 1e-8 * np.abs(reference).max()
+
+    def test_raises_what_metric_grid_raises_past_the_floor(self):
+        # at lam = 30 the populations of sz are e^{-60} apart: p_a + p_b < 1e-14
+        samples = np.linspace(0.0, 40.0, 9)[:, None]
+        mids = 0.5 * (samples[:-1] + samples[1:])
+        with pytest.raises(NearSingularError) as from_grid:
+            metric_grid(QUBIT, mids)
+        with pytest.raises(NearSingularError) as from_gradient:
+            _energy_gradient(QUBIT, samples, 1.0 / 8)
+        assert str(from_gradient.value) == str(from_grid.value)
+
+
+class TestObjectiveValidation:
+    @pytest.mark.parametrize("objective", [discrete_path_energy, segment_speed_profile])
+    @pytest.mark.parametrize("duration", [0.0, -1.0, math.nan, math.inf])
+    def test_duration_must_be_finite_and_positive(self, objective, duration):
+        samples = straight_path([0.0], [1.0], steps=8).samples
+        with pytest.raises(ValidationError, match="duration"):
+            objective(QUBIT, samples, duration)
+
+    @pytest.mark.parametrize("objective", [discrete_path_energy, segment_speed_profile])
+    @pytest.mark.parametrize("shape", [(1, 1), (0, 1), (5,)])
+    def test_needs_a_block_of_two_samples(self, objective, shape):
+        with pytest.raises(ValidationError, match="samples"):
+            objective(QUBIT, np.zeros(shape), 1.0)
+
+    def test_two_samples_are_one_segment(self):
+        energy = discrete_path_energy(QUBIT, [[0.0], [1.0]], 2.0)
+        g_mid = metric_grid(QUBIT, [[0.5]])[0, 0, 0]
+        assert energy == pytest.approx(g_mid / 2.0, rel=1e-14)
+
+
+class TestStepCounts:
+    @pytest.mark.parametrize("steps", [2.5, True, 7, MAX_COUNT + 1])
+    def test_straight_path(self, steps):
+        with pytest.raises(ValidationError, match="steps"):
+            straight_path([0.0], [1.0], steps=steps)
+
+    def test_third_law_scan(self):
+        with pytest.raises(ValidationError, match="steps"):
+            third_law_scan(QUBIT, [1.0], [1.0], steps=8.5)
 
 
 class TestThirdLawScan:
