@@ -26,7 +26,7 @@ from .errors import DegenerateMetricError, ValidationError
 from .exprlang import Expr
 from .contact import ThermoPoint
 from .linalg import central_difference
-from .processes import ParamPath
+from .processes import MAX_COUNT, ParamPath, count
 
 __all__ = [
     "ConnectionSpec",
@@ -158,8 +158,9 @@ def rectangle_loop(
 ) -> Loop:
     """Counterclockwise rectangle loop in the (k, l) coordinate plane.
 
-    Corners land on grid nodes (steps is rounded up to a multiple of 4),
-    which keeps the per-segment integrator at full order.
+    Corners land on grid nodes (steps, a positive integer up to MAX_COUNT,
+    is rounded up to a multiple of 4 and to at least MIN_LOOP_STEPS), which
+    keeps the per-segment integrator at full order.
     """
     lo = np.asarray(lo, dtype=float).reshape(-1)
     hi = np.asarray(hi, dtype=float).reshape(-1)
@@ -169,7 +170,7 @@ def rectangle_loop(
         n = max(k, l) + 1
     if k == l or not (0 <= k < n and 0 <= l < n):
         raise ValidationError(f"invalid plane indices ({k}, {l}) for n={n}")
-    steps = max(int(np.ceil(steps / 4.0)) * 4, MIN_LOOP_STEPS)
+    steps = max(int(np.ceil(count(steps, "steps", 1) / 4.0)) * 4, MIN_LOOP_STEPS)
     quarter = steps // 4
     corners = [
         (lo[0], lo[1]),
@@ -292,7 +293,8 @@ def holonomy_via_curvature(
     Composite 2-D trapezoid on an (N_k+1) x (N_l+1) grid, whose nodes go
     to `curvature` as one batch; matches the lift holonomy of the
     counterclockwise boundary loop by Stokes.  The plane (k, l) must be
-    two distinct indices in [0, n).
+    two distinct indices in [0, n), and grid two positive integers whose
+    product, the number of cells, is at most MAX_COUNT.
     """
     if spec.n < 2:
         raise ValidationError("surface holonomy needs at least two parameters")
@@ -302,9 +304,11 @@ def holonomy_via_curvature(
     hi = np.asarray(hi, dtype=float).reshape(-1)
     if lo.shape != (2,) or hi.shape != (2,):
         raise ValidationError("lo and hi must be 2-vectors in the (k, l) plane")
-    n_k, n_l = int(grid[0]), int(grid[1])
-    if n_k < 1 or n_l < 1:
-        raise ValidationError("grid must have at least one cell per direction")
+    if not isinstance(grid, (tuple, list)) or len(grid) != 2:
+        raise ValidationError(f"grid must be (N_k, N_l), got {grid!r}")
+    n_k, n_l = (count(v, "grid", 1) for v in grid)
+    if n_k * n_l > MAX_COUNT:
+        raise ValidationError(f"grid {[n_k, n_l]} spans more than {MAX_COUNT} cells")
     center = np.zeros(spec.n) if base is None else np.asarray(base, dtype=float).reshape(-1)
     if center.size != spec.n:
         raise ValidationError(f"base point must have {spec.n} components")

@@ -1,11 +1,14 @@
 """Parameter-space paths: length, entropy production, geodesics, scans.
 
-Paths are piecewise linear on a uniform time grid; velocities come from
-central differences (one-sided at the ends) and integrals from the
-composite trapezoid rule, so refinement is by raising the sample count.
-Geodesics minimize the discrete path energy with fixed endpoints, which
-makes minimizers constant-speed; its gradient is exact, from the first
-derivatives of the metric at the segment midpoints in closed form.
+Paths are piecewise linear on a uniform time grid.  `thermo_length` and
+`entropy_production` take velocities from central differences (one-sided
+at the ends) and integrate with the composite trapezoid rule, so
+refinement is by raising the sample count.  Geodesics minimize the
+midpoint-rule path energy with fixed endpoints, which makes minimizers
+constant-speed; one batch at the segment midpoints gives the segment
+energies and the exact energy gradient (the metric's first derivatives in
+closed form), and the geodesic's reported length and energy are that same
+midpoint rule.
 """
 
 from __future__ import annotations
@@ -109,7 +112,10 @@ def straight_path(
 
 @dataclass(frozen=True)
 class LengthReport:
-    """Length and energy of a path with per-segment trapezoid contributions."""
+    """Length and energy of a path with per-segment contributions that sum to them.
+
+    `thermo_length` uses the node trapezoid, `geodesic_between` the midpoint rule.
+    """
 
     length: float
     energy: float
@@ -203,14 +209,6 @@ class ConvergenceRecord:
     energy_final: float
 
 
-def _segment_energies(obs: ObservableSet, samples: np.ndarray, dt: float) -> np.ndarray:
-    """Midpoint-rule energy of each segment: (dl^T g(mid) dl) / dt."""
-    mids = 0.5 * (samples[:-1] + samples[1:])
-    deltas = samples[1:] - samples[:-1]
-    g = metric_grid(obs, mids)
-    return np.einsum("ki,kij,kj->k", deltas, g, deltas) / dt
-
-
 def _objective_grid(samples, duration) -> tuple[np.ndarray, float]:
     """Samples as a float array of at least 2 rows, and the time step."""
     _check_duration(duration)
@@ -220,10 +218,28 @@ def _objective_grid(samples, duration) -> tuple[np.ndarray, float]:
     return samples, duration / (samples.shape[0] - 1)
 
 
+def _midpoint_terms(
+    obs: ObservableSet, samples: np.ndarray, dt: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Segment energies and the interior energy gradient from one midpoint batch.
+
+    With dl_s the s-th step, gv_s = g(m_s) dl_s and c_s = grad_lam (dl_s^T g dl_s)
+    at its midpoint m_s, the midpoint-rule segment energy is e_s = dl_s . gv_s / dt,
+    and node j, which ends segment j-1 and starts segment j, has
+    dE/dx_j = [2 gv_{j-1} + c_{j-1} / 2 - 2 gv_j + c_j / 2] / dt.
+    Returns e, shape (K,), and the gradient, shape (K-1, n).
+    """
+    mids = 0.5 * (samples[:-1] + samples[1:])
+    deltas = samples[1:] - samples[:-1]
+    gv, c = _quadratic_form_derivatives(obs, mids, deltas)
+    energies = np.einsum("ki,ki->k", deltas, gv) / dt
+    return energies, (2.0 * (gv[:-1] - gv[1:]) + 0.5 * (c[:-1] + c[1:])) / dt
+
+
 def discrete_path_energy(obs: ObservableSet, samples: np.ndarray, duration: float) -> float:
     """The geodesic objective: sum of midpoint-rule segment energies."""
     samples, dt = _objective_grid(samples, duration)
-    return float(_segment_energies(obs, samples, dt).sum())
+    return float(_midpoint_terms(obs, samples, dt)[0].sum())
 
 
 def segment_speed_profile(
@@ -231,21 +247,7 @@ def segment_speed_profile(
 ) -> np.ndarray:
     """Per-segment metric speeds |dl|_g / dt in the geodesic discretization."""
     samples, dt = _objective_grid(samples, duration)
-    return np.sqrt(np.clip(_segment_energies(obs, samples, dt), 0.0, None) / dt)
-
-
-def _energy_gradient(obs: ObservableSet, samples: np.ndarray, dt: float) -> np.ndarray:
-    """Gradient of the discrete energy w.r.t. the interior samples, in closed form.
-
-    Node j ends segment j-1 and starts segment j.  With gv_s = g(m_s) dl_s
-    and c_s = grad_lam (dl_s^T g dl_s) at the midpoint m_s, both from one
-    batched evaluation at the K midpoints,
-    dE/dx_j = [2 gv_{j-1} + c_{j-1} / 2 - 2 gv_j + c_j / 2] / dt.
-    """
-    mids = 0.5 * (samples[:-1] + samples[1:])
-    deltas = samples[1:] - samples[:-1]
-    gv, c = _quadratic_form_derivatives(obs, mids, deltas)
-    return (2.0 * (gv[:-1] - gv[1:]) + 0.5 * (c[:-1] + c[1:])) / dt
+    return np.sqrt(np.clip(_midpoint_terms(obs, samples, dt)[0], 0.0, None) / dt)
 
 
 def geodesic_between(
@@ -253,32 +255,34 @@ def geodesic_between(
 ) -> tuple[ParamPath, LengthReport, ConvergenceRecord]:
     """Minimize the discrete path energy by gradient descent with backtracking.
 
-    Endpoints stay fixed; the straight line seeds the search.  Descent is
-    monotone, so the returned energy never exceeds the straight-line
-    energy, and at convergence the speed profile is constant up to the
-    discretization.  Non-convergence is flagged in the record, never
-    raised; the best iterate is still returned.
+    Endpoints stay fixed; the straight line seeds the search.  Each energy
+    evaluation (the start and every line-search trial) is one
+    `_midpoint_terms` batch, and an accepted trial's gradient drives the
+    next step.  Descent is monotone, so the returned energy never exceeds
+    the straight-line energy, and at convergence the speed profile is
+    constant up to the discretization.  The report is the midpoint rule the
+    solver minimized: its energy is `energy_final` and its length sums
+    |dl_s|_g.  Non-convergence is flagged in the record, never raised; the
+    best iterate is still returned.
     """
     k_total = problem.interior_points + 1
     dt = problem.duration / k_total
     samples = straight_path(
         problem.start, problem.end, steps=k_total, duration=problem.duration
-    ).samples.copy()
-    energy = float(_segment_energies(obs, samples, dt).sum())
-    energy_initial = energy
-    best_samples = samples.copy()
-    best_energy = energy
+    ).samples
+    segments, grad = _midpoint_terms(obs, samples, dt)
+    energy = energy_initial = float(segments.sum())
+    best = (energy, samples, segments)
     # Barzilai-Borwein step with a nonmonotone (Grippo) Armijo safeguard;
-    # the best iterate is tracked so the returned energy is monotone vs init
+    # the best iterate is tracked so the returned energy is monotone vs init.
+    # Iterates are replaced, never written to, so none is copied.
     recent = [energy]
     step = 1.0
     grad_norm = float("inf")
     iterations = 0
     converged = False
-    prev_x = None
-    prev_g = None
+    prev_x = prev_g = None
     for iterations in range(1, problem.max_iters + 1):
-        grad = _energy_gradient(obs, samples, dt)
         grad_norm = float(np.abs(grad).max())
         if grad_norm < problem.tolerance:
             converged = True
@@ -291,43 +295,36 @@ def geodesic_between(
             sy = float(s @ y)
             if sy > 0.0:
                 step = float(np.clip((s @ s) / sy, 1e-10, 1e4))
-        prev_x = x.copy()
-        prev_g = grad.copy()
+        prev_x, prev_g = x, grad
         g_sq = float((grad * grad).sum())
         reference = max(recent)
-        accepted = False
         t = step
         for _ in range(60):
-            trial = samples.copy()
-            trial[1:-1] = x - t * grad
-            trial_energy = float(_segment_energies(obs, trial, dt).sum())
+            trial = np.concatenate((samples[:1], x - t * grad, samples[-1:]))
+            trial_segments, trial_grad = _midpoint_terms(obs, trial, dt)
+            trial_energy = float(trial_segments.sum())
             if trial_energy <= reference - 1e-4 * t * g_sq:
-                samples = trial
-                energy = trial_energy
-                accepted = True
                 break
             t *= 0.5
-        if not accepted:
+        else:
             break
-        if energy < best_energy:
-            best_energy = energy
-            best_samples = samples.copy()
+        samples, segments, grad, energy = trial, trial_segments, trial_grad, trial_energy
+        if energy < best[0]:
+            best = (energy, samples, segments)
         recent.append(energy)
         if len(recent) > 10:
             recent.pop(0)
-    if not converged and energy > best_energy:
-        samples = best_samples
-        energy = best_energy
-    path = ParamPath(problem.duration, samples)
-    report = thermo_length(obs, path)
-    record = ConvergenceRecord(
-        iterations=iterations,
-        grad_norm=grad_norm,
-        converged=converged,
-        energy_initial=energy_initial,
-        energy_final=energy,
+    if not converged and energy > best[0]:
+        energy, samples, segments = best
+    segment_lengths = np.sqrt(np.clip(segments, 0.0, None) * dt)
+    report = LengthReport(
+        length=float(segment_lengths.sum()),
+        energy=energy,
+        segment_lengths=segment_lengths,
+        segment_energies=segments,
     )
-    return path, report, record
+    record = ConvergenceRecord(iterations, grad_norm, converged, energy_initial, energy)
+    return ParamPath(problem.duration, samples), report, record
 
 
 def _unit_direction(direction, n: int) -> np.ndarray:

@@ -260,6 +260,26 @@ class TestPlaneValidation:
             holonomy_via_curvature(spec2(h=("0", "l1")), [0, 0], [1, 1], k, l, grid=(4, 4))
 
 
+class TestCountArguments:
+    # sizes past the cap are ones numpy would refuse to allocate at once
+    @pytest.mark.parametrize(
+        "grid",
+        [(2.9, True), (math.nan, 4), (0, 4), (4, 4, 4), 4, (2**22, 2**22), (2**20, 2**20)],
+    )
+    def test_curvature_integral_grid(self, grid):
+        with pytest.raises(ValidationError, match="grid"):
+            holonomy_via_curvature(spec2(h=("0", "l1")), [0, 0], [1, 1], grid=grid)
+
+    @pytest.mark.parametrize("steps", [True, 2.5, math.nan, 0, 2**40])
+    def test_rectangle_loop_steps(self, steps):
+        with pytest.raises(ValidationError, match="steps"):
+            rectangle_loop([0.0, 0.0], [1.0, 1.0], steps=steps)
+
+    def test_rectangle_loop_rounds_small_counts_up(self):
+        assert rectangle_loop([0.0, 0.0], [1.0, 1.0], steps=1).path.steps == 16
+        assert rectangle_loop([0.0, 0.0], [1.0, 1.0], steps=33).path.steps == 36
+
+
 # a curved n = 3 spec: R_kl is nonzero and varies in every plane
 CURVED3 = ConnectionSpec.parsed(
     "1+0.3*l1^2+0.2*exp(sin(l2))",

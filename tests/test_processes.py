@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from thermogeom import geometry, processes
 from thermogeom.errors import NearSingularError, ValidationError
 from thermogeom.geometry import fidelity, metric_grid
 from thermogeom.gibbs import ObservableSet, gibbs_point
@@ -11,7 +12,7 @@ from thermogeom.processes import (
     MAX_COUNT,
     GeodesicProblem,
     ParamPath,
-    _energy_gradient,
+    _midpoint_terms,
     boundary_entropy_limit,
     discrete_path_energy,
     entropy_production,
@@ -27,6 +28,7 @@ SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1j], [1j, 0.0]])
 QUBIT = ObservableSet([HermitianOperator(SIGMA_Z)], ["sz"])
 PAULI = ObservableSet([HermitianOperator(s) for s in (SIGMA_Z, SIGMA_X, SIGMA_Y)])
+PAULI_ZX = ObservableSet([HermitianOperator(s) for s in (SIGMA_Z, SIGMA_X)])
 TWO_QUBIT = ObservableSet(
     [
         HermitianOperator(np.kron(SIGMA_Z, np.eye(2))),
@@ -188,8 +190,7 @@ class TestGeodesic:
         path, report, _ = geodesic_between(QUBIT, problem)
         assert path.samples.min() >= -1e-9
         assert path.samples.max() <= 1.0 + 1e-9
-        straight = thermo_length(QUBIT, straight_path([0.0], [1.0], steps=128))
-        assert abs(report.length - straight.length) < 1e-6
+        assert abs(report.length - gudermannian(1.0)) <= 1.5e-6
 
     def test_coincident_endpoints(self):
         problem = GeodesicProblem(
@@ -297,9 +298,41 @@ class TestGeodesic:
         )
         straight = thermo_length(family, straight_path(start, end, steps=segments))
         assert record.converged
-        assert abs(report.length - exact) <= 0.3 / segments**2
+        # the midpoint-rule length of a path can never undercut the distance
+        assert 0.0 <= report.length - exact <= 0.15 / segments**2
         assert report.length < straight.length
         assert segment_speed_profile(family, path.samples, path.duration).mean() >= exact
+        assert report.energy == record.energy_final
+        assert report.segment_lengths.sum() == pytest.approx(report.length, rel=1e-12)
+        assert report.segment_energies.sum() == pytest.approx(report.energy, rel=1e-12)
+
+    def test_one_decomposition_per_energy_evaluation(self, monkeypatch):
+        # the start and every line-search trial each decompose their K
+        # midpoints once; nothing else (no repeat for the gradient, no
+        # trailing node-grid report) reaches gibbs_batch
+        blocks, evaluations = [], []
+        gibbs_batch = geometry.gibbs_batch
+        midpoint_terms = processes._midpoint_terms
+
+        def record_batch(obs, lams):
+            blocks.append(np.array(lams, dtype=float))
+            return gibbs_batch(obs, lams)
+
+        def record_evaluation(obs, samples, dt):
+            evaluations.append(samples)
+            return midpoint_terms(obs, samples, dt)
+
+        monkeypatch.setattr(geometry, "gibbs_batch", record_batch)
+        monkeypatch.setattr(processes, "_midpoint_terms", record_evaluation)
+        problem = GeodesicProblem(
+            [0.16, 0.0], [-0.07, 0.24], interior_points=15, max_iters=2000, tolerance=3e-4
+        )
+        _, _, record = geodesic_between(PAULI_ZX, problem)
+        assert record.converged and record.iterations > 1
+        assert len(blocks) == len(evaluations) > record.iterations
+        assert all(block.shape == (16, 2) for block in blocks)
+        distinct = {block.tobytes() for block in blocks}
+        assert len(distinct) == len(blocks)
 
 
 def loop_energy_gradient(obs, samples, dt, fd_step=1e-6):
@@ -338,7 +371,7 @@ class TestEnergyGradient:
     def test_agrees_with_the_finite_difference_loop(self, obs, k):
         # the loop's own error is O(fd_step^2) truncation plus eps / fd_step roundoff
         samples = np.random.default_rng(k).uniform(-0.8, 0.8, (k + 1, obs.n))
-        grad = _energy_gradient(obs, samples, 1.0 / k)
+        _, grad = _midpoint_terms(obs, samples, 1.0 / k)
         reference = loop_energy_gradient(obs, samples, 1.0 / k)
         assert grad.shape == (k - 1, obs.n)
         assert np.abs(grad - reference).max() <= 1e-8 * np.abs(reference).max()
@@ -350,7 +383,7 @@ class TestEnergyGradient:
         with pytest.raises(NearSingularError) as from_grid:
             metric_grid(QUBIT, mids)
         with pytest.raises(NearSingularError) as from_gradient:
-            _energy_gradient(QUBIT, samples, 1.0 / 8)
+            _midpoint_terms(QUBIT, samples, 1.0 / 8)
         assert str(from_gradient.value) == str(from_grid.value)
 
 
