@@ -237,12 +237,16 @@ def metric_grid(obs: ObservableSet, lams) -> np.ndarray:
     lams = np.atleast_2d(np.asarray(lams, dtype=float))
     if lams.shape[0] == 0:
         return np.empty((0, obs.n, obs.n))
-    _, denom, a_tilde, f1 = _sld_frame(obs, lams)
+    return _metric_from_frame(*_sld_frame(obs, lams)[1:])
+
+
+def _metric_from_frame(denom: np.ndarray, a_tilde: np.ndarray, f1: np.ndarray) -> np.ndarray:
+    """The (P, n, n) metric from an SLD frame; overwrites a_tilde."""
     # d_i rho * sqrt(2 / (p_a + p_b)), built in At's buffer: no (P, n, m, m) copies
     f = np.negative(a_tilde, out=a_tilde)
     f *= f1[:, None]
     f *= np.sqrt(2.0 / denom)[:, None]
-    f = f.reshape(lams.shape[0], obs.n, -1)
+    f = f.reshape(f.shape[0], f.shape[1], -1)
     g = (f @ f.conj().swapaxes(1, 2)).real
     return (g + g.swapaxes(1, 2)) / 2
 
@@ -250,7 +254,7 @@ def metric_grid(obs: ObservableSet, lams) -> np.ndarray:
 def _quadratic_form_derivatives(
     obs: ObservableSet, lams: np.ndarray, v: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """g(lam) v and c = grad_lam (v^T g(lam) v) at (P, n) blocks, each (P, n).
+    """`metric_grid`'s g(lam), (P, n, n), and c = grad_lam (v^T g(lam) v), (P, n).
 
     With rho_v = sum_i v_i d_i rho and its SLD L_v = 2 rho_v / (p_a + p_b),
     v^T g v = tr(rho_v L_v) and, differentiating the Lyapunov equation,
@@ -265,8 +269,7 @@ def _quadratic_form_derivatives(
     batch, denom, a_tilde, f1 = _sld_frame(obs, lams)
     a_v = np.einsum("pi,piab->pab", v, a_tilde)
     sld = -2.0 * a_v * f1 / denom
-    gv = -np.einsum("piab,pab,pba->pi", a_tilde, f1, sld).real
     n_ac = np.einsum("pab,pbc,pabc->pac", sld, a_v, _second_divided_differences(batch))
     w = 4.0 * n_ac.swapaxes(1, 2) + f1 * (sld @ sld).swapaxes(1, 2)
     c = np.einsum("piab,pab->pi", a_tilde, w).real
-    return gv, c
+    return _metric_from_frame(denom, a_tilde, f1), c

@@ -5,10 +5,11 @@ Paths are piecewise linear on a uniform time grid.  `thermo_length` and
 at the ends) and integrate with the composite trapezoid rule, so
 refinement is by raising the sample count.  Geodesics minimize the
 midpoint-rule path energy with fixed endpoints, which makes minimizers
-constant-speed; one batch at the segment midpoints gives the segment
-energies and the exact energy gradient (the metric's first derivatives in
-closed form), and the geodesic's reported length and energy are that same
-midpoint rule.
+constant-speed.  One batch at the segment midpoints gives the segment
+energies, the exact energy gradient (the metric's first derivatives in
+closed form) and the metrics of a Sobolev (H^1) descent step, whose
+iteration count does not grow with the segment count; the geodesic's
+reported length and energy are that same midpoint rule.
 """
 
 from __future__ import annotations
@@ -209,113 +210,109 @@ class ConvergenceRecord:
     energy_final: float
 
 
-def _objective_grid(samples, duration) -> tuple[np.ndarray, float]:
-    """Samples as a float array of at least 2 rows, and the time step."""
+def _midpoint_terms(
+    obs: ObservableSet, samples: np.ndarray, dt: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Segment energies, the interior energy gradient and the metrics of one midpoint batch.
+
+    With dl_s the s-th step, g_s the metric and c_s = grad_lam (dl_s^T g dl_s)
+    at its midpoint m_s, and gv_s = g_s dl_s, the midpoint-rule segment energy
+    is e_s = dl_s . gv_s / dt, and node j, which ends segment j-1 and starts
+    segment j, has dE/dx_j = [2 gv_{j-1} + c_{j-1} / 2 - 2 gv_j + c_j / 2] / dt.
+    Returns e, shape (K,), the gradient, shape (K-1, n), and g, shape (K, n, n).
+    """
+    mids = 0.5 * (samples[:-1] + samples[1:])
+    deltas = samples[1:] - samples[:-1]
+    g, c = _quadratic_form_derivatives(obs, mids, deltas)
+    gv = np.einsum("kij,kj->ki", g, deltas)
+    energies = np.einsum("ki,ki->k", deltas, gv) / dt
+    return energies, (2.0 * (gv[:-1] - gv[1:]) + 0.5 * (c[:-1] + c[1:])) / dt, g
+
+
+def _segment_energies(obs: ObservableSet, samples, duration) -> tuple[np.ndarray, float]:
+    """The e_s of `_midpoint_terms` from `metric_grid` at the midpoints, and dt."""
     _check_duration(duration)
     samples = np.asarray(samples, dtype=float)
     if samples.ndim != 2 or samples.shape[0] < 2:
         raise ValidationError(f"need a 2-D block of at least 2 samples, got shape {samples.shape}")
-    return samples, duration / (samples.shape[0] - 1)
-
-
-def _midpoint_terms(
-    obs: ObservableSet, samples: np.ndarray, dt: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Segment energies and the interior energy gradient from one midpoint batch.
-
-    With dl_s the s-th step, gv_s = g(m_s) dl_s and c_s = grad_lam (dl_s^T g dl_s)
-    at its midpoint m_s, the midpoint-rule segment energy is e_s = dl_s . gv_s / dt,
-    and node j, which ends segment j-1 and starts segment j, has
-    dE/dx_j = [2 gv_{j-1} + c_{j-1} / 2 - 2 gv_j + c_j / 2] / dt.
-    Returns e, shape (K,), and the gradient, shape (K-1, n).
-    """
-    mids = 0.5 * (samples[:-1] + samples[1:])
+    dt = duration / (samples.shape[0] - 1)
     deltas = samples[1:] - samples[:-1]
-    gv, c = _quadratic_form_derivatives(obs, mids, deltas)
-    energies = np.einsum("ki,ki->k", deltas, gv) / dt
-    return energies, (2.0 * (gv[:-1] - gv[1:]) + 0.5 * (c[:-1] + c[1:])) / dt
+    gv = np.einsum("kij,kj->ki", metric_grid(obs, 0.5 * (samples[:-1] + samples[1:])), deltas)
+    return np.einsum("ki,ki->k", deltas, gv) / dt, dt
 
 
 def discrete_path_energy(obs: ObservableSet, samples: np.ndarray, duration: float) -> float:
     """The geodesic objective: sum of midpoint-rule segment energies."""
-    samples, dt = _objective_grid(samples, duration)
-    return float(_midpoint_terms(obs, samples, dt)[0].sum())
+    return float(_segment_energies(obs, samples, duration)[0].sum())
 
 
 def segment_speed_profile(
     obs: ObservableSet, samples: np.ndarray, duration: float
 ) -> np.ndarray:
     """Per-segment metric speeds |dl|_g / dt in the geodesic discretization."""
-    samples, dt = _objective_grid(samples, duration)
-    return np.sqrt(np.clip(_midpoint_terms(obs, samples, dt)[0], 0.0, None) / dt)
+    energies, dt = _segment_energies(obs, samples, duration)
+    return np.sqrt(np.clip(energies, 0.0, None) / dt)
+
+
+def _sobolev_direction(g: np.ndarray, grad: np.ndarray, dt: float) -> np.ndarray:
+    """The metric-weighted H^1 gradient d, shape (K-1, n), solving H d = grad.
+
+    H = (2 / dt) tridiag(-g_{j-1}, g_{j-1} + g_j, -g_j) is the Gauss-Newton
+    Hessian of the midpoint energy, with d_0 = d_K = 0 (Neuberger, Sobolev
+    Gradients and Differential Equations, LNM 1670).  The flux
+    q_s = g_s (d_{s+1} - d_s) is C - F_s, F_s = (dt / 2) sum_{j<=s} grad_j;
+    d_K = 0 fixes C = (sum g_s^+)^+ sum g_s^+ F_s, and d sums g_s^+ q_s.
+    Pseudo-inverses keep a redundant observable set (g singular) solvable.
+    """
+    g_inv = np.linalg.pinv(g, rcond=1e-12, hermitian=True)
+    f = np.concatenate((np.zeros_like(grad[:1]), np.cumsum(0.5 * dt * grad, axis=0)))
+    weighted = np.einsum("sij,sj->i", g_inv, f)
+    c = np.linalg.pinv(g_inv.sum(axis=0), rcond=1e-12, hermitian=True) @ weighted
+    return np.cumsum(np.einsum("sij,sj->si", g_inv[:-1], c - f[:-1]), axis=0)
 
 
 def geodesic_between(
     obs: ObservableSet, problem: GeodesicProblem
 ) -> tuple[ParamPath, LengthReport, ConvergenceRecord]:
-    """Minimize the discrete path energy by gradient descent with backtracking.
+    """Minimize the discrete path energy by metric-weighted Sobolev descent.
 
-    Endpoints stay fixed; the straight line seeds the search.  Each energy
-    evaluation (the start and every line-search trial) is one
-    `_midpoint_terms` batch, and an accepted trial's gradient drives the
-    next step.  Descent is monotone, so the returned energy never exceeds
-    the straight-line energy, and at convergence the speed profile is
-    constant up to the discretization.  The report is the midpoint rule the
+    Endpoints stay fixed; the straight line seeds the search.  Each step is
+    `_sobolev_direction`'s closed-form H^1 gradient, backtracked (monotone
+    Armijo) from the full step, so the iteration count hardly moves with K.
+    The start and every trial are one `_midpoint_terms` batch each; an
+    accepted trial's gradient and metrics drive the next step.  Converged
+    means max |dE/dx| < tolerance.  The report is the midpoint rule the
     solver minimized: its energy is `energy_final` and its length sums
     |dl_s|_g.  Non-convergence is flagged in the record, never raised; the
-    best iterate is still returned.
+    last iterate, which is also the best, is still returned.
     """
     k_total = problem.interior_points + 1
     dt = problem.duration / k_total
     samples = straight_path(
         problem.start, problem.end, steps=k_total, duration=problem.duration
     ).samples
-    segments, grad = _midpoint_terms(obs, samples, dt)
+    segments, grad, g = _midpoint_terms(obs, samples, dt)
     energy = energy_initial = float(segments.sum())
-    best = (energy, samples, segments)
-    # Barzilai-Borwein step with a nonmonotone (Grippo) Armijo safeguard;
-    # the best iterate is tracked so the returned energy is monotone vs init.
-    # Iterates are replaced, never written to, so none is copied.
-    recent = [energy]
-    step = 1.0
-    grad_norm = float("inf")
-    iterations = 0
     converged = False
-    prev_x = prev_g = None
     for iterations in range(1, problem.max_iters + 1):
         grad_norm = float(np.abs(grad).max())
         if grad_norm < problem.tolerance:
             converged = True
             iterations -= 1
             break
-        x = samples[1:-1]
-        if prev_x is not None:
-            s = (x - prev_x).ravel()
-            y = (grad - prev_g).ravel()
-            sy = float(s @ y)
-            if sy > 0.0:
-                step = float(np.clip((s @ s) / sy, 1e-10, 1e4))
-        prev_x, prev_g = x, grad
-        g_sq = float((grad * grad).sum())
-        reference = max(recent)
-        t = step
+        direction = _sobolev_direction(g, grad, dt)
+        slope = float((grad * direction).sum())
+        t = 1.0
         for _ in range(60):
-            trial = np.concatenate((samples[:1], x - t * grad, samples[-1:]))
-            trial_segments, trial_grad = _midpoint_terms(obs, trial, dt)
-            trial_energy = float(trial_segments.sum())
-            if trial_energy <= reference - 1e-4 * t * g_sq:
+            trial = np.concatenate((samples[:1], samples[1:-1] - t * direction, samples[-1:]))
+            trial_terms = _midpoint_terms(obs, trial, dt)
+            trial_energy = float(trial_terms[0].sum())
+            if trial_energy <= energy - 1e-4 * t * slope:
                 break
             t *= 0.5
         else:
             break
-        samples, segments, grad, energy = trial, trial_segments, trial_grad, trial_energy
-        if energy < best[0]:
-            best = (energy, samples, segments)
-        recent.append(energy)
-        if len(recent) > 10:
-            recent.pop(0)
-    if not converged and energy > best[0]:
-        energy, samples, segments = best
+        samples, energy, (segments, grad, g) = trial, trial_energy, trial_terms
     segment_lengths = np.sqrt(np.clip(segments, 0.0, None) * dt)
     report = LengthReport(
         length=float(segment_lengths.sum()),

@@ -187,10 +187,38 @@ class TestGeodesic:
         problem = GeodesicProblem(
             [0.0], [1.0], interior_points=127, max_iters=300, tolerance=1e-5
         )
-        path, report, _ = geodesic_between(QUBIT, problem)
+        path, report, record = geodesic_between(QUBIT, problem)
+        assert record.converged
         assert path.samples.min() >= -1e-9
         assert path.samples.max() <= 1.0 + 1e-9
         assert abs(report.length - gudermannian(1.0)) <= 1.5e-6
+
+    def test_redundant_observables_have_a_singular_metric(self):
+        # (sz, 2 sz) is the qubit family in u = l1 + 2 l2, with g singular at
+        # every point: the discrete geodesic is the qubit's on [0, 1.1]
+        redundant = ObservableSet([HermitianOperator(SIGMA_Z), HermitianOperator(2.0 * SIGMA_Z)])
+        _, report, record = geodesic_between(
+            redundant,
+            GeodesicProblem([0.0, 0.0], [0.3, 0.4], interior_points=15, tolerance=1e-8),
+        )
+        _, qubit_report, _ = geodesic_between(
+            QUBIT, GeodesicProblem([0.0], [1.1], interior_points=15, tolerance=1e-8)
+        )
+        assert record.converged
+        assert report.length == pytest.approx(qubit_report.length, rel=1e-9)
+        assert 0.0 <= report.length - gudermannian(1.1) <= 0.05 / 16**2
+
+    def test_iterations_do_not_grow_with_segments(self):
+        iterations = {}
+        for segments in (16, 64):
+            problem = GeodesicProblem(
+                [0.3, -0.8, 0.2], [-1.2, 0.5, 0.9], interior_points=segments - 1,
+                max_iters=2000, tolerance=1e-7,
+            )
+            record = geodesic_between(PAULI, problem)[2]
+            assert record.converged
+            iterations[segments] = record.iterations
+        assert iterations[64] <= 1.5 * iterations[16]
 
     def test_coincident_endpoints(self):
         problem = GeodesicProblem(
@@ -325,7 +353,7 @@ class TestGeodesic:
         monkeypatch.setattr(geometry, "gibbs_batch", record_batch)
         monkeypatch.setattr(processes, "_midpoint_terms", record_evaluation)
         problem = GeodesicProblem(
-            [0.16, 0.0], [-0.07, 0.24], interior_points=15, max_iters=2000, tolerance=3e-4
+            [0.16, 0.0], [-0.07, 0.24], interior_points=15, max_iters=2000, tolerance=1e-10
         )
         _, _, record = geodesic_between(PAULI_ZX, problem)
         assert record.converged and record.iterations > 1
@@ -371,7 +399,7 @@ class TestEnergyGradient:
     def test_agrees_with_the_finite_difference_loop(self, obs, k):
         # the loop's own error is O(fd_step^2) truncation plus eps / fd_step roundoff
         samples = np.random.default_rng(k).uniform(-0.8, 0.8, (k + 1, obs.n))
-        _, grad = _midpoint_terms(obs, samples, 1.0 / k)
+        _, grad, _ = _midpoint_terms(obs, samples, 1.0 / k)
         reference = loop_energy_gradient(obs, samples, 1.0 / k)
         assert grad.shape == (k - 1, obs.n)
         assert np.abs(grad - reference).max() <= 1e-8 * np.abs(reference).max()
@@ -385,6 +413,32 @@ class TestEnergyGradient:
         with pytest.raises(NearSingularError) as from_gradient:
             _midpoint_terms(QUBIT, samples, 1.0 / 8)
         assert str(from_gradient.value) == str(from_grid.value)
+
+
+def dense_sobolev_direction(g, grad, dt):
+    """Oracle: assemble (2 / dt) tridiag(-g_{j-1}, g_{j-1} + g_j, -g_j) and solve it."""
+    k, n = g.shape[0], g.shape[1]
+    h = np.zeros((k - 1, n, k - 1, n))
+    for j in range(k - 1):
+        h[j, :, j, :] = g[j] + g[j + 1]
+        if j + 1 < k - 1:
+            h[j, :, j + 1, :] = h[j + 1, :, j, :] = -g[j + 1]
+    h = (2.0 / dt) * h.reshape((k - 1) * n, (k - 1) * n)
+    return np.linalg.solve(h, grad.ravel()).reshape(k - 1, n)
+
+
+class TestSobolevDirection:
+    @pytest.mark.parametrize(
+        "obs, k", [(TWO_QUBIT, 16), (PAULI, 33), (GELL_MANN, 64)],
+        ids=["K16-n2", "K33-n3", "K64-n8"],
+    )
+    def test_solves_the_block_tridiagonal_system(self, obs, k):
+        samples = np.random.default_rng(k).uniform(-0.8, 0.8, (k + 1, obs.n))
+        _, grad, g = _midpoint_terms(obs, samples, 1.0 / k)
+        direction = processes._sobolev_direction(g, grad, 1.0 / k)
+        reference = dense_sobolev_direction(g, grad, 1.0 / k)
+        assert np.abs(direction - reference).max() <= 1e-12 * np.abs(reference).max()
+        assert float((grad * direction).sum()) > 0.0
 
 
 class TestObjectiveValidation:
