@@ -159,7 +159,7 @@ def _plane(obj: Any, n: int) -> tuple[int, int]:
 
 
 def _ray(cfg: RunConfig, sec: dict, key: str) -> tuple[np.ndarray, np.ndarray]:
-    """The unit direction and strictly increasing Lambda list of a boundary ray."""
+    """The unit direction and the Lambda list (`_check_lambda_list`) of a boundary ray."""
     n = cfg.obs.n
     direction = _unit_direction(_vector(sec.get("direction"), n, f"{key}.direction"), n)
     return direction, _check_lambda_list(_vector(sec.get("Lambda"), None, f"{key}.Lambda"))

@@ -86,15 +86,14 @@ class MetricTensor:
         object.__setattr__(self, "lam", lam)
 
 
-def _clamped_psd_sqrt(matrix: np.ndarray, what: str) -> np.ndarray:
-    """Square root of a PSD matrix, zeroing roundoff-negative eigenvalues."""
-    w, u = np.linalg.eigh(hermitize(matrix))
+def _root_fidelity(sqrt_a: np.ndarray, b: np.ndarray, what: str) -> float:
+    """tr[(A^{1/2} B A^{1/2})^{1/2}], roundoff-negative kernel eigenvalues zeroed."""
+    w = np.linalg.eigvalsh(hermitize(sqrt_a @ b @ sqrt_a))
     if float(w[0]) < -1e-10:
         raise NumericalConsistencyError(
             f"{what} has eigenvalue {w[0]:.3e}; not positive semidefinite"
         )
-    w = np.clip(w, 0.0, None)
-    return (u * np.sqrt(w)) @ u.conj().T
+    return float(np.sqrt(np.clip(w, 0.0, None)).sum())
 
 
 def fidelity(rho: DensityOperator, sigma: DensityOperator) -> float:
@@ -103,13 +102,7 @@ def fidelity(rho: DensityOperator, sigma: DensityOperator) -> float:
         raise ValidationError(f"dimension mismatch: {rho.dim} vs {sigma.dim}")
     spec = rho.spectrum()
     sqrt_rho = (spec.eigenvectors * np.sqrt(spec.eigenvalues)) @ spec.eigenvectors.conj().T
-    inner = sqrt_rho @ sigma.matrix @ sqrt_rho
-    w = np.linalg.eigvalsh(hermitize(inner))
-    if float(w[0]) < -1e-10:
-        raise NumericalConsistencyError(
-            f"fidelity kernel eigenvalue {w[0]:.3e}; inputs are not states"
-        )
-    return float(np.sqrt(np.clip(w, 0.0, None)).sum())
+    return _root_fidelity(sqrt_rho, sigma.matrix, "fidelity kernel")
 
 
 def bw_distance(a: HermitianOperator, b: HermitianOperator) -> float:
@@ -121,17 +114,13 @@ def bw_distance(a: HermitianOperator, b: HermitianOperator) -> float:
     """
     if a.dim != b.dim:
         raise ValidationError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    for name, op in (("A", a), ("B", b)):
-        w_min = float(np.linalg.eigvalsh(op.matrix)[0])
+    w_a, u_a = np.linalg.eigh(a.matrix)
+    for name, w_min in (("A", w_a[0]), ("B", np.linalg.eigvalsh(b.matrix)[0])):
         if w_min < -1e-12:
-            raise ValidationError(
-                f"{name} has eigenvalue {w_min:.3e}; inputs must be PSD"
-            )
-    sqrt_a = _clamped_psd_sqrt(a.matrix, "A")
-    cross = _clamped_psd_sqrt(sqrt_a @ b.matrix @ sqrt_a, "A^1/2 B A^1/2")
-    radicand = float(
-        np.trace(a.matrix).real + np.trace(b.matrix).real - 2.0 * np.trace(cross).real
-    )
+            raise ValidationError(f"{name} has eigenvalue {w_min:.3e}; inputs must be PSD")
+    sqrt_a = (u_a * np.sqrt(np.clip(w_a, 0.0, None))) @ u_a.conj().T
+    cross = _root_fidelity(sqrt_a, b.matrix, "A^1/2 B A^1/2")
+    radicand = float(np.trace(a.matrix).real + np.trace(b.matrix).real - 2.0 * cross)
     if radicand < -1e-12:
         raise NumericalConsistencyError(
             f"negative squared distance {radicand:.3e} beyond the clamp window"

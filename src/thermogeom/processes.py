@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalConsistencyError, ValidationError
+from .errors import ValidationError
 from .geometry import _quadratic_form_derivatives, metric_grid
 from .gibbs import ObservableSet, gibbs_batch
 
@@ -335,20 +335,26 @@ def _unit_direction(direction, n: int) -> np.ndarray:
 
 
 def _check_lambda_list(lambdas) -> np.ndarray:
+    """1 to MAX_COUNT strictly increasing, finite Lambda >= 0 (both ray scans)."""
     lam = np.asarray(lambdas, dtype=float).reshape(-1)
-    if lam.size < 1:
-        raise ValidationError("Lambda list must be nonempty")
+    if not 1 <= lam.size <= MAX_COUNT:
+        raise ValidationError(f"Lambda list must have 1 to {MAX_COUNT} entries, got {lam.size}")
     if lam.size > 1 and not np.all(np.diff(lam) > 0.0):
         raise ValidationError("Lambda list must be strictly increasing")
+    bad = lam[~(np.isfinite(lam) & (lam >= 0.0))]
+    if bad.size:
+        raise ValidationError(f"Lambda must be finite and >= 0, got {float(bad[0])!r}")
     return lam
 
 
 @dataclass(frozen=True)
 class ThirdLawScan:
-    """Lengths of rays 0 -> Lambda * direction with tail increments.
+    """Lengths L(Lambda) of the rays 0 -> Lambda * direction, with increments.
 
-    Convergence versus divergence of the total length is left to the
-    reader of the table; only monotonicity is asserted.
+    All are read off one cumulative integral, so the table is nondecreasing.
+    On the sigma_z qubit L(Lambda) = 2 arctan(tanh(Lambda / 2)) -> pi / 2:
+    the pure boundary state is at finite length, and it is the coordinate
+    Lambda that diverges.
     """
 
     lambdas: np.ndarray
@@ -362,19 +368,20 @@ def third_law_scan(
     lambdas,
     steps: int = 1024,
 ) -> ThirdLawScan:
-    """Table of thermodynamic lengths along a ray toward the boundary."""
+    """Thermodynamic lengths along one ray toward the boundary.
+
+    The ray 0 -> max(Lambda) * d is sampled at spacing max(Lambda) / steps
+    with every Lambda inserted as a node; one `metric_grid` batch gives the
+    speeds sqrt(d^T g d) at all nodes, and each length is the cumulative
+    trapezoid sum at its Lambda.
+    """
     d = _unit_direction(direction, obs.n)
     lam = _check_lambda_list(lambdas)
-    lengths = np.array(
-        [
-            thermo_length(obs, straight_path(np.zeros(obs.n), l * d, steps)).length
-            for l in lam
-        ]
-    )
-    if np.any(np.diff(lengths) < -1e-12):
-        raise NumericalConsistencyError(
-            "scan lengths are not monotone nondecreasing; raise the sample count"
-        )
+    nodes = np.union1d(np.linspace(0.0, lam[-1], count(steps, "steps", MIN_PATH_STEPS) + 1), lam)
+    q = np.einsum("i,kij,j->k", d, metric_grid(obs, nodes[:, None] * d), d)
+    speeds = np.sqrt(np.clip(q, 0.0, None))
+    segments = 0.5 * (speeds[:-1] + speeds[1:]) * np.diff(nodes)
+    lengths = np.concatenate(([0.0], np.cumsum(segments)))[np.searchsorted(nodes, lam)]
     return ThirdLawScan(lam, lengths, np.diff(lengths))
 
 

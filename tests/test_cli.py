@@ -412,7 +412,10 @@ INVALID_EDITS = {
     "third_law_steps_4": ("third_law", lambda s: s.update(steps=4)),
     "third_law_lambda_decreasing": ("third_law", lambda s: s.update(Lambda=[8.0, 4.0, 2.0])),
     "third_law_direction_not_unit": ("third_law", lambda s: s.update(direction=[2.0])),
+    "third_law_lambda_negative": ("third_law", lambda s: s.update(Lambda=[-1.0, 0.0, 2.0])),
     "boundary_lambda_decreasing": ("boundary_entropy", lambda s: s.update(Lambda=[16.0, 0.0])),
+    "boundary_lambda_negative": ("boundary_entropy", lambda s: s.update(Lambda=[-1.0, 0.0, 2.0])),
+    "boundary_lambda_over_cap": ("boundary_entropy", lambda s: s.update(Lambda=list(range(MAX_COUNT + 1)))),
     "curvature_method_without_rectangle": ("holonomy", _no_rectangle),
     "open_loop": ("holonomy", _open_loop),
     "pairs_same_index": ("curvature_map", lambda s: s.update(pairs=[[1, 1]])),

@@ -497,6 +497,52 @@ class TestThirdLawScan:
         with pytest.raises(ValidationError):
             third_law_scan(QUBIT, [1.0], [1.0, 1.0])
 
+    @pytest.mark.parametrize(
+        "obs, direction",
+        [(QUBIT, [1.0]), (PAULI, [2.0 / 3.0, -1.0 / 3.0, 2.0 / 3.0])],
+    )
+    def test_longest_length_is_the_thermo_length_of_its_ray(self, obs, direction):
+        scan = third_law_scan(obs, direction, [0.5, 1.0, 2.0], steps=64)
+        ray = straight_path(np.zeros(obs.n), 2.0 * np.asarray(direction), 64)
+        assert scan.lengths[-1] == pytest.approx(thermo_length(obs, ray).length, rel=1e-12)
+
+    def test_one_metric_batch_and_no_per_ray_length(self, monkeypatch):
+        calls = []
+
+        def counted(obs, lams):
+            calls.append(len(lams))
+            return metric_grid(obs, lams)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the scan integrates one ray")
+
+        monkeypatch.setattr(processes, "metric_grid", counted)
+        monkeypatch.setattr(processes, "thermo_length", forbidden)
+        monkeypatch.setattr(processes, "straight_path", forbidden)
+        third_law_scan(QUBIT, [1.0], [1.0, 2.0, 4.0, 8.0], steps=512)
+        assert calls == [513]
+
+    def test_off_grid_lambda_is_read_at_its_inserted_node(self):
+        scan = third_law_scan(QUBIT, [1.0], [0.3, 1.0], steps=8)
+        nodes = np.array([0.0, 0.125, 0.25, 0.3, 0.375, 0.5, 0.625, 0.75, 0.875, 1.0])
+        speeds = np.sqrt(metric_grid(QUBIT, nodes[:, None])[:, 0, 0])
+        cumulative = np.cumsum(0.5 * (speeds[:-1] + speeds[1:]) * np.diff(nodes))
+        assert scan.lengths.tolist() == pytest.approx([cumulative[2], cumulative[-1]], rel=1e-14)
+
+
+class TestLambdaList:
+    """The one Lambda domain of both ray scans."""
+
+    @pytest.mark.parametrize("scan", [third_law_scan, boundary_entropy_limit])
+    def test_negative_lambda_is_named_as_a_float(self, scan):
+        with pytest.raises(ValidationError, match=r">= 0, got -1\.0$"):
+            scan(QUBIT, [1.0], [-1.0, 0.0, 2.0])
+
+    @pytest.mark.parametrize("scan", [third_law_scan, boundary_entropy_limit])
+    def test_lambda_count_is_capped(self, scan):
+        with pytest.raises(ValidationError, match=f"1 to {MAX_COUNT} entries"):
+            scan(QUBIT, [1.0], np.arange(MAX_COUNT + 1.0))
+
 
 class TestBoundaryEntropyLimit:
     def test_qubit_ray_to_pure_state(self):
