@@ -14,7 +14,6 @@ from .errors import (
     ExprDomainError,
     ExprNameError,
     ExprSyntaxError,
-    MatrixDomainError,
     NearSingularError,
     NumericalConsistencyError,
     NumericalDomainError,
@@ -28,9 +27,6 @@ from .linalg import (
     HermitianOperator,
     Spectrum,
     eig,
-    matfun,
-    sld_solve,
-    von_neumann_entropy,
 )
 from .gibbs import (
     GibbsPoint,
@@ -40,7 +36,6 @@ from .gibbs import (
     injectivity_diagnostic,
 )
 from .geometry import (
-    FDScheme,
     MetricTensor,
     bw_distance,
     fidelity,

@@ -35,7 +35,7 @@ from .connection import (
 )
 from .contact import ThermoPoint, legendrian_residual
 from .errors import NumericalDomainError, ValidationError
-from .geometry import FDScheme, metric_grid
+from .geometry import metric_grid
 from .gibbs import ObservableSet, gibbs_point
 from .processes import (
     MIN_PATH_STEPS,
@@ -57,8 +57,6 @@ class RunConfig:
 
     raw: dict
     obs: ObservableSet
-    scheme: FDScheme
-    kappa: float
     connection: ConnectionSpec | None
 
 
@@ -90,25 +88,20 @@ def load_run_config(path: str | Path) -> RunConfig:
     raw = ser.load_json_file(cfg_path)
     if not isinstance(raw, dict):
         raise ValidationError("config root must be a JSON object")
+    unknown = sorted(set(raw) - CONFIG_KEYS)
+    if unknown:
+        raise ValidationError(f"unknown config keys {unknown}; known keys: {sorted(CONFIG_KEYS)}")
     base = cfg_path.parent
     if "observables" not in raw:
         raise ValidationError("config needs an 'observables' entry")
     obs = _resolve(base, raw["observables"], ser.observable_set_from_json, "observables")
-    fd = raw.get("fd", {})
-    if not isinstance(fd, dict):
-        raise ValidationError("fd must be an object with step/order")
-    scheme = FDScheme(
-        step=_as_float(fd.get("step"), 1e-5, "fd.step"),
-        order=_as_int(fd.get("order"), 4, "fd.order"),
-    )
-    kappa = _positive(ser.number(raw.get("kappa", 1.0), "kappa"), "kappa")
     conn = None
     if "connection" in raw:
         conn = _resolve(
             base, raw["connection"], lambda o: ser.connection_spec_from_json(o, obs.n),
             "connection",
         )
-    return RunConfig(raw=raw, obs=obs, scheme=scheme, kappa=kappa, connection=conn)
+    return RunConfig(raw=raw, obs=obs, connection=conn)
 
 
 def _section(cfg: RunConfig, key: str) -> dict:
@@ -119,10 +112,12 @@ def _section(cfg: RunConfig, key: str) -> dict:
 
 
 def _vector(obj: Any, n: int | None, what: str) -> np.ndarray:
-    """A list of numbers, of length n unless n is None."""
+    """A list of numbers, of length n, or up to MAX_COUNT long if n is None."""
     if not isinstance(obj, list) or n not in (None, len(obj)):
         length = "" if n is None else f" of length {n}"
         raise ValidationError(f"{what} must be a list of numbers{length}")
+    if len(obj) > ser.MAX_COUNT:
+        raise ValidationError(f"{what} has {len(obj)} entries, more than {ser.MAX_COUNT}")
     return np.array([ser.number(v, what) for v in obj], dtype=float)
 
 
@@ -247,7 +242,7 @@ def cmd_entropy_production(cfg: RunConfig) -> Job:
     sec = _section(cfg, "entropy_production")
     path = ser.path_from_json(sec.get("path"), cfg.obs.n)
     what = "entropy_production.kappa"
-    kappa = _positive(_as_float(sec.get("kappa"), cfg.kappa, what), what)
+    kappa = _positive(_as_float(sec.get("kappa"), 1.0, what), what)
 
     def run() -> Artifact:
         rates, total = entropy_production(cfg.obs, path, kappa)
@@ -357,7 +352,7 @@ def cmd_contact_check(cfg: RunConfig) -> Job:
         raise ValidationError("contact_check.grid must contain at least one point")
 
     def run() -> Artifact:
-        residual = legendrian_residual(cfg.obs, pts, cfg.scheme)
+        residual = legendrian_residual(cfg.obs, pts)
         payload = {"max_residual": residual, "grid_points": int(pts.shape[0])}
         header = ["max_residual", "grid_points"]
         return payload, header, [[residual, int(pts.shape[0])]]
@@ -477,6 +472,9 @@ _HANDLERS: dict[str, Callable[[RunConfig], Job]] = {
     "curvature-map": cmd_curvature_map,
     "flatness": cmd_flatness,
 }
+
+# the top-level keys of a run config: one section per subcommand
+CONFIG_KEYS = frozenset({"observables", "connection", *(c.replace("-", "_") for c in _HANDLERS)})
 
 
 def _render_csv(header: list[str], rows: list[list]) -> str:

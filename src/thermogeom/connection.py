@@ -47,32 +47,27 @@ MIN_LOOP_STEPS = 16
 
 
 class ConnectionSpec:
-    """Scalar fields g_S(lam) and h_k(lam) plus the FD step for lam-derivatives."""
+    """Scalar fields g_S(lam) and h_k(lam) over n parameters."""
 
-    __slots__ = ("g_S", "h", "fd_step", "n")
+    __slots__ = ("g_S", "h", "n")
 
-    def __init__(self, g_S: Expr, h: Sequence[Expr], n: int, fd_step: float = 1e-5):
+    def __init__(self, g_S: Expr, h: Sequence[Expr], n: int):
         h = tuple(h)
         if len(h) != n:
             raise ValidationError(f"need {n} h expressions, got {len(h)}")
-        if not (1e-8 <= fd_step <= 1e-2):
-            raise ValidationError(f"fd_step must be in [1e-8, 1e-2], got {fd_step!r}")
         lam_vars = {f"l{i + 1}" for i in range(n)}
         for name, e in (("g_S", g_S), *((f"h{k + 1}", x) for k, x in enumerate(h))):
             exprlang.require_vars(e, lam_vars, name)
         object.__setattr__(self, "g_S", g_S)
         object.__setattr__(self, "h", h)
-        object.__setattr__(self, "fd_step", float(fd_step))
         object.__setattr__(self, "n", n)
 
     def __setattr__(self, name, value):
         raise AttributeError("ConnectionSpec is immutable")
 
     @classmethod
-    def parsed(
-        cls, g_S: str, h: Sequence[str], n: int, fd_step: float = 1e-5
-    ) -> "ConnectionSpec":
-        return cls(exprlang.parse(g_S, n), [exprlang.parse(t, n) for t in h], n, fd_step)
+    def parsed(cls, g_S: str, h: Sequence[str], n: int) -> "ConnectionSpec":
+        return cls(exprlang.parse(g_S, n), [exprlang.parse(t, n) for t in h], n)
 
     def gamma(self, lam) -> np.ndarray:
         """Gamma^k_0 = h_k / g_S, mapping lam of shape (..., n) to (..., n).
@@ -235,7 +230,7 @@ _CURVATURE_CHUNK = 4096
 
 
 def _curvature_rows(spec: ConnectionSpec, lam: np.ndarray, k: int, l: int) -> np.ndarray:
-    d = central_difference(spec.gamma, lam, spec.fd_step, 4, axes=(k, l))
+    d = central_difference(spec.gamma, lam, 1e-5, 4, axes=(k, l))
     return d[:, 0, l] - d[:, 1, k]
 
 
@@ -244,8 +239,8 @@ def curvature(spec: ConnectionSpec, lam, k: int, l: int) -> float | np.ndarray:
 
     lam of shape (n,) gives a float; a batch of shape (P, n) gives a (P,)
     array.  `linalg.central_difference` differentiates `spec.gamma` along
-    (k, l) at fourth order with the spec's fd_step, in one gamma call over
-    all taps; antisymmetric in (k, l) by construction.
+    (k, l) at order 4 with step 1e-5, in one gamma call over all taps;
+    antisymmetric in (k, l) by construction.
     """
     if spec.n < 2:
         raise ValidationError("curvature needs at least two parameters")

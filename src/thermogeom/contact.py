@@ -18,7 +18,7 @@ import numpy as np
 from . import exprlang
 from .errors import DegenerateMetricError, SignatureError, ValidationError
 from .exprlang import Expr
-from .geometry import FDScheme, MetricTensor
+from .geometry import MetricTensor
 from .gibbs import ObservableSet, gibbs_batch, gibbs_point
 from .linalg import DensityOperator, central_difference
 from .processes import _trapezoid
@@ -307,12 +307,10 @@ def contact_volume_coefficient(n: int) -> float:
     return value
 
 
-def legendrian_residual(
-    obs: ObservableSet, lambda_grid, scheme: FDScheme = FDScheme()
-) -> float:
+def legendrian_residual(obs: ObservableSet, lambda_grid) -> float:
     """max |dS/dlam_k - sum_i lam_i da_i/dlam_k| over a grid of base points.
 
-    `linalg.central_difference`, at the scheme's order and step,
+    `linalg.central_difference`, at order 4 with step 1e-5,
     differentiates (S, a) from one `gibbs_batch` call over every tap; the
     residual vanishes on the equilibrium submanifold (the first law), so
     this is the Legendrian diagnostic.
@@ -327,7 +325,7 @@ def legendrian_residual(
         values = np.concatenate((batch.S[:, None], batch.a), axis=1)
         return values.reshape(*taps.shape[:-1], n + 1)
 
-    d = central_difference(entropy_and_expectations, grid, scheme.step, scheme.order)
+    d = central_difference(entropy_and_expectations, grid, 1e-5, 4)
     residual = d[..., 0] - np.einsum("pi,pki->pk", grid, d[..., 1:])
     return float(np.max(np.abs(residual)))
 
@@ -355,15 +353,13 @@ def fiber_membership(
     return bool(np.max(np.abs(mu.mu_values(p) - c)) <= tol)
 
 
-def mu_jacobian(mu: MuExtension, p: ThermoPoint, step: float = 1e-6) -> np.ndarray:
+def mu_jacobian(mu: MuExtension, p: ThermoPoint) -> np.ndarray:
     """Central-difference Jacobian of mu over (S, a, lam), shape (n, 2n+1).
 
-    `linalg.central_difference` differentiates mu_i = lam_i + f_i, each f_i
-    evaluated once over all taps; `step` must lie in (0, 1e-2].  Rank n
+    `linalg.central_difference`, at order 2 with step 1e-6, differentiates
+    mu_i = lam_i + f_i, each f_i evaluated once over all taps.  Rank n
     certifies the fiber is a smooth (n+1)-dimensional level set.
     """
-    if not (0.0 < step <= 1e-2):
-        raise ValidationError(f"step must be in (0, 1e-2], got {step!r}")
     n = p.n
 
     def mu_values(coords: np.ndarray) -> np.ndarray:
@@ -372,7 +368,7 @@ def mu_jacobian(mu: MuExtension, p: ThermoPoint, step: float = 1e-6) -> np.ndarr
         return lam + np.stack([exprlang.eval_expr(e, env) for e in mu.exprs], axis=-1)
 
     coords = np.concatenate(([p.S], p.a, p.lam))
-    return central_difference(mu_values, coords, step, 2).T
+    return central_difference(mu_values, coords, 1e-6, 2).T
 
 
 def equilibrium_point(obs: ObservableSet, c) -> ThermoPoint:

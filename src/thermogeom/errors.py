@@ -25,19 +25,8 @@ class EigenSolverError(NumericalDomainError):
         self.condition_estimate = condition_estimate
 
 
-class MatrixDomainError(NumericalDomainError):
-    """Spectral function evaluated outside its domain."""
-
-    def __init__(self, func: str, eigenvalue: float):
-        super().__init__(
-            f"matrix function {func!r} undefined at eigenvalue {eigenvalue:.6e}"
-        )
-        self.func = func
-        self.eigenvalue = eigenvalue
-
-
 class NearSingularError(NumericalDomainError):
-    """Lyapunov solve too close to the state-space boundary."""
+    """An SLD denominator p_a + p_b fell below the floor: the state is at the boundary."""
 
 
 class ParameterRangeError(NumericalDomainError):

@@ -23,16 +23,9 @@ from .errors import (
     ValidationError,
 )
 from .gibbs import FamilyBatch, ObservableSet, gibbs_batch
-from .linalg import (
-    CENTRAL_STENCILS,
-    SLD_DENOM_FLOOR,
-    DensityOperator,
-    HermitianOperator,
-    hermitize,
-)
+from .linalg import DensityOperator, HermitianOperator, hermitize
 
 __all__ = [
-    "FDScheme",
     "MetricTensor",
     "fidelity",
     "bw_distance",
@@ -43,20 +36,7 @@ __all__ = [
 
 # How far below zero a metric eigenvalue may fall before the metric is not PSD.
 PSD_ATOL = 1e-10
-
-
-@dataclass(frozen=True)
-class FDScheme:
-    """Step and order `legendrian_residual` hands to `linalg.central_difference`."""
-
-    step: float = 1e-5
-    order: int = 4
-
-    def __post_init__(self) -> None:
-        if not (1e-8 <= self.step <= 1e-2):
-            raise ValidationError(f"step must be in [1e-8, 1e-2], got {self.step!r}")
-        if self.order not in CENTRAL_STENCILS:
-            raise ValidationError(f"order {self.order!r} is not in {sorted(CENTRAL_STENCILS)}")
+SLD_DENOM_FLOOR = 1e-14  # p_a + p_b below this is a boundary condition (exit 3)
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,9 @@
 """Dense Hermitian linear algebra at desk scale.
 
-Everything is spectral: matrix functions, SLD Lyapunov solves and the
-entropy all go through one explicit eigendecomposition, giving exact
-control of the spectrum for the small dimensions (m <= ~16) this toolkit
-targets.  All values are immutable after construction.
+Self-adjoint and density operators, checked on construction and
+immutable after it, and their explicit eigendecomposition, which gives
+exact control of the spectrum for the small dimensions (m <= ~16) this
+toolkit targets.
 
 It also holds the one stencil table and the batched `central_difference`
 behind every finite difference in the package.
@@ -15,32 +15,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    EigenSolverError,
-    MatrixDomainError,
-    NearSingularError,
-    ValidationError,
-)
+from .errors import EigenSolverError, ValidationError
 
 __all__ = [
     "HERMITICITY_ATOL",
     "EIGENVALUE_CLAMP",
-    "RANK_TOLERANCE",
-    "SLD_DENOM_FLOOR",
     "HermitianOperator",
     "DensityOperator",
     "Spectrum",
     "eig",
-    "matfun",
-    "sld_solve",
-    "von_neumann_entropy",
     "hermitize",
 ]
 
 HERMITICITY_ATOL = 1e-12
 EIGENVALUE_CLAMP = 1e-12  # density eigenvalues in [-clamp, 0] are set to 0
-RANK_TOLERANCE = 1e-10  # min eigenvalue above this counts as full rank
-SLD_DENOM_FLOOR = 1e-14  # p_i + p_j below this is a boundary condition
 
 # Central first-derivative stencils keyed by order (Fornberg, Math. Comp. 51,
 # 1988): tap offsets in units of the step, integer weights, common denominator.
@@ -118,10 +106,6 @@ class Spectrum:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
-    def reconstruct(self) -> np.ndarray:
-        u = self.eigenvectors
-        return (u * self.eigenvalues) @ u.conj().T
-
 
 def _condition_estimate(m: np.ndarray) -> float:
     try:
@@ -175,67 +159,3 @@ class DensityOperator(HermitianOperator):
     def spectrum(self) -> Spectrum:
         """Clamped eigenvalues ascending with their eigenvectors."""
         return self._spectrum
-
-    def is_full_rank(self, rank_tolerance: float = RANK_TOLERANCE) -> bool:
-        return float(self.eigenvalues[-1]) > rank_tolerance
-
-
-def matfun(h: HermitianOperator, f: str) -> HermitianOperator:
-    """Spectral matrix function U diag(f(p_i)) U^dagger.
-
-    Supported tags: exp, log, sqrt, xlogx (with 0 log 0 := 0).  log and
-    sqrt require strictly positive eigenvalues; xlogx requires
-    nonnegative ones (tiny negatives within the clamp window are zeroed).
-    """
-    spec = eig(h)
-    w = spec.eigenvalues
-    if f == "exp":
-        fw = np.exp(w)
-    elif f == "log":
-        if w[0] <= 0.0:
-            raise MatrixDomainError("log", float(w[0]))
-        fw = np.log(w)
-    elif f == "sqrt":
-        if w[0] <= 0.0:
-            raise MatrixDomainError("sqrt", float(w[0]))
-        fw = np.sqrt(w)
-    elif f == "xlogx":
-        if w[0] < -EIGENVALUE_CLAMP:
-            raise MatrixDomainError("xlogx", float(w[0]))
-        wc = np.clip(w, 0.0, None)
-        fw = np.where(wc > 0.0, wc * np.log(np.where(wc > 0.0, wc, 1.0)), 0.0)
-    else:
-        raise ValidationError(f"unknown matrix function tag {f!r}")
-    u = spec.eigenvectors
-    return HermitianOperator(hermitize((u * fw) @ u.conj().T))
-
-
-def sld_solve(rho: DensityOperator, delta: HermitianOperator) -> HermitianOperator:
-    """Solve the Lyapunov equation rho L + L rho = 2 delta for self-adjoint L.
-
-    In the eigenbasis of rho the solution is L_ij = 2 delta_ij / (p_i + p_j);
-    denominators below 1e-14 signal boundary proximity and raise.
-    """
-    if delta.dim != rho.dim:
-        raise ValidationError(
-            f"dimension mismatch: rho {rho.dim}, perturbation {delta.dim}"
-        )
-    spec = rho.spectrum()
-    p = spec.eigenvalues
-    denom = p[:, None] + p[None, :]
-    if float(denom.min()) < SLD_DENOM_FLOOR:
-        raise NearSingularError(
-            f"eigenvalue sum {denom.min():.3e} below {SLD_DENOM_FLOOR:.0e}; "
-            "state too close to the boundary for an SLD solve"
-        )
-    u = spec.eigenvectors
-    d_tilde = u.conj().T @ delta.matrix @ u
-    l_tilde = 2.0 * d_tilde / denom
-    return HermitianOperator(hermitize(u @ l_tilde @ u.conj().T))
-
-
-def von_neumann_entropy(rho: DensityOperator) -> float:
-    """S = -sum p_i ln p_i in nats, with 0 ln 0 := 0; lies in [0, ln m]."""
-    p = rho.eigenvalues
-    pos = p[p > 0.0]
-    return max(float(-(pos * np.log(pos)).sum()), 0.0)

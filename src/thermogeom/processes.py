@@ -66,7 +66,7 @@ def _check_duration(duration) -> None:
 
 @dataclass(frozen=True)
 class ParamPath:
-    """K+1 parameter samples on the uniform grid t_k = k T / K, K >= 8."""
+    """K+1 parameter samples on the uniform grid t_k = k T / K, 8 <= K <= MAX_COUNT."""
 
     duration: float
     samples: np.ndarray
@@ -76,9 +76,9 @@ class ParamPath:
         samples = np.asarray(self.samples, dtype=float)
         if samples.ndim != 2:
             raise ValidationError(f"samples must be 2-D, got shape {samples.shape}")
-        if samples.shape[0] < MIN_PATH_STEPS + 1:
+        if not MIN_PATH_STEPS + 1 <= samples.shape[0] <= MAX_COUNT + 1:
             raise ValidationError(
-                f"need at least {MIN_PATH_STEPS + 1} samples, got {samples.shape[0]}"
+                f"need {MIN_PATH_STEPS + 1} to {MAX_COUNT + 1} samples, got {samples.shape[0]}"
             )
         if not np.all(np.isfinite(samples)):
             raise ValidationError("path samples must be finite")

@@ -122,6 +122,8 @@ def path_from_json(obj: Any, n: int) -> ParamPath:
         raise ValidationError(f"invalid path duration {duration!r}")
     if "samples" in obj:
         rows = obj["samples"]
+        if isinstance(rows, list) and len(rows) > MAX_COUNT + 1:
+            raise ValidationError(f"path samples must have at most {MAX_COUNT + 1} rows")
         if not isinstance(rows, list) or not all(
             isinstance(row, list) and len(row) == n for row in rows
         ):
@@ -151,8 +153,10 @@ def _expr_list(obj: Any, key: str, n: int) -> list[str]:
 def connection_spec_from_json(obj: Any, n: int) -> ConnectionSpec:
     if not isinstance(obj, dict) or not isinstance(obj.get("g_S"), str):
         raise ValidationError("connection spec needs a g_S expression string")
-    fd_step = number(obj.get("fd_step", 1e-5), "fd_step")
-    return ConnectionSpec.parsed(obj["g_S"], _expr_list(obj, "h", n), n, fd_step)
+    unknown = sorted(set(obj) - {"g_S", "h"})
+    if unknown:
+        raise ValidationError(f"connection spec has unknown keys {unknown}; it takes g_S and h")
+    return ConnectionSpec.parsed(obj["g_S"], _expr_list(obj, "h", n), n)
 
 
 def load_json_file(path: str | Path) -> Any:

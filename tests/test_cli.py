@@ -3,6 +3,7 @@ import functools
 import json
 import math
 import operator
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from thermogeom.cli import main
+from thermogeom.cli import CONFIG_KEYS, main
 from thermogeom.serialization import MAX_COUNT
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -433,12 +434,23 @@ INVALID_EDITS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(INVALID_EDITS) + ["kappa_bool"])
-def test_invalid_edit_exits_2_under_validate_and_run(name, tmp_path):
-    if name == "kappa_bool":
-        config = "gibbs"
+# (config, key path, value): a key the config format does not have, which
+# both --validate and the run must reject by name rather than ignore
+UNKNOWN_KEYS = {
+    "kappa_bool": ("gibbs", ("kappa",), True),
+    "fd": ("contact_check", ("fd",), {"step": 1e-5, "order": 4}),
+    "top_level_kappa": ("entropy_production", ("kappa",), 1.0),
+    "connection_fd_step": ("holonomy", ("connection", "fd_step"), 1e-5),
+    "misspelled_section": ("metric", ("metrics",), {"grid": {"start": [0], "stop": [1], "num": [3]}}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INVALID_EDITS) + sorted(UNKNOWN_KEYS))
+def test_invalid_edit_exits_2_under_validate_and_run(name, tmp_path, capsys):
+    if name in UNKNOWN_KEYS:
+        config, (*parents, key), value = UNKNOWN_KEYS[name]
         doc = shipped_config(config)
-        doc["kappa"] = True
+        functools.reduce(operator.getitem, parents, doc)[key] = value
     else:
         config, edit = INVALID_EDITS[name]
         doc = shipped_config(config)
@@ -449,6 +461,23 @@ def test_invalid_edit_exits_2_under_validate_and_run(name, tmp_path):
     assert run([command, "--config", cfg, "--validate", "--out", out]) == 2
     assert run([command, "--config", cfg, "--out", out]) == 2
     assert not out.exists()
+    if name in UNKNOWN_KEYS:
+        assert capsys.readouterr().err.count(repr(key)) == 2
+
+
+def test_lambda_list_is_capped_before_its_entries_are_read(tmp_path, capsys):
+    doc = shipped_config("third_law")
+    doc["third_law"]["Lambda"] = ["x"] * (MAX_COUNT + 1)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    assert run(["third-law", "--config", cfg, "--validate"]) == 2
+    assert f"more than {MAX_COUNT}" in capsys.readouterr().err
+
+
+def test_readme_schema_sketch_lists_exactly_the_config_keys():
+    readme = (CONFIG_DIR.parent / "README.md").read_text(encoding="utf-8")
+    sketch = readme.split("```jsonc\n", 1)[1].split("```", 1)[0]
+    assert set(re.findall(r'^  "(\w+)":', sketch, flags=re.M)) == CONFIG_KEYS
 
 
 _DELETE = object()

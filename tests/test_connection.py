@@ -22,8 +22,8 @@ from thermogeom.errors import DegenerateMetricError, ValidationError
 from thermogeom.processes import ParamPath
 
 
-def spec2(g_S="1", h=("0", "0"), fd_step=1e-5):
-    return ConnectionSpec.parsed(g_S, list(h), 2, fd_step)
+def spec2(g_S="1", h=("0", "0")):
+    return ConnectionSpec.parsed(g_S, list(h), 2)
 
 
 def point(lam, n=None):
@@ -296,15 +296,15 @@ def pointwise_curvature(spec, pts, k, l):
 
 
 def tap_loop_curvature(spec, lam, k, l):
-    """Oracle: fourth-order differences of gamma, one single-point tap at a time."""
+    """Oracle: fourth-order differences of gamma at step 1e-5, one single-point tap at a time."""
 
     def derivative(i, j):  # d gamma_j / d lam_i
         total = 0.0
         for offset, weight in zip((-2, -1, 1, 2), (1, -8, 8, -1)):
             tap = lam.copy()
-            tap[i] += offset * spec.fd_step
+            tap[i] += offset * 1e-5
             total += weight * spec.gamma(tap)[j]
-        return total / (12.0 * spec.fd_step)
+        return total / (12.0 * 1e-5)
 
     return derivative(k, l) - derivative(l, k)
 

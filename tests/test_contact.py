@@ -25,9 +25,9 @@ from thermogeom.contact import (
     wedge_top_coefficient,
 )
 from thermogeom.errors import SignatureError, ValidationError
-from thermogeom.geometry import FDScheme, metric_tensor
+from thermogeom.geometry import metric_tensor
 from thermogeom.gibbs import ObservableSet, gibbs_point
-from thermogeom.linalg import HermitianOperator, von_neumann_entropy
+from thermogeom.linalg import HermitianOperator
 
 SIGMA_Z = np.diag([1.0, -1.0]).astype(complex)
 QUBIT = ObservableSet([HermitianOperator(SIGMA_Z)], ["sz"])
@@ -45,6 +45,13 @@ TWO_QUBIT = ObservableSet(
     ],
     ["z1", "z2"],
 )
+
+
+def entropy(rho):
+    """Oracle S = -sum p ln p over the eigenvalues of rho, with 0 ln 0 = 0."""
+    p = np.linalg.eigvalsh(rho.matrix)
+    p = p[p > 0.0]
+    return float(-(p * np.log(p)).sum())
 
 
 def tangent(dS=0.0, da=None, dlam=None, n=1):
@@ -184,14 +191,6 @@ class TestLegendrianResidual:
         grid = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
         assert legendrian_residual(TWO_QUBIT, grid) < 1e-7
 
-    def test_order_two_converges_quadratically(self):
-        grid = np.linspace(-1.5, 1.5, 7)[:, None]
-        coarse, fine = (
-            legendrian_residual(QUBIT, grid, FDScheme(step=h, order=2)) for h in (1e-2, 5e-3)
-        )
-        assert coarse != legendrian_residual(QUBIT, grid, FDScheme(step=1e-2, order=4))
-        assert coarse / fine == pytest.approx(4.0, rel=0.02)
-
     def test_every_shipped_family_is_legendrian(self):
         qutrit = ObservableSet([HermitianOperator(np.diag([1.0, 0.0, 0.0]))], ["P0"])
         families = [
@@ -208,28 +207,9 @@ class TestLegendrianResidual:
         for obs, grid in families:
             assert legendrian_residual(obs, grid) <= 1e-7
 
-    # steps at which truncation, not roundoff, sets the residual
-    @pytest.mark.parametrize("order, step", [(2, 1e-3), (4, 1e-2)])
-    def test_matches_a_per_tap_loop(self, order, step):
-        grid = np.random.default_rng(3).uniform(-1.0, 1.0, (5, 3))
-        offsets, weights, denom = {
-            2: ([-1, 1], [-1, 1], 2.0),
-            4: ([-2, -1, 1, 2], [1, -8, 8, -1], 12.0),
-        }[order]
-        worst = 0.0
-        for lam in grid:
-            for k in range(3):
-                ds, da = 0.0, np.zeros(3)
-                for o, w in zip(offsets, weights):
-                    tap = lam.copy()
-                    tap[k] += o * step
-                    point = gibbs_point(PAULI, tap)
-                    ds += w * point.S
-                    da += w * point.a
-                worst = max(worst, abs(ds - lam @ da) / (denom * step))
-        got = legendrian_residual(PAULI, grid, FDScheme(step=step, order=order))
-        # the loop and the batch round differently; FD roundoff is ~eps / step
-        assert got == pytest.approx(worst, abs=1e-13 / step)
+    def test_non_commuting_family(self):
+        grid = np.random.default_rng(3).uniform(-1.0, 1.0, (20, 3))
+        assert legendrian_residual(PAULI, grid) < 1e-8
 
 
 class TestMuExtension:
@@ -313,12 +293,6 @@ class TestFiberMembership:
         )
         np.testing.assert_allclose(mu_jacobian(mu, p), expect, rtol=0.0, atol=1e-9)
 
-    @pytest.mark.parametrize("step", [0.0, -1e-6, 0.02, math.nan])
-    def test_jacobian_step_validation(self, step):
-        p = ThermoPoint(0.2, np.array([0.1]), np.array([0.5]))
-        with pytest.raises(ValidationError, match="step"):
-            mu_jacobian(MuExtension.zero(1), p, step)
-
 
 class TestEquilibriumPoint:
     def test_qubit_at_zero(self):
@@ -337,7 +311,7 @@ class TestEquilibriumPoint:
     def test_entropy_consistent_with_spectral_path(self):
         p = equilibrium_point(QUBIT, [1.4])
         rho = gibbs_point(QUBIT, [1.4]).rho
-        assert p.S == pytest.approx(von_neumann_entropy(rho), abs=1e-9)
+        assert p.S == pytest.approx(entropy(rho), abs=1e-9)
 
 
 class TestGaugeAction:

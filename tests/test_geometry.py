@@ -5,7 +5,6 @@ import pytest
 
 from thermogeom.errors import NearSingularError, ValidationError
 from thermogeom.geometry import (
-    FDScheme,
     MetricTensor,
     _quadratic_form_derivatives,
     _second_divided_differences,
@@ -21,7 +20,6 @@ from thermogeom.linalg import (
     HermitianOperator,
     central_difference,
     hermitize,
-    sld_solve,
 )
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -62,32 +60,18 @@ def fd_state_derivatives(obs, lam, step=5e-4):
     return np.einsum("o,iokl->ikl", weights, rho.reshape(obs.n, 4, obs.dim, obs.dim))
 
 
+def sld_solve(rho, delta):
+    """Oracle L with rho L + L rho = 2 delta: 2 delta_ab / (p_a + p_b) in rho's eigenbasis."""
+    p, u = np.linalg.eigh(rho)
+    return u @ (2.0 * (u.conj().T @ delta @ u) / (p[:, None] + p[None, :])) @ u.conj().T
+
+
 def sld_metric(obs, lam):
     """Oracle g_ij = Re tr(rho L_i L_j) from differenced states and SLD solves."""
     rho = gibbs_point(obs, lam).rho
-    slds = [
-        sld_solve(rho, HermitianOperator(hermitize(d))).matrix
-        for d in fd_state_derivatives(obs, lam)
-    ]
+    slds = [sld_solve(rho.matrix, hermitize(d)) for d in fd_state_derivatives(obs, lam)]
     g = np.array([[np.trace(rho.matrix @ li @ lj).real for lj in slds] for li in slds])
     return (g + g.T) / 2
-
-
-class TestFDScheme:
-    def test_defaults(self):
-        scheme = FDScheme()
-        assert scheme.step == 1e-5 and scheme.order == 4
-
-    def test_step_window(self):
-        with pytest.raises(ValidationError):
-            FDScheme(step=1e-9)
-        with pytest.raises(ValidationError):
-            FDScheme(step=0.5)
-
-    def test_order_choices(self):
-        FDScheme(order=2)
-        with pytest.raises(ValidationError):
-            FDScheme(order=3)
 
 
 class TestFidelity:

@@ -12,7 +12,7 @@ from thermogeom.gibbs import (
     gibbs_point,
     injectivity_diagnostic,
 )
-from thermogeom.linalg import HermitianOperator, von_neumann_entropy
+from thermogeom.linalg import HermitianOperator
 from thermogeom.serialization import observable_set_from_json, observable_set_to_json
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -21,6 +21,13 @@ SIGMA_Z = np.diag([1.0, -1.0]).astype(complex)
 QUBIT = ObservableSet([HermitianOperator(SIGMA_Z)], ["sz"])
 QUTRIT = ObservableSet([HermitianOperator(np.diag([1.0, 0.0, -1.0]))], ["Jz"])
 RNG = np.random.default_rng(4211)
+
+
+def entropy(rho):
+    """Oracle S = -sum p ln p over the eigenvalues of rho, with 0 ln 0 = 0."""
+    p = np.linalg.eigvalsh(rho.matrix)
+    p = p[p > 0.0]
+    return float(-(p * np.log(p)).sum())
 
 
 class TestObservableSet:
@@ -91,7 +98,7 @@ class TestGibbsPoint:
         for lam in RNG.uniform(-2, 2, size=(20, 1)):
             point = gibbs_point(QUBIT, lam)
             assert point.S == pytest.approx(
-                von_neumann_entropy(point.rho), abs=1e-9
+                entropy(point.rho), abs=1e-9
             )
 
     def test_interior_membership(self):
@@ -126,19 +133,13 @@ class TestGibbsPoint:
 
 class TestExpectationConsistency:
     def test_qubit_typical_point(self):
-        assert expectation_consistency(QUBIT, [0.3], 1e-4) < 1e-7
+        assert expectation_consistency(QUBIT, [0.3]) < 1e-7
 
     def test_symmetric_point_is_exact(self):
-        assert expectation_consistency(QUBIT, [0.0], 1e-4) < 1e-10
+        assert expectation_consistency(QUBIT, [0.0]) < 1e-10
 
     def test_qutrit(self):
-        assert expectation_consistency(QUTRIT, [0.2], 1e-4) < 1e-6
-
-    def test_step_validation(self):
-        with pytest.raises(ValidationError):
-            expectation_consistency(QUBIT, [0.3], 0.0)
-        with pytest.raises(ValidationError):
-            expectation_consistency(QUBIT, [0.3], 0.1)
+        assert expectation_consistency(QUTRIT, [0.2]) < 1e-6
 
 
 class TestInjectivityDiagnostic:
@@ -189,4 +190,4 @@ class TestMaxEntropyProperty:
 
             trial = DensityOperator(sigma)
             assert np.trace(SIGMA_Z @ sigma).real == pytest.approx(a, abs=1e-12)
-            assert von_neumann_entropy(trial) <= point.S + 1e-9
+            assert entropy(trial) <= point.S + 1e-9

@@ -74,6 +74,11 @@ class TestParamPath:
             ParamPath(1.0, np.zeros((8, 1)))
         ParamPath(1.0, np.zeros((9, 1)))
 
+    def test_maximum_steps(self):
+        ParamPath(1.0, np.zeros((MAX_COUNT + 1, 1)))
+        with pytest.raises(ValidationError, match=str(MAX_COUNT + 1)):
+            ParamPath(1.0, np.zeros((MAX_COUNT + 2, 1)))
+
     def test_rejects_nonfinite(self):
         samples = np.zeros((9, 1))
         samples[3] = np.nan

@@ -55,6 +55,11 @@ class TestPathCodec:
         assert np.allclose(path.samples[:, 0], ts**2)
         assert np.allclose(path.samples[:, 1], 1 - ts)
 
+    def test_sample_rows_are_capped_before_conversion(self):
+        rows = [["x"]] * (MAX_COUNT + 2)
+        with pytest.raises(ValidationError, match=f"at most {MAX_COUNT + 1} rows"):
+            path_from_json({"duration": 1.0, "samples": rows}, 1)
+
     def test_expressions_may_only_use_time(self):
         with pytest.raises(ValidationError):
             path_from_json({"duration": 1.0, "steps": 16, "lambda_exprs": ["l1"]}, 1)
@@ -73,11 +78,13 @@ class TestPathCodec:
 
 class TestSpecCodecs:
     def test_connection_spec(self):
-        spec = connection_spec_from_json(
-            {"g_S": "1+l1^2", "h": ["0", "l1"], "fd_step": 1e-6}, 2
-        )
-        assert spec.fd_step == 1e-6
+        spec = connection_spec_from_json({"g_S": "1+l1^2", "h": ["0", "l1"]}, 2)
         assert spec.gamma([1.0, 0.0])[1] == pytest.approx(0.5)
+
+    @pytest.mark.parametrize("key", ["fd_step", "hh"])
+    def test_unknown_key_is_named(self, key):
+        with pytest.raises(ValidationError, match=key):
+            connection_spec_from_json({"g_S": "1", "h": ["0", "l1"], key: 1e-5}, 2)
 
     def test_missing_fields(self):
         with pytest.raises(ValidationError):
