@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -43,8 +42,10 @@ from .processes import (
     _check_lambda_list,
     _unit_direction,
     boundary_entropy_limit,
+    counts,
     entropy_production,
     geodesic_between,
+    positive,
     third_law_scan,
     thermo_length,
 )
@@ -68,12 +69,6 @@ def _as_float(value: Any, default: float, what: str) -> float:
     return default if value is None else ser.number(value, what)
 
 
-def _positive(value: float, what: str) -> float:
-    if value <= 0:
-        raise ValidationError(f"{what} must be positive, got {value!r}")
-    return value
-
-
 def _resolve(cfg_dir: Path, obj: Any, loader: Callable, what: str):
     """Inline object or path string relative to the config file."""
     if isinstance(obj, str):
@@ -85,12 +80,7 @@ def _resolve(cfg_dir: Path, obj: Any, loader: Callable, what: str):
 
 def load_run_config(path: str | Path) -> RunConfig:
     cfg_path = Path(path)
-    raw = ser.load_json_file(cfg_path)
-    if not isinstance(raw, dict):
-        raise ValidationError("config root must be a JSON object")
-    unknown = sorted(set(raw) - CONFIG_KEYS)
-    if unknown:
-        raise ValidationError(f"unknown config keys {unknown}; known keys: {sorted(CONFIG_KEYS)}")
+    raw = ser.known_keys(ser.load_json_file(cfg_path), CONFIG_KEYS, "config")
     base = cfg_path.parent
     if "observables" not in raw:
         raise ValidationError("config needs an 'observables' entry")
@@ -104,11 +94,9 @@ def load_run_config(path: str | Path) -> RunConfig:
     return RunConfig(raw=raw, obs=obs, connection=conn)
 
 
-def _section(cfg: RunConfig, key: str) -> dict:
-    sec = cfg.raw.get(key)
-    if not isinstance(sec, dict):
-        raise ValidationError(f"config needs a {key!r} section")
-    return sec
+def _section(cfg: RunConfig, key: str, *keys: str) -> dict:
+    """The config section key, which takes only keys."""
+    return ser.known_keys(cfg.raw.get(key), keys, f"section {key!r}")
 
 
 def _vector(obj: Any, n: int | None, what: str) -> np.ndarray:
@@ -121,23 +109,12 @@ def _vector(obj: Any, n: int | None, what: str) -> np.ndarray:
     return np.array([ser.number(v, what) for v in obj], dtype=float)
 
 
-def _counts(obj: Any, k: int, what: str, floor: int) -> list[int]:
-    """k counts whose product, a number of points or cells, is capped too."""
-    if not isinstance(obj, list) or len(obj) != k:
-        raise ValidationError(f"{what} must be a list of {k} integers")
-    counts = [ser.count(v, what, floor) for v in obj]
-    if math.prod(counts) > ser.MAX_COUNT:
-        raise ValidationError(f"{what} {counts} spans more than {ser.MAX_COUNT} points")
-    return counts
-
-
 def _grid_points(obj: Any, n: int) -> np.ndarray:
     """Inclusive per-axis linspace grid in lexicographic row order."""
-    if not isinstance(obj, dict):
-        raise ValidationError("grid must be an object with start/stop/num")
+    ser.known_keys(obj, ("start", "stop", "num"), "grid")
     start = _vector(obj.get("start"), n, "grid.start")
     stop = _vector(obj.get("stop"), n, "grid.stop")
-    num = _counts(obj.get("num"), n, "grid.num", floor=0)
+    num = counts(obj.get("num"), n, "grid.num", floor=0)
     axes = [np.linspace(lo, hi, cnt) for lo, hi, cnt in zip(start, stop, num)]
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack([m.ravel() for m in mesh], axis=-1)
@@ -174,7 +151,7 @@ Job = Callable[[], Artifact]
 
 
 def cmd_gibbs(cfg: RunConfig) -> Job:
-    lam = _vector(_section(cfg, "gibbs").get("lambda"), cfg.obs.n, "gibbs.lambda")
+    lam = _vector(_section(cfg, "gibbs", "lambda").get("lambda"), cfg.obs.n, "gibbs.lambda")
 
     def run() -> Artifact:
         point = gibbs_point(cfg.obs, lam)
@@ -200,7 +177,7 @@ def cmd_gibbs(cfg: RunConfig) -> Job:
 
 
 def cmd_metric(cfg: RunConfig) -> Job:
-    pts = _grid_points(_section(cfg, "metric").get("grid"), cfg.obs.n)
+    pts = _grid_points(_section(cfg, "metric", "grid").get("grid"), cfg.obs.n)
 
     def run() -> Artifact:
         g = metric_grid(cfg.obs, pts)
@@ -221,7 +198,7 @@ def cmd_metric(cfg: RunConfig) -> Job:
 
 
 def cmd_length(cfg: RunConfig) -> Job:
-    path = ser.path_from_json(_section(cfg, "length").get("path"), cfg.obs.n)
+    path = ser.path_from_json(_section(cfg, "length", "path").get("path"), cfg.obs.n)
 
     def run() -> Artifact:
         report = thermo_length(cfg.obs, path)
@@ -239,10 +216,10 @@ def cmd_length(cfg: RunConfig) -> Job:
 
 
 def cmd_entropy_production(cfg: RunConfig) -> Job:
-    sec = _section(cfg, "entropy_production")
+    sec = _section(cfg, "entropy_production", "path", "kappa")
     path = ser.path_from_json(sec.get("path"), cfg.obs.n)
     what = "entropy_production.kappa"
-    kappa = _positive(_as_float(sec.get("kappa"), 1.0, what), what)
+    kappa = positive(_as_float(sec.get("kappa"), 1.0, what), what)
 
     def run() -> Artifact:
         rates, total = entropy_production(cfg.obs, path, kappa)
@@ -261,7 +238,9 @@ def cmd_entropy_production(cfg: RunConfig) -> Job:
 
 
 def cmd_geodesic(cfg: RunConfig) -> Job:
-    sec = _section(cfg, "geodesic")
+    sec = _section(
+        cfg, "geodesic", "start", "end", "interior_points", "duration", "max_iters", "tolerance"
+    )
     problem = GeodesicProblem(
         start=_vector(sec.get("start"), cfg.obs.n, "geodesic.start"),
         end=_vector(sec.get("end"), cfg.obs.n, "geodesic.end"),
@@ -302,7 +281,7 @@ def cmd_geodesic(cfg: RunConfig) -> Job:
 
 
 def cmd_third_law(cfg: RunConfig) -> Job:
-    sec = _section(cfg, "third_law")
+    sec = _section(cfg, "third_law", "direction", "Lambda", "steps")
     direction, lambdas = _ray(cfg, sec, "third_law")
     steps = _as_int(sec.get("steps"), 1024, "third_law.steps", floor=MIN_PATH_STEPS)
 
@@ -325,7 +304,8 @@ def cmd_third_law(cfg: RunConfig) -> Job:
 
 
 def cmd_boundary_entropy(cfg: RunConfig) -> Job:
-    direction, lambdas = _ray(cfg, _section(cfg, "boundary_entropy"), "boundary_entropy")
+    sec = _section(cfg, "boundary_entropy", "direction", "Lambda")
+    direction, lambdas = _ray(cfg, sec, "boundary_entropy")
 
     def run() -> Artifact:
         scan = boundary_entropy_limit(cfg.obs, direction, lambdas)
@@ -347,7 +327,7 @@ def cmd_boundary_entropy(cfg: RunConfig) -> Job:
 
 
 def cmd_contact_check(cfg: RunConfig) -> Job:
-    pts = _grid_points(_section(cfg, "contact_check").get("grid"), cfg.obs.n)
+    pts = _grid_points(_section(cfg, "contact_check", "grid").get("grid"), cfg.obs.n)
     if pts.shape[0] == 0:
         raise ValidationError("contact_check.grid must contain at least one point")
 
@@ -366,8 +346,7 @@ def _holonomy_payload(result: HolonomyResult) -> dict:
 
 def _rectangle(obj: Any, n: int) -> tuple[dict, tuple[int, int], int]:
     """Corners, plane and base shared by the loop and the surface; grid; steps."""
-    if not isinstance(obj, dict):
-        raise ValidationError("rectangle must be an object")
+    ser.known_keys(obj, ("plane", "lo", "hi", "base", "grid", "steps"), "rectangle")
     k, l = _plane(obj.get("plane", [1, 2]), n)
     corners = {
         "lo": _vector(obj.get("lo"), 2, "rectangle.lo"),
@@ -376,14 +355,14 @@ def _rectangle(obj: Any, n: int) -> tuple[dict, tuple[int, int], int]:
         "l": l,
         "base": _vector(obj["base"], n, "rectangle.base") if "base" in obj else None,
     }
-    grid = _counts(obj.get("grid", [64, 64]), 2, "rectangle.grid", floor=1)
+    grid = counts(obj.get("grid", [64, 64]), 2, "rectangle.grid", floor=1)
     steps = _as_int(obj.get("steps"), 256, "rectangle.steps", floor=MIN_LOOP_STEPS)
     return corners, (grid[0], grid[1]), steps
 
 
 def cmd_holonomy(cfg: RunConfig) -> Job:
     spec = _require_connection(cfg)
-    sec = _section(cfg, "holonomy")
+    sec = _section(cfg, "holonomy", "method", "loop", "rectangle")
     n = cfg.obs.n
     method = sec.get("method", "both")
     if method not in ("lift", "curvature-integral", "both"):
@@ -419,7 +398,7 @@ def cmd_holonomy(cfg: RunConfig) -> Job:
 
 def cmd_curvature_map(cfg: RunConfig) -> Job:
     spec = _require_connection(cfg)
-    sec = _section(cfg, "curvature_map")
+    sec = _section(cfg, "curvature_map", "grid", "pairs")
     n = cfg.obs.n
     if n < 2:
         raise ValidationError("curvature maps need at least two parameters")
@@ -442,9 +421,9 @@ def cmd_curvature_map(cfg: RunConfig) -> Job:
 
 def cmd_flatness(cfg: RunConfig) -> Job:
     spec = _require_connection(cfg)
-    sec = _section(cfg, "flatness")
+    sec = _section(cfg, "flatness", "grid", "tol")
     pts = _flatness_grid(spec, _grid_points(sec.get("grid"), cfg.obs.n))
-    tol = _positive(ser.number(sec.get("tol", 1e-7), "flatness.tol"), "flatness.tol")
+    tol = positive(sec.get("tol", 1e-7), "flatness.tol")
 
     def run() -> Artifact:
         report = flatness_check(spec, pts, tol)

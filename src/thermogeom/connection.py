@@ -26,7 +26,7 @@ from .errors import DegenerateMetricError, ValidationError
 from .exprlang import Expr
 from .contact import ThermoPoint
 from .linalg import central_difference
-from .processes import MAX_COUNT, ParamPath, count
+from .processes import ParamPath, count, counts, positive, vector
 
 __all__ = [
     "ConnectionSpec",
@@ -102,7 +102,7 @@ class GammaCoefficients:
 
 def gamma_coeffs(spec: ConnectionSpec, lam) -> GammaCoefficients:
     """Connection coefficients at lam: (h_k / g_S, zeros)."""
-    return GammaCoefficients(spec.gamma(lam), np.zeros((spec.n, spec.n)))
+    return GammaCoefficients(spec.gamma(vector(lam, spec.n, "lam")), np.zeros((spec.n, spec.n)))
 
 
 @dataclass(frozen=True)
@@ -114,13 +114,11 @@ class HolonomyResult:
     method: str
 
     def __post_init__(self) -> None:
-        da = np.asarray(self.da, dtype=float).reshape(-1)
+        da = vector(self.da, None, "da")
         if np.any(da != 0.0):
             raise ValidationError("curvature acts only on S; da must be zero")
         if self.method not in ("lift", "curvature-integral"):
             raise ValidationError(f"unknown holonomy method {self.method!r}")
-        da = da.copy()
-        da.flags.writeable = False
         object.__setattr__(self, "da", da)
 
 
@@ -141,6 +139,20 @@ class Loop:
             raise ValidationError(f"loop is not closed: endpoint gap {gap:.3e}")
 
 
+def _rectangle(lo, hi, k, l, n, base) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Corners lo, hi and base point (zeros if None) of a rectangle in the (k, l) plane.
+
+    k and l are distinct indices in [0, n), with n = max(k, l) + 1 if None;
+    the corners are finite 2-vectors and the base a finite n-vector.
+    """
+    k, l = count(k, "plane index"), count(l, "plane index")
+    n = max(k, l) + 1 if n is None else count(n, "n")
+    if k == l or max(k, l) >= n:
+        raise ValidationError(f"invalid plane indices ({k}, {l}) for n={n}")
+    center = np.zeros(n) if base is None else vector(base, n, "base point")
+    return vector(lo, 2, "lo"), vector(hi, 2, "hi"), center
+
+
 def rectangle_loop(
     lo: Sequence[float],
     hi: Sequence[float],
@@ -157,14 +169,7 @@ def rectangle_loop(
     is rounded up to a multiple of 4 and to at least MIN_LOOP_STEPS), which
     keeps the per-segment integrator at full order.
     """
-    lo = np.asarray(lo, dtype=float).reshape(-1)
-    hi = np.asarray(hi, dtype=float).reshape(-1)
-    if lo.shape != (2,) or hi.shape != (2,):
-        raise ValidationError("lo and hi must be 2-vectors in the (k, l) plane")
-    if n is None:
-        n = max(k, l) + 1
-    if k == l or not (0 <= k < n and 0 <= l < n):
-        raise ValidationError(f"invalid plane indices ({k}, {l}) for n={n}")
+    lo, hi, center = _rectangle(lo, hi, k, l, n, base)
     steps = max(int(np.ceil(count(steps, "steps", 1) / 4.0)) * 4, MIN_LOOP_STEPS)
     quarter = steps // 4
     corners = [
@@ -174,9 +179,6 @@ def rectangle_loop(
         (lo[0], hi[1]),
         (lo[0], lo[1]),
     ]
-    center = np.zeros(n) if base is None else np.asarray(base, dtype=float).reshape(-1)
-    if center.size != n:
-        raise ValidationError(f"base point must have {n} components")
     samples = np.tile(center, (steps + 1, 1))
     row = 0
     for (x0, y0), (x1, y1) in zip(corners[:-1], corners[1:]):
@@ -246,10 +248,15 @@ def curvature(spec: ConnectionSpec, lam, k: int, l: int) -> float | np.ndarray:
         raise ValidationError("curvature needs at least two parameters")
     if not (0 <= k < spec.n and 0 <= l < spec.n):
         raise ValidationError(f"plane indices ({k}, {l}) out of range for n={spec.n}")
-    lam = np.asarray(lam, dtype=float)
-    if lam.ndim not in (1, 2) or lam.shape[-1] != spec.n:
-        raise ValidationError(f"lam must have {spec.n} components (shape (n,) or (P, n))")
-    pts = np.atleast_2d(lam)
+    lam = np.asarray(lam)
+    if (
+        lam.dtype.kind not in "iuf"
+        or lam.ndim not in (1, 2)
+        or lam.shape[-1] != spec.n
+        or not np.isfinite(lam).all()
+    ):
+        raise ValidationError(f"lam must be finite, of shape (n,) or (P, n) with n = {spec.n}")
+    pts = np.atleast_2d(lam).astype(float, copy=False)
     out = np.zeros(pts.shape[0])
     if k != l:
         for start in range(0, pts.shape[0], _CURVATURE_CHUNK):
@@ -287,26 +294,12 @@ def holonomy_via_curvature(
 
     Composite 2-D trapezoid on an (N_k+1) x (N_l+1) grid, whose nodes go
     to `curvature` as one batch; matches the lift holonomy of the
-    counterclockwise boundary loop by Stokes.  The plane (k, l) must be
-    two distinct indices in [0, n), and grid two positive integers whose
-    product, the number of cells, is at most MAX_COUNT.
+    counterclockwise boundary loop by Stokes.  The rectangle is checked as
+    in `rectangle_loop` (plane, corners, base), and grid is two positive
+    integers whose product, the number of cells, is at most MAX_COUNT.
     """
-    if spec.n < 2:
-        raise ValidationError("surface holonomy needs at least two parameters")
-    if k == l or not (0 <= k < spec.n and 0 <= l < spec.n):
-        raise ValidationError(f"invalid plane indices ({k}, {l}) for n={spec.n}")
-    lo = np.asarray(lo, dtype=float).reshape(-1)
-    hi = np.asarray(hi, dtype=float).reshape(-1)
-    if lo.shape != (2,) or hi.shape != (2,):
-        raise ValidationError("lo and hi must be 2-vectors in the (k, l) plane")
-    if not isinstance(grid, (tuple, list)) or len(grid) != 2:
-        raise ValidationError(f"grid must be (N_k, N_l), got {grid!r}")
-    n_k, n_l = (count(v, "grid", 1) for v in grid)
-    if n_k * n_l > MAX_COUNT:
-        raise ValidationError(f"grid {[n_k, n_l]} spans more than {MAX_COUNT} cells")
-    center = np.zeros(spec.n) if base is None else np.asarray(base, dtype=float).reshape(-1)
-    if center.size != spec.n:
-        raise ValidationError(f"base point must have {spec.n} components")
+    lo, hi, center = _rectangle(lo, hi, k, l, spec.n, base)
+    n_k, n_l = counts(grid, 2, "grid", 1)
     xs = np.linspace(lo[0], hi[0], n_k + 1)
     ys = np.linspace(lo[1], hi[1], n_l + 1)
     pts = np.tile(center, ((n_k + 1) * (n_l + 1), 1))
@@ -343,8 +336,10 @@ def flatness_check(
 ) -> FlatnessReport:
     """Flat iff max |R_kl| over all pairs and grid points stays below tol.
 
-    One batched `curvature` call per plane covers every grid point.
+    One batched `curvature` call per plane covers every grid point; tol is
+    a finite number > 0.
     """
+    positive(tol, "tol")
     pts = _flatness_grid(spec, grid_points)
     pairs = [(k, l) for k in range(spec.n) for l in range(k + 1, spec.n)]
     worst = max(

@@ -21,7 +21,7 @@ from .exprlang import Expr
 from .geometry import MetricTensor
 from .gibbs import ObservableSet, gibbs_batch, gibbs_point
 from .linalg import DensityOperator, central_difference
-from .processes import _trapezoid
+from .processes import _trapezoid, positive, vector
 
 __all__ = [
     "ThermoPoint",
@@ -48,17 +48,6 @@ MU_VALIDATION_TOL = 1e-8
 _MU_GRID_SEED = 173651
 
 
-def _frozen_vector(x, n: int, what: str) -> np.ndarray:
-    v = np.asarray(x, dtype=float).reshape(-1)
-    if v.size != n:
-        raise ValidationError(f"{what} must have {n} components, got {v.size}")
-    if not np.all(np.isfinite(v)):
-        raise ValidationError(f"{what} must be finite")
-    v = v.copy()
-    v.flags.writeable = False
-    return v
-
-
 @dataclass(frozen=True)
 class ThermoPoint:
     """A point (S, a, lam) of the contact state space; coordinates independent."""
@@ -70,12 +59,9 @@ class ThermoPoint:
     def __post_init__(self) -> None:
         if not np.isfinite(self.S):
             raise ValidationError("S must be finite")
-        a = _frozen_vector(self.a, np.asarray(self.a).size, "a")
-        lam = _frozen_vector(self.lam, np.asarray(self.lam).size, "lam")
-        if a.size != lam.size:
-            raise ValidationError("a and lam must have equal length")
+        a = vector(self.a, None, "a")
         object.__setattr__(self, "a", a)
-        object.__setattr__(self, "lam", lam)
+        object.__setattr__(self, "lam", vector(self.lam, a.size, "lam"))
 
     @property
     def n(self) -> int:
@@ -93,12 +79,9 @@ class TangentVector:
     def __post_init__(self) -> None:
         if not np.isfinite(self.dS):
             raise ValidationError("dS must be finite")
-        da = _frozen_vector(self.da, np.asarray(self.da).size, "da")
-        dlam = _frozen_vector(self.dlam, np.asarray(self.dlam).size, "dlam")
-        if da.size != dlam.size:
-            raise ValidationError("da and dlam must have equal length")
+        da = vector(self.da, None, "da")
         object.__setattr__(self, "da", da)
-        object.__setattr__(self, "dlam", dlam)
+        object.__setattr__(self, "dlam", vector(self.dlam, da.size, "dlam"))
 
 
 def _point_env(S, a: np.ndarray, lam: np.ndarray) -> dict:
@@ -316,8 +299,8 @@ def legendrian_residual(obs: ObservableSet, lambda_grid) -> float:
     this is the Legendrian diagnostic.
     """
     grid = np.atleast_2d(np.asarray(lambda_grid, dtype=float))
-    if grid.shape[1] != obs.n:
-        raise ValidationError(f"grid points must have {obs.n} components")
+    if grid.ndim != 2 or grid.shape[0] == 0 or grid.shape[1] != obs.n:
+        raise ValidationError(f"grid must be a nonempty block of points with {obs.n} components")
     n = obs.n
 
     def entropy_and_expectations(taps: np.ndarray) -> np.ndarray:
@@ -347,10 +330,8 @@ def fiber_membership(
     tol: float = 1e-9,
 ) -> bool:
     """Whether p lies on the fiber over rho_c, i.e. max_i |mu_i(p) - c_i| <= tol."""
-    c = np.asarray(c, dtype=float).reshape(-1)
-    if c.size != obs.n:
-        raise ValidationError(f"fiber label must have {obs.n} components")
-    return bool(np.max(np.abs(mu.mu_values(p) - c)) <= tol)
+    c = vector(c, obs.n, "fiber label")
+    return bool(np.max(np.abs(mu.mu_values(p) - c)) <= positive(tol, "tol"))
 
 
 def mu_jacobian(mu: MuExtension, p: ThermoPoint) -> np.ndarray:
@@ -379,10 +360,7 @@ def equilibrium_point(obs: ObservableSet, c) -> ThermoPoint:
 
 def gauge_translate(p: ThermoPoint, dS: float, da) -> ThermoPoint:
     """The free fiber-transitive action (S, a, lam) -> (S + dS, a + da, lam)."""
-    da = np.asarray(da, dtype=float).reshape(-1)
-    if da.size != p.n:
-        raise ValidationError(f"da must have {p.n} components")
-    return ThermoPoint(p.S + float(dS), p.a + da, p.lam)
+    return ThermoPoint(p.S + float(dS), p.a + vector(da, p.n, "da"), p.lam)
 
 
 def gM_quadratic(
@@ -417,8 +395,7 @@ def fiber_path_length(
     pts = list(points)
     if len(pts) < 2:
         raise ValidationError("a fiber path needs at least two points")
-    if not (duration > 0.0 and np.isfinite(duration)):
-        raise ValidationError(f"duration must be finite and positive, got {duration!r}")
+    positive(duration, "duration")
     if spec.n != pts[0].n:
         raise ValidationError("metric spec and points disagree on n")
     lam0 = pts[0].lam

@@ -30,7 +30,7 @@ class NearSingularError(NumericalDomainError):
 
 
 class ParameterRangeError(NumericalDomainError):
-    """Intensive parameter outside the overflow guard."""
+    """Intensive parameter outside the overflow guard, or an exponent that overflows."""
 
 
 class NumericalConsistencyError(NumericalDomainError):

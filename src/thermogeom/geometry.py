@@ -158,7 +158,7 @@ def state_derivatives(obs: ObservableSet, lam) -> list[HermitianOperator]:
     Each derivative is self-adjoint and traceless (the trace of rho is
     constant along the family).
     """
-    batch = gibbs_batch(obs, np.asarray(lam, dtype=float).reshape(1, -1))
+    batch = gibbs_batch(obs, np.asarray(lam).reshape(1, -1))
     a_tilde, f1 = _daleckii_krein(obs, batch)
     u = batch.U[0]
     drho = u @ (-a_tilde[0] * f1[0]) @ u.conj().T
@@ -167,7 +167,7 @@ def state_derivatives(obs: ObservableSet, lam) -> list[HermitianOperator]:
 
 def metric_tensor(obs: ObservableSet, lam) -> MetricTensor:
     """The metric at a single point: `metric_grid` on a block of one."""
-    lam = np.asarray(lam, dtype=float).reshape(-1)
+    lam = np.asarray(lam).reshape(-1)
     return MetricTensor(lam, metric_grid(obs, lam[None])[0])
 
 
@@ -203,7 +203,7 @@ def metric_grid(obs: ObservableSet, lams) -> np.ndarray:
          = Re sum_ab 2 / (p_a + p_b) (d_i rho)_ab conj((d_j rho)_ab),
     one stacked eigendecomposition for the whole block.
     """
-    lams = np.atleast_2d(np.asarray(lams, dtype=float))
+    lams = np.atleast_2d(np.asarray(lams))
     if lams.shape[0] == 0:
         return np.empty((0, obs.n, obs.n))
     return _metric_from_frame(*_sld_frame(obs, lams)[1:])

@@ -5,7 +5,9 @@ Z = tr exp(-sum_i lam_i A_i), so the expectation values obey
 a_i = tr(A_i rho_lam) = -d ln Z / d lam_i and the equilibrium entropy is
 S = ln Z + sum_i lam_i a_i.  The exponent is shifted by its maximum
 eigenvalue before exponentiation, so only ln Z (never Z itself) is
-formed; the guard |lam_i| <= 1e3 keeps the shifted exponent in range.
+formed; the guard |lam_i| <= 1e3 keeps the shifted exponent in range for
+observables of moderate norm, and an exponent that overflows all the same
+raises `ParameterRangeError`.
 """
 
 from __future__ import annotations
@@ -36,9 +38,11 @@ _INDEPENDENCE_RTOL = 1e-10
 class ObservableSet:
     """A finite set {A_1..A_n} of same-dimension observables with labels.
 
-    The `independent` flag records whether the vectorized observables have
-    full numerical rank n (relative singular-value threshold 1e-10); a
-    redundant set makes the Gibbs map non-injective.
+    The `independent` flag records whether the traceless parts
+    A_i - tr(A_i) / dim I have full numerical rank n (relative singular-value
+    threshold 1e-10).  A multiple of the identity leaves rho unchanged, so a
+    set that is redundant up to the identity makes the Gibbs map
+    non-injective.
     """
 
     __slots__ = ("observables", "names", "dim", "n", "independent", "_stack")
@@ -68,8 +72,8 @@ class ObservableSet:
                     f"{len(names)} names for {len(obs)} observables"
                 )
         stack = np.stack([op.matrix for op in obs])
-        vecs = stack.reshape(len(obs), -1)
-        s = np.linalg.svd(vecs, compute_uv=False)
+        traceless = stack - np.trace(stack, axis1=1, axis2=2)[:, None, None] / dim * np.eye(dim)
+        s = np.linalg.svd(traceless.reshape(len(obs), -1), compute_uv=False)
         independent = bool(
             s[0] > 0 and int(np.sum(s > _INDEPENDENCE_RTOL * s[0])) == len(obs)
         )
@@ -123,11 +127,12 @@ class FamilyBatch(NamedTuple):
 
 
 def _check_lambdas(lams: np.ndarray, n: int) -> np.ndarray:
-    lams = np.atleast_2d(np.asarray(lams, dtype=float))
-    if lams.ndim != 2 or lams.shape[1] != n:
+    lams = np.atleast_2d(np.asarray(lams))
+    if lams.dtype.kind not in "iuf" or lams.ndim != 2 or lams.shape[1] != n:
         raise ValidationError(
-            f"parameter block must have shape (P, {n}), got {lams.shape}"
+            f"parameter block must be real numbers of shape (P, {n}), got {lams.dtype} {lams.shape}"
         )
+    lams = lams.astype(float, copy=False)
     if not np.all(np.isfinite(lams)):
         raise ValidationError("parameters must be finite")
     worst = float(np.max(np.abs(lams))) if lams.size else 0.0
@@ -148,6 +153,10 @@ def gibbs_batch(obs: ObservableSet, lams) -> FamilyBatch:
     lams = _check_lambdas(lams, obs.n)
     exponent = -np.einsum("pk,kij->pij", lams, obs._stack)
     w, u = np.linalg.eigh(exponent)
+    if not np.isfinite(w).all():
+        # |lam| <= LAMBDA_GUARD does not bound lam * A: this exponent overflowed
+        at = lams[int(np.argmin(np.isfinite(w).all(axis=1)))].tolist()
+        raise ParameterRangeError(f"the exponent -sum_i lam_i A_i overflows at lambda = {at}")
     shift = w[:, -1:]
     e = np.exp(w - shift)
     z_tilde = e.sum(axis=1)
@@ -163,7 +172,7 @@ def gibbs_batch(obs: ObservableSet, lams) -> FamilyBatch:
 
 def gibbs_point(obs: ObservableSet, lam) -> GibbsPoint:
     """The Gibbs state, partition function, expectations and entropy at lam."""
-    batch = gibbs_batch(obs, np.asarray(lam, dtype=float).reshape(1, -1))
+    batch = gibbs_batch(obs, np.asarray(lam).reshape(1, -1))
     lam_row = batch.lam[0].copy()
     lam_row.flags.writeable = False
     a = batch.a[0].copy()
@@ -184,7 +193,7 @@ def expectation_consistency(obs: ObservableSet, lam) -> float:
     through `linalg.central_difference` at order 2 with step 1e-4, whose
     taps go to one `gibbs_batch` call.
     """
-    lam = np.asarray(lam, dtype=float).reshape(-1)
+    lam = np.asarray(lam).reshape(-1)
     point = gibbs_point(obs, lam)
 
     def neg_log_z(taps: np.ndarray) -> np.ndarray:

@@ -14,6 +14,9 @@ reported length and energy are that same midpoint rule.
 
 from __future__ import annotations
 
+import math
+import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,22 +49,50 @@ MIN_PATH_STEPS = 8
 MAX_COUNT = 1 << 20
 
 
-def count(value: object, what: str, floor: int = 0) -> int:
-    """An integer in [floor, MAX_COUNT]; bool is not an integer here."""
-    if (
-        isinstance(value, bool)
-        or not isinstance(value, int)
-        or not floor <= value <= MAX_COUNT
-    ):
-        raise ValidationError(
-            f"{what} must be an integer in [{floor}, {MAX_COUNT}], got {value!r}"
-        )
+# The checks below are the library's rule for each kind of input, and the
+# CLI parse applies the same ones: a number is finite and a bool is not one.
+
+
+def count(value: object, what: str, floor: int = 0, cap: int = MAX_COUNT) -> int:
+    """An integer in [floor, cap]; bool is not an integer here."""
+    if isinstance(value, bool) or not isinstance(value, int) or not floor <= value <= cap:
+        raise ValidationError(f"{what} must be an integer in [{floor}, {cap}], got {value!r}")
     return value
 
 
-def _check_duration(duration) -> None:
-    if not (duration > 0.0 and np.isfinite(duration)):
-        raise ValidationError(f"duration must be positive, got {duration!r}")
+def counts(value: object, k: int, what: str, floor: int) -> list[int]:
+    """k counts whose product, a number of points or cells, is capped too."""
+    if not isinstance(value, (list, tuple)) or len(value) != k:
+        raise ValidationError(f"{what} must be a list of {k} integers")
+    values = [count(v, what, floor) for v in value]
+    if math.prod(values) > MAX_COUNT:
+        raise ValidationError(f"{what} {values} spans more than {MAX_COUNT} points")
+    return values
+
+
+def positive(value: object, what: str) -> float:
+    """A finite number > 0 as a float; bool is not a number here."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, numbers.Real)
+        or not 0.0 < value <= sys.float_info.max
+    ):
+        raise ValidationError(f"{what} must be a finite number > 0, got {value!r}")
+    return float(value)
+
+
+def vector(value: object, n: int | None, what: str) -> np.ndarray:
+    """A finite, read-only float copy of value with n components (any number if n is None)."""
+    v = np.asarray(value)
+    if v.dtype.kind not in "iuf":
+        raise ValidationError(f"{what} must hold real numbers, got dtype {v.dtype}")
+    v = v.astype(float).reshape(-1)
+    if n is not None and v.size != n:
+        raise ValidationError(f"{what} must have {n} components, got {v.size}")
+    if not np.isfinite(v).all():
+        raise ValidationError(f"{what} must be finite")
+    v.flags.writeable = False
+    return v
 
 
 @dataclass(frozen=True)
@@ -72,7 +103,7 @@ class ParamPath:
     samples: np.ndarray
 
     def __post_init__(self) -> None:
-        _check_duration(self.duration)
+        positive(self.duration, "duration")
         samples = np.asarray(self.samples, dtype=float)
         if samples.ndim != 2:
             raise ValidationError(f"samples must be 2-D, got shape {samples.shape}")
@@ -103,10 +134,8 @@ def straight_path(
     lam_a, lam_b, steps: int = 512, duration: float = 1.0
 ) -> ParamPath:
     """Uniform-speed straight segment from lam_a to lam_b."""
-    a = np.asarray(lam_a, dtype=float).reshape(-1)
-    b = np.asarray(lam_b, dtype=float).reshape(-1)
-    if a.shape != b.shape:
-        raise ValidationError("endpoints must have the same dimension")
+    a = vector(lam_a, None, "lam_a")
+    b = vector(lam_b, a.size, "lam_b")
     ts = np.linspace(0.0, 1.0, count(steps, "steps", MIN_PATH_STEPS) + 1)
     return ParamPath(duration, a[None, :] + ts[:, None] * (b - a)[None, :])
 
@@ -164,8 +193,7 @@ def entropy_production(
     The total scales as 1/duration for a fixed path image, vanishing in
     the quasistatic limit; it is bounded below by kappa * length^2 / T.
     """
-    if isinstance(kappa, bool) or not (kappa > 0.0 and np.isfinite(kappa)):
-        raise ValidationError(f"kappa must be positive, got {kappa!r}")
+    kappa = positive(kappa, "kappa")
     dt = path.duration / path.steps
     rates = kappa * _speed_squared(obs, path)
     return rates, _trapezoid(rates, dt)
@@ -183,22 +211,14 @@ class GeodesicProblem:
     tolerance: float = 1e-5
 
     def __post_init__(self) -> None:
-        start = np.asarray(self.start, dtype=float).reshape(-1)
-        end = np.asarray(self.end, dtype=float).reshape(-1)
-        if start.shape != end.shape:
-            raise ValidationError("endpoints must have the same dimension")
-        if not (np.all(np.isfinite(start)) and np.all(np.isfinite(end))):
-            raise ValidationError("endpoints must be finite")
-        count(self.interior_points, "interior_points", MIN_PATH_STEPS - 1)
-        count(self.max_iters, "max_iters", 1)
-        if not all(v > 0.0 and np.isfinite(v) for v in (self.duration, self.tolerance)):
-            raise ValidationError("duration, tolerance must be positive and finite")
-        start = start.copy()
-        start.flags.writeable = False
-        end = end.copy()
-        end.flags.writeable = False
+        start = vector(self.start, None, "start")
         object.__setattr__(self, "start", start)
-        object.__setattr__(self, "end", end)
+        object.__setattr__(self, "end", vector(self.end, start.size, "end"))
+        # the path has interior_points + 1 segments, itself a count
+        count(self.interior_points, "interior_points", MIN_PATH_STEPS - 1, MAX_COUNT - 1)
+        count(self.max_iters, "max_iters", 1)
+        positive(self.duration, "duration")
+        positive(self.tolerance, "tolerance")
 
 
 @dataclass(frozen=True)
@@ -231,7 +251,7 @@ def _midpoint_terms(
 
 def _segment_energies(obs: ObservableSet, samples, duration) -> tuple[np.ndarray, float]:
     """The e_s of `_midpoint_terms` from `metric_grid` at the midpoints, and dt."""
-    _check_duration(duration)
+    positive(duration, "duration")
     samples = np.asarray(samples, dtype=float)
     if samples.ndim != 2 or samples.shape[0] < 2:
         raise ValidationError(f"need a 2-D block of at least 2 samples, got shape {samples.shape}")
@@ -325,9 +345,7 @@ def geodesic_between(
 
 
 def _unit_direction(direction, n: int) -> np.ndarray:
-    d = np.asarray(direction, dtype=float).reshape(-1)
-    if d.size != n:
-        raise ValidationError(f"direction must have {n} components, got {d.size}")
+    d = vector(direction, n, "direction")
     norm = float(np.linalg.norm(d))
     if abs(norm - 1.0) > 1e-8:
         raise ValidationError(f"direction must be a unit vector, |d| = {norm!r}")
@@ -336,14 +354,13 @@ def _unit_direction(direction, n: int) -> np.ndarray:
 
 def _check_lambda_list(lambdas) -> np.ndarray:
     """1 to MAX_COUNT strictly increasing, finite Lambda >= 0 (both ray scans)."""
-    lam = np.asarray(lambdas, dtype=float).reshape(-1)
+    lam = vector(lambdas, None, "Lambda list")
     if not 1 <= lam.size <= MAX_COUNT:
         raise ValidationError(f"Lambda list must have 1 to {MAX_COUNT} entries, got {lam.size}")
     if lam.size > 1 and not np.all(np.diff(lam) > 0.0):
         raise ValidationError("Lambda list must be strictly increasing")
-    bad = lam[~(np.isfinite(lam) & (lam >= 0.0))]
-    if bad.size:
-        raise ValidationError(f"Lambda must be finite and >= 0, got {float(bad[0])!r}")
+    if lam[0] < 0.0:
+        raise ValidationError(f"Lambda must be >= 0, got {float(lam[0])!r}")
     return lam
 
 

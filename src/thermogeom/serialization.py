@@ -12,7 +12,7 @@ import math
 import os
 import tempfile
 from pathlib import Path
-from typing import Any
+from typing import Any, Collection
 
 import numpy as np
 
@@ -21,12 +21,13 @@ from .connection import ConnectionSpec
 from .errors import ValidationError
 from .gibbs import ObservableSet
 from .linalg import HermitianOperator
-from .processes import MAX_COUNT, MIN_PATH_STEPS, ParamPath, count
+from .processes import MAX_COUNT, MIN_PATH_STEPS, ParamPath, count, positive
 
 __all__ = [
     "MAX_COUNT",
     "number",
     "count",
+    "known_keys",
     "format_float",
     "complex_matrix_to_json",
     "complex_matrix_from_json",
@@ -50,6 +51,16 @@ def number(value: Any, what: str) -> float:
         if math.isfinite(x):
             return x
     raise ValidationError(f"{what} must be a finite number, got {value!r}")
+
+
+def known_keys(obj: Any, keys: Collection[str], what: str) -> dict:
+    """obj, a JSON object none of whose keys lies outside keys."""
+    if not isinstance(obj, dict):
+        raise ValidationError(f"{what} must be a JSON object")
+    unknown = sorted(set(obj) - set(keys))
+    if unknown:
+        raise ValidationError(f"{what} has unknown keys {unknown}; known keys: {sorted(keys)}")
+    return obj
 
 
 def format_float(x: float) -> str:
@@ -115,11 +126,8 @@ def path_to_json(path: ParamPath) -> dict:
 
 def path_from_json(obj: Any, n: int) -> ParamPath:
     """Either explicit samples or lambda_exprs in t evaluated on the grid."""
-    if not isinstance(obj, dict):
-        raise ValidationError("path must be a JSON object")
-    duration = number(obj.get("duration"), "path.duration")
-    if duration <= 0:
-        raise ValidationError(f"invalid path duration {duration!r}")
+    known_keys(obj, ("duration", "samples", "lambda_exprs", "steps"), "path")
+    duration = positive(obj.get("duration"), "path.duration")
     if "samples" in obj:
         rows = obj["samples"]
         if isinstance(rows, list) and len(rows) > MAX_COUNT + 1:
@@ -151,11 +159,8 @@ def _expr_list(obj: Any, key: str, n: int) -> list[str]:
 
 
 def connection_spec_from_json(obj: Any, n: int) -> ConnectionSpec:
-    if not isinstance(obj, dict) or not isinstance(obj.get("g_S"), str):
+    if not isinstance(known_keys(obj, ("g_S", "h"), "connection spec").get("g_S"), str):
         raise ValidationError("connection spec needs a g_S expression string")
-    unknown = sorted(set(obj) - {"g_S", "h"})
-    if unknown:
-        raise ValidationError(f"connection spec has unknown keys {unknown}; it takes g_S and h")
     return ConnectionSpec.parsed(obj["g_S"], _expr_list(obj, "h", n), n)
 
 

@@ -431,6 +431,8 @@ INVALID_EDITS = {
     "pairs_not_a_list": ("curvature_map", lambda s: s.update(pairs=3)),
     "lambda_bool": ("gibbs", lambda s: s.update({"lambda": [True]})),
     "grid_over_cap": ("curvature_map", lambda s: s["grid"].update(num=[2048, 1024])),
+    # interior_points + 1 segments would be path steps past the cap
+    "interior_points_at_cap": ("geodesic", lambda s: s.update(interior_points=MAX_COUNT)),
 }
 
 
@@ -442,6 +444,10 @@ UNKNOWN_KEYS = {
     "top_level_kappa": ("entropy_production", ("kappa",), 1.0),
     "connection_fd_step": ("holonomy", ("connection", "fd_step"), 1e-5),
     "misspelled_section": ("metric", ("metrics",), {"grid": {"start": [0], "stop": [1], "num": [3]}}),
+    "section_key": ("geodesic", ("geodesic", "tolerence"), 1e-3),
+    "holonomy_method_key": ("holonomy", ("holonomy", "methd"), "lift"),
+    "grid_key": ("metric", ("metric", "grid", "step"), 0.1),
+    "path_key": ("length", ("length", "path", "stepz"), 64),
 }
 
 
@@ -465,6 +471,25 @@ def test_invalid_edit_exits_2_under_validate_and_run(name, tmp_path, capsys):
         assert capsys.readouterr().err.count(repr(key)) == 2
 
 
+@pytest.mark.parametrize(
+    "command, section",
+    [
+        ("gibbs", {"lambda": [450.0]}),
+        ("metric", {"grid": {"start": [400.0], "stop": [500.0], "num": [5]}}),
+        ("length", {"path": {"duration": 1.0, "steps": 8, "lambda_exprs": ["400+100*t"]}}),
+    ],
+    ids=["gibbs", "metric", "length"],
+)
+def test_overflowing_exponent_exits_3(command, section, tmp_path):
+    # |lambda| is within the guard, but lambda * 1e306 overflows
+    huge = qubit_observables()
+    huge["observables"][0]["matrix"] = [[[1e306, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-1e306, 0.0]]]
+    cfg = write_config(tmp_path, "cfg.json", {"observables": huge, command: section})
+    out = tmp_path / "artifact"
+    assert run([command, "--config", cfg, "--out", out]) == 3
+    assert not out.exists()
+
+
 def test_lambda_list_is_capped_before_its_entries_are_read(tmp_path, capsys):
     doc = shipped_config("third_law")
     doc["third_law"]["Lambda"] = ["x"] * (MAX_COUNT + 1)
@@ -474,10 +499,20 @@ def test_lambda_list_is_capped_before_its_entries_are_read(tmp_path, capsys):
     assert f"more than {MAX_COUNT}" in capsys.readouterr().err
 
 
-def test_readme_schema_sketch_lists_exactly_the_config_keys():
+def test_readme_schema_sketch_lists_exactly_the_config_keys(tmp_path):
     readme = (CONFIG_DIR.parent / "README.md").read_text(encoding="utf-8")
     sketch = readme.split("```jsonc\n", 1)[1].split("```", 1)[0]
     assert set(re.findall(r'^  "(\w+)":', sketch, flags=re.M)) == CONFIG_KEYS
+    # every key below the top level is one the parse accepts: each section of
+    # the sketch, with the sketch's connection, validates on its shipped observables
+    doc = json.loads(re.sub(r"//.*", "", sketch))
+    for section in CONFIG_KEYS - {"observables", "connection"}:
+        cfg = shipped_config(section)
+        cfg[section] = doc[section]
+        if "connection" in cfg:
+            cfg["connection"] = doc["connection"]
+        path = write_config(tmp_path, f"{section}.json", cfg)
+        assert run([section.replace("_", "-"), "--config", path, "--validate"]) == 0, section
 
 
 _DELETE = object()

@@ -211,6 +211,10 @@ class TestLegendrianResidual:
         grid = np.random.default_rng(3).uniform(-1.0, 1.0, (20, 3))
         assert legendrian_residual(PAULI, grid) < 1e-8
 
+    def test_empty_grid_is_a_validation_error(self):
+        with pytest.raises(ValidationError, match="nonempty"):
+            legendrian_residual(QUBIT, np.zeros((0, 1)))
+
 
 class TestMuExtension:
     def test_zero_extension_validates(self):

@@ -52,6 +52,17 @@ class TestObservableSet:
         )
         assert not redundant.independent
 
+    @pytest.mark.parametrize(
+        "matrices",
+        [[SIGMA_Z, np.eye(2)], [np.eye(2)], [SIGMA_Z, SIGMA_Z + np.eye(2)]],
+        ids=["sz_and_identity", "identity", "sz_and_sz_plus_identity"],
+    )
+    def test_identity_direction_is_not_independent(self, matrices):
+        # a multiple of the identity leaves rho unchanged, so these sets are redundant
+        obs = ObservableSet([HermitianOperator(m) for m in matrices])
+        assert not obs.independent
+        assert injectivity_diagnostic(obs, np.full(obs.n, 0.3))[1] < obs.n
+
     def test_default_names(self):
         obs = ObservableSet([HermitianOperator(SIGMA_Z), HermitianOperator(SIGMA_X)])
         assert obs.names == ("A1", "A2")
@@ -120,6 +131,13 @@ class TestGibbsPoint:
         gibbs_point(QUBIT, [1000.0])
         with pytest.raises(ParameterRangeError):
             gibbs_point(QUBIT, [1000.5])
+
+    def test_overflowing_exponent_names_its_point(self):
+        # |lam| is within the guard, but lam * 1e306 is not a float
+        huge = ObservableSet([HermitianOperator(1e306 * SIGMA_Z)])
+        assert gibbs_batch(huge, [[1.0]]).log_Z[0] == pytest.approx(1e306)
+        with pytest.raises(ParameterRangeError, match=r"lambda = \[400\.0\]"):
+            gibbs_batch(huge, [[1.0], [400.0], [500.0]])
 
     def test_batch_matches_pointwise(self):
         lams = RNG.uniform(-2, 2, size=(8, 1))

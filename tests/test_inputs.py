@@ -1,0 +1,165 @@
+"""Bad input to every library entry point that takes a vector, a count or a positive number.
+
+Each table maps "entry point.argument" to a call that puts a value in that
+argument, with every other argument valid.  Each kind of input has one
+list of bad values, and every one of them must raise `ValidationError`:
+numbers are finite, a bool is not a number, and vectors have their length.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from thermogeom import (
+    ConnectionSpec,
+    GeodesicProblem,
+    HermitianOperator,
+    MMetricSpec,
+    MuExtension,
+    ObservableSet,
+    ParamPath,
+    TangentVector,
+    ThermoPoint,
+    boundary_entropy_limit,
+    discrete_path_energy,
+    entropy_production,
+    equilibrium_point,
+    expectation_consistency,
+    fiber_membership,
+    fiber_path_length,
+    flatness_check,
+    gauge_translate,
+    gibbs_point,
+    injectivity_diagnostic,
+    metric_tensor,
+    rectangle_loop,
+    segment_speed_profile,
+    straight_path,
+    third_law_scan,
+)
+from thermogeom.connection import curvature, gamma_coeffs, holonomy_via_curvature
+from thermogeom.errors import ValidationError
+from thermogeom.processes import MAX_COUNT
+
+QUBIT = ObservableSet([HermitianOperator(np.diag([1.0, -1.0]))])
+SPEC = ConnectionSpec.parsed("1", ["0", "l1"], 2)
+MU = MuExtension.zero(1)
+POINT = ThermoPoint(0.0, [0.0], [0.0])
+PATH = straight_path([0.0], [1.0], steps=8)
+VERTICAL = [ThermoPoint(0.1 * k, [0.0], [0.0]) for k in range(3)]
+M_SPEC = MMetricSpec.parsed("1", ["1"], ["0"], 1)
+
+# argument -> (its number of components, a call with that argument)
+VECTORS = {
+    "straight_path.lam_a": (1, lambda v: straight_path(v, [1.0])),
+    "straight_path.lam_b": (1, lambda v: straight_path([0.0], v)),
+    "GeodesicProblem.start": (1, lambda v: GeodesicProblem(v, [1.0])),
+    "GeodesicProblem.end": (1, lambda v: GeodesicProblem([0.0], v)),
+    "third_law_scan.direction": (1, lambda v: third_law_scan(QUBIT, v, [1.0], steps=8)),
+    "boundary_entropy_limit.direction": (1, lambda v: boundary_entropy_limit(QUBIT, v, [1.0])),
+    "rectangle_loop.lo": (2, lambda v: rectangle_loop(v, [1.0, 1.0])),
+    "rectangle_loop.hi": (2, lambda v: rectangle_loop([0.0, 0.0], v)),
+    "rectangle_loop.base": (3, lambda v: rectangle_loop([0.0, 0.0], [1.0, 1.0], n=3, base=v)),
+    "holonomy_via_curvature.lo": (2, lambda v: holonomy_via_curvature(SPEC, v, [1.0, 1.0], grid=(4, 4))),
+    "holonomy_via_curvature.hi": (2, lambda v: holonomy_via_curvature(SPEC, [0.0, 0.0], v, grid=(4, 4))),
+    "holonomy_via_curvature.base": (
+        2, lambda v: holonomy_via_curvature(SPEC, [0.0, 0.0], [1.0, 1.0], grid=(4, 4), base=v)
+    ),
+    "curvature.lam": (2, lambda v: curvature(SPEC, v, 0, 1)),
+    "gamma_coeffs.lam": (2, lambda v: gamma_coeffs(SPEC, v)),
+    "ThermoPoint.a": (1, lambda v: ThermoPoint(0.0, v, [0.0])),
+    "ThermoPoint.lam": (1, lambda v: ThermoPoint(0.0, [0.0], v)),
+    "TangentVector.da": (1, lambda v: TangentVector(0.0, v, [0.0])),
+    "TangentVector.dlam": (1, lambda v: TangentVector(0.0, [0.0], v)),
+    "fiber_membership.c": (1, lambda v: fiber_membership(QUBIT, MU, POINT, v)),
+    "gauge_translate.da": (1, lambda v: gauge_translate(POINT, 0.0, v)),
+    "equilibrium_point.c": (1, lambda v: equilibrium_point(QUBIT, v)),
+    "gibbs_point.lam": (1, lambda v: gibbs_point(QUBIT, v)),
+    "metric_tensor.lam": (1, lambda v: metric_tensor(QUBIT, v)),
+    "expectation_consistency.lam": (1, lambda v: expectation_consistency(QUBIT, v)),
+    "injectivity_diagnostic.lam": (1, lambda v: injectivity_diagnostic(QUBIT, v)),
+}
+
+POSITIVES = {
+    "ParamPath.duration": lambda x: ParamPath(x, np.zeros((9, 1))),
+    "straight_path.duration": lambda x: straight_path([0.0], [1.0], steps=8, duration=x),
+    "entropy_production.kappa": lambda x: entropy_production(QUBIT, PATH, x),
+    "GeodesicProblem.duration": lambda x: GeodesicProblem([0.0], [1.0], duration=x),
+    "GeodesicProblem.tolerance": lambda x: GeodesicProblem([0.0], [1.0], tolerance=x),
+    "discrete_path_energy.duration": lambda x: discrete_path_energy(QUBIT, PATH.samples, x),
+    "segment_speed_profile.duration": lambda x: segment_speed_profile(QUBIT, PATH.samples, x),
+    "rectangle_loop.duration": lambda x: rectangle_loop([0.0, 0.0], [1.0, 1.0], duration=x),
+    "flatness_check.tol": lambda x: flatness_check(SPEC, [[0.0, 0.0]], x),
+    "fiber_membership.tol": lambda x: fiber_membership(QUBIT, MU, POINT, [0.0], x),
+    "fiber_path_length.duration": lambda x: fiber_path_length(M_SPEC, VERTICAL, x),
+}
+
+# argument -> (a valid count, a call with that argument)
+COUNTS = {
+    "straight_path.steps": (8, lambda c: straight_path([0.0], [1.0], steps=c)),
+    "GeodesicProblem.interior_points": (8, lambda c: GeodesicProblem([0.0], [1.0], interior_points=c)),
+    "GeodesicProblem.max_iters": (8, lambda c: GeodesicProblem([0.0], [1.0], max_iters=c)),
+    "third_law_scan.steps": (8, lambda c: third_law_scan(QUBIT, [1.0], [1.0], steps=c)),
+    "rectangle_loop.steps": (8, lambda c: rectangle_loop([0.0, 0.0], [1.0, 1.0], steps=c)),
+    "rectangle_loop.k": (0, lambda c: rectangle_loop([0.0, 0.0], [1.0, 1.0], c, 1, n=2)),
+    "holonomy_via_curvature.l": (
+        1, lambda c: holonomy_via_curvature(SPEC, [0, 0], [1, 1], 0, c, grid=(4, 4))
+    ),
+    "holonomy_via_curvature.grid[0]": (
+        4, lambda c: holonomy_via_curvature(SPEC, [0, 0], [1, 1], grid=(c, 4))
+    ),
+}
+
+
+def _bad_vectors(n):
+    yield "nan", [math.nan] + [0.0] * (n - 1)
+    yield "inf", [0.0] * (n - 1) + [math.inf]
+    yield "-inf", [-math.inf] + [0.0] * (n - 1)
+    yield "bool", [True] + [False] * (n - 1)
+    yield "length", [1.0] + [0.0] * n
+
+
+BAD_POSITIVES = [math.nan, math.inf, -math.inf, True, 0.0, -1.0, "1.0", None]
+BAD_COUNTS = [math.nan, math.inf, True, 2.5, -1, MAX_COUNT + 1, "4", None]
+
+
+@pytest.mark.parametrize(
+    "arg, case",
+    [(arg, case) for arg, (n, _) in VECTORS.items() for case, _ in _bad_vectors(n)],
+)
+def test_bad_vector_is_rejected(arg, case):
+    n, call = VECTORS[arg]
+    value = dict(_bad_vectors(n))[case]
+    with pytest.raises(ValidationError):
+        call(value)
+
+
+@pytest.mark.parametrize("arg", sorted(POSITIVES))
+@pytest.mark.parametrize("value", BAD_POSITIVES, ids=repr)
+def test_bad_positive_number_is_rejected(arg, value):
+    with pytest.raises(ValidationError):
+        POSITIVES[arg](value)
+
+
+@pytest.mark.parametrize("arg", sorted(COUNTS))
+@pytest.mark.parametrize("value", BAD_COUNTS, ids=repr)
+def test_bad_count_is_rejected(arg, value):
+    with pytest.raises(ValidationError):
+        COUNTS[arg][1](value)
+
+
+@pytest.mark.parametrize("grid", [(4, 4, 4), (4,), 4, None, (2**10, 2**10 + 1)])
+def test_bad_count_list_is_rejected(grid):
+    with pytest.raises(ValidationError, match="grid"):
+        holonomy_via_curvature(SPEC, [0.0, 0.0], [1.0, 1.0], grid=grid)
+
+
+def test_the_valid_calls_pass():
+    """Each table's call accepts a valid value, so a rejection above is the bad one's."""
+    for n, call in VECTORS.values():
+        call([1.0] + [0.0] * (n - 1))
+    for call in POSITIVES.values():
+        call(0.5)
+    for valid, call in COUNTS.values():
+        call(valid)

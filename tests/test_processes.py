@@ -13,6 +13,7 @@ from thermogeom.processes import (
     GeodesicProblem,
     ParamPath,
     _midpoint_terms,
+    _unit_direction,
     boundary_entropy_limit,
     discrete_path_energy,
     entropy_production,
@@ -296,6 +297,7 @@ class TestGeodesic:
             ("interior_points", 15.5),
             ("interior_points", 2**40),
             ("interior_points", MAX_COUNT + 1),
+            ("interior_points", MAX_COUNT),
             ("max_iters", 2.5),
             ("max_iters", True),
             ("max_iters", 0),
@@ -306,8 +308,9 @@ class TestGeodesic:
             GeodesicProblem([0.0], [1.0], **{field: value})
 
     def test_problem_accepts_the_count_cap(self):
-        problem = GeodesicProblem([0.0], [1.0], interior_points=MAX_COUNT, max_iters=MAX_COUNT)
-        assert problem.interior_points == problem.max_iters == MAX_COUNT
+        # interior_points + 1 segments are a path's steps, themselves capped at MAX_COUNT
+        problem = GeodesicProblem([0.0], [1.0], interior_points=MAX_COUNT - 1, max_iters=MAX_COUNT)
+        assert problem.interior_points + 1 == problem.max_iters == MAX_COUNT
 
     @pytest.mark.parametrize(
         "family, start, end, segments",
@@ -547,6 +550,14 @@ class TestLambdaList:
     def test_lambda_count_is_capped(self, scan):
         with pytest.raises(ValidationError, match=f"1 to {MAX_COUNT} entries"):
             scan(QUBIT, [1.0], np.arange(MAX_COUNT + 1.0))
+
+
+@pytest.mark.parametrize(
+    "direction", [[math.nan], [math.inf], [True], [1.0, 0.0]], ids=["nan", "inf", "bool", "length"]
+)
+def test_ray_direction_is_a_finite_real_vector_of_n_components(direction):
+    with pytest.raises(ValidationError, match="direction"):
+        _unit_direction(direction, 1)
 
 
 class TestBoundaryEntropyLimit:
