@@ -25,7 +25,6 @@ from .connection import (
     ConnectionSpec,
     HolonomyResult,
     Loop,
-    _flatness_grid,
     curvature,
     flatness_check,
     holonomy_via_curvature,
@@ -36,16 +35,15 @@ from .contact import ThermoPoint, legendrian_residual
 from .errors import NumericalDomainError, ValidationError
 from .geometry import metric_grid
 from .gibbs import ObservableSet, gibbs_point
+from .inputs import MAX_COUNT, count, counts, number, points, positive
 from .processes import (
     MIN_PATH_STEPS,
     GeodesicProblem,
     _check_lambda_list,
     _unit_direction,
     boundary_entropy_limit,
-    counts,
     entropy_production,
     geodesic_between,
-    positive,
     third_law_scan,
     thermo_length,
 )
@@ -62,11 +60,11 @@ class RunConfig:
 
 
 def _as_int(value: Any, default: int, what: str, floor: int = 0) -> int:
-    return default if value is None else ser.count(value, what, floor)
+    return default if value is None else count(value, what, floor)
 
 
 def _as_float(value: Any, default: float, what: str) -> float:
-    return default if value is None else ser.number(value, what)
+    return default if value is None else number(value, what)
 
 
 def _resolve(cfg_dir: Path, obj: Any, loader: Callable, what: str):
@@ -104,27 +102,28 @@ def _vector(obj: Any, n: int | None, what: str) -> np.ndarray:
     if not isinstance(obj, list) or n not in (None, len(obj)):
         length = "" if n is None else f" of length {n}"
         raise ValidationError(f"{what} must be a list of numbers{length}")
-    if len(obj) > ser.MAX_COUNT:
-        raise ValidationError(f"{what} has {len(obj)} entries, more than {ser.MAX_COUNT}")
-    return np.array([ser.number(v, what) for v in obj], dtype=float)
+    if len(obj) > MAX_COUNT:
+        raise ValidationError(f"{what} has {len(obj)} entries, more than {MAX_COUNT}")
+    return np.array([number(v, what) for v in obj], dtype=float)
 
 
-def _grid_points(obj: Any, n: int) -> np.ndarray:
-    """Inclusive per-axis linspace grid in lexicographic row order."""
+def _grid_points(obj: Any, n: int, floor: int = 0) -> np.ndarray:
+    """Inclusive per-axis linspace grid in lexicographic row order, at least floor points."""
     ser.known_keys(obj, ("start", "stop", "num"), "grid")
     start = _vector(obj.get("start"), n, "grid.start")
     stop = _vector(obj.get("stop"), n, "grid.stop")
     num = counts(obj.get("num"), n, "grid.num", floor=0)
-    axes = [np.linspace(lo, hi, cnt) for lo, hi, cnt in zip(start, stop, num)]
+    with np.errstate(over="ignore", invalid="ignore"):  # a span past the float range: refused below
+        axes = [np.linspace(lo, hi, cnt) for lo, hi, cnt in zip(start, stop, num)]
     mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=-1)
+    return points(np.stack([m.ravel() for m in mesh], axis=-1), n, "grid", floor)
 
 
 def _plane(obj: Any, n: int) -> tuple[int, int]:
     """1-based [k, l] plane indices from config, returned 0-based."""
     if not isinstance(obj, list) or len(obj) != 2:
         raise ValidationError("plane must be [k, l] with 1-based integer indices")
-    k, l = (ser.count(v, "plane index", floor=1) - 1 for v in obj)
+    k, l = (count(v, "plane index", floor=1) - 1 for v in obj)
     if k >= n or l >= n or k == l:
         raise ValidationError(f"plane {obj!r} out of range for n={n}")
     return k, l
@@ -327,9 +326,7 @@ def cmd_boundary_entropy(cfg: RunConfig) -> Job:
 
 
 def cmd_contact_check(cfg: RunConfig) -> Job:
-    pts = _grid_points(_section(cfg, "contact_check", "grid").get("grid"), cfg.obs.n)
-    if pts.shape[0] == 0:
-        raise ValidationError("contact_check.grid must contain at least one point")
+    pts = _grid_points(_section(cfg, "contact_check", "grid").get("grid"), cfg.obs.n, 1)
 
     def run() -> Artifact:
         residual = legendrian_residual(cfg.obs, pts)
@@ -422,7 +419,7 @@ def cmd_curvature_map(cfg: RunConfig) -> Job:
 def cmd_flatness(cfg: RunConfig) -> Job:
     spec = _require_connection(cfg)
     sec = _section(cfg, "flatness", "grid", "tol")
-    pts = _flatness_grid(spec, _grid_points(sec.get("grid"), cfg.obs.n))
+    pts = _grid_points(sec.get("grid"), cfg.obs.n, 1)
     tol = positive(sec.get("tol", 1e-7), "flatness.tol")
 
     def run() -> Artifact:

@@ -16,6 +16,7 @@ and a lift makes one gamma call for its samples and midpoints.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -26,7 +27,8 @@ from .errors import DegenerateMetricError, ValidationError
 from .exprlang import Expr
 from .contact import ThermoPoint
 from .linalg import central_difference
-from .processes import ParamPath, count, counts, positive, vector
+from .inputs import count, counts, points, positive, vector
+from .processes import ParamPath
 
 __all__ = [
     "ConnectionSpec",
@@ -52,6 +54,7 @@ class ConnectionSpec:
     __slots__ = ("g_S", "h", "n")
 
     def __init__(self, g_S: Expr, h: Sequence[Expr], n: int):
+        n = count(n, "n", 1)
         h = tuple(h)
         if len(h) != n:
             raise ValidationError(f"need {n} h expressions, got {len(h)}")
@@ -75,21 +78,21 @@ class ConnectionSpec:
         One evaluation of each expression covers every point; |g_S| <= 1e-12
         at any point raises, naming the first such point in C order.
         """
-        lam = np.asarray(lam, dtype=float)
-        if lam.ndim == 0 or lam.shape[-1] != self.n:
-            raise ValidationError(f"lam must have {self.n} components in its last axis")
+        lam = np.asarray(lam)
+        # the points as rows; a last axis of another length fails the width check
+        flat = points(lam.reshape(math.prod(lam.shape[:-1]), *lam.shape[-1:]), self.n, "lam")
         # contiguous copies of the components: ufuncs on strided views cost more
-        columns = np.moveaxis(lam, -1, 0).copy()
+        columns = flat.T.copy()
         env = {f"l{i + 1}": columns[i] for i in range(self.n)}
-        g_s = np.asarray(exprlang.eval_expr(self.g_S, env))
+        g_s = exprlang.eval_expr(self.g_S, env)
         degenerate = np.abs(g_s) <= 1e-12
         if degenerate.any():
-            at = np.unravel_index(int(np.argmax(degenerate)), g_s.shape)
+            at = int(np.argmax(degenerate))
             raise DegenerateMetricError(
-                f"|g_S| = {abs(float(g_s[at])):.3e} at lambda = {lam[at].tolist()}"
+                f"|g_S| = {abs(float(g_s[at])):.3e} at lambda = {flat[at].tolist()}"
             )
         h = np.stack([exprlang.eval_expr(e, env) for e in self.h], axis=-1)
-        return h / g_s[..., None]
+        return (h / g_s[:, None]).reshape(lam.shape)
 
 
 @dataclass(frozen=True)
@@ -246,17 +249,9 @@ def curvature(spec: ConnectionSpec, lam, k: int, l: int) -> float | np.ndarray:
     """
     if spec.n < 2:
         raise ValidationError("curvature needs at least two parameters")
-    if not (0 <= k < spec.n and 0 <= l < spec.n):
-        raise ValidationError(f"plane indices ({k}, {l}) out of range for n={spec.n}")
+    k, l = count(k, "plane index", 0, spec.n - 1), count(l, "plane index", 0, spec.n - 1)
     lam = np.asarray(lam)
-    if (
-        lam.dtype.kind not in "iuf"
-        or lam.ndim not in (1, 2)
-        or lam.shape[-1] != spec.n
-        or not np.isfinite(lam).all()
-    ):
-        raise ValidationError(f"lam must be finite, of shape (n,) or (P, n) with n = {spec.n}")
-    pts = np.atleast_2d(lam).astype(float, copy=False)
+    pts = points(np.atleast_2d(lam), spec.n, "lam")
     out = np.zeros(pts.shape[0])
     if k != l:
         for start in range(0, pts.shape[0], _CURVATURE_CHUNK):
@@ -322,15 +317,6 @@ class FlatnessReport:
     max_abs_curvature: float
 
 
-def _flatness_grid(spec: ConnectionSpec, grid_points) -> np.ndarray:
-    pts = np.atleast_2d(np.asarray(grid_points, dtype=float))
-    if pts.shape[0] < 1:
-        raise ValidationError("flatness grid must be nonempty")
-    if pts.shape[1] != spec.n:
-        raise ValidationError(f"grid points must have {spec.n} components")
-    return pts
-
-
 def flatness_check(
     spec: ConnectionSpec, grid_points, tol: float = 1e-7
 ) -> FlatnessReport:
@@ -340,7 +326,7 @@ def flatness_check(
     a finite number > 0.
     """
     positive(tol, "tol")
-    pts = _flatness_grid(spec, grid_points)
+    pts = points(grid_points, spec.n, "grid points", 1)
     pairs = [(k, l) for k in range(spec.n) for l in range(k + 1, spec.n)]
     worst = max(
         (float(np.max(np.abs(curvature(spec, pts, k, l)))) for k, l in pairs),

@@ -21,7 +21,8 @@ from .exprlang import Expr
 from .geometry import MetricTensor
 from .gibbs import ObservableSet, gibbs_batch, gibbs_point
 from .linalg import DensityOperator, central_difference
-from .processes import _trapezoid, positive, vector
+from .inputs import count, number, points, positive, vector
+from .processes import _trapezoid
 
 __all__ = [
     "ThermoPoint",
@@ -57,8 +58,7 @@ class ThermoPoint:
     lam: np.ndarray
 
     def __post_init__(self) -> None:
-        if not np.isfinite(self.S):
-            raise ValidationError("S must be finite")
+        object.__setattr__(self, "S", number(self.S, "S"))
         a = vector(self.a, None, "a")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "lam", vector(self.lam, a.size, "lam"))
@@ -77,8 +77,7 @@ class TangentVector:
     dlam: np.ndarray
 
     def __post_init__(self) -> None:
-        if not np.isfinite(self.dS):
-            raise ValidationError("dS must be finite")
+        object.__setattr__(self, "dS", number(self.dS, "dS"))
         da = vector(self.da, None, "da")
         object.__setattr__(self, "da", da)
         object.__setattr__(self, "dlam", vector(self.dlam, da.size, "dlam"))
@@ -104,6 +103,7 @@ class MuExtension:
     __slots__ = ("exprs", "n")
 
     def __init__(self, exprs: Sequence[Expr], n: int) -> None:
+        n = count(n, "n", 1)
         exprs = tuple(exprs)
         if len(exprs) != n:
             raise ValidationError(f"need {n} extension expressions, got {len(exprs)}")
@@ -124,6 +124,7 @@ class MuExtension:
         box: float = 1.0,
     ) -> "MuExtension":
         """Parse f_i and check |f_i| < 1e-8 on sampled equilibrium embeddings."""
+        box = positive(box, "box")
         exprs = [exprlang.parse(t, obs.n) for t in texts]
         mu = cls(exprs, obs.n)
         rng = np.random.default_rng(_MU_GRID_SEED)
@@ -142,7 +143,7 @@ class MuExtension:
 
     @classmethod
     def zero(cls, n: int) -> "MuExtension":
-        return cls([exprlang.Num(0.0)] * n, n)
+        return cls([exprlang.Num(0.0)] * count(n, "n", 1), n)
 
     def offsets(self, p: ThermoPoint) -> np.ndarray:
         env = _point_env(p.S, p.a, p.lam)
@@ -163,6 +164,7 @@ class MMetricSpec:
     __slots__ = ("g_S", "g_a", "h", "n")
 
     def __init__(self, g_S: Expr, g_a: Sequence[Expr], h: Sequence[Expr], n: int):
+        n = count(n, "n", 1)
         g_a = tuple(g_a)
         h = tuple(h)
         if len(g_a) != n or len(h) != n:
@@ -271,8 +273,7 @@ def contact_volume_coefficient(n: int) -> float:
     Nonzero everywhere (the form is a volume form); the value is n! times
     the Pfaffian of the bordered matrix at a generic point, never hardcoded.
     """
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        raise ValidationError(f"n must be an integer >= 1, got {n!r}")
+    n = count(n, "n", 1)
     dim = 2 * n + 1
     # generic nonzero lam so cancellations are exercised, not sidestepped
     lam = 0.5 + 0.1 * np.arange(n)
@@ -298,9 +299,7 @@ def legendrian_residual(obs: ObservableSet, lambda_grid) -> float:
     residual vanishes on the equilibrium submanifold (the first law), so
     this is the Legendrian diagnostic.
     """
-    grid = np.atleast_2d(np.asarray(lambda_grid, dtype=float))
-    if grid.ndim != 2 or grid.shape[0] == 0 or grid.shape[1] != obs.n:
-        raise ValidationError(f"grid must be a nonempty block of points with {obs.n} components")
+    grid = points(lambda_grid, obs.n, "grid", 1)
     n = obs.n
 
     def entropy_and_expectations(taps: np.ndarray) -> np.ndarray:
@@ -360,7 +359,7 @@ def equilibrium_point(obs: ObservableSet, c) -> ThermoPoint:
 
 def gauge_translate(p: ThermoPoint, dS: float, da) -> ThermoPoint:
     """The free fiber-transitive action (S, a, lam) -> (S + dS, a + da, lam)."""
-    return ThermoPoint(p.S + float(dS), p.a + vector(da, p.n, "da"), p.lam)
+    return ThermoPoint(p.S + number(dS, "dS"), p.a + vector(da, p.n, "da"), p.lam)
 
 
 def gM_quadratic(

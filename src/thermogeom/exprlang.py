@@ -28,6 +28,7 @@ from .errors import (
     ExprSyntaxError,
     ValidationError,
 )
+from .inputs import count
 
 __all__ = [
     "Expr",
@@ -97,8 +98,7 @@ _OPS = "+-*/^(),"
 
 def allowed_variables(n: int) -> tuple[str, ...]:
     """Variable alphabet for a family with n intensive parameters."""
-    if n < 1:
-        raise ExprNameError(f"parameter count must be >= 1, got {n}")
+    n = count(n, "n", 1)
     return ("t", "S") + tuple(f"a{i}" for i in range(1, n + 1)) + tuple(
         f"l{i}" for i in range(1, n + 1)
     )

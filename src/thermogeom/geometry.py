@@ -23,6 +23,7 @@ from .errors import (
     ValidationError,
 )
 from .gibbs import FamilyBatch, ObservableSet, gibbs_batch
+from .inputs import points, vector
 from .linalg import DensityOperator, HermitianOperator, hermitize
 
 __all__ = [
@@ -47,10 +48,8 @@ class MetricTensor:
     g: np.ndarray
 
     def __post_init__(self) -> None:
-        g = np.asarray(self.g, dtype=float)
-        lam = np.asarray(self.lam, dtype=float).reshape(-1)
-        if g.shape != (lam.size, lam.size):
-            raise ValidationError(f"metric shape {g.shape} does not match n={lam.size}")
+        lam = vector(self.lam, None, "lam")
+        g = points(self.g, lam.size, "metric", lam.size, lam.size)
         if not np.array_equal(g, g.T):
             raise ValidationError("metric must be exactly symmetric; symmetrize first")
         w_min = float(np.linalg.eigvalsh(g)[0])
@@ -60,8 +59,6 @@ class MetricTensor:
             )
         g = g.copy()
         g.flags.writeable = False
-        lam = lam.copy()
-        lam.flags.writeable = False
         object.__setattr__(self, "g", g)
         object.__setattr__(self, "lam", lam)
 
@@ -183,12 +180,12 @@ def _sld_frame(
     batch = gibbs_batch(obs, lams)
     p = batch.p
     denom = p[:, :, None] + p[:, None, :]
-    worst = float(denom.min())
+    worst = float(denom.min(initial=np.inf))
     if worst < SLD_DENOM_FLOOR:
         idx = int(np.unravel_index(np.argmin(denom), denom.shape)[0])
         raise NearSingularError(
             f"eigenvalue sum {worst:.3e} below {SLD_DENOM_FLOOR:.0e} at "
-            f"lambda = {lams[idx].tolist()}; too close to the boundary"
+            f"lambda = {batch.lam[idx].tolist()}; too close to the boundary"
         )
     a_tilde, f1 = _daleckii_krein(obs, batch)
     return batch, denom, a_tilde, f1
@@ -203,9 +200,6 @@ def metric_grid(obs: ObservableSet, lams) -> np.ndarray:
          = Re sum_ab 2 / (p_a + p_b) (d_i rho)_ab conj((d_j rho)_ab),
     one stacked eigendecomposition for the whole block.
     """
-    lams = np.atleast_2d(np.asarray(lams))
-    if lams.shape[0] == 0:
-        return np.empty((0, obs.n, obs.n))
     return _metric_from_frame(*_sld_frame(obs, lams)[1:])
 
 
@@ -215,7 +209,8 @@ def _metric_from_frame(denom: np.ndarray, a_tilde: np.ndarray, f1: np.ndarray) -
     f = np.negative(a_tilde, out=a_tilde)
     f *= f1[:, None]
     f *= np.sqrt(2.0 / denom)[:, None]
-    f = f.reshape(f.shape[0], f.shape[1], -1)
+    p, n, m = f.shape[:3]
+    f = f.reshape(p, n, m * m)
     g = (f @ f.conj().swapaxes(1, 2)).real
     return (g + g.swapaxes(1, 2)) / 2
 

@@ -18,6 +18,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import ParameterRangeError, ValidationError
+from .inputs import points
 from .linalg import DensityOperator, HermitianOperator, central_difference
 
 __all__ = [
@@ -126,23 +127,6 @@ class FamilyBatch(NamedTuple):
     S: np.ndarray  # (P,)
 
 
-def _check_lambdas(lams: np.ndarray, n: int) -> np.ndarray:
-    lams = np.atleast_2d(np.asarray(lams))
-    if lams.dtype.kind not in "iuf" or lams.ndim != 2 or lams.shape[1] != n:
-        raise ValidationError(
-            f"parameter block must be real numbers of shape (P, {n}), got {lams.dtype} {lams.shape}"
-        )
-    lams = lams.astype(float, copy=False)
-    if not np.all(np.isfinite(lams)):
-        raise ValidationError("parameters must be finite")
-    worst = float(np.max(np.abs(lams))) if lams.size else 0.0
-    if worst > LAMBDA_GUARD:
-        raise ParameterRangeError(
-            f"|lambda| = {worst:.4g} exceeds the overflow guard {LAMBDA_GUARD:g}"
-        )
-    return lams
-
-
 def gibbs_batch(obs: ObservableSet, lams) -> FamilyBatch:
     """Evaluate the family at a (P, n) block of parameter points at once.
 
@@ -150,7 +134,12 @@ def gibbs_batch(obs: ObservableSet, lams) -> FamilyBatch:
     workhorse behind grids and paths, and its eigenpairs (x, U) are all
     the closed-form metric needs.
     """
-    lams = _check_lambdas(lams, obs.n)
+    lams = points(lams, obs.n, "parameter block")
+    worst = float(np.abs(lams).max(initial=0.0))
+    if worst > LAMBDA_GUARD:
+        raise ParameterRangeError(
+            f"|lambda| = {worst:.4g} exceeds the overflow guard {LAMBDA_GUARD:g}"
+        )
     exponent = -np.einsum("pk,kij->pij", lams, obs._stack)
     w, u = np.linalg.eigh(exponent)
     if not np.isfinite(w).all():

@@ -1,0 +1,104 @@
+"""The library's input rule: one check for each kind of input.
+
+Every library entry point and the CLI parse check their arguments here.  A
+number is a finite `numbers.Real`, and a bool is not one; a positive number
+is a number > 0; a count is a Python int (not a bool) in [floor, cap], and
+a list of counts spans at most `MAX_COUNT` points; a vector holds finite
+real numbers, as many as the call needs; a block of points is a 2-D array
+of finite real numbers, one row per point, as wide as the call needs and
+with floor <= rows <= cap.  Real numbers are a numpy dtype of kind int,
+uint or float, so bool, complex, string and object arrays are refused.
+Anything else raises `ValidationError`, naming the argument.
+"""
+
+from __future__ import annotations
+
+import math
+import numbers
+
+import numpy as np
+
+from .errors import ValidationError
+
+__all__ = ["MAX_COUNT", "number", "positive", "count", "counts", "vector", "points"]
+
+# Upper bound on every count a config can ask for (grid points, path steps,
+# iterations); checked before anything of that size is allocated.
+MAX_COUNT = 1 << 20
+
+
+def number(value: object, what: str) -> float:
+    """A finite real number as a float; bool is not a number here."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            x = float(value)
+        except OverflowError:
+            x = math.inf
+        if math.isfinite(x):
+            return x
+    raise ValidationError(f"{what} must be a finite number, got {value!r}")
+
+
+def positive(value: object, what: str) -> float:
+    """A finite number > 0 as a float."""
+    x = number(value, what)
+    if not x > 0.0:
+        raise ValidationError(f"{what} must be a finite number > 0, got {value!r}")
+    return x
+
+
+def count(value: object, what: str, floor: int = 0, cap: int = MAX_COUNT) -> int:
+    """An integer in [floor, cap]; bool is not an integer here."""
+    if isinstance(value, bool) or not isinstance(value, int) or not floor <= value <= cap:
+        raise ValidationError(f"{what} must be an integer in [{floor}, {cap}], got {value!r}")
+    return value
+
+
+def counts(value: object, k: int, what: str, floor: int) -> list[int]:
+    """k counts whose product, a number of points or cells, is capped too."""
+    if not isinstance(value, (list, tuple)) or len(value) != k:
+        raise ValidationError(f"{what} must be a list of {k} integers")
+    values = [count(v, what, floor) for v in value]
+    if math.prod(values) > MAX_COUNT:
+        raise ValidationError(f"{what} {values} spans more than {MAX_COUNT} points")
+    return values
+
+
+def _real(value: object, what: str) -> np.ndarray:
+    v = np.asarray(value)
+    if v.dtype.kind not in "iuf":
+        raise ValidationError(f"{what} must hold real numbers, got dtype {v.dtype}")
+    return v
+
+
+def vector(value: object, n: int | None, what: str) -> np.ndarray:
+    """A finite, read-only float copy of value with n components (any number if n is None)."""
+    v = _real(value, what).astype(float).reshape(-1)
+    if n is not None and v.size != n:
+        raise ValidationError(f"{what} must have {n} components, got {v.size}")
+    if not np.isfinite(v).all():
+        raise ValidationError(f"{what} must be finite")
+    v.flags.writeable = False
+    return v
+
+
+def points(
+    value: object, n: int | None, what: str, floor: int = 0, cap: int | None = None
+) -> np.ndarray:
+    """A (P, n) float block of finite points, floor <= P <= cap (no cap if None).
+
+    Any width is accepted when n is None.  The result is value itself when
+    it is already a float array, else a float copy.
+    """
+    block = _real(value, what)
+    if block.ndim != 2 or n is not None and block.shape[1] != n:
+        width = "n" if n is None else n
+        raise ValidationError(f"{what} must be a block of shape (P, {width}), got {block.shape}")
+    rows = block.shape[0]
+    if rows < floor or cap is not None and rows > cap:
+        bound = f"at least {floor}" if cap is None else f"{floor} to {cap}"
+        raise ValidationError(f"{what} has {rows} points; it needs {bound}")
+    block = block.astype(float, copy=False)
+    if not np.isfinite(block).all():
+        raise ValidationError(f"{what} must be finite")
+    return block

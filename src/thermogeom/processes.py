@@ -14,9 +14,6 @@ reported length and energy are that same midpoint rule.
 
 from __future__ import annotations
 
-import math
-import numbers
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +21,7 @@ import numpy as np
 from .errors import ValidationError
 from .geometry import _quadratic_form_derivatives, metric_grid
 from .gibbs import ObservableSet, gibbs_batch
+from .inputs import MAX_COUNT, count, points, positive, vector
 
 __all__ = [
     "ParamPath",
@@ -44,56 +42,6 @@ __all__ = [
 
 MIN_PATH_STEPS = 8
 
-# Upper bound on every count a config can ask for (grid points, path steps,
-# iterations); checked before anything of that size is allocated.
-MAX_COUNT = 1 << 20
-
-
-# The checks below are the library's rule for each kind of input, and the
-# CLI parse applies the same ones: a number is finite and a bool is not one.
-
-
-def count(value: object, what: str, floor: int = 0, cap: int = MAX_COUNT) -> int:
-    """An integer in [floor, cap]; bool is not an integer here."""
-    if isinstance(value, bool) or not isinstance(value, int) or not floor <= value <= cap:
-        raise ValidationError(f"{what} must be an integer in [{floor}, {cap}], got {value!r}")
-    return value
-
-
-def counts(value: object, k: int, what: str, floor: int) -> list[int]:
-    """k counts whose product, a number of points or cells, is capped too."""
-    if not isinstance(value, (list, tuple)) or len(value) != k:
-        raise ValidationError(f"{what} must be a list of {k} integers")
-    values = [count(v, what, floor) for v in value]
-    if math.prod(values) > MAX_COUNT:
-        raise ValidationError(f"{what} {values} spans more than {MAX_COUNT} points")
-    return values
-
-
-def positive(value: object, what: str) -> float:
-    """A finite number > 0 as a float; bool is not a number here."""
-    if (
-        isinstance(value, bool)
-        or not isinstance(value, numbers.Real)
-        or not 0.0 < value <= sys.float_info.max
-    ):
-        raise ValidationError(f"{what} must be a finite number > 0, got {value!r}")
-    return float(value)
-
-
-def vector(value: object, n: int | None, what: str) -> np.ndarray:
-    """A finite, read-only float copy of value with n components (any number if n is None)."""
-    v = np.asarray(value)
-    if v.dtype.kind not in "iuf":
-        raise ValidationError(f"{what} must hold real numbers, got dtype {v.dtype}")
-    v = v.astype(float).reshape(-1)
-    if n is not None and v.size != n:
-        raise ValidationError(f"{what} must have {n} components, got {v.size}")
-    if not np.isfinite(v).all():
-        raise ValidationError(f"{what} must be finite")
-    v.flags.writeable = False
-    return v
-
 
 @dataclass(frozen=True)
 class ParamPath:
@@ -104,16 +52,7 @@ class ParamPath:
 
     def __post_init__(self) -> None:
         positive(self.duration, "duration")
-        samples = np.asarray(self.samples, dtype=float)
-        if samples.ndim != 2:
-            raise ValidationError(f"samples must be 2-D, got shape {samples.shape}")
-        if not MIN_PATH_STEPS + 1 <= samples.shape[0] <= MAX_COUNT + 1:
-            raise ValidationError(
-                f"need {MIN_PATH_STEPS + 1} to {MAX_COUNT + 1} samples, got {samples.shape[0]}"
-            )
-        if not np.all(np.isfinite(samples)):
-            raise ValidationError("path samples must be finite")
-        samples = samples.copy()
+        samples = points(self.samples, None, "samples", MIN_PATH_STEPS + 1, MAX_COUNT + 1).copy()
         samples.flags.writeable = False
         object.__setattr__(self, "samples", samples)
 
@@ -252,9 +191,7 @@ def _midpoint_terms(
 def _segment_energies(obs: ObservableSet, samples, duration) -> tuple[np.ndarray, float]:
     """The e_s of `_midpoint_terms` from `metric_grid` at the midpoints, and dt."""
     positive(duration, "duration")
-    samples = np.asarray(samples, dtype=float)
-    if samples.ndim != 2 or samples.shape[0] < 2:
-        raise ValidationError(f"need a 2-D block of at least 2 samples, got shape {samples.shape}")
+    samples = points(samples, obs.n, "samples", 2)
     dt = duration / (samples.shape[0] - 1)
     deltas = samples[1:] - samples[:-1]
     gv = np.einsum("kij,kj->ki", metric_grid(obs, 0.5 * (samples[:-1] + samples[1:])), deltas)

@@ -8,7 +8,6 @@ significant digits so artifacts round-trip and diff cleanly.
 from __future__ import annotations
 
 import json
-import math
 import os
 import tempfile
 from pathlib import Path
@@ -21,12 +20,10 @@ from .connection import ConnectionSpec
 from .errors import ValidationError
 from .gibbs import ObservableSet
 from .linalg import HermitianOperator
-from .processes import MAX_COUNT, MIN_PATH_STEPS, ParamPath, count, positive
+from .inputs import MAX_COUNT, count, number, positive
+from .processes import MIN_PATH_STEPS, ParamPath
 
 __all__ = [
-    "MAX_COUNT",
-    "number",
-    "count",
     "known_keys",
     "format_float",
     "complex_matrix_to_json",
@@ -39,18 +36,6 @@ __all__ = [
     "load_json_file",
     "atomic_write_text",
 ]
-
-
-def number(value: Any, what: str) -> float:
-    """A finite JSON number; bool is not a number here."""
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        try:
-            x = float(value)
-        except OverflowError:
-            x = math.inf
-        if math.isfinite(x):
-            return x
-    raise ValidationError(f"{what} must be a finite number, got {value!r}")
 
 
 def known_keys(obj: Any, keys: Collection[str], what: str) -> dict:

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from thermogeom.cli import CONFIG_KEYS, main
-from thermogeom.serialization import MAX_COUNT
+from thermogeom.inputs import MAX_COUNT
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -423,6 +423,9 @@ INVALID_EDITS = {
     "flatness_tol_negative": ("flatness", lambda s: s.update(tol=-1)),
     "section_kappa_negative": ("entropy_production", lambda s: s.update(kappa=-1)),
     "contact_grid_empty": ("contact_check", lambda s: s["grid"].update(num=[0])),
+    "flatness_grid_empty": ("flatness", lambda s: s["grid"].update(num=[0, 5])),
+    # the grid's step overflows, so its points are not finite
+    "grid_span_overflows": ("metric", lambda s: s["grid"].update(start=[-1.7e308], stop=[1.7e308])),
     "samples_not_numeric": ("length", lambda s: s.update(path={"duration": 1.0, "samples": [["a"]] * 9})),
     "samples_ragged": (
         "length", lambda s: s.update(path={"duration": 1.0, "samples": [[0.0]] * 8 + [[0.0, 1.0]]})

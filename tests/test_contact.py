@@ -212,7 +212,7 @@ class TestLegendrianResidual:
         assert legendrian_residual(PAULI, grid) < 1e-8
 
     def test_empty_grid_is_a_validation_error(self):
-        with pytest.raises(ValidationError, match="nonempty"):
+        with pytest.raises(ValidationError, match="0 points; it needs at least 1"):
             legendrian_residual(QUBIT, np.zeros((0, 1)))
 
 

@@ -1,12 +1,14 @@
-"""Bad input to every library entry point that takes a vector, a count or a positive number.
+"""Bad input to every library entry point that takes a number, a vector, a count or a block.
 
 Each table maps "entry point.argument" to a call that puts a value in that
 argument, with every other argument valid.  Each kind of input has one
 list of bad values, and every one of them must raise `ValidationError`:
-numbers are finite, a bool is not a number, and vectors have their length.
+numbers are finite, a bool is not a number, vectors have their length and
+blocks of points their shape and number of rows (`thermogeom.inputs`).
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from thermogeom import (
     ConnectionSpec,
     GeodesicProblem,
     HermitianOperator,
+    MetricTensor,
     MMetricSpec,
     MuExtension,
     ObservableSet,
@@ -32,6 +35,8 @@ from thermogeom import (
     gauge_translate,
     gibbs_point,
     injectivity_diagnostic,
+    legendrian_residual,
+    metric_grid,
     metric_tensor,
     rectangle_loop,
     segment_speed_profile,
@@ -40,7 +45,9 @@ from thermogeom import (
 )
 from thermogeom.connection import curvature, gamma_coeffs, holonomy_via_curvature
 from thermogeom.errors import ValidationError
-from thermogeom.processes import MAX_COUNT
+from thermogeom.exprlang import Num
+from thermogeom.gibbs import gibbs_batch
+from thermogeom.inputs import MAX_COUNT, number
 
 QUBIT = ObservableSet([HermitianOperator(np.diag([1.0, -1.0]))])
 SPEC = ConnectionSpec.parsed("1", ["0", "l1"], 2)
@@ -49,6 +56,12 @@ POINT = ThermoPoint(0.0, [0.0], [0.0])
 PATH = straight_path([0.0], [1.0], steps=8)
 VERTICAL = [ThermoPoint(0.1 * k, [0.0], [0.0]) for k in range(3)]
 M_SPEC = MMetricSpec.parsed("1", ["1"], ["0"], 1)
+
+NUMBERS = {
+    "ThermoPoint.S": lambda x: ThermoPoint(x, [0.0], [0.0]),
+    "TangentVector.dS": lambda x: TangentVector(x, [0.0], [0.0]),
+    "gauge_translate.dS": lambda x: gauge_translate(POINT, x, [0.0]),
+}
 
 # argument -> (its number of components, a call with that argument)
 VECTORS = {
@@ -79,6 +92,7 @@ VECTORS = {
     "metric_tensor.lam": (1, lambda v: metric_tensor(QUBIT, v)),
     "expectation_consistency.lam": (1, lambda v: expectation_consistency(QUBIT, v)),
     "injectivity_diagnostic.lam": (1, lambda v: injectivity_diagnostic(QUBIT, v)),
+    "MetricTensor.lam": (1, lambda v: MetricTensor(v, [[1.0]])),
 }
 
 POSITIVES = {
@@ -93,6 +107,7 @@ POSITIVES = {
     "flatness_check.tol": lambda x: flatness_check(SPEC, [[0.0, 0.0]], x),
     "fiber_membership.tol": lambda x: fiber_membership(QUBIT, MU, POINT, [0.0], x),
     "fiber_path_length.duration": lambda x: fiber_path_length(M_SPEC, VERTICAL, x),
+    "MuExtension.validated.box": lambda x: MuExtension.validated(["0"], QUBIT, box=x),
 }
 
 # argument -> (a valid count, a call with that argument)
@@ -106,9 +121,30 @@ COUNTS = {
     "holonomy_via_curvature.l": (
         1, lambda c: holonomy_via_curvature(SPEC, [0, 0], [1, 1], 0, c, grid=(4, 4))
     ),
+    "curvature.k": (0, lambda c: curvature(SPEC, [0.0, 0.0], c, 1)),
     "holonomy_via_curvature.grid[0]": (
         4, lambda c: holonomy_via_curvature(SPEC, [0, 0], [1, 1], grid=(c, 4))
     ),
+    "ConnectionSpec.n": (1, lambda c: ConnectionSpec(Num(1.0), [Num(0.0)], c)),
+    "ConnectionSpec.parsed.n": (1, lambda c: ConnectionSpec.parsed("1", ["0"], c)),
+    "MMetricSpec.n": (1, lambda c: MMetricSpec(Num(1.0), [Num(1.0)], [Num(0.0)], c)),
+    "MMetricSpec.parsed.n": (1, lambda c: MMetricSpec.parsed("1", ["1"], ["0"], c)),
+    "MuExtension.n": (1, lambda c: MuExtension([Num(0.0)], c)),
+    "MuExtension.zero.n": (1, MuExtension.zero),
+}
+
+# argument -> (width or None for any, fewest rows, a rank it refuses, a call with that argument)
+BLOCKS = {
+    "gibbs_batch.lams": (1, 0, 1, lambda b: gibbs_batch(QUBIT, b)),
+    "metric_grid.lams": (1, 0, 1, lambda b: metric_grid(QUBIT, b)),
+    "ParamPath.samples": (None, 9, 1, lambda b: ParamPath(1.0, b)),
+    "discrete_path_energy.samples": (1, 2, 1, lambda b: discrete_path_energy(QUBIT, b, 1.0)),
+    "segment_speed_profile.samples": (1, 2, 1, lambda b: segment_speed_profile(QUBIT, b, 1.0)),
+    "curvature.lam": (2, 0, 3, lambda b: curvature(SPEC, b, 0, 1)),
+    "ConnectionSpec.gamma.lam": (2, 0, 0, SPEC.gamma),
+    "flatness_check.grid_points": (2, 1, 1, lambda b: flatness_check(SPEC, b)),
+    "legendrian_residual.lambda_grid": (1, 1, 1, lambda b: legendrian_residual(QUBIT, b)),
+    "MetricTensor.g": (1, 1, 1, lambda b: MetricTensor([0.0], b)),
 }
 
 
@@ -120,6 +156,26 @@ def _bad_vectors(n):
     yield "length", [1.0] + [0.0] * n
 
 
+def _valid_block(n, floor):
+    return np.zeros((max(floor, 1), n or 1))
+
+
+def _bad_blocks(n, floor, rank):
+    good = _valid_block(n, floor)
+    for case, value in (("nan", math.nan), ("inf", math.inf), ("-inf", -math.inf)):
+        block = good.copy()
+        block[-1, -1] = value
+        yield case, block
+    yield "bool", good.astype(bool)
+    yield "string", good.astype(str)
+    if n is not None:
+        yield "width", np.zeros((good.shape[0], n + 1))
+    yield f"rank {rank}", np.zeros((1,) * (rank - 1) + good.shape[1:] if rank else ())
+    if floor:
+        yield "rows", good[1:]
+
+
+BAD_NUMBERS = [math.nan, math.inf, -math.inf, True, "1.0", None]
 BAD_POSITIVES = [math.nan, math.inf, -math.inf, True, 0.0, -1.0, "1.0", None]
 BAD_COUNTS = [math.nan, math.inf, True, 2.5, -1, MAX_COUNT + 1, "4", None]
 
@@ -133,6 +189,13 @@ def test_bad_vector_is_rejected(arg, case):
     value = dict(_bad_vectors(n))[case]
     with pytest.raises(ValidationError):
         call(value)
+
+
+@pytest.mark.parametrize("arg", sorted(NUMBERS))
+@pytest.mark.parametrize("value", BAD_NUMBERS, ids=repr)
+def test_bad_number_is_rejected(arg, value):
+    with pytest.raises(ValidationError):
+        NUMBERS[arg](value)
 
 
 @pytest.mark.parametrize("arg", sorted(POSITIVES))
@@ -149,6 +212,26 @@ def test_bad_count_is_rejected(arg, value):
         COUNTS[arg][1](value)
 
 
+@pytest.mark.parametrize(
+    "arg, case",
+    [(arg, case) for arg, (n, floor, rank, _) in BLOCKS.items() for case, _ in _bad_blocks(n, floor, rank)],
+)
+def test_bad_block_is_rejected(arg, case):
+    n, floor, rank, call = BLOCKS[arg]
+    value = dict(_bad_blocks(n, floor, rank))[case]
+    with pytest.raises(ValidationError):
+        call(value)
+
+
+def test_number_takes_any_real_but_bool():
+    assert [number(x, "x") for x in (np.int64(3), np.float32(0.5), Fraction(1, 4))] == [3.0, 0.5, 0.25]
+
+
+def test_empty_block_of_the_wrong_width_is_rejected():
+    with pytest.raises(ValidationError, match="shape"):
+        metric_grid(QUBIT, np.zeros((0, 5)))
+
+
 @pytest.mark.parametrize("grid", [(4, 4, 4), (4,), 4, None, (2**10, 2**10 + 1)])
 def test_bad_count_list_is_rejected(grid):
     with pytest.raises(ValidationError, match="grid"):
@@ -157,9 +240,13 @@ def test_bad_count_list_is_rejected(grid):
 
 def test_the_valid_calls_pass():
     """Each table's call accepts a valid value, so a rejection above is the bad one's."""
+    for call in NUMBERS.values():
+        call(0.5)
     for n, call in VECTORS.values():
         call([1.0] + [0.0] * (n - 1))
     for call in POSITIVES.values():
         call(0.5)
     for valid, call in COUNTS.values():
         call(valid)
+    for n, floor, _, call in BLOCKS.values():
+        call(_valid_block(n, floor))

@@ -7,9 +7,9 @@ from thermogeom import geometry, processes
 from thermogeom.errors import NearSingularError, ValidationError
 from thermogeom.geometry import fidelity, metric_grid
 from thermogeom.gibbs import ObservableSet, gibbs_point
+from thermogeom.inputs import MAX_COUNT
 from thermogeom.linalg import HermitianOperator
 from thermogeom.processes import (
-    MAX_COUNT,
     GeodesicProblem,
     ParamPath,
     _midpoint_terms,

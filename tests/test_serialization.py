@@ -4,17 +4,15 @@ import numpy as np
 import pytest
 
 from thermogeom.errors import ValidationError
+from thermogeom.inputs import MAX_COUNT, count, number
 from thermogeom.processes import ParamPath
 from thermogeom.serialization import (
-    MAX_COUNT,
     atomic_write_text,
-    count,
     complex_matrix_from_json,
     complex_matrix_to_json,
     connection_spec_from_json,
     format_float,
     load_json_file,
-    number,
     path_from_json,
     path_to_json,
 )
