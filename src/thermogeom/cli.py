@@ -11,6 +11,7 @@ produce byte-identical artifacts; outputs are written atomically.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -479,7 +480,9 @@ def _emit(text: str, out: str | None) -> None:
         ser.atomic_write_text(out, text)
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first `main` call and reused by later ones."""
     parser = argparse.ArgumentParser(
         prog="thermogeom",
         description="Geometry toolkit for Gibbs-state manifolds",
@@ -499,7 +502,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         job = _HANDLERS[args.command](load_run_config(args.config))
         if args.validate:

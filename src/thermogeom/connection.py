@@ -8,10 +8,14 @@ holonomy is the vertical displacement of a lifted loop, and the same
 number is recovered as minus the curvature flux through a spanning
 rectangle (Stokes, since the group is abelian).
 
-Every layer is batched over points: `ConnectionSpec.gamma` maps lam of
-shape (..., n) to (..., n) with one evaluation of each expression, a
-curvature batch differentiates it through `linalg.central_difference`,
-and a lift makes one gamma call for its samples and midpoints.
+Every layer is batched over points.  A `ConnectionSpec` compiles
+[g_S, *h] once into one `exprlang.Program`, so a subtree shared between
+g_S and the h_k (as in an exact h_k = g_S d_k phi) is evaluated once per
+call and its registers are dropped after their last use;
+`ConnectionSpec.gamma` maps lam of shape (..., n) to (..., n) with one
+run of it, checking g_S before any h_k is evaluated.  A curvature batch
+differentiates gamma through `linalg.central_difference`, and a lift
+makes one gamma call for its samples and midpoints.
 """
 
 from __future__ import annotations
@@ -51,7 +55,7 @@ MIN_LOOP_STEPS = 16
 class ConnectionSpec:
     """Scalar fields g_S(lam) and h_k(lam) over n parameters."""
 
-    __slots__ = ("g_S", "h", "n")
+    __slots__ = ("g_S", "h", "n", "_program")
 
     def __init__(self, g_S: Expr, h: Sequence[Expr], n: int):
         n = count(n, "n", 1)
@@ -64,6 +68,7 @@ class ConnectionSpec:
         object.__setattr__(self, "g_S", g_S)
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "n", n)
+        object.__setattr__(self, "_program", exprlang.Program((g_S, *h)))
 
     def __setattr__(self, name, value):
         raise AttributeError("ConnectionSpec is immutable")
@@ -75,8 +80,9 @@ class ConnectionSpec:
     def gamma(self, lam) -> np.ndarray:
         """Gamma^k_0 = h_k / g_S, mapping lam of shape (..., n) to (..., n).
 
-        One evaluation of each expression covers every point; |g_S| <= 1e-12
-        at any point raises, naming the first such point in C order.
+        One run of the spec's program over [g_S, *h] covers every point;
+        |g_S| <= 1e-12 at any point raises, naming the first such point in
+        C order, before any h_k is evaluated.
         """
         lam = np.asarray(lam)
         # the points as rows; a last axis of another length fails the width check
@@ -84,14 +90,15 @@ class ConnectionSpec:
         # contiguous copies of the components: ufuncs on strided views cost more
         columns = flat.T.copy()
         env = {f"l{i + 1}": columns[i] for i in range(self.n)}
-        g_s = exprlang.eval_expr(self.g_S, env)
+        values = self._program.run(env)
+        g_s = next(values)
         degenerate = np.abs(g_s) <= 1e-12
         if degenerate.any():
             at = int(np.argmax(degenerate))
             raise DegenerateMetricError(
                 f"|g_S| = {abs(float(g_s[at])):.3e} at lambda = {flat[at].tolist()}"
             )
-        h = np.stack([exprlang.eval_expr(e, env) for e in self.h], axis=-1)
+        h = np.stack(list(values), axis=-1)
         return (h / g_s[:, None]).reshape(lam.shape)
 
 

@@ -100,7 +100,7 @@ class MuExtension:
     symbolically.  Build instances through `MuExtension.validated`.
     """
 
-    __slots__ = ("exprs", "n")
+    __slots__ = ("exprs", "n", "_program")
 
     def __init__(self, exprs: Sequence[Expr], n: int) -> None:
         n = count(n, "n", 1)
@@ -112,6 +112,7 @@ class MuExtension:
             exprlang.require_vars(e, allowed, f"f_{k + 1}")
         object.__setattr__(self, "exprs", exprs)
         object.__setattr__(self, "n", n)
+        object.__setattr__(self, "_program", exprlang.Program(exprs))
 
     def __setattr__(self, name, value):
         raise AttributeError("MuExtension is immutable")
@@ -131,7 +132,7 @@ class MuExtension:
         lams = rng.uniform(-box, box, size=(MU_VALIDATION_POINTS, obs.n))
         batch = gibbs_batch(obs, lams)
         env = _point_env(batch.S, batch.a, lams)
-        worst = np.max(np.abs([exprlang.eval_expr(e, env) for e in exprs]), axis=0)
+        worst = np.max(np.abs(list(mu._program.run(env))), axis=0)
         failing = worst >= MU_VALIDATION_TOL
         if failing.any():
             j = int(np.argmax(failing))
@@ -147,7 +148,7 @@ class MuExtension:
 
     def offsets(self, p: ThermoPoint) -> np.ndarray:
         env = _point_env(p.S, p.a, p.lam)
-        return np.array([exprlang.eval_expr(e, env) for e in self.exprs])
+        return np.array(list(self._program.run(env)))
 
     def mu_values(self, p: ThermoPoint) -> np.ndarray:
         return p.lam + self.offsets(p)
@@ -161,7 +162,7 @@ class MMetricSpec:
     are functions of lam alone.
     """
 
-    __slots__ = ("g_S", "g_a", "h", "n")
+    __slots__ = ("g_S", "g_a", "h", "n", "_program")
 
     def __init__(self, g_S: Expr, g_a: Sequence[Expr], h: Sequence[Expr], n: int):
         n = count(n, "n", 1)
@@ -177,6 +178,7 @@ class MMetricSpec:
         object.__setattr__(self, "g_a", g_a)
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "n", n)
+        object.__setattr__(self, "_program", exprlang.Program((g_S, *g_a, *h)))
 
     def __setattr__(self, name, value):
         raise AttributeError("MMetricSpec is immutable")
@@ -193,20 +195,24 @@ class MMetricSpec:
         )
 
     def evaluate(self, lam: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-        """(g_S, g_a vector, h vector) at lam, enforcing the sign invariants."""
+        """(g_S, g_a vector, h vector) at lam, enforcing the sign invariants.
+
+        g_S is checked before any g_a is evaluated, and the g_a before any h.
+        """
         env = {f"l{i + 1}": float(lam[i]) for i in range(self.n)}
-        g_s = exprlang.eval_expr(self.g_S, env)
+        values = self._program.run(env)
+        g_s = next(values)
         if abs(g_s) <= 1e-12:
             raise DegenerateMetricError(
                 f"|g_S| = {abs(g_s):.3e} at lambda = {np.asarray(lam).tolist()}"
             )
-        g_a = np.array([exprlang.eval_expr(e, env) for e in self.g_a])
+        g_a = np.array([next(values) for _ in self.g_a])
         if np.any(g_a <= 0.0):
             raise SignatureError(
                 f"g_a must be positive, got {g_a.tolist()} at "
                 f"lambda = {np.asarray(lam).tolist()}"
             )
-        h = np.array([exprlang.eval_expr(e, env) for e in self.h])
+        h = np.array(list(values))
         return float(g_s), g_a, h
 
 
@@ -345,7 +351,7 @@ def mu_jacobian(mu: MuExtension, p: ThermoPoint) -> np.ndarray:
     def mu_values(coords: np.ndarray) -> np.ndarray:
         lam = coords[..., n + 1 :]
         env = _point_env(coords[..., 0], coords[..., 1 : n + 1], lam)
-        return lam + np.stack([exprlang.eval_expr(e, env) for e in mu.exprs], axis=-1)
+        return lam + np.stack(list(mu._program.run(env)), axis=-1)
 
     coords = np.concatenate(([p.S], p.a, p.lam))
     return central_difference(mu_values, coords, 1e-6, 2).T

@@ -7,17 +7,23 @@ state-function extensions and path coordinates.  Precedence, low to high:
 cosh, tanh, abs (unary) and min, max, pow (binary).  The variable alphabet
 is fixed by the parameter count n at parse time: {t, S, a1..an, l1..ln}.
 
-`eval_expr` is the one evaluator: it walks the tree once and applies
-numpy ufuncs to whole arrays of variable values, in IEEE doubles per
-element, so a batch of points costs one walk and a single point is the
-one-element case.  Domain violations are checked as masks over the batch.
+`Program` is the one evaluator.  It compiles a tuple of expressions once
+into straight-line code whose instructions apply numpy ufuncs to whole
+arrays, in IEEE doubles per element, with domain violations checked as
+masks; equal subtrees share one register and are evaluated once per run,
+and a register is dropped after its last use.  Values come out in order,
+each computed when asked for, so the first error raised is the one the
+first failing expression raises alone.  Each holder of expressions
+compiles its own once; `eval_expr` runs a program over one expression.
 """
 
 from __future__ import annotations
 
+import operator
 import re
+import struct
 from dataclasses import dataclass
-from typing import Mapping, Union
+from typing import Iterator, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -39,6 +45,7 @@ __all__ = [
     "Call",
     "allowed_variables",
     "parse",
+    "Program",
     "eval_expr",
     "free_vars",
     "require_vars",
@@ -305,7 +312,7 @@ def _check_overflow(out, node: Expr, operands, env) -> None:
         _check(bad, node, "overflow", operands[0], env)
 
 
-def _eval_pow(base, expo, node: Expr, env):
+def _pow(node: Expr, env, base, expo):
     _check((base == 0.0) & (expo < 0.0), node, "zero raised to a negative power", base, env)
     # a negative base takes integer exponents only: (-2)^3 = -8
     _check(
@@ -320,84 +327,172 @@ def _eval_pow(base, expo, node: Expr, env):
     return out
 
 
-_UFUNCS = {
-    "exp": np.exp,
-    "log": np.log,
-    "sqrt": np.sqrt,
+def _var(node: Var, env):
+    try:
+        return np.asarray(env[node.name], dtype=float)
+    except KeyError:
+        raise ExprNameError(f"unbound variable {node.name!r}") from None
+
+
+def _divide(node: Expr, env, a, b):
+    _check(b == 0.0, node, "division by zero", b, env)
+    return a / b
+
+
+def _log(node: Expr, env, x):
+    _check(x <= 0.0, node, "log of non-positive value", x, env)
+    return np.log(x)
+
+
+def _sqrt(node: Expr, env, x):
+    _check(x < 0.0, node, "sqrt of negative value", x, env)
+    return np.sqrt(x)
+
+
+def _overflowing(ufunc):
+    def apply(node: Expr, env, x):
+        out = ufunc(x)
+        _check_overflow(out, node, (x,), env)
+        return out
+
+    return apply
+
+
+# operations that cannot fail, called on the argument values alone
+_UNCHECKED = {
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "neg": operator.neg,
     "sin": np.sin,
     "cos": np.cos,
-    "sinh": np.sinh,
-    "cosh": np.cosh,
     "tanh": np.tanh,
     "abs": np.abs,
     "min": np.minimum,
     "max": np.maximum,
 }
-_OVERFLOWING = frozenset(("exp", "sinh", "cosh"))
+# operations with a domain check, called as (node, env, *argument values)
+_CHECKED = {
+    "/": _divide,
+    "^": _pow,
+    "pow": _pow,
+    "log": _log,
+    "sqrt": _sqrt,
+    "exp": _overflowing(np.exp),
+    "sinh": _overflowing(np.sinh),
+    "cosh": _overflowing(np.cosh),
+}
 
 
-def _eval(e: Expr, env: Mapping[str, float | np.ndarray]):
-    kind = type(e)
-    if kind is BinOp:
-        a = _eval(e.left, env)
-        b = _eval(e.right, env)
-        op = e.op
-        if op == "+":
-            return a + b
-        if op == "-":
-            return a - b
-        if op == "*":
-            return a * b
-        if op == "/":
-            _check(b == 0.0, e, "division by zero", b, env)
-            return a / b
-        return _eval_pow(a, b, e, env)
-    if kind is Num:
-        return e.value
-    if kind is Var:
-        try:
-            return np.asarray(env[e.name], dtype=float)
-        except KeyError:
-            raise ExprNameError(f"unbound variable {e.name!r}") from None
-    if kind is Neg:
-        return -_eval(e.arg, env)
-    vals = [_eval(a, env) for a in e.args]
-    x = vals[0]
-    fn = e.func
-    if fn == "pow":
-        return _eval_pow(x, vals[1], e, env)
-    if fn == "log":
-        _check(x <= 0.0, e, "log of non-positive value", x, env)
-    elif fn == "sqrt":
-        _check(x < 0.0, e, "sqrt of negative value", x, env)
-    out = _UFUNCS[fn](*vals)
-    if fn in _OVERFLOWING:
-        _check_overflow(out, e, (x,), env)
-    return out
+class Program:
+    """One straight-line program computing a tuple of expressions.
+
+    An instruction is keyed by its operation, payload and argument registers
+    (a constant by its float bits, so 0.0 and -0.0 stay apart): equal
+    subtrees share one register.  Instructions follow the post-order of each
+    expression in turn, and a register is dropped after its last reader.
+    """
+
+    __slots__ = ("_registers", "_segments")
+
+    def __init__(self, exprs: Sequence[Expr]) -> None:
+        registers: list = []  # a constant's value; None where an instruction writes
+        numbering: dict[tuple, int] = {}
+        # [function, node (None if unchecked), argument registers a and b (or
+        # None), register written, registers dropped after it]
+        code: list[list] = []
+        last: dict[int, list] = {}  # register -> the drop list of its last reader
+
+        def number(e: Expr) -> int:
+            kind = type(e)
+            if kind is Num:
+                key = (Num, type(e.value), struct.pack("<d", e.value))
+            elif kind is Var:
+                key = (Var, e.name)
+            elif kind is Neg:
+                key = ("neg", number(e.arg))
+            elif kind is BinOp:
+                key = (e.op, number(e.left), number(e.right))
+            else:
+                key = (e.func, *(number(a) for a in e.args))
+            reg = numbering.get(key)
+            if reg is not None:
+                return reg
+            reg = numbering[key] = len(registers)
+            registers.append(e.value if kind is Num else None)
+            if kind is Var:
+                code.append([_var, e, None, None, reg, []])
+            elif kind is not Num:
+                op, a, b = (*key, None)[:3]
+                fn = _UNCHECKED.get(op)
+                code.append([fn, None, a, b, reg, []] if fn else [_CHECKED[op], e, a, b, reg, []])
+                last[a] = last[b] = code[-1][5]
+            return reg
+
+        segments = []  # (instructions, output register, dropped after the output)
+        for e in exprs:
+            start = len(code)
+            out = number(e)
+            segments.append((code[start:], out, []))
+            last[out] = segments[-1][2]
+        for reg, dropped in last.items():
+            if reg is not None and registers[reg] is None:
+                dropped.append(reg)
+        self._registers = tuple(registers)
+        self._segments = tuple(segments)
+
+    def __len__(self) -> int:
+        """The number of instructions; constants take none."""
+        return sum(len(steps) for steps, _, _ in self._segments)
+
+    def run(self, env: Mapping[str, float | np.ndarray]) -> Iterator[float | np.ndarray]:
+        """Yield each expression's value in order, as `eval_expr` gives it alone.
+
+        Expression k runs only when its value is asked for, so a caller can
+        check it before a later one runs.  Values may share memory with each
+        other and with the env arrays.
+        """
+        regs = list(self._registers)
+        shape = None
+        for steps, out, dropped in self._segments:
+            with np.errstate(all="ignore"):
+                for fn, node, a, b, reg, done in steps:
+                    if a is None:
+                        regs[reg] = fn(node, env)
+                    elif b is None:
+                        regs[reg] = fn(regs[a]) if node is None else fn(node, env, regs[a])
+                    elif node is None:
+                        regs[reg] = fn(regs[a], regs[b])
+                    else:
+                        regs[reg] = fn(node, env, regs[a], regs[b])
+                    for r in done:
+                        regs[r] = None
+            value = regs[out]
+            for r in dropped:
+                regs[r] = None
+            if shape is None:
+                shape = _env_shape(tuple(env.values()))
+            if not shape:
+                yield float(value)
+            else:
+                yield value if np.shape(value) == shape else np.broadcast_to(value, shape).copy()
 
 
 def eval_expr(e: Expr, env: Mapping[str, float | np.ndarray]) -> float | np.ndarray:
     """Evaluate elementwise in IEEE doubles over the broadcast of the env values.
 
     Each variable value is a float or an array, and the arrays must
-    broadcast together.  One walk of the tree applies numpy ufuncs to
-    whole arrays.  The result has the broadcast shape of all env values;
-    it is a float when every value is a scalar, so a single point is the
-    one-element case of the same walk.  A domain violation at any element
-    (division by zero, log or sqrt outside its domain, zero to a negative
-    power, a negative base with a non-integer exponent, overflow in exp,
-    sinh, cosh or pow) raises ExprDomainError naming the node, the operand
-    at the first offending element in C order, and the variable values
-    there.
+    broadcast together.  `Program((e,))` applies numpy ufuncs to whole
+    arrays, one per distinct subtree.  The result has the broadcast shape
+    of all env values; it is a float when every value is a scalar, so a
+    single point is the one-element case of the same program.  A domain
+    violation at any element (division by zero, log or sqrt outside its
+    domain, zero to a negative power, a negative base with a non-integer
+    exponent, overflow in exp, sinh, cosh or pow) raises ExprDomainError
+    naming the node, the operand at the first offending element in C
+    order, and the variable values there.
     """
-    with np.errstate(all="ignore"):
-        out = _eval(e, env)
-    shape = _env_shape(tuple(env.values()))
-    if not shape:
-        return float(out)
-    if np.shape(out) != shape:
-        out = np.broadcast_to(out, shape).copy()
-    return out
+    return next(Program((e,)).run(env))
 
 
 # precedence levels for printing

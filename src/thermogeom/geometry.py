@@ -23,7 +23,7 @@ from .errors import (
     ValidationError,
 )
 from .gibbs import FamilyBatch, ObservableSet, gibbs_batch
-from .inputs import points, vector
+from .inputs import count, points, vector
 from .linalg import DensityOperator, HermitianOperator, hermitize
 
 __all__ = [
@@ -49,7 +49,8 @@ class MetricTensor:
 
     def __post_init__(self) -> None:
         lam = vector(self.lam, None, "lam")
-        g = points(self.g, lam.size, "metric", lam.size, lam.size)
+        n = count(lam.size, "metric dimension n", 1)
+        g = points(self.g, n, "metric", n, n)
         if not np.array_equal(g, g.T):
             raise ValidationError("metric must be exactly symmetric; symmetrize first")
         w_min = float(np.linalg.eigvalsh(g)[0])

@@ -129,7 +129,7 @@ def path_from_json(obj: Any, n: int) -> ParamPath:
         for k, e in enumerate(exprs):
             exprlang.require_vars(e, {"t"}, f"path expression {k + 1}")
         ts = np.linspace(0.0, duration, steps + 1)
-        samples = np.stack([exprlang.eval_expr(e, {"t": ts}) for e in exprs], axis=-1)
+        samples = np.stack(list(exprlang.Program(exprs).run({"t": ts})), axis=-1)
         return ParamPath(duration, samples)
     raise ValidationError("path needs either samples or lambda_exprs")
 

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from thermogeom import cli
 from thermogeom.cli import CONFIG_KEYS, main
 from thermogeom.inputs import MAX_COUNT
 
@@ -500,6 +501,39 @@ def test_lambda_list_is_capped_before_its_entries_are_read(tmp_path, capsys):
     cfg.write_text(json.dumps(doc))
     assert run(["third-law", "--config", cfg, "--validate"]) == 2
     assert f"more than {MAX_COUNT}" in capsys.readouterr().err
+
+
+def test_calls_in_one_process_behave_as_fresh_ones(tmp_path, capsys):
+    # a run, a usage error, --validate, a run of another subcommand and --help,
+    # back to back on the one parser `main` builds, against each on a fresh one
+    gibbs = write_config(tmp_path, "gibbs.json", shipped_config("gibbs"))
+    metric = write_config(tmp_path, "metric.json", shipped_config("metric"))
+    calls = [
+        ["gibbs", "--config", gibbs, "--out", tmp_path / "gibbs.json.out"],
+        ["metric", "--config", metric, "--format", "xml"],
+        ["metric", "--config", metric, "--validate"],
+        ["metric", "--config", metric, "--format", "csv"],
+        ["metric", "--help"],
+    ]
+
+    def outcome(argv):
+        try:
+            code = run(argv)
+        except SystemExit as exc:
+            code = ("exit", exc.code)
+        out, err = capsys.readouterr()
+        return code, out, err, (tmp_path / "gibbs.json.out").read_bytes()
+
+    fresh = []
+    for argv in calls:
+        cli._parser.cache_clear()
+        fresh.append(outcome(argv))
+    cli._parser.cache_clear()
+    assert [outcome(argv) for argv in calls] == fresh
+    assert cli._parser.cache_info().misses == 1
+    assert [f[0] for f in fresh] == [0, ("exit", 2), 0, 0, ("exit", 0)]
+    assert "invalid choice: 'xml'" in fresh[1][2]
+    assert fresh[2][2] == "metric: config OK\n" and fresh[3][1].startswith("l1,g_1_1\n")
 
 
 def test_readme_schema_sketch_lists_exactly_the_config_keys(tmp_path):

@@ -337,6 +337,12 @@ class TestBatchedMatchesPointwise:
         with pytest.raises(DegenerateMetricError, match=r"\[0\.0, 5\.0\]"):
             spec.gamma(np.array([[1.0, 0.0], [0.0, 5.0], [0.0, 7.0]]))
 
+    def test_gamma_checks_g_S_before_any_h(self):
+        # log(l1) fails where g_S = l1 vanishes: g_S is checked before h runs
+        spec = spec2(g_S="l1", h=("log(l1)", "1"))
+        with pytest.raises(DegenerateMetricError, match=r"\[0\.0, 5\.0\]"):
+            spec.gamma(np.array([[1.0, 0.0], [0.0, 5.0]]))
+
     def test_curvature_shapes(self):
         assert isinstance(curvature(CURVED3, POINTS3[0], 0, 1), float)
         assert curvature(CURVED3, POINTS3, 0, 1).shape == (40,)

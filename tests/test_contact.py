@@ -24,7 +24,7 @@ from thermogeom.contact import (
     state_function,
     wedge_top_coefficient,
 )
-from thermogeom.errors import SignatureError, ValidationError
+from thermogeom.errors import DegenerateMetricError, SignatureError, ValidationError
 from thermogeom.geometry import metric_tensor
 from thermogeom.gibbs import ObservableSet, gibbs_point
 from thermogeom.linalg import HermitianOperator
@@ -402,6 +402,15 @@ class TestGMQuadratic:
         p = equilibrium_point(QUBIT, [0.0])
         with pytest.raises(SignatureError):
             gM_quadratic(spec, g, p, tangent(dS=1.0))
+
+    def test_g_S_then_g_a_are_checked_before_h(self):
+        # each h fails at lam = 0; the earlier field's check raises first
+        g = metric_tensor(QUBIT, [0.0])
+        p = equilibrium_point(QUBIT, [0.0])
+        with pytest.raises(DegenerateMetricError):
+            gM_quadratic(MMetricSpec.parsed("l1", ["1/l1"], ["log(l1)"], 1), g, p, tangent(dS=1.0))
+        with pytest.raises(SignatureError):
+            gM_quadratic(MMetricSpec.parsed("1", ["l1-1"], ["log(l1)"], 1), g, p, tangent(dS=1.0))
 
 
 class TestFiberPathLength:

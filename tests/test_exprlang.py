@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -14,11 +15,13 @@ from thermogeom.errors import (
     ThermoGeomError,
     ValidationError,
 )
+from thermogeom import exprlang
 from thermogeom.exprlang import (
     BinOp,
     Call,
     Neg,
     Num,
+    Program,
     Var,
     eval_expr,
     free_vars,
@@ -339,3 +342,121 @@ def test_array_evaluation_matches_each_element_alone(e, points):
     # subtract only finite pairs: inf - inf on equal infinities would warn
     gap = np.abs(np.subtract(out, singles, where=finite, out=np.zeros_like(out)))
     assert np.all(same | (finite & (gap <= 4 * np.spacing(scale))))
+
+
+# ---- compiled programs -------------------------------------------------------
+
+
+def _walk(e, env):
+    """The recursive tree walk the compiled program replaced, kept as its reference."""
+    kind = type(e)
+    if kind is Num:
+        return e.value
+    if kind is Var:
+        return exprlang._var(e, env)
+    if kind is Neg:
+        op, args = "neg", (e.arg,)
+    elif kind is BinOp:
+        op, args = e.op, (e.left, e.right)
+    else:
+        op, args = e.func, e.args
+    values = [_walk(a, env) for a in args]
+    if op in exprlang._UNCHECKED:
+        return exprlang._UNCHECKED[op](*values)
+    return exprlang._CHECKED[op](e, env, *values)
+
+
+def _walk_expr(e, env):
+    with np.errstate(all="ignore"):
+        out = _walk(e, env)
+    shape = np.broadcast_shapes(*map(np.shape, env.values()))
+    if not shape:
+        return float(out)
+    return np.broadcast_to(out, shape).copy() if np.shape(out) != shape else out
+
+
+def _same_bits(x, y):
+    return type(x) is type(y) and np.shape(x) == np.shape(y) and (
+        np.asarray(x).tobytes() == np.asarray(y).tobytes()
+    )
+
+
+def _outcomes(values):
+    """The values an iterator yields, then the ExprDomainError that ended it, if any."""
+    out = []
+    try:
+        for value in values:
+            out.append(value)
+    except ExprDomainError as exc:
+        out.append(exc)
+    return out
+
+
+# expressions built around one subtree e, so a program over them shares it
+_AROUND = [
+    lambda e: e,
+    lambda e: BinOp("*", e, Var("l1")),
+    lambda e: BinOp("+", Call("log", (e,)), e),
+    lambda e: Call("max", (e, Neg(e))),
+    lambda e: BinOp("/", Var("l2"), e),
+]
+
+
+@st.composite
+def _sharing(draw):
+    e = draw(_EXPRS)
+    around = st.sampled_from(_AROUND).map(lambda wrap: wrap(e))
+    return draw(st.lists(st.one_of(around, _EXPRS), min_size=1, max_size=4))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_sharing(), st.lists(st.tuples(_VALUES, _VALUES), min_size=1, max_size=6), st.booleans())
+def test_program_matches_each_expression_alone(exprs, points, scalar):
+    if scalar:
+        env = dict(zip(("l1", "l2"), points[0]))
+    else:
+        env = {name: np.array(column) for name, column in zip(("l1", "l2"), zip(*points))}
+    alone = _outcomes(eval_expr(e, env) for e in exprs)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        together = _outcomes(Program(exprs).run(env))
+    # values up to the first expression that fails alone, then that error
+    assert len(together) == len(alone)
+    for got, expect, e in zip(together, alone, exprs):
+        if isinstance(expect, ExprDomainError):
+            assert type(got) is type(expect) and str(got) == str(expect)
+            with pytest.raises(ExprDomainError, match=re.escape(str(expect))):
+                _walk_expr(e, env)
+        else:
+            assert _same_bits(got, expect) and _same_bits(expect, _walk_expr(e, env))
+
+
+def test_signed_zero_constants_keep_their_sign_bits():
+    l1 = np.array([1.0, 2.0])
+    program = Program([BinOp("*", Num(-0.0), Var("l1")), BinOp("*", Num(0.0), Var("l1"))])
+    negative, positive = program.run({"l1": l1})
+    assert np.all(np.signbit(negative)) and not np.any(np.signbit(positive))
+    # one load of l1 and two products: the constants are not merged
+    assert len(program) == 3
+
+
+def test_shared_subtrees_are_computed_once():
+    # h_k = g_S * l_k: 5 + 7 + 7 tree nodes, of which 13 are operations or loads
+    g = parse("1+l1^2", 2)
+    h = [parse(f"(1+l1^2)*l{k}", 2) for k in (1, 2)]
+    program = Program([g, *h])
+    # l1, l1^2, 1+l1^2, then g*l1, l2 and g*l2
+    assert len(program) == 6
+    env = {"l1": np.array([0.5, 2.0]), "l2": np.array([3.0, -1.0])}
+    assert all(_same_bits(x, eval_expr(e, env)) for x, e in zip(program.run(env), [g, *h]))
+
+
+def test_each_register_is_dropped_after_its_last_reader():
+    program = Program([parse("exp(l1)*l2 + l1", 2), parse("l2", 2)])
+    (steps, out, dropped), (steps2, out2, dropped2) = program._segments
+    # an instruction is [function, node, a, b, register, registers dropped after it]
+    l1, exp, l2, product, total = (step[4] for step in steps)
+    assert [set(step[5]) for step in steps] == [set(), set(), set(), {exp}, {l1, product}]
+    assert (out, dropped) == (total, [total])
+    # the second expression only reads l2, which lives until it is output
+    assert (steps2, out2, dropped2) == ([], l2, [l2])

@@ -92,7 +92,8 @@ VECTORS = {
     "metric_tensor.lam": (1, lambda v: metric_tensor(QUBIT, v)),
     "expectation_consistency.lam": (1, lambda v: expectation_consistency(QUBIT, v)),
     "injectivity_diagnostic.lam": (1, lambda v: injectivity_diagnostic(QUBIT, v)),
-    "MetricTensor.lam": (1, lambda v: MetricTensor(v, [[1.0]])),
+    # an empty lam comes with the 0 x 0 metric of its size
+    "MetricTensor.lam": (1, lambda v: MetricTensor(v, [[1.0]] if len(v) else np.zeros((0, 0)))),
 }
 
 POSITIVES = {
@@ -154,6 +155,7 @@ def _bad_vectors(n):
     yield "-inf", [-math.inf] + [0.0] * (n - 1)
     yield "bool", [True] + [False] * (n - 1)
     yield "length", [1.0] + [0.0] * n
+    yield "empty", []
 
 
 def _valid_block(n, floor):
