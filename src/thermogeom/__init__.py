@@ -9,7 +9,6 @@ functions, and connection curvature/holonomy, all scriptable through the
 
 from .errors import (
     DegenerateMetricError,
-    EigenSolverError,
     ExprArityError,
     ExprDomainError,
     ExprNameError,
@@ -22,12 +21,7 @@ from .errors import (
     ThermoGeomError,
     ValidationError,
 )
-from .linalg import (
-    DensityOperator,
-    HermitianOperator,
-    Spectrum,
-    eig,
-)
+from .linalg import DensityOperator, HermitianOperator
 from .gibbs import (
     GibbsPoint,
     ObservableSet,

@@ -82,6 +82,15 @@ class TangentVector:
         object.__setattr__(self, "da", da)
         object.__setattr__(self, "dlam", vector(self.dlam, da.size, "dlam"))
 
+    @property
+    def n(self) -> int:
+        return self.dlam.size
+
+
+def _agree_on_n(what: str, *ns: int) -> None:
+    if len(set(ns)) > 1:
+        raise ValidationError(f"{what} disagree on n")
+
 
 def _point_env(S, a: np.ndarray, lam: np.ndarray) -> dict:
     """Expression variables at points (S, a, lam); a and lam have shape (..., n)."""
@@ -147,6 +156,7 @@ class MuExtension:
         return cls([exprlang.Num(0.0)] * count(n, "n", 1), n)
 
     def offsets(self, p: ThermoPoint) -> np.ndarray:
+        _agree_on_n("extension and point", self.n, p.n)
         env = _point_env(p.S, p.a, p.lam)
         return np.array(list(self._program.run(env)))
 
@@ -199,18 +209,19 @@ class MMetricSpec:
 
         g_S is checked before any g_a is evaluated, and the g_a before any h.
         """
+        lam = vector(lam, self.n, "lam")
         env = {f"l{i + 1}": float(lam[i]) for i in range(self.n)}
         values = self._program.run(env)
         g_s = next(values)
         if abs(g_s) <= 1e-12:
             raise DegenerateMetricError(
-                f"|g_S| = {abs(g_s):.3e} at lambda = {np.asarray(lam).tolist()}"
+                f"|g_S| = {abs(g_s):.3e} at lambda = {lam.tolist()}"
             )
         g_a = np.array([next(values) for _ in self.g_a])
         if np.any(g_a <= 0.0):
             raise SignatureError(
                 f"g_a must be positive, got {g_a.tolist()} at "
-                f"lambda = {np.asarray(lam).tolist()}"
+                f"lambda = {lam.tolist()}"
             )
         h = np.array(list(values))
         return float(g_s), g_a, h
@@ -218,11 +229,13 @@ class MMetricSpec:
 
 def eta_eval(p: ThermoPoint, v: TangentVector) -> float:
     """The contact form: eta(v) = dS - sum_i lam_i da_i."""
+    _agree_on_n("point and tangent", p.n, v.n)
     return float(v.dS - p.lam @ v.da)
 
 
 def deta_eval(u: TangentVector, v: TangentVector) -> float:
     """d eta = -sum_i dlam_i wedge da_i, constant over the state space."""
+    _agree_on_n("tangents", u.n, v.n)
     return float(-(u.dlam @ v.da) + (v.dlam @ u.da))
 
 
@@ -322,8 +335,7 @@ def state_function(
     obs: ObservableSet, mu: MuExtension, p: ThermoPoint
 ) -> DensityOperator:
     """The density operator rho_{mu(p)}; reduces to rho_lam on equilibrium."""
-    if mu.n != obs.n or p.n != obs.n:
-        raise ValidationError("extension, point and observables disagree on n")
+    _agree_on_n("extension, point and observables", mu.n, p.n, obs.n)
     return gibbs_point(obs, mu.mu_values(p)).rho
 
 
@@ -335,6 +347,7 @@ def fiber_membership(
     tol: float = 1e-9,
 ) -> bool:
     """Whether p lies on the fiber over rho_c, i.e. max_i |mu_i(p) - c_i| <= tol."""
+    _agree_on_n("extension, point and observables", mu.n, p.n, obs.n)
     c = vector(c, obs.n, "fiber label")
     return bool(np.max(np.abs(mu.mu_values(p) - c)) <= positive(tol, "tol"))
 
@@ -346,6 +359,7 @@ def mu_jacobian(mu: MuExtension, p: ThermoPoint) -> np.ndarray:
     mu_i = lam_i + f_i, each f_i evaluated once over all taps.  Rank n
     certifies the fiber is a smooth (n+1)-dimensional level set.
     """
+    _agree_on_n("extension and point", mu.n, p.n)
     n = p.n
 
     def mu_values(coords: np.ndarray) -> np.ndarray:
@@ -377,8 +391,7 @@ def gM_quadratic(
     + 2 sum_k h_k dS dlam_k; the lam-lam block is the supplied
     Bures-Wasserstein tensor.
     """
-    if spec.n != p.n or metric_g.g.shape[0] != p.n:
-        raise ValidationError("metric spec, tensor and point disagree on n")
+    _agree_on_n("metric spec, tensor, point and tangent", spec.n, metric_g.g.shape[0], p.n, v.n)
     g_s, g_a, h = spec.evaluate(p.lam)
     return float(
         g_s * v.dS**2
@@ -401,8 +414,7 @@ def fiber_path_length(
     if len(pts) < 2:
         raise ValidationError("a fiber path needs at least two points")
     positive(duration, "duration")
-    if spec.n != pts[0].n:
-        raise ValidationError("metric spec and points disagree on n")
+    _agree_on_n("metric spec and points", spec.n, pts[0].n)
     lam0 = pts[0].lam
     for q in pts[1:]:
         if q.n != pts[0].n or np.max(np.abs(q.lam - lam0)) > 1e-12:

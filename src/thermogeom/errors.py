@@ -13,18 +13,6 @@ class NumericalDomainError(ThermoGeomError):
     """A computation left its numerical domain (boundary, overflow, degeneracy)."""
 
 
-class EigenSolverError(NumericalDomainError):
-    """Eigen-solver failed to converge."""
-
-    def __init__(self, dim: int, condition_estimate: float):
-        super().__init__(
-            f"eigensolver did not converge (dim={dim}, "
-            f"condition estimate ~{condition_estimate:.3e})"
-        )
-        self.dim = dim
-        self.condition_estimate = condition_estimate
-
-
 class NearSingularError(NumericalDomainError):
     """An SLD denominator p_a + p_b fell below the floor: the state is at the boundary."""
 

@@ -78,8 +78,8 @@ def fidelity(rho: DensityOperator, sigma: DensityOperator) -> float:
     """F = tr[(rho^{1/2} sigma rho^{1/2})^{1/2}], boundary states allowed."""
     if rho.dim != sigma.dim:
         raise ValidationError(f"dimension mismatch: {rho.dim} vs {sigma.dim}")
-    spec = rho.spectrum()
-    sqrt_rho = (spec.eigenvectors * np.sqrt(spec.eigenvalues)) @ spec.eigenvectors.conj().T
+    u = rho.eigenvectors
+    sqrt_rho = (u * np.sqrt(rho.eigenvalues)) @ u.conj().T
     return _root_fidelity(sqrt_rho, sigma.matrix, "fidelity kernel")
 
 

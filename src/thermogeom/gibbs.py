@@ -98,8 +98,12 @@ class ObservableSet:
 class GibbsPoint:
     """One evaluated family member: (lam, ln Z, rho, a, S).
 
-    rho is full rank for any finite lam; Z is derived from ln Z and may
-    overflow to inf for extreme parameters while ln Z stays exact.
+    rho holds the batch's spectrum: its eigenvalues are the family's
+    populations exp(x) / Z, exact to relative rounding, and its
+    eigenvectors the batch's U.  rho is full rank in exact arithmetic for
+    any finite lam, but a population below the smallest double reads 0.0.
+    Z is derived from ln Z and may overflow to inf for extreme parameters
+    while ln Z stays exact.
     """
 
     lam: np.ndarray
@@ -162,6 +166,7 @@ def gibbs_batch(obs: ObservableSet, lams) -> FamilyBatch:
 def gibbs_point(obs: ObservableSet, lam) -> GibbsPoint:
     """The Gibbs state, partition function, expectations and entropy at lam."""
     batch = gibbs_batch(obs, np.asarray(lam).reshape(1, -1))
+    rho = DensityOperator._with_spectrum(batch.rho[0], batch.p[0, ::-1], batch.U[0, :, ::-1])
     lam_row = batch.lam[0].copy()
     lam_row.flags.writeable = False
     a = batch.a[0].copy()
@@ -169,7 +174,7 @@ def gibbs_point(obs: ObservableSet, lam) -> GibbsPoint:
     return GibbsPoint(
         lam=lam_row,
         log_Z=float(batch.log_Z[0]),
-        rho=DensityOperator(batch.rho[0]),
+        rho=rho,
         a=a,
         S=float(batch.S[0]),
     )

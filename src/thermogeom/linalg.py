@@ -1,9 +1,11 @@
 """Dense Hermitian linear algebra at desk scale.
 
 Self-adjoint and density operators, checked on construction and
-immutable after it, and their explicit eigendecomposition, which gives
-exact control of the spectrum for the small dimensions (m <= ~16) this
-toolkit targets.
+immutable after it.  A density operator holds its spectrum, which gives
+exact control of it for the small dimensions (m <= ~16) this toolkit
+targets: one built from a matrix is decomposed once by `np.linalg.eigh`,
+and a Gibbs state keeps the populations and eigenvectors of its family's
+batch (`gibbs.gibbs_point`), so no state is decomposed twice.
 
 It also holds the one stencil table and the batched `central_difference`
 behind every finite difference in the package.
@@ -11,19 +13,15 @@ behind every finite difference in the package.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import EigenSolverError, ValidationError
+from .errors import ValidationError
 
 __all__ = [
     "HERMITICITY_ATOL",
     "EIGENVALUE_CLAMP",
     "HermitianOperator",
     "DensityOperator",
-    "Spectrum",
-    "eig",
     "hermitize",
 ]
 
@@ -62,8 +60,8 @@ def hermitize(a: np.ndarray) -> np.ndarray:
     return (a + a.conj().T) / 2
 
 
-def _freeze(a: np.ndarray) -> np.ndarray:
-    out = np.array(a, dtype=complex, copy=True)
+def _freeze(a: np.ndarray, dtype=complex) -> np.ndarray:
+    out = np.array(a, dtype=dtype, copy=True)
     out.flags.writeable = False
     return out
 
@@ -99,63 +97,39 @@ class HermitianOperator:
         return f"{type(self).__name__}(dim={self.dim})"
 
 
-@dataclass(frozen=True)
-class Spectrum:
-    """Eigenvalues ascending with matching orthonormal eigenvector columns."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
-def _condition_estimate(m: np.ndarray) -> float:
-    try:
-        s = np.linalg.svd(m, compute_uv=False)
-        return float(s[0] / max(s[-1], np.finfo(float).tiny))
-    except np.linalg.LinAlgError:
-        return float("nan")
-
-
-def eig(h: HermitianOperator) -> Spectrum:
-    """Eigendecomposition of a self-adjoint matrix, eigenvalues ascending."""
-    try:
-        w, u = np.linalg.eigh(h.matrix)
-    except np.linalg.LinAlgError:
-        raise EigenSolverError(h.dim, _condition_estimate(h.matrix)) from None
-    w = np.array(w, copy=True)
-    w.flags.writeable = False
-    u = np.array(u, copy=True)
-    u.flags.writeable = False
-    return Spectrum(w, u)
-
-
 class DensityOperator(HermitianOperator):
     """Unit-trace positive semidefinite state; boundary (rank < m) allowed.
 
-    Eigenvalues are cached descending; values in [-1e-12, 0] are clamped to
-    zero, anything below is rejected as invalid input rather than noise.
+    A state holds its spectrum: `eigenvalues` descending and `eigenvectors`
+    with the matching orthonormal columns.  Built from a matrix, it is
+    decomposed once; eigenvalues in [-1e-12, 0] are clamped to zero, and
+    anything below is rejected as invalid input rather than noise.
     """
 
-    __slots__ = ("eigenvalues", "_spectrum")
+    __slots__ = ("eigenvalues", "eigenvectors")
 
     def __init__(self, matrix) -> None:
         super().__init__(matrix)
         tr = float(np.trace(self.matrix).real)
         if abs(tr - 1.0) > 1e-12:
             raise ValidationError(f"trace must be 1, got {tr!r}")
-        spec = eig(self)
-        w = np.array(spec.eigenvalues, copy=True)
+        w, u = np.linalg.eigh(self.matrix)
         bad = w < -EIGENVALUE_CLAMP
         if np.any(bad):
             raise ValidationError(
                 f"negative eigenvalue {w[bad][0]:.3e} below the clamp window"
             )
         w[w < 0.0] = 0.0
-        desc = w[::-1].copy()
-        desc.flags.writeable = False
-        w.flags.writeable = False
-        object.__setattr__(self, "eigenvalues", desc)
-        object.__setattr__(self, "_spectrum", Spectrum(w, spec.eigenvectors))
+        self._set_spectrum(w[::-1], u[:, ::-1])
 
-    def spectrum(self) -> Spectrum:
-        """Clamped eigenvalues ascending with their eigenvectors."""
-        return self._spectrum
+    @classmethod
+    def _with_spectrum(cls, matrix, eigenvalues, eigenvectors) -> "DensityOperator":
+        """The state with a known spectrum (descending), stored as given, unchecked."""
+        rho = object.__new__(cls)
+        object.__setattr__(rho, "matrix", _freeze(matrix))
+        rho._set_spectrum(eigenvalues, eigenvectors)
+        return rho
+
+    def _set_spectrum(self, eigenvalues, eigenvectors) -> None:
+        object.__setattr__(self, "eigenvalues", _freeze(eigenvalues, float))
+        object.__setattr__(self, "eigenvectors", _freeze(eigenvectors))

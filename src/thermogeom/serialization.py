@@ -63,10 +63,12 @@ def complex_matrix_from_json(obj: Any, expect_dim: int | None = None) -> np.ndar
     dim = len(obj)
     if expect_dim is not None and dim != expect_dim:
         raise ValidationError(f"matrix has {dim} rows, expected {expect_dim}")
-    out = np.empty((dim, dim), dtype=complex)
+    # every row is checked before the dim x dim matrix is allocated
     for i, row in enumerate(obj):
         if not isinstance(row, list) or len(row) != dim:
             raise ValidationError(f"matrix row {i} must have {dim} entries")
+    out = np.empty((dim, dim), dtype=complex)
+    for i, row in enumerate(obj):
         for j, cell in enumerate(row):
             what = f"matrix entry ({i}, {j})"
             if not isinstance(cell, list) or len(cell) != 2:

@@ -62,6 +62,18 @@ class TestGibbsCommand:
         assert doc["Z"] == pytest.approx(2 * math.cosh(1.0), rel=1e-12)
         assert doc["a"][0] == pytest.approx(-math.tanh(1.0), rel=1e-12)
 
+    def test_non_commuting_populations(self, tmp_path):
+        # {sz, sx} at lambda = (9, 12): the exponent has eigenvalues -15 and 15
+        sx = {"name": "sx", "matrix": [[[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]]}
+        obs = qubit_observables()
+        obs["observables"].append(sx)
+        cfg = write_config(tmp_path, "cfg.json", {"observables": obs, "gibbs": {"lambda": [9.0, 12.0]}})
+        out = tmp_path / "out.json"
+        assert run(["gibbs", "--config", cfg, "--out", out]) == 0
+        p = json.loads(out.read_text())["rho_eigenvalues"]
+        assert p[1] == pytest.approx(1.0 / (1.0 + math.exp(30.0)), rel=1e-14, abs=0.0)
+        assert p[0] == pytest.approx(1.0 / (1.0 + math.exp(-30.0)), rel=1e-14, abs=0.0)
+
     def test_malformed_matrix_is_config_error(self, tmp_path):
         bad = qubit_observables()
         bad["observables"][0]["matrix"] = [[1.0, 0.0], [0.0, -1.0]]  # not [re,im]
@@ -501,6 +513,18 @@ def test_lambda_list_is_capped_before_its_entries_are_read(tmp_path, capsys):
     cfg.write_text(json.dumps(doc))
     assert run(["third-law", "--config", cfg, "--validate"]) == 2
     assert f"more than {MAX_COUNT}" in capsys.readouterr().err
+
+
+def test_matrix_rows_are_checked_before_it_is_allocated(tmp_path, capsys):
+    # dim 2^20 with empty rows is a 4 MB file; the matrix would be 16 TiB
+    obs = {"dim": MAX_COUNT, "observables": [{"name": "big", "matrix": [[]] * MAX_COUNT}]}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"observables": obs, "gibbs": {"lambda": [0.0]}}))
+    out = tmp_path / "artifact"
+    assert run(["gibbs", "--config", cfg, "--validate", "--out", out]) == 2
+    assert run(["gibbs", "--config", cfg, "--out", out]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err.count(f"matrix row 0 must have {MAX_COUNT} entries") == 2
 
 
 def test_calls_in_one_process_behave_as_fresh_ones(tmp_path, capsys):

@@ -468,6 +468,45 @@ class TestFiberPathLength:
             fiber_path_length(spec, pts, 1.0)
 
 
+class TestDimensionAgreement:
+    """Every call refuses an extension, point, tangent or observable set of another n."""
+
+    P2 = ThermoPoint(0.2, [0.1, -0.4], [0.5, 0.8])
+    OBS2 = ObservableSet([HermitianOperator(SIGMA_Z), HermitianOperator(np.diag([1.0, 0.0]))])
+
+    def test_mu_jacobian(self):
+        with pytest.raises(ValidationError, match="extension and point disagree on n"):
+            mu_jacobian(MuExtension.zero(1), self.P2)
+
+    @pytest.mark.parametrize("mu_n", [1, 3])
+    def test_mu_values(self, mu_n):
+        with pytest.raises(ValidationError, match="extension and point disagree on n"):
+            MuExtension.zero(mu_n).mu_values(self.P2)
+
+    @pytest.mark.parametrize("mu_n, obs_n", [(1, 2), (2, 1)])
+    def test_fiber_membership(self, mu_n, obs_n):
+        obs = self.OBS2 if obs_n == 2 else QUBIT
+        with pytest.raises(ValidationError, match="disagree on n"):
+            fiber_membership(obs, MuExtension.zero(mu_n), self.P2, [0.5, 0.8][:obs_n])
+
+    def test_state_function(self):
+        with pytest.raises(ValidationError, match="disagree on n"):
+            state_function(self.OBS2, MuExtension.zero(1), self.P2)
+
+    def test_eta_eval(self):
+        with pytest.raises(ValidationError, match="point and tangent disagree on n"):
+            eta_eval(self.P2, tangent(dS=1.0, n=1))
+
+    def test_deta_eval(self):
+        with pytest.raises(ValidationError, match="tangents disagree on n"):
+            deta_eval(tangent(n=2), tangent(n=1))
+
+    def test_gM_quadratic(self):
+        g = metric_tensor(self.OBS2, [0.5, 0.8])
+        with pytest.raises(ValidationError, match="disagree on n"):
+            gM_quadratic(MMetricSpec.parsed("1", ["1"] * 2, ["0"] * 2, 2), g, self.P2, tangent(n=3))
+
+
 class TestReversibilityCriterion:
     def test_equilibrium_directions_produce_no_eta(self):
         # ker eta along the Legendrian: no entropy production happens there

@@ -98,6 +98,14 @@ class TestFidelity:
             f = fidelity(random_density(3), random_density(3))
             assert 0.0 <= f <= 1.0 + 1e-10
 
+    def test_gibbs_states_match_their_matrices(self):
+        # a Gibbs state's stored spectrum gives the square root that a
+        # decomposition of its matrix gives
+        for lam_a, lam_b in RNG.uniform(-2, 2, size=(5, 2, 3)):
+            rho, sigma = (gibbs_point(PAULI, lam).rho for lam in (lam_a, lam_b))
+            rebuilt = [DensityOperator(s.matrix) for s in (rho, sigma)]
+            assert fidelity(rho, sigma) == pytest.approx(fidelity(*rebuilt), rel=0.0, abs=1e-14)
+
 
 class TestBWDistance:
     def test_zero_on_equal_inputs(self):

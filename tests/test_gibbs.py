@@ -149,6 +149,41 @@ class TestGibbsPoint:
             assert np.allclose(batch.a[j], point.a, atol=1e-14)
 
 
+# {sz, sx} at lam = r (0.6, 0.8): the exponent has eigenvalues -r and r, so
+# the populations are 1 / (1 + e^{2r}) and 1 / (1 + e^{-2r}), ascending
+SZ_SX = ObservableSet([HermitianOperator(SIGMA_Z), HermitianOperator(SIGMA_X)], ["sz", "sx"])
+
+
+class TestGibbsSpectrum:
+    @pytest.mark.parametrize("r", [5.0, 10.0, 15.0, 20.0])
+    def test_non_commuting_populations_match_the_oracle(self, r):
+        p = gibbs_point(SZ_SX, [0.6 * r, 0.8 * r]).rho.eigenvalues
+        oracle = [1.0 / (1.0 + math.exp(-2.0 * r)), 1.0 / (1.0 + math.exp(2.0 * r))]
+        np.testing.assert_allclose(p, oracle, rtol=1e-14, atol=0.0)
+
+    def test_one_eigendecomposition_per_point(self, monkeypatch):
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counted(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        gibbs_point(SZ_SX, [0.3, -1.2])
+        assert calls == [(1, 2, 2)]
+
+    def test_rho_keeps_the_batch_spectrum_bitwise(self):
+        sigma_y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
+        obs = ObservableSet([HermitianOperator(a) for a in (SIGMA_Z, SIGMA_X, sigma_y)])
+        lam = [0.4, -1.1, 2.5]
+        batch = gibbs_batch(obs, [lam])
+        rho = gibbs_point(obs, lam).rho
+        assert rho.eigenvalues.tobytes() == batch.p[0, ::-1].tobytes()
+        assert rho.eigenvectors.tobytes() == batch.U[0, :, ::-1].tobytes()
+        assert rho.matrix.tobytes() == batch.rho[0].tobytes()
+
+
 class TestExpectationConsistency:
     def test_qubit_typical_point(self):
         assert expectation_consistency(QUBIT, [0.3]) < 1e-7

@@ -56,6 +56,7 @@ POINT = ThermoPoint(0.0, [0.0], [0.0])
 PATH = straight_path([0.0], [1.0], steps=8)
 VERTICAL = [ThermoPoint(0.1 * k, [0.0], [0.0]) for k in range(3)]
 M_SPEC = MMetricSpec.parsed("1", ["1"], ["0"], 1)
+M_SPEC_2 = MMetricSpec.parsed("1", ["1", "1"], ["0", "0"], 2)
 
 NUMBERS = {
     "ThermoPoint.S": lambda x: ThermoPoint(x, [0.0], [0.0]),
@@ -81,6 +82,7 @@ VECTORS = {
     ),
     "curvature.lam": (2, lambda v: curvature(SPEC, v, 0, 1)),
     "gamma_coeffs.lam": (2, lambda v: gamma_coeffs(SPEC, v)),
+    "MMetricSpec.evaluate.lam": (2, lambda v: M_SPEC_2.evaluate(v)),
     "ThermoPoint.a": (1, lambda v: ThermoPoint(0.0, v, [0.0])),
     "ThermoPoint.lam": (1, lambda v: ThermoPoint(0.0, [0.0], v)),
     "TangentVector.da": (1, lambda v: TangentVector(0.0, v, [0.0])),

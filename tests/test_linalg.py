@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 from thermogeom.errors import ValidationError
+from thermogeom.gibbs import ObservableSet, gibbs_point
 from thermogeom.linalg import (
     CENTRAL_STENCILS,
     DensityOperator,
     HermitianOperator,
     central_difference,
-    eig,
 )
 
 RNG = np.random.default_rng(20250810)
@@ -39,29 +39,35 @@ class TestHermitianOperator:
             h.matrix[0, 0] = 5.0
 
 
-class TestEig:
-    def test_identity(self):
-        spec = eig(HermitianOperator(np.eye(2)))
-        assert np.allclose(spec.eigenvalues, [1.0, 1.0])
-        assert np.allclose(
-            spec.eigenvectors.conj().T @ spec.eigenvectors, np.eye(2), atol=1e-10
-        )
+def random_state(m, built_from, rng=RNG):
+    """A full-rank m x m state, built from its matrix or as a Gibbs state with its spectrum."""
+    if built_from == "matrix":
+        a = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
+        rho = a @ a.conj().T
+        return DensityOperator(rho / np.trace(rho).real)
+    obs = ObservableSet([random_hermitian(m, rng) for _ in range(2)])
+    return gibbs_point(obs, rng.uniform(-1.0, 1.0, 2)).rho
 
-    def test_sigma_z_is_sorted_ascending(self):
-        spec = eig(HermitianOperator(SIGMA_Z))
-        assert np.allclose(spec.eigenvalues, [-1.0, 1.0])
 
-    def test_reconstruction_residual(self):
-        h = random_hermitian(6)
-        spec = eig(h)
-        scale = np.abs(h.matrix).max()
-        u = spec.eigenvectors
-        assert np.abs((u * spec.eigenvalues) @ u.conj().T - h.matrix).max() < 1e-10 * scale
+@pytest.mark.parametrize("built_from", ["matrix", "gibbs"])
+class TestDensitySpectrum:
+    def test_reconstruction_residual(self, built_from):
+        rho = random_state(6, built_from)
+        u = rho.eigenvectors
+        assert np.abs((u * rho.eigenvalues) @ u.conj().T - rho.matrix).max() < 1e-12
 
-    def test_eigenvectors_orthonormal(self):
-        spec = eig(random_hermitian(8))
-        u = spec.eigenvectors
+    def test_eigenvectors_orthonormal(self, built_from):
+        u = random_state(8, built_from).eigenvectors
+        assert u.shape == (8, 8)
         assert np.abs(u.conj().T @ u - np.eye(8)).max() < 1e-10
+
+    def test_eigenvalues_descending_and_read_only(self, built_from):
+        rho = random_state(4, built_from)
+        assert np.all(np.diff(rho.eigenvalues) <= 0.0)
+        assert rho.eigenvalues.dtype == float
+        for stored in (rho.eigenvalues, rho.eigenvectors):
+            with pytest.raises(ValueError):
+                stored[0] = 0.5
 
 
 class TestDensityOperator:
@@ -80,6 +86,30 @@ class TestDensityOperator:
     def test_eigenvalues_cached_descending(self):
         rho = DensityOperator(np.diag([0.2, 0.5, 0.3]))
         assert np.allclose(rho.eigenvalues, [0.5, 0.3, 0.2])
+
+    def test_eigenvector_columns_follow_the_eigenvalues(self):
+        rho = DensityOperator(np.diag([0.2, 0.5, 0.3]))
+        assert np.array_equal(np.abs(rho.eigenvectors), np.eye(3)[:, [1, 2, 0]])
+
+    def test_maximally_mixed(self):
+        rho = DensityOperator(np.eye(2) / 2)
+        assert np.allclose(rho.eigenvalues, [0.5, 0.5])
+        assert np.abs(rho.eigenvectors.conj().T @ rho.eigenvectors - np.eye(2)).max() < 1e-10
+
+    @pytest.mark.parametrize(
+        "matrix, message",
+        [
+            (np.ones((2, 3)), "expected a square matrix"),
+            ([[0.5, 1.0], [0.0, 0.5]], "not self-adjoint"),
+            ([[np.nan, 0.0], [0.0, 1.0]], "must be finite"),
+            (np.eye(2), "trace must be 1, got 2.0"),
+            (np.diag([1.0 + 1e-6, -1e-6]), "negative eigenvalue -1.000e-06 below the clamp window"),
+        ],
+        ids=["shape", "hermitian", "finite", "trace", "clamp"],
+    )
+    def test_refusals_name_the_fault(self, matrix, message):
+        with pytest.raises(ValidationError, match=message):
+            DensityOperator(matrix)
 
 
 class TestCentralDifference:

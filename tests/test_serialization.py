@@ -32,6 +32,11 @@ class TestMatrixCodec:
         with pytest.raises(ValidationError):
             complex_matrix_from_json([[[1, 0]], [[0, 0], [1, 0]]])
 
+    def test_rows_are_checked_before_the_matrix_is_allocated(self):
+        # a 2^20 x 2^20 complex matrix would take 16 TiB
+        with pytest.raises(ValidationError, match=f"row 0 must have {2**20} entries"):
+            complex_matrix_from_json([[]] * 2**20)
+
     def test_dim_check(self):
         doc = complex_matrix_to_json(np.eye(2))
         with pytest.raises(ValidationError):
