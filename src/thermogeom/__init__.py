@@ -71,12 +71,10 @@ from .contact import (
 from .connection import (
     ConnectionSpec,
     FlatnessReport,
-    GammaCoefficients,
     HolonomyResult,
     Loop,
     curvature,
     flatness_check,
-    gamma_coeffs,
     holonomy_via_curvature,
     holonomy_via_lift,
     horizontal_lift,

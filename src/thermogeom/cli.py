@@ -339,7 +339,7 @@ def cmd_contact_check(cfg: RunConfig) -> Job:
 
 
 def _holonomy_payload(result: HolonomyResult) -> dict:
-    return {"dS": result.dS, "da": result.da.tolist(), "method": result.method}
+    return {"dS": result.dS, "method": result.method}
 
 
 def _rectangle(obj: Any, n: int) -> tuple[dict, tuple[int, int], int]:
@@ -387,9 +387,7 @@ def cmd_holonomy(cfg: RunConfig) -> Job:
             payload = _holonomy_payload(results[0])
         else:
             payload = {"results": [_holonomy_payload(r) for r in results]}
-        header = ["method", "dS"] + [f"da{i + 1}" for i in range(n)]
-        rows = [[r.method, r.dS] + r.da.tolist() for r in results]
-        return payload, header, rows
+        return payload, ["method", "dS"], [[r.method, r.dS] for r in results]
 
     return run
 

@@ -1,12 +1,12 @@
 """Principal-connection layer on the thermodynamic bundle.
 
-The structure group is abelian (translations of (S, a) at fixed lam), so
-the connection reduces to the coefficients Gamma^k_0 = h_k / g_S acting
-on the entropy coordinate, with Gamma^k_i = 0 on the expectation
-coordinates.  Horizontal lifts integrate S' = -sum_k Gamma^k_0 lam_k',
-holonomy is the vertical displacement of a lifted loop, and the same
-number is recovered as minus the curvature flux through a spanning
-rectangle (Stokes, since the group is abelian).
+The structure group is abelian and acts only by translating (S, a) at
+fixed lam, so a connection is one coefficient per parameter,
+Gamma^k = h_k / g_S, on the entropy coordinate.  Horizontal lifts
+integrate S' = -sum_k Gamma^k lam_k' and never move a; holonomy is the
+vertical displacement dS of a lifted loop, and the same number is
+recovered as minus the curvature flux through a spanning rectangle
+(Stokes, since the group is abelian).
 
 Every layer is batched over points.  A `ConnectionSpec` compiles
 [g_S, *h] once into one `exprlang.Program`, so a subtree shared between
@@ -36,11 +36,9 @@ from .processes import ParamPath
 
 __all__ = [
     "ConnectionSpec",
-    "GammaCoefficients",
     "HolonomyResult",
     "Loop",
     "rectangle_loop",
-    "gamma_coeffs",
     "horizontal_lift",
     "curvature",
     "holonomy_via_lift",
@@ -75,10 +73,10 @@ class ConnectionSpec:
 
     @classmethod
     def parsed(cls, g_S: str, h: Sequence[str], n: int) -> "ConnectionSpec":
-        return cls(exprlang.parse(g_S, n), [exprlang.parse(t, n) for t in h], n)
+        return cls(exprlang.parse(g_S, n), exprlang.parse_list(h, n, "h"), n)
 
     def gamma(self, lam) -> np.ndarray:
-        """Gamma^k_0 = h_k / g_S, mapping lam of shape (..., n) to (..., n).
+        """Gamma^k = h_k / g_S, mapping lam of shape (..., n) to (..., n).
 
         One run of the spec's program over [g_S, *h] covers every point;
         |g_S| <= 1e-12 at any point raises, naming the first such point in
@@ -103,33 +101,11 @@ class ConnectionSpec:
 
 
 @dataclass(frozen=True)
-class GammaCoefficients:
-    """The entropy-direction coefficients and the structural zeros."""
-
-    entropy: np.ndarray  # Gamma^k_0, shape (n,)
-    expectation: np.ndarray  # Gamma^k_i = 0, shape (n, n)
-
-
-def gamma_coeffs(spec: ConnectionSpec, lam) -> GammaCoefficients:
-    """Connection coefficients at lam: (h_k / g_S, zeros)."""
-    return GammaCoefficients(spec.gamma(vector(lam, spec.n, "lam")), np.zeros((spec.n, spec.n)))
-
-
-@dataclass(frozen=True)
 class HolonomyResult:
-    """Vertical displacement (dS, da) of a transported loop; da is always zero."""
+    """Vertical displacement dS of a transported loop, and the method that found it."""
 
     dS: float
-    da: np.ndarray
     method: str
-
-    def __post_init__(self) -> None:
-        da = vector(self.da, None, "da")
-        if np.any(da != 0.0):
-            raise ValidationError("curvature acts only on S; da must be zero")
-        if self.method not in ("lift", "curvature-integral"):
-            raise ValidationError(f"unknown holonomy method {self.method!r}")
-        object.__setattr__(self, "da", da)
 
 
 @dataclass(frozen=True)
@@ -223,7 +199,7 @@ def _lift_entropy(spec: ConnectionSpec, base: ParamPath, p0: ThermoPoint) -> np.
 def horizontal_lift(
     spec: ConnectionSpec, base: ParamPath, p0: ThermoPoint
 ) -> list[ThermoPoint]:
-    """Lift a base path horizontally: S' = -sum_k Gamma^k_0 lam_k', a' = 0.
+    """Lift a base path horizontally: S' = -sum_k Gamma^k lam_k', a' = 0.
 
     Classical RK4 on each grid segment (the base is piecewise linear, so
     this is Simpson quadrature of the connection line integral): one
@@ -276,11 +252,7 @@ def holonomy_via_lift(
     base point's vertical coordinates.
     """
     s_vals = _lift_entropy(spec, loop.path, p0)
-    return HolonomyResult(
-        dS=float(s_vals[-1] - s_vals[0]),
-        da=np.zeros(spec.n),
-        method="lift",
-    )
+    return HolonomyResult(float(s_vals[-1] - s_vals[0]), "lift")
 
 
 def holonomy_via_curvature(
@@ -314,8 +286,7 @@ def holonomy_via_curvature(
     wy[0] = wy[-1] = 0.5
     dx = (hi[0] - lo[0]) / n_k
     dy = (hi[1] - lo[1]) / n_l
-    flux = dx * dy * float(wx @ values @ wy)
-    return HolonomyResult(dS=-flux, da=np.zeros(spec.n), method="curvature-integral")
+    return HolonomyResult(-float(dx * dy * (wx @ values @ wy)), "curvature-integral")
 
 
 @dataclass(frozen=True)

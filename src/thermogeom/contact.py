@@ -22,7 +22,6 @@ from .geometry import MetricTensor
 from .gibbs import ObservableSet, gibbs_batch, gibbs_point
 from .linalg import DensityOperator, central_difference
 from .inputs import count, number, points, positive, vector
-from .processes import _trapezoid
 
 __all__ = [
     "ThermoPoint",
@@ -44,6 +43,8 @@ __all__ = [
     "fiber_path_length",
 ]
 
+# the largest n whose n! is a finite double
+MAX_CONTACT_N = 170
 MU_VALIDATION_POINTS = 32
 MU_VALIDATION_TOL = 1e-8
 _MU_GRID_SEED = 173651
@@ -135,8 +136,7 @@ class MuExtension:
     ) -> "MuExtension":
         """Parse f_i and check |f_i| < 1e-8 on sampled equilibrium embeddings."""
         box = positive(box, "box")
-        exprs = [exprlang.parse(t, obs.n) for t in texts]
-        mu = cls(exprs, obs.n)
+        mu = cls(exprlang.parse_list(texts, obs.n, "extension"), obs.n)
         rng = np.random.default_rng(_MU_GRID_SEED)
         lams = rng.uniform(-box, box, size=(MU_VALIDATION_POINTS, obs.n))
         batch = gibbs_batch(obs, lams)
@@ -199,8 +199,8 @@ class MMetricSpec:
     ) -> "MMetricSpec":
         return cls(
             exprlang.parse(g_S, n),
-            [exprlang.parse(t, n) for t in g_a],
-            [exprlang.parse(t, n) for t in h],
+            exprlang.parse_list(g_a, n, "g_a"),
+            exprlang.parse_list(h, n, "h"),
             n,
         )
 
@@ -269,20 +269,25 @@ def _pfaffian(matrix: np.ndarray) -> float:
     return pf
 
 
-def wedge_top_coefficient(one_form: np.ndarray, two_form: np.ndarray, n: int) -> float:
+def wedge_top_coefficient(one_form, two_form, n: int) -> float:
     """Evaluate alpha wedge beta^n on an ordered basis of dimension 2n+1.
 
-    alpha is a 1-form coefficient vector, beta an antisymmetric 2-form
-    matrix.  The value is n! times the Pfaffian of the bordered matrix
-    [[0, alpha], [-alpha^T, beta]], computed in O(n^3).
+    alpha is a 1-form coefficient vector of 2n+1 finite numbers, beta a
+    2-form: a finite (2n+1) x (2n+1) block equal to minus its transpose,
+    exactly.  n is an integer in [1, MAX_CONTACT_N].  The value is n!
+    times the Pfaffian of the bordered matrix [[0, alpha], [-alpha^T, beta]],
+    computed in O(n^3).
     """
+    n = count(n, "n", 1, MAX_CONTACT_N)
     dim = 2 * n + 1
-    if one_form.shape != (dim,) or two_form.shape != (dim, dim):
-        raise ValidationError("coefficient arrays do not match dimension 2n+1")
+    alpha = vector(one_form, dim, "one-form")
+    beta = points(two_form, dim, "two-form", dim, dim)
+    if not np.array_equal(beta, -beta.T):
+        raise ValidationError("two-form must be exactly antisymmetric")
     bordered = np.zeros((dim + 1, dim + 1))
-    bordered[0, 1:] = one_form
-    bordered[1:, 0] = -one_form
-    bordered[1:, 1:] = two_form
+    bordered[0, 1:] = alpha
+    bordered[1:, 0] = -alpha
+    bordered[1:, 1:] = beta
     return math.factorial(n) * _pfaffian(bordered)
 
 
@@ -291,8 +296,9 @@ def contact_volume_coefficient(n: int) -> float:
 
     Nonzero everywhere (the form is a volume form); the value is n! times
     the Pfaffian of the bordered matrix at a generic point, never hardcoded.
+    n is an integer in [1, MAX_CONTACT_N].
     """
-    n = count(n, "n", 1)
+    n = count(n, "n", 1, MAX_CONTACT_N)
     dim = 2 * n + 1
     # generic nonzero lam so cancellations are exercised, not sidestepped
     lam = 0.5 + 0.1 * np.arange(n)
@@ -401,19 +407,19 @@ def gM_quadratic(
     )
 
 
-def fiber_path_length(
-    spec: MMetricSpec, points: Sequence[ThermoPoint], duration: float
-) -> float:
-    """Trapezoid length of a vertical path: int sqrt(g_S S'^2 + sum g_a a_i'^2).
+def fiber_path_length(spec: MMetricSpec, points: Sequence[ThermoPoint]) -> float:
+    """Length of the polyline through points in one fiber, under the vertical metric.
 
-    All points must share lam (the path stays in one fiber) and the
-    vertical restriction must be Riemannian there, so g_S > 0 is required
-    on top of the positive g_a.
+    sum_s sqrt(g_S dS_s^2 + sum_i g_{a_i} da_{i,s}^2) over consecutive
+    points.  All points must share lam (the path stays in one fiber), so
+    the metric is constant along it and the sum is the exact length of the
+    piecewise-linear path, whatever the spacing.  The vertical restriction
+    must be Riemannian there, so g_S > 0 is required on top of the
+    positive g_a.
     """
     pts = list(points)
     if len(pts) < 2:
         raise ValidationError("a fiber path needs at least two points")
-    positive(duration, "duration")
     _agree_on_n("metric spec and points", spec.n, pts[0].n)
     lam0 = pts[0].lam
     for q in pts[1:]:
@@ -425,10 +431,6 @@ def fiber_path_length(
             f"vertical restriction needs g_S > 0, got {g_s!r} at "
             f"lambda = {lam0.tolist()}"
         )
-    s_vals = np.array([q.S for q in pts])
-    a_vals = np.stack([q.a for q in pts])
-    dt = duration / (len(pts) - 1)
-    s_dot = np.gradient(s_vals, dt)
-    a_dot = np.gradient(a_vals, dt, axis=0)
-    speed = np.sqrt(g_s * s_dot**2 + (a_dot**2) @ g_a)
-    return _trapezoid(speed, dt)
+    d_s = np.diff([q.S for q in pts])
+    d_a = np.diff([q.a for q in pts], axis=0)
+    return float(np.sum(np.sqrt(g_s * d_s**2 + d_a**2 @ g_a)))

@@ -45,6 +45,7 @@ __all__ = [
     "Call",
     "allowed_variables",
     "parse",
+    "parse_list",
     "Program",
     "eval_expr",
     "free_vars",
@@ -248,9 +249,18 @@ class _Parser:
 
 def parse(text: str, n: int) -> Expr:
     """Parse expression text against the variable alphabet fixed by n."""
-    if not text or not text.strip():
+    if not isinstance(text, str):
+        raise ValidationError(f"an expression must be a string, got {text!r}")
+    if not text.strip():
         raise ExprSyntaxError("empty expression", 0)
     return _Parser(_tokenize(text), allowed_variables(n)).parse()
+
+
+def parse_list(texts: Sequence[str], n: int, what: str) -> list[Expr]:
+    """Parse a list (or tuple) of expression texts; a bare string is not one."""
+    if not isinstance(texts, (list, tuple)):
+        raise ValidationError(f"{what} must be a list of expression strings, got {texts!r}")
+    return [parse(t, n) for t in texts]
 
 
 def free_vars(e: Expr) -> frozenset[str]:

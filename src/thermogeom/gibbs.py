@@ -56,14 +56,14 @@ class ObservableSet:
         obs = tuple(observables)
         if len(obs) < 1:
             raise ValidationError("an observable set needs at least one element")
-        dim = obs[0].dim
         for k, op in enumerate(obs):
             if not isinstance(op, HermitianOperator):
                 raise ValidationError(f"observable {k} is not a HermitianOperator")
-            if op.dim != dim:
+            if op.dim != obs[0].dim:
                 raise ValidationError(
-                    f"observable {k} has dim {op.dim}, expected {dim}"
+                    f"observable {k} has dim {op.dim}, expected {obs[0].dim}"
                 )
+        dim = obs[0].dim
         if names is None:
             names = tuple(f"A{i}" for i in range(1, len(obs) + 1))
         else:

@@ -67,12 +67,22 @@ def _freeze(a: np.ndarray, dtype=complex) -> np.ndarray:
 
 
 class HermitianOperator:
-    """A complex m x m self-adjoint matrix (dimensionless entries)."""
+    """A complex m x m self-adjoint matrix (dimensionless entries).
+
+    The entries are int, float or complex; bool, string and object
+    entries, like ragged rows, raise `ValidationError`.
+    """
 
     __slots__ = ("matrix",)
 
     def __init__(self, matrix) -> None:
-        m = np.asarray(matrix, dtype=complex)
+        try:
+            m = np.asarray(matrix)
+        except ValueError:  # ragged rows
+            raise ValidationError("matrix rows must all have the same length") from None
+        if m.dtype.kind not in "iufc":
+            raise ValidationError(f"matrix entries must be numbers, got dtype {m.dtype}")
+        m = m.astype(complex, copy=False)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValidationError(f"expected a square matrix, got shape {m.shape}")
         if m.shape[0] < 1:

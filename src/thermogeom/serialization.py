@@ -140,8 +140,6 @@ def _expr_list(obj: Any, key: str, n: int) -> list[str]:
     texts = obj.get(key)
     if not isinstance(texts, list) or len(texts) != n:
         raise ValidationError(f"{key} must list {n} expression strings")
-    if not all(isinstance(t, str) for t in texts):
-        raise ValidationError(f"{key} entries must be strings")
     return texts
 
 

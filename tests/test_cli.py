@@ -204,7 +204,15 @@ class TestHolonomyCommand:
         results = {r["method"]: r for r in json.loads(out.read_text())["results"]}
         assert results["lift"]["dS"] == pytest.approx(-1.0, abs=1e-6)
         assert results["curvature-integral"]["dS"] == pytest.approx(-1.0, abs=1e-6)
-        assert results["lift"]["da"] == [0.0, 0.0]
+        assert all(set(r) == {"dS", "method"} for r in results.values())
+
+    def test_csv_has_one_dS_column(self, tmp_path):
+        out = tmp_path / "hol.csv"
+        config = CONFIG_DIR / "run_holonomy.json"
+        assert run(["holonomy", "--config", config, "--out", out, "--format", "csv"]) == 0
+        lines = out.read_text().splitlines()
+        assert lines[0] == "method,dS"
+        assert [line.split(",")[0] for line in lines[1:]] == ["lift", "curvature-integral"]
 
     def test_single_method_emits_bare_result_object(self, tmp_path):
         cfg_doc = json.loads((CONFIG_DIR / "run_holonomy.json").read_text())
@@ -216,7 +224,7 @@ class TestHolonomyCommand:
         out = tmp_path / "hol.json"
         assert run(["holonomy", "--config", cfg, "--out", out]) == 0
         doc = json.loads(out.read_text())
-        assert set(doc) == {"dS", "da", "method"}
+        assert set(doc) == {"dS", "method"}
         assert doc["method"] == "lift"
         assert doc["dS"] == pytest.approx(-1.0, abs=1e-6)
 
@@ -431,6 +439,7 @@ INVALID_EDITS = {
     "boundary_lambda_negative": ("boundary_entropy", lambda s: s.update(Lambda=[-1.0, 0.0, 2.0])),
     "boundary_lambda_over_cap": ("boundary_entropy", lambda s: s.update(Lambda=list(range(MAX_COUNT + 1)))),
     "curvature_method_without_rectangle": ("holonomy", _no_rectangle),
+    "holonomy_method_unknown": ("holonomy", lambda s: s.update(method="guess")),
     "open_loop": ("holonomy", _open_loop),
     "pairs_same_index": ("curvature_map", lambda s: s.update(pairs=[[1, 1]])),
     "flatness_tol_negative": ("flatness", lambda s: s.update(tol=-1)),

@@ -7,11 +7,9 @@ import pytest
 from thermogeom.cli import main
 from thermogeom.connection import (
     ConnectionSpec,
-    HolonomyResult,
     Loop,
     curvature,
     flatness_check,
-    gamma_coeffs,
     holonomy_via_curvature,
     holonomy_via_lift,
     horizontal_lift,
@@ -44,22 +42,22 @@ UNIT_SQUARE = rectangle_loop([0.0, 0.0], [1.0, 1.0], steps=256)
 
 class TestGammaCoeffs:
     def test_zero_h_gives_zero_gamma(self):
-        out = gamma_coeffs(spec2(), [0.3, 0.7])
-        assert np.array_equal(out.entropy, [0.0, 0.0])
-        assert np.array_equal(out.expectation, np.zeros((2, 2)))
+        out = spec2().gamma([0.3, 0.7])
+        assert out.shape == (2,)
+        assert np.array_equal(out, [0.0, 0.0])
 
     def test_scalar_division(self):
-        out = gamma_coeffs(spec2(g_S="2", h=("4", "0")), [0.0, 0.0])
-        assert out.entropy[0] == pytest.approx(2.0)
+        out = spec2(g_S="2", h=("4", "0")).gamma([0.0, 0.0])
+        assert out[0] == pytest.approx(2.0)
 
     def test_expression_evaluation(self):
-        out = gamma_coeffs(spec2(h=("l2", "0")), [0.3, 0.7])
-        assert out.entropy[0] == pytest.approx(0.7, rel=1e-14)
+        out = spec2(h=("l2", "0")).gamma([0.3, 0.7])
+        assert out[0] == pytest.approx(0.7, rel=1e-14)
 
     def test_degenerate_g_S(self):
         spec = spec2(g_S="l1")
         with pytest.raises(DegenerateMetricError):
-            gamma_coeffs(spec, [0.0, 1.0])
+            spec.gamma([0.0, 1.0])
 
 
 class TestHorizontalLift:
@@ -118,8 +116,14 @@ class TestHolonomy:
     def test_flat_spec_any_loop(self):
         result = holonomy_via_lift(spec2(), UNIT_SQUARE, point([0, 0]))
         assert abs(result.dS) < 1e-10
-        assert np.array_equal(result.da, [0.0, 0.0])
         assert result.method == "lift"
+
+    def test_dS_is_a_python_float_from_both_methods(self):
+        spec = spec2(h=("0", "l1"))
+        lift = holonomy_via_lift(spec, UNIT_SQUARE, point([0, 0]))
+        surf = holonomy_via_curvature(spec, [0.0, 0.0], [1.0, 1.0], grid=(8, 8))
+        assert (lift.method, surf.method) == ("lift", "curvature-integral")
+        assert type(lift.dS) is float and type(surf.dS) is float
 
     def test_area_holonomy_ccw_square(self):
         spec = spec2(h=("0", "l1"))
@@ -186,7 +190,7 @@ class TestHolonomy:
             assert np.array_equal(q.a, [0.0, 0.0])
 
     def test_nonzero_holonomy_costs_vertical_length(self):
-        # closing the lifted loop vertically has strictly positive cost
+        # closing the lifted loop vertically costs |dS| when g_S = 1
         spec = spec2(h=("0", "l1"))
         hol = holonomy_via_lift(spec, UNIT_SQUARE, point([0, 0]))
         assert abs(hol.dS) > 0
@@ -196,7 +200,7 @@ class TestHolonomy:
             ThermoPoint(0.0 + hol.dS * t, np.zeros(2), lam)
             for t in np.linspace(0.0, 1.0, 9)
         ]
-        assert fiber_path_length(vertical, ends, 1.0) > 0.9 * abs(hol.dS)
+        assert fiber_path_length(vertical, ends) == pytest.approx(abs(hol.dS), rel=1e-12)
 
 
 class TestLoopValidation:
@@ -241,16 +245,6 @@ class TestFlatness:
     def test_empty_grid_rejected(self):
         with pytest.raises(ValidationError):
             flatness_check(spec2(), np.empty((0, 2)))
-
-
-class TestHolonomyResult:
-    def test_nonzero_da_rejected(self):
-        with pytest.raises(ValidationError):
-            HolonomyResult(dS=0.1, da=np.array([1.0]), method="lift")
-
-    def test_unknown_method_rejected(self):
-        with pytest.raises(ValidationError):
-            HolonomyResult(dS=0.0, da=np.zeros(1), method="guess")
 
 
 class TestPlaneValidation:

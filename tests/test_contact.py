@@ -426,31 +426,37 @@ class TestFiberPathLength:
     def test_constant_point_has_zero_length(self):
         spec = MMetricSpec.parsed("1", ["1"], ["0"], 1)
         pts = self.vertical_points(0.3, 0.3, 0.1, 0.1)
-        assert fiber_path_length(spec, pts, 1.0) == 0.0
+        assert fiber_path_length(spec, pts) == 0.0
 
     def test_flat_case_is_euclidean(self):
         spec = MMetricSpec.parsed("1", ["1"], ["0"], 1)
         pts = self.vertical_points(0.0, 0.6, 0.0, 0.8)
-        assert fiber_path_length(spec, pts, 1.0) == pytest.approx(1.0, rel=1e-12)
+        assert fiber_path_length(spec, pts) == pytest.approx(1.0, rel=1e-12)
 
     def test_g_S_scales_entropy_leg_in_quadrature(self):
         spec = MMetricSpec.parsed("4", ["1"], ["0"], 1)
         pts = self.vertical_points(0.0, 0.6, 0.0, 0.8)
         expected = math.hypot(2 * 0.6, 0.8)
-        assert fiber_path_length(spec, pts, 1.0) == pytest.approx(expected, rel=1e-12)
+        assert fiber_path_length(spec, pts) == pytest.approx(expected, rel=1e-12)
 
     def test_negative_g_S_is_signature_error(self):
         spec = MMetricSpec.parsed("-1", ["1"], ["0"], 1)
         pts = self.vertical_points(0.0, 0.6, 0.0, 0.8)
         with pytest.raises(SignatureError):
-            fiber_path_length(spec, pts, 1.0)
+            fiber_path_length(spec, pts)
 
-    @pytest.mark.parametrize("duration", [0.0, -1.0, math.nan, math.inf])
-    def test_duration_must_be_finite_and_positive(self, duration):
+    @pytest.mark.parametrize("s_values, length", [((0, 1, 0), 2.0), ((0, 1, 0, 1, 0), 4.0)])
+    def test_there_and_back_adds_every_leg(self, s_values, length):
         spec = MMetricSpec.parsed("1", ["1"], ["0"], 1)
-        pts = self.vertical_points(0.0, 0.6, 0.0, 0.8)
-        with pytest.raises(ValidationError, match="duration"):
-            fiber_path_length(spec, pts, duration)
+        pts = [ThermoPoint(s, [0.0], [0.4]) for s in s_values]
+        assert fiber_path_length(spec, pts) == length
+
+    def test_uneven_spacing_is_exact_on_a_straight_path(self):
+        spec = MMetricSpec.parsed("4", ["9"], ["0"], 1)
+        ts = [0.0, 0.01, 0.3, 0.31, 0.9, 1.0]
+        pts = [ThermoPoint(0.6 * t, [0.8 * t], [0.4]) for t in ts]
+        expected = math.hypot(2.0 * 0.6, 3.0 * 0.8)
+        assert fiber_path_length(spec, pts) == pytest.approx(expected, rel=1e-12)
 
     @pytest.mark.parametrize("spec_n", [1, 3])
     def test_spec_must_match_points_n(self, spec_n):
@@ -458,14 +464,14 @@ class TestFiberPathLength:
         pts = [ThermoPoint(0.1 * k, np.array([0.0, 0.1 * k]), np.array([0.4, 0.2]))
                for k in range(5)]
         with pytest.raises(ValidationError, match="disagree on n"):
-            fiber_path_length(spec, pts, 1.0)
+            fiber_path_length(spec, pts)
 
     def test_lambda_must_stay_fixed(self):
         spec = MMetricSpec.parsed("1", ["1"], ["0"], 1)
         pts = self.vertical_points(0.0, 0.6, 0.0, 0.8)
         pts[3] = ThermoPoint(pts[3].S, pts[3].a, np.array([0.5]))
         with pytest.raises(ValidationError):
-            fiber_path_length(spec, pts, 1.0)
+            fiber_path_length(spec, pts)
 
 
 class TestDimensionAgreement:

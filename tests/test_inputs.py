@@ -15,6 +15,7 @@ import pytest
 
 from thermogeom import (
     ConnectionSpec,
+    DensityOperator,
     GeodesicProblem,
     HermitianOperator,
     MetricTensor,
@@ -25,12 +26,12 @@ from thermogeom import (
     TangentVector,
     ThermoPoint,
     boundary_entropy_limit,
+    contact_volume_coefficient,
     discrete_path_energy,
     entropy_production,
     equilibrium_point,
     expectation_consistency,
     fiber_membership,
-    fiber_path_length,
     flatness_check,
     gauge_translate,
     gibbs_point,
@@ -43,9 +44,10 @@ from thermogeom import (
     straight_path,
     third_law_scan,
 )
-from thermogeom.connection import curvature, gamma_coeffs, holonomy_via_curvature
+from thermogeom.connection import curvature, holonomy_via_curvature
+from thermogeom.contact import wedge_top_coefficient
 from thermogeom.errors import ValidationError
-from thermogeom.exprlang import Num
+from thermogeom.exprlang import Num, parse
 from thermogeom.gibbs import gibbs_batch
 from thermogeom.inputs import MAX_COUNT, number
 
@@ -54,9 +56,10 @@ SPEC = ConnectionSpec.parsed("1", ["0", "l1"], 2)
 MU = MuExtension.zero(1)
 POINT = ThermoPoint(0.0, [0.0], [0.0])
 PATH = straight_path([0.0], [1.0], steps=8)
-VERTICAL = [ThermoPoint(0.1 * k, [0.0], [0.0]) for k in range(3)]
-M_SPEC = MMetricSpec.parsed("1", ["1"], ["0"], 1)
 M_SPEC_2 = MMetricSpec.parsed("1", ["1", "1"], ["0", "0"], 2)
+# eta and d eta of the n = 1 contact form at lam = 0
+ALPHA_1 = np.array([1.0, 0.0, 0.0])
+BETA_1 = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, -1.0, 0.0]])
 
 NUMBERS = {
     "ThermoPoint.S": lambda x: ThermoPoint(x, [0.0], [0.0]),
@@ -81,7 +84,8 @@ VECTORS = {
         2, lambda v: holonomy_via_curvature(SPEC, [0.0, 0.0], [1.0, 1.0], grid=(4, 4), base=v)
     ),
     "curvature.lam": (2, lambda v: curvature(SPEC, v, 0, 1)),
-    "gamma_coeffs.lam": (2, lambda v: gamma_coeffs(SPEC, v)),
+    "wedge_top_coefficient.one_form": (3, lambda v: wedge_top_coefficient(v, BETA_1, 1)),
+    "ConnectionSpec.gamma.lam": (2, SPEC.gamma),
     "MMetricSpec.evaluate.lam": (2, lambda v: M_SPEC_2.evaluate(v)),
     "ThermoPoint.a": (1, lambda v: ThermoPoint(0.0, v, [0.0])),
     "ThermoPoint.lam": (1, lambda v: ThermoPoint(0.0, [0.0], v)),
@@ -109,7 +113,6 @@ POSITIVES = {
     "rectangle_loop.duration": lambda x: rectangle_loop([0.0, 0.0], [1.0, 1.0], duration=x),
     "flatness_check.tol": lambda x: flatness_check(SPEC, [[0.0, 0.0]], x),
     "fiber_membership.tol": lambda x: fiber_membership(QUBIT, MU, POINT, [0.0], x),
-    "fiber_path_length.duration": lambda x: fiber_path_length(M_SPEC, VERTICAL, x),
     "MuExtension.validated.box": lambda x: MuExtension.validated(["0"], QUBIT, box=x),
 }
 
@@ -134,6 +137,8 @@ COUNTS = {
     "MMetricSpec.parsed.n": (1, lambda c: MMetricSpec.parsed("1", ["1"], ["0"], c)),
     "MuExtension.n": (1, lambda c: MuExtension([Num(0.0)], c)),
     "MuExtension.zero.n": (1, MuExtension.zero),
+    "contact_volume_coefficient.n": (1, contact_volume_coefficient),
+    "wedge_top_coefficient.n": (1, lambda c: wedge_top_coefficient(ALPHA_1, BETA_1, c)),
 }
 
 # argument -> (width or None for any, fewest rows, a rank it refuses, a call with that argument)
@@ -148,6 +153,15 @@ BLOCKS = {
     "flatness_check.grid_points": (2, 1, 1, lambda b: flatness_check(SPEC, b)),
     "legendrian_residual.lambda_grid": (1, 1, 1, lambda b: legendrian_residual(QUBIT, b)),
     "MetricTensor.g": (1, 1, 1, lambda b: MetricTensor([0.0], b)),
+    "wedge_top_coefficient.two_form": (3, 3, 1, lambda b: wedge_top_coefficient(ALPHA_1, b, 1)),
+}
+
+# argument -> (its number of expressions, a call with that list of expression texts)
+EXPRESSION_LISTS = {
+    "ConnectionSpec.parsed.h": (2, lambda t: ConnectionSpec.parsed("1", t, 2)),
+    "MMetricSpec.parsed.g_a": (2, lambda t: MMetricSpec.parsed("1", t, ["0", "0"], 2)),
+    "MMetricSpec.parsed.h": (2, lambda t: MMetricSpec.parsed("1", ["1", "1"], t, 2)),
+    "MuExtension.validated.texts": (1, lambda t: MuExtension.validated(t, QUBIT)),
 }
 
 
@@ -182,6 +196,8 @@ def _bad_blocks(n, floor, rank):
 BAD_NUMBERS = [math.nan, math.inf, -math.inf, True, "1.0", None]
 BAD_POSITIVES = [math.nan, math.inf, -math.inf, True, 0.0, -1.0, "1.0", None]
 BAD_COUNTS = [math.nan, math.inf, True, 2.5, -1, MAX_COUNT + 1, "4", None]
+BAD_EXPRESSIONS = [1, 0, None, b"l1", ["l1"]]
+BAD_MATRICES = {"bool": [[True]], "ragged": [[1.0, 0.0], [0.0]], "string": [["1"]], "object": [[1.0, None]]}
 
 
 @pytest.mark.parametrize(
@@ -227,6 +243,39 @@ def test_bad_block_is_rejected(arg, case):
         call(value)
 
 
+@pytest.mark.parametrize("text", BAD_EXPRESSIONS, ids=repr)
+def test_non_string_expression_is_rejected(text):
+    with pytest.raises(ValidationError, match="must be a string"):
+        parse(text, 1)
+
+
+@pytest.mark.parametrize("arg", sorted(EXPRESSION_LISTS))
+def test_bare_string_is_not_a_list_of_expressions(arg):
+    # one character per expression, so iterating the string would pass
+    n, call = EXPRESSION_LISTS[arg]
+    with pytest.raises(ValidationError, match="list of expression strings"):
+        call("0" * n)
+
+
+@pytest.mark.parametrize("case", sorted(BAD_MATRICES))
+@pytest.mark.parametrize("cls", [HermitianOperator, DensityOperator], ids=lambda c: c.__name__)
+def test_bad_matrix_is_rejected(cls, case):
+    with pytest.raises(ValidationError, match="matrix"):
+        cls(BAD_MATRICES[case])
+
+
+def test_observable_set_checks_the_type_first():
+    with pytest.raises(ValidationError, match="not a HermitianOperator"):
+        ObservableSet([np.eye(2)])
+
+
+def test_two_form_must_be_exactly_antisymmetric():
+    beta = BETA_1.copy()
+    beta[2, 1] += 1e-15
+    with pytest.raises(ValidationError, match="antisymmetric"):
+        wedge_top_coefficient(ALPHA_1, beta, 1)
+
+
 def test_number_takes_any_real_but_bool():
     assert [number(x, "x") for x in (np.int64(3), np.float32(0.5), Fraction(1, 4))] == [3.0, 0.5, 0.25]
 
@@ -254,3 +303,8 @@ def test_the_valid_calls_pass():
         call(valid)
     for n, floor, _, call in BLOCKS.values():
         call(_valid_block(n, floor))
+    for n, call in EXPRESSION_LISTS.values():
+        call(["0"] * n)
+    for matrix in ([[1]], [[0.5, 0.5j], [-0.5j, 0.5]]):
+        HermitianOperator(matrix)
+        DensityOperator(matrix)
