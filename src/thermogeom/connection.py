@@ -8,10 +8,10 @@ vertical displacement dS of a lifted loop, and the same number is
 recovered as minus the curvature flux through a spanning rectangle
 (Stokes, since the group is abelian).
 
-Every layer is batched over points.  A `ConnectionSpec` compiles
-[g_S, *h] once into one `exprlang.Program`, so a subtree shared between
-g_S and the h_k (as in an exact h_k = g_S d_k phi) is evaluated once per
-call and its registers are dropped after their last use;
+Every layer is batched over points.  A `ConnectionSpec` holds n and the
+one program `exprlang.compile_fields` makes of [g_S, *h], so a subtree
+shared between g_S and the h_k (as in an exact h_k = g_S d_k phi) is
+evaluated once per call and its registers are dropped after their last use;
 `ConnectionSpec.gamma` maps lam of shape (..., n) to (..., n) with one
 run of it, checking g_S before any h_k is evaluated.  A curvature batch
 differentiates gamma through `linalg.central_difference`, and a lift
@@ -28,10 +28,9 @@ import numpy as np
 
 from . import exprlang
 from .errors import DegenerateMetricError, ValidationError
-from .exprlang import Expr
 from .contact import ThermoPoint
 from .linalg import central_difference
-from .inputs import count, counts, points, positive, vector
+from .inputs import count, counts, points, positive, reals, vector
 from .processes import ParamPath
 
 __all__ = [
@@ -50,30 +49,22 @@ __all__ = [
 MIN_LOOP_STEPS = 16
 
 
+@dataclass(frozen=True, slots=True)
 class ConnectionSpec:
-    """Scalar fields g_S(lam) and h_k(lam) over n parameters."""
+    """Scalar fields g_S(lam) and h_k(lam) over n parameters, compiled into one program.
 
-    __slots__ = ("g_S", "h", "n", "_program")
+    Build it with `ConnectionSpec.parsed`; the program computes [g_S, *h].
+    """
 
-    def __init__(self, g_S: Expr, h: Sequence[Expr], n: int):
-        n = count(n, "n", 1)
-        h = tuple(h)
-        if len(h) != n:
-            raise ValidationError(f"need {n} h expressions, got {len(h)}")
-        lam_vars = {f"l{i + 1}" for i in range(n)}
-        for name, e in (("g_S", g_S), *((f"h{k + 1}", x) for k, x in enumerate(h))):
-            exprlang.require_vars(e, lam_vars, name)
-        object.__setattr__(self, "g_S", g_S)
-        object.__setattr__(self, "h", h)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "_program", exprlang.Program((g_S, *h)))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ConnectionSpec is immutable")
+    n: int
+    program: exprlang.Program
 
     @classmethod
     def parsed(cls, g_S: str, h: Sequence[str], n: int) -> "ConnectionSpec":
-        return cls(exprlang.parse(g_S, n), exprlang.parse_list(h, n, "h"), n)
+        """The fields from their texts: g_S and h1..hn may read l1..ln only."""
+        n = count(n, "n", 1)
+        fields = {"g_S": g_S, **exprlang.numbered("h", h, n)}
+        return cls(n, exprlang.compile_fields(fields, n, {f"l{i}" for i in range(1, n + 1)}))
 
     def gamma(self, lam) -> np.ndarray:
         """Gamma^k = h_k / g_S, mapping lam of shape (..., n) to (..., n).
@@ -82,13 +73,13 @@ class ConnectionSpec:
         |g_S| <= 1e-12 at any point raises, naming the first such point in
         C order, before any h_k is evaluated.
         """
-        lam = np.asarray(lam)
+        lam = reals(lam, "lam")
         # the points as rows; a last axis of another length fails the width check
         flat = points(lam.reshape(math.prod(lam.shape[:-1]), *lam.shape[-1:]), self.n, "lam")
         # contiguous copies of the components: ufuncs on strided views cost more
         columns = flat.T.copy()
         env = {f"l{i + 1}": columns[i] for i in range(self.n)}
-        values = self._program.run(env)
+        values = self.program.run(env)
         g_s = next(values)
         degenerate = np.abs(g_s) <= 1e-12
         if degenerate.any():
@@ -147,10 +138,10 @@ def rectangle_loop(
     steps: int = 256,
     n: int | None = None,
     base: Sequence[float] | None = None,
-    duration: float = 1.0,
 ) -> Loop:
-    """Counterclockwise rectangle loop in the (k, l) coordinate plane.
+    """Counterclockwise rectangle loop of duration 1 in the (k, l) coordinate plane.
 
+    A lift's dS is a line integral, so no other duration would change it.
     Corners land on grid nodes (steps, a positive integer up to MAX_COUNT,
     is rounded up to a multiple of 4 and to at least MIN_LOOP_STEPS), which
     keeps the per-segment integrator at full order.
@@ -174,7 +165,7 @@ def rectangle_loop(
         samples[row : row + quarter + 1, k] = seg_x
         samples[row : row + quarter + 1, l] = seg_y
         row += quarter
-    return Loop(ParamPath(duration, samples))
+    return Loop(ParamPath(1.0, samples))
 
 
 def _lift_entropy(spec: ConnectionSpec, base: ParamPath, p0: ThermoPoint) -> np.ndarray:
@@ -233,7 +224,7 @@ def curvature(spec: ConnectionSpec, lam, k: int, l: int) -> float | np.ndarray:
     if spec.n < 2:
         raise ValidationError("curvature needs at least two parameters")
     k, l = count(k, "plane index", 0, spec.n - 1), count(l, "plane index", 0, spec.n - 1)
-    lam = np.asarray(lam)
+    lam = reals(lam, "lam")
     pts = points(np.atleast_2d(lam), spec.n, "lam")
     out = np.zeros(pts.shape[0])
     if k != l:

@@ -17,7 +17,6 @@ import numpy as np
 
 from . import exprlang
 from .errors import DegenerateMetricError, SignatureError, ValidationError
-from .exprlang import Expr
 from .geometry import MetricTensor
 from .gibbs import ObservableSet, gibbs_batch, gibbs_point
 from .linalg import DensityOperator, central_difference
@@ -46,6 +45,8 @@ __all__ = [
 # the largest n whose n! is a finite double
 MAX_CONTACT_N = 170
 MU_VALIDATION_POINTS = 32
+# the equilibrium labels lam are drawn uniformly from [-box, box]^n
+MU_VALIDATION_BOX = 1.0
 MU_VALIDATION_TOL = 1e-8
 _MU_GRID_SEED = 173651
 
@@ -95,53 +96,40 @@ def _agree_on_n(what: str, *ns: int) -> None:
 
 def _point_env(S, a: np.ndarray, lam: np.ndarray) -> dict:
     """Expression variables at points (S, a, lam); a and lam have shape (..., n)."""
-    env = {"S": S, "t": 0.0}
+    env = {"S": S}
     for i in range(lam.shape[-1]):
         env[f"a{i + 1}"] = a[..., i]
         env[f"l{i + 1}"] = lam[..., i]
     return env
 
 
+@dataclass(frozen=True, slots=True)
 class MuExtension:
     """Additive extension mu_i = lam_i + f_i(S, a, lam) of the conjugate map.
 
     The f_i must vanish on equilibrium points; this is validated
     numerically on a 32-point grid of equilibrium embeddings rather than
-    symbolically.  Build instances through `MuExtension.validated`.
+    symbolically.  Build it with `MuExtension.validated` or
+    `MuExtension.zero`; the program computes [f_1, ..., f_n].
     """
 
-    __slots__ = ("exprs", "n", "_program")
-
-    def __init__(self, exprs: Sequence[Expr], n: int) -> None:
-        n = count(n, "n", 1)
-        exprs = tuple(exprs)
-        if len(exprs) != n:
-            raise ValidationError(f"need {n} extension expressions, got {len(exprs)}")
-        allowed = set(exprlang.allowed_variables(n)) - {"t"}
-        for k, e in enumerate(exprs):
-            exprlang.require_vars(e, allowed, f"f_{k + 1}")
-        object.__setattr__(self, "exprs", exprs)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "_program", exprlang.Program(exprs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MuExtension is immutable")
+    n: int
+    program: exprlang.Program
 
     @classmethod
-    def validated(
-        cls,
-        texts: Sequence[str],
-        obs: ObservableSet,
-        box: float = 1.0,
-    ) -> "MuExtension":
-        """Parse f_i and check |f_i| < 1e-8 on sampled equilibrium embeddings."""
-        box = positive(box, "box")
-        mu = cls(exprlang.parse_list(texts, obs.n, "extension"), obs.n)
+    def validated(cls, texts: Sequence[str], obs: ObservableSet) -> "MuExtension":
+        """Parse f1..fn and check |f_i| < 1e-8 on sampled equilibrium embeddings.
+
+        The f_i may read S, a1..an and l1..ln, not t.
+        """
+        n = obs.n
+        allowed = set(exprlang.allowed_variables(n)) - {"t"}
+        mu = cls(n, exprlang.compile_fields(exprlang.numbered("f", texts, n), n, allowed))
         rng = np.random.default_rng(_MU_GRID_SEED)
-        lams = rng.uniform(-box, box, size=(MU_VALIDATION_POINTS, obs.n))
+        lams = rng.uniform(-MU_VALIDATION_BOX, MU_VALIDATION_BOX, size=(MU_VALIDATION_POINTS, n))
         batch = gibbs_batch(obs, lams)
         env = _point_env(batch.S, batch.a, lams)
-        worst = np.max(np.abs(list(mu._program.run(env))), axis=0)
+        worst = np.max(np.abs(list(mu.program.run(env))), axis=0)
         failing = worst >= MU_VALIDATION_TOL
         if failing.any():
             j = int(np.argmax(failing))
@@ -153,56 +141,40 @@ class MuExtension:
 
     @classmethod
     def zero(cls, n: int) -> "MuExtension":
-        return cls([exprlang.Num(0.0)] * count(n, "n", 1), n)
+        """The equilibrium conjugate map mu = lam: every f_i is 0."""
+        n = count(n, "n", 1)
+        return cls(n, exprlang.compile_fields(exprlang.numbered("f", ["0"] * n, n), n, ()))
 
     def offsets(self, p: ThermoPoint) -> np.ndarray:
         _agree_on_n("extension and point", self.n, p.n)
         env = _point_env(p.S, p.a, p.lam)
-        return np.array(list(self._program.run(env)))
+        return np.array(list(self.program.run(env)))
 
     def mu_values(self, p: ThermoPoint) -> np.ndarray:
         return p.lam + self.offsets(p)
 
 
+@dataclass(frozen=True, slots=True)
 class MMetricSpec:
     """Scalar fields (g_S, g_{a_i}, h_k) of the pseudo-Riemannian extension.
 
     g_S may take any sign (entropy direction), the g_{a_i} must stay
     positive, and the h_k are the cross-terms coupling dS to dlam_k; all
-    are functions of lam alone.
+    are functions of lam alone.  Build it with `MMetricSpec.parsed`; the
+    program computes [g_S, *g_a, *h].
     """
 
-    __slots__ = ("g_S", "g_a", "h", "n", "_program")
-
-    def __init__(self, g_S: Expr, g_a: Sequence[Expr], h: Sequence[Expr], n: int):
-        n = count(n, "n", 1)
-        g_a = tuple(g_a)
-        h = tuple(h)
-        if len(g_a) != n or len(h) != n:
-            raise ValidationError(f"need {n} g_a and h expressions")
-        lam_vars = {f"l{i + 1}" for i in range(n)}
-        for name, e in (("g_S", g_S), *((f"g_a{k+1}", x) for k, x in enumerate(g_a)),
-                        *((f"h{k+1}", x) for k, x in enumerate(h))):
-            exprlang.require_vars(e, lam_vars, name)
-        object.__setattr__(self, "g_S", g_S)
-        object.__setattr__(self, "g_a", g_a)
-        object.__setattr__(self, "h", h)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "_program", exprlang.Program((g_S, *g_a, *h)))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MMetricSpec is immutable")
+    n: int
+    program: exprlang.Program
 
     @classmethod
     def parsed(
         cls, g_S: str, g_a: Sequence[str], h: Sequence[str], n: int
     ) -> "MMetricSpec":
-        return cls(
-            exprlang.parse(g_S, n),
-            exprlang.parse_list(g_a, n, "g_a"),
-            exprlang.parse_list(h, n, "h"),
-            n,
-        )
+        """The fields from their texts: g_S, g_a1..g_an and h1..hn may read l1..ln only."""
+        n = count(n, "n", 1)
+        fields = {"g_S": g_S, **exprlang.numbered("g_a", g_a, n), **exprlang.numbered("h", h, n)}
+        return cls(n, exprlang.compile_fields(fields, n, {f"l{i}" for i in range(1, n + 1)}))
 
     def evaluate(self, lam: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
         """(g_S, g_a vector, h vector) at lam, enforcing the sign invariants.
@@ -211,13 +183,13 @@ class MMetricSpec:
         """
         lam = vector(lam, self.n, "lam")
         env = {f"l{i + 1}": float(lam[i]) for i in range(self.n)}
-        values = self._program.run(env)
+        values = self.program.run(env)
         g_s = next(values)
         if abs(g_s) <= 1e-12:
             raise DegenerateMetricError(
                 f"|g_S| = {abs(g_s):.3e} at lambda = {lam.tolist()}"
             )
-        g_a = np.array([next(values) for _ in self.g_a])
+        g_a = np.array([next(values) for _ in range(self.n)])
         if np.any(g_a <= 0.0):
             raise SignatureError(
                 f"g_a must be positive, got {g_a.tolist()} at "
@@ -371,7 +343,7 @@ def mu_jacobian(mu: MuExtension, p: ThermoPoint) -> np.ndarray:
     def mu_values(coords: np.ndarray) -> np.ndarray:
         lam = coords[..., n + 1 :]
         env = _point_env(coords[..., 0], coords[..., 1 : n + 1], lam)
-        return lam + np.stack(list(mu._program.run(env)), axis=-1)
+        return lam + np.stack(list(mu.program.run(env)), axis=-1)
 
     coords = np.concatenate(([p.S], p.a, p.lam))
     return central_difference(mu_values, coords, 1e-6, 2).T
@@ -420,6 +392,8 @@ def fiber_path_length(spec: MMetricSpec, points: Sequence[ThermoPoint]) -> float
     pts = list(points)
     if len(pts) < 2:
         raise ValidationError("a fiber path needs at least two points")
+    if not all(isinstance(q, ThermoPoint) for q in pts):
+        raise ValidationError("a fiber path's points must be ThermoPoints")
     _agree_on_n("metric spec and points", spec.n, pts[0].n)
     lam0 = pts[0].lam
     for q in pts[1:]:

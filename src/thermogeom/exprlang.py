@@ -13,8 +13,12 @@ arrays, in IEEE doubles per element, with domain violations checked as
 masks; equal subtrees share one register and are evaluated once per run,
 and a register is dropped after its last use.  Values come out in order,
 each computed when asked for, so the first error raised is the one the
-first failing expression raises alone.  Each holder of expressions
-compiles its own once; `eval_expr` runs a program over one expression.
+first failing expression raises alone.
+
+`compile_fields` is the one route from expression text to a program: every
+holder of user fields (connection, g_M metric, mu extension) and every
+config path builds its program there, once, and `numbered` names the slots
+of a list of texts.  `eval_expr` runs a program over one expression.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ import operator
 import re
 import struct
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence, Union
+from typing import Collection, Iterator, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -45,11 +49,10 @@ __all__ = [
     "Call",
     "allowed_variables",
     "parse",
-    "parse_list",
+    "numbered",
+    "compile_fields",
     "Program",
     "eval_expr",
-    "free_vars",
-    "require_vars",
     "pretty",
 ]
 
@@ -256,30 +259,16 @@ def parse(text: str, n: int) -> Expr:
     return _Parser(_tokenize(text), allowed_variables(n)).parse()
 
 
-def parse_list(texts: Sequence[str], n: int, what: str) -> list[Expr]:
-    """Parse a list (or tuple) of expression texts; a bare string is not one."""
-    if not isinstance(texts, (list, tuple)):
-        raise ValidationError(f"{what} must be a list of expression strings, got {texts!r}")
-    return [parse(t, n) for t in texts]
-
-
-def free_vars(e: Expr) -> frozenset[str]:
+def _free_vars(e: Expr) -> frozenset[str]:
     if isinstance(e, Num):
         return frozenset()
     if isinstance(e, Var):
         return frozenset((e.name,))
     if isinstance(e, Neg):
-        return free_vars(e.arg)
+        return _free_vars(e.arg)
     if isinstance(e, BinOp):
-        return free_vars(e.left) | free_vars(e.right)
-    return frozenset().union(*(free_vars(a) for a in e.args)) if e.args else frozenset()
-
-
-def require_vars(e: Expr, allowed: set[str], what: str) -> None:
-    """Reject e if it reads a variable outside `allowed`, naming `what` and the extras."""
-    extra = free_vars(e) - allowed
-    if extra:
-        raise ValidationError(f"{what} may only use {sorted(allowed)}, found {sorted(extra)}")
+        return _free_vars(e.left) | _free_vars(e.right)
+    return frozenset().union(*(_free_vars(a) for a in e.args)) if e.args else frozenset()
 
 
 def _env_shape(values: tuple) -> tuple[int, ...]:
@@ -486,6 +475,36 @@ class Program:
                 yield float(value)
             else:
                 yield value if np.shape(value) == shape else np.broadcast_to(value, shape).copy()
+
+
+def numbered(what: str, texts: object, k: int) -> dict[str, object]:
+    """A list or tuple of exactly k texts as the slots what1..whatk; a bare string is not one."""
+    if not isinstance(texts, (list, tuple)) or len(texts) != k:
+        raise ValidationError(
+            f"{what} must be a list of expression strings, one per parameter ({k})"
+        )
+    return {f"{what}{i}": text for i, text in enumerate(texts, 1)}
+
+
+def compile_fields(named_texts: Mapping[str, object], n: int, allowed: Collection[str]) -> Program:
+    """One program over the slots' texts, each a string over n's alphabet reading only `allowed`.
+
+    A slot whose text is not a string, does not parse or reads another
+    variable raises `ValidationError` (an `Expr*Error` where parsing
+    fails) with the slot's name in front of the message.
+    """
+    exprs = []
+    for slot, text in named_texts.items():
+        try:
+            e = parse(text, n)
+            extra = _free_vars(e) - set(allowed)
+            if extra:
+                raise ValidationError(f"may only use {sorted(allowed)}, found {sorted(extra)}")
+        except ValidationError as exc:
+            exc.args = (f"{slot}: {exc}",)
+            raise
+        exprs.append(e)
+    return Program(exprs)
 
 
 def eval_expr(e: Expr, env: Mapping[str, float | np.ndarray]) -> float | np.ndarray:

@@ -156,7 +156,7 @@ def state_derivatives(obs: ObservableSet, lam) -> list[HermitianOperator]:
     Each derivative is self-adjoint and traceless (the trace of rho is
     constant along the family).
     """
-    batch = gibbs_batch(obs, np.asarray(lam).reshape(1, -1))
+    batch = gibbs_batch(obs, vector(lam, obs.n, "lam")[None])
     a_tilde, f1 = _daleckii_krein(obs, batch)
     u = batch.U[0]
     drho = u @ (-a_tilde[0] * f1[0]) @ u.conj().T
@@ -165,7 +165,7 @@ def state_derivatives(obs: ObservableSet, lam) -> list[HermitianOperator]:
 
 def metric_tensor(obs: ObservableSet, lam) -> MetricTensor:
     """The metric at a single point: `metric_grid` on a block of one."""
-    lam = np.asarray(lam).reshape(-1)
+    lam = vector(lam, obs.n, "lam")
     return MetricTensor(lam, metric_grid(obs, lam[None])[0])
 
 

@@ -18,7 +18,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import ParameterRangeError, ValidationError
-from .inputs import points
+from .inputs import points, vector
 from .linalg import DensityOperator, HermitianOperator, central_difference
 
 __all__ = [
@@ -53,6 +53,8 @@ class ObservableSet:
         observables: Sequence[HermitianOperator],
         names: Sequence[str] | None = None,
     ) -> None:
+        if not isinstance(observables, (list, tuple)):
+            raise ValidationError("observables must be a list of HermitianOperators")
         obs = tuple(observables)
         if len(obs) < 1:
             raise ValidationError("an observable set needs at least one element")
@@ -66,6 +68,8 @@ class ObservableSet:
         dim = obs[0].dim
         if names is None:
             names = tuple(f"A{i}" for i in range(1, len(obs) + 1))
+        elif not isinstance(names, (list, tuple)):
+            raise ValidationError("names must be a list of strings")
         else:
             names = tuple(str(s) for s in names)
             if len(names) != len(obs):
@@ -165,7 +169,7 @@ def gibbs_batch(obs: ObservableSet, lams) -> FamilyBatch:
 
 def gibbs_point(obs: ObservableSet, lam) -> GibbsPoint:
     """The Gibbs state, partition function, expectations and entropy at lam."""
-    batch = gibbs_batch(obs, np.asarray(lam).reshape(1, -1))
+    batch = gibbs_batch(obs, vector(lam, obs.n, "lam")[None])
     rho = DensityOperator._with_spectrum(batch.rho[0], batch.p[0, ::-1], batch.U[0, :, ::-1])
     lam_row = batch.lam[0].copy()
     lam_row.flags.writeable = False
@@ -187,7 +191,7 @@ def expectation_consistency(obs: ObservableSet, lam) -> float:
     through `linalg.central_difference` at order 2 with step 1e-4, whose
     taps go to one `gibbs_batch` call.
     """
-    lam = np.asarray(lam).reshape(-1)
+    lam = vector(lam, obs.n, "lam")
     point = gibbs_point(obs, lam)
 
     def neg_log_z(taps: np.ndarray) -> np.ndarray:

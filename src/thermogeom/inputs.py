@@ -7,8 +7,9 @@ a list of counts spans at most `MAX_COUNT` points; a vector holds finite
 real numbers, as many as the call needs; a block of points is a 2-D array
 of finite real numbers, one row per point, as wide as the call needs and
 with floor <= rows <= cap.  Real numbers are a numpy dtype of kind int,
-uint or float, so bool, complex, string and object arrays are refused.
-Anything else raises `ValidationError`, naming the argument.
+uint or float, so bool, complex, string and object arrays are refused, as
+is a list that mixes a bool among numbers.  Anything else raises
+`ValidationError`, naming the argument.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 
 from .errors import ValidationError
 
-__all__ = ["MAX_COUNT", "number", "positive", "count", "counts", "vector", "points"]
+__all__ = ["MAX_COUNT", "number", "positive", "count", "counts", "reals", "vector", "points"]
 
 # Upper bound on every count a config can ask for (grid points, path steps,
 # iterations); checked before anything of that size is allocated.
@@ -64,16 +65,22 @@ def counts(value: object, k: int, what: str, floor: int) -> list[int]:
     return values
 
 
-def _real(value: object, what: str) -> np.ndarray:
+def reals(value: object, what: str) -> np.ndarray:
+    """An array of real numbers of any shape: value itself if it is one, else a new array."""
     v = np.asarray(value)
     if v.dtype.kind not in "iuf":
         raise ValidationError(f"{what} must hold real numbers, got dtype {v.dtype}")
+    # numpy turns a bool among numbers into a number, so a list is scanned too
+    if not isinstance(value, np.ndarray) and any(
+        isinstance(x, (bool, np.bool_)) for x in np.asarray(value, dtype=object).flat
+    ):
+        raise ValidationError(f"{what} must hold real numbers, got a bool")
     return v
 
 
 def vector(value: object, n: int | None, what: str) -> np.ndarray:
     """A finite, read-only float copy of value with n components (any number if n is None)."""
-    v = _real(value, what).astype(float).reshape(-1)
+    v = reals(value, what).astype(float).reshape(-1)
     if n is not None and v.size != n:
         raise ValidationError(f"{what} must have {n} components, got {v.size}")
     if not np.isfinite(v).all():
@@ -90,7 +97,7 @@ def points(
     Any width is accepted when n is None.  The result is value itself when
     it is already a float array, else a float copy.
     """
-    block = _real(value, what)
+    block = reals(value, what)
     if block.ndim != 2 or n is not None and block.shape[1] != n:
         width = "n" if n is None else n
         raise ValidationError(f"{what} must be a block of shape (P, {width}), got {block.shape}")

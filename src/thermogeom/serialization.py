@@ -127,26 +127,17 @@ def path_from_json(obj: Any, n: int) -> ParamPath:
         return ParamPath(duration, np.array(samples, dtype=float))
     if "lambda_exprs" in obj:
         steps = count(obj.get("steps"), "path.steps", floor=MIN_PATH_STEPS)
-        exprs = [exprlang.parse(t, n) for t in _expr_list(obj, "lambda_exprs", n)]
-        for k, e in enumerate(exprs):
-            exprlang.require_vars(e, {"t"}, f"path expression {k + 1}")
+        texts = exprlang.numbered("lambda_exprs", obj["lambda_exprs"], n)
+        program = exprlang.compile_fields(texts, n, {"t"})
         ts = np.linspace(0.0, duration, steps + 1)
-        samples = np.stack(list(exprlang.Program(exprs).run({"t": ts})), axis=-1)
+        samples = np.stack(list(program.run({"t": ts})), axis=-1)
         return ParamPath(duration, samples)
     raise ValidationError("path needs either samples or lambda_exprs")
 
 
-def _expr_list(obj: Any, key: str, n: int) -> list[str]:
-    texts = obj.get(key)
-    if not isinstance(texts, list) or len(texts) != n:
-        raise ValidationError(f"{key} must list {n} expression strings")
-    return texts
-
-
 def connection_spec_from_json(obj: Any, n: int) -> ConnectionSpec:
-    if not isinstance(known_keys(obj, ("g_S", "h"), "connection spec").get("g_S"), str):
-        raise ValidationError("connection spec needs a g_S expression string")
-    return ConnectionSpec.parsed(obj["g_S"], _expr_list(obj, "h", n), n)
+    obj = known_keys(obj, ("g_S", "h"), "connection spec")
+    return ConnectionSpec.parsed(obj.get("g_S"), obj.get("h"), n)
 
 
 def load_json_file(path: str | Path) -> Any:

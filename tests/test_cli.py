@@ -448,6 +448,7 @@ INVALID_EDITS = {
     "flatness_grid_empty": ("flatness", lambda s: s["grid"].update(num=[0, 5])),
     # the grid's step overflows, so its points are not finite
     "grid_span_overflows": ("metric", lambda s: s["grid"].update(start=[-1.7e308], stop=[1.7e308])),
+    "lambda_exprs_not_a_string": ("length", lambda s: s["path"].update(lambda_exprs=[1])),
     "samples_not_numeric": ("length", lambda s: s.update(path={"duration": 1.0, "samples": [["a"]] * 9})),
     "samples_ragged": (
         "length", lambda s: s.update(path={"duration": 1.0, "samples": [[0.0]] * 8 + [[0.0, 1.0]]})

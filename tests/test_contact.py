@@ -4,7 +4,6 @@ import math
 import numpy as np
 import pytest
 
-from thermogeom import exprlang
 from thermogeom.contact import (
     MMetricSpec,
     MuExtension,
@@ -287,12 +286,14 @@ class TestFiberMembership:
         assert np.linalg.matrix_rank(mu_jacobian(mu_a, p1), tol=1e-8) == 1
 
     def test_jacobian_matches_the_analytic_one(self):
-        mu = MuExtension([exprlang.parse("S*a2+tanh(l1)", 2), exprlang.parse("exp(a1)-l2^2", 2)], 2)
+        # on TWO_QUBIT's equilibrium a_i = -tanh(l_i), so both f_i vanish there
+        mu = MuExtension.validated(["S*(a2+tanh(l2))", "exp(a1)-exp(-tanh(l1))"], TWO_QUBIT)
         p = ThermoPoint(0.3, np.array([0.1, -0.4]), np.array([0.5, 0.8]))
+        sech2 = 1.0 / np.cosh([0.5, 0.8]) ** 2
         expect = np.array(
             [
-                [-0.4, 0.0, 0.3, 1.0 + 1.0 / np.cosh(0.5) ** 2, 0.0],
-                [0.0, np.exp(0.1), 0.0, 0.0, 1.0 - 1.6],
+                [-0.4 + np.tanh(0.8), 0.0, 0.3, 1.0, 0.3 * sech2[1]],
+                [0.0, np.exp(0.1), 0.0, np.exp(-np.tanh(0.5)) * sech2[0], 1.0],
             ]
         )
         np.testing.assert_allclose(mu_jacobian(mu, p), expect, rtol=0.0, atol=1e-9)

@@ -23,11 +23,12 @@ from thermogeom.exprlang import (
     Num,
     Program,
     Var,
+    _free_vars,
+    compile_fields,
     eval_expr,
-    free_vars,
+    numbered,
     parse,
     pretty,
-    require_vars,
 )
 
 
@@ -140,14 +141,37 @@ def test_empty_input():
 
 
 def test_free_vars():
-    assert free_vars(parse("l1*t + sin(a2)", 2)) == {"l1", "t", "a2"}
+    assert _free_vars(parse("l1*t + sin(a2)", 2)) == {"l1", "t", "a2"}
 
 
-def test_require_vars_names_expression_and_extras():
-    e = parse("l1*t + sin(a2)", 2)
-    require_vars(e, {"l1", "t", "a2"}, "g_S")
-    with pytest.raises(ValidationError, match=r"g_S may only use \['l1'\], found \['a2', 't'\]"):
-        require_vars(e, {"l1"}, "g_S")
+def test_compile_fields_names_slot_and_extras():
+    program = compile_fields({"g_S": "l1*t + sin(a2)"}, 2, {"l1", "t", "a2"})
+    assert next(program.run({"l1": 2.0, "t": 3.0, "a2": 0.0})) == 6.0
+    with pytest.raises(ValidationError, match=r"^g_S: may only use \['l1'\], found \['a2', 't'\]$"):
+        compile_fields({"g_S": "l1*t + sin(a2)"}, 2, {"l1"})
+
+
+@pytest.mark.parametrize(
+    "text, error",
+    [(1, ValidationError), (None, ValidationError), ("l1*", ExprSyntaxError),
+     ("q", ExprNameError), ("min(l1)", ExprArityError)],
+    ids=["int", "None", "syntax", "name", "arity"],
+)
+def test_compile_fields_names_the_failing_slot(text, error):
+    with pytest.raises(error, match=r"^h2: "):
+        compile_fields({"h1": "l1", "h2": text}, 1, {"l1"})
+
+
+def test_compile_fields_runs_the_slots_in_order():
+    program = compile_fields(numbered("h", ["l1", "2*l1", "l1^2"], 3), 1, {"l1"})
+    assert list(program.run({"l1": 3.0})) == [3.0, 6.0, 9.0]
+
+
+@pytest.mark.parametrize("texts", ["01", ["0"], ["0", "1", "2"], None, {"h1": "0", "h2": "1"}], ids=repr)
+def test_numbered_takes_exactly_k_texts(texts):
+    assert numbered("h", ("0", "l1"), 2) == {"h1": "0", "h2": "l1"}
+    with pytest.raises(ValidationError, match="h must be a list of expression strings"):
+        numbered("h", texts, 2)
 
 
 def test_eval_is_pure():

@@ -41,17 +41,19 @@ from thermogeom import (
     metric_tensor,
     rectangle_loop,
     segment_speed_profile,
+    state_derivatives,
     straight_path,
     third_law_scan,
 )
 from thermogeom.connection import curvature, holonomy_via_curvature
-from thermogeom.contact import wedge_top_coefficient
+from thermogeom.contact import fiber_path_length, wedge_top_coefficient
 from thermogeom.errors import ValidationError
-from thermogeom.exprlang import Num, parse
+from thermogeom.exprlang import parse
 from thermogeom.gibbs import gibbs_batch
 from thermogeom.inputs import MAX_COUNT, number
 
 QUBIT = ObservableSet([HermitianOperator(np.diag([1.0, -1.0]))])
+PAULI_ZX = ObservableSet([HermitianOperator(np.diag([1.0, -1.0])), HermitianOperator([[0.0, 1.0], [1.0, 0.0]])])
 SPEC = ConnectionSpec.parsed("1", ["0", "l1"], 2)
 MU = MuExtension.zero(1)
 POINT = ThermoPoint(0.0, [0.0], [0.0])
@@ -110,10 +112,8 @@ POSITIVES = {
     "GeodesicProblem.tolerance": lambda x: GeodesicProblem([0.0], [1.0], tolerance=x),
     "discrete_path_energy.duration": lambda x: discrete_path_energy(QUBIT, PATH.samples, x),
     "segment_speed_profile.duration": lambda x: segment_speed_profile(QUBIT, PATH.samples, x),
-    "rectangle_loop.duration": lambda x: rectangle_loop([0.0, 0.0], [1.0, 1.0], duration=x),
     "flatness_check.tol": lambda x: flatness_check(SPEC, [[0.0, 0.0]], x),
     "fiber_membership.tol": lambda x: fiber_membership(QUBIT, MU, POINT, [0.0], x),
-    "MuExtension.validated.box": lambda x: MuExtension.validated(["0"], QUBIT, box=x),
 }
 
 # argument -> (a valid count, a call with that argument)
@@ -131,11 +131,8 @@ COUNTS = {
     "holonomy_via_curvature.grid[0]": (
         4, lambda c: holonomy_via_curvature(SPEC, [0, 0], [1, 1], grid=(c, 4))
     ),
-    "ConnectionSpec.n": (1, lambda c: ConnectionSpec(Num(1.0), [Num(0.0)], c)),
     "ConnectionSpec.parsed.n": (1, lambda c: ConnectionSpec.parsed("1", ["0"], c)),
-    "MMetricSpec.n": (1, lambda c: MMetricSpec(Num(1.0), [Num(1.0)], [Num(0.0)], c)),
     "MMetricSpec.parsed.n": (1, lambda c: MMetricSpec.parsed("1", ["1"], ["0"], c)),
-    "MuExtension.n": (1, lambda c: MuExtension([Num(0.0)], c)),
     "MuExtension.zero.n": (1, MuExtension.zero),
     "contact_volume_coefficient.n": (1, contact_volume_coefficient),
     "wedge_top_coefficient.n": (1, lambda c: wedge_top_coefficient(ALPHA_1, BETA_1, c)),
@@ -170,6 +167,9 @@ def _bad_vectors(n):
     yield "inf", [0.0] * (n - 1) + [math.inf]
     yield "-inf", [-math.inf] + [0.0] * (n - 1)
     yield "bool", [True] + [False] * (n - 1)
+    if n > 1:
+        # numpy would read the list as floats
+        yield "mixed bool", [0.5] * (n - 1) + [True]
     yield "length", [1.0] + [0.0] * n
     yield "empty", []
 
@@ -185,6 +185,10 @@ def _bad_blocks(n, floor, rank):
         block[-1, -1] = value
         yield case, block
     yield "bool", good.astype(bool)
+    if good.size > 1:
+        rows = good.tolist()
+        rows[-1][-1] = True
+        yield "mixed bool", rows
     yield "string", good.astype(str)
     if n is not None:
         yield "width", np.zeros((good.shape[0], n + 1))
@@ -262,6 +266,57 @@ def test_bare_string_is_not_a_list_of_expressions(arg):
 def test_bad_matrix_is_rejected(cls, case):
     with pytest.raises(ValidationError, match="matrix"):
         cls(BAD_MATRICES[case])
+
+
+# argument -> (a call with an invalid text in it, the slot the error must name)
+EXPRESSION_SLOTS = {
+    "ConnectionSpec.parsed.g_S": (lambda: ConnectionSpec.parsed(1, ["0"], 1), "g_S"),
+    "ConnectionSpec.parsed.h": (lambda: ConnectionSpec.parsed("1", [0], 1), "h1"),
+    "MMetricSpec.parsed.g_a": (lambda: MMetricSpec.parsed("1", ["1", "l3"], ["0", "0"], 2), "g_a2"),
+    "MMetricSpec.parsed.h": (lambda: MMetricSpec.parsed("1", ["1"], [None], 1), "h1"),
+    "MuExtension.validated.texts": (lambda: MuExtension.validated([1], QUBIT), "f1"),
+    "MuExtension.validated.t": (lambda: MuExtension.validated(["t"], QUBIT), "f1"),
+}
+
+
+@pytest.mark.parametrize("arg", sorted(EXPRESSION_SLOTS))
+def test_bad_expression_names_its_slot(arg):
+    call, slot = EXPRESSION_SLOTS[arg]
+    with pytest.raises(ValidationError, match=f"^{slot}: "):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: ObservableSet(5),
+        lambda: ObservableSet(QUBIT.observables[0]),
+        lambda: ObservableSet(list(QUBIT.observables), names=5),
+    ],
+    ids=["observables", "one operator", "names"],
+)
+def test_observable_set_needs_lists(call):
+    with pytest.raises(ValidationError, match="must be a list"):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [gibbs_point, metric_tensor, state_derivatives, expectation_consistency, injectivity_diagnostic],
+    ids=lambda f: f.__name__,
+)
+def test_single_point_call_refuses_a_bool_among_numbers(call):
+    call(PAULI_ZX, [0.5, 1.0])
+    with pytest.raises(ValidationError, match="bool"):
+        call(PAULI_ZX, [0.5, True])
+
+
+def test_fiber_path_points_must_be_thermo_points():
+    spec = MMetricSpec.parsed("1", ["1"], ["0"], 1)
+    with pytest.raises(ValidationError, match="ThermoPoint"):
+        fiber_path_length(spec, [1.0, 2.0])
+    with pytest.raises(ValidationError, match="ThermoPoint"):
+        fiber_path_length(spec, [POINT, (0.5, [0.0], [0.0])])
 
 
 def test_observable_set_checks_the_type_first():
