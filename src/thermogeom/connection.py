@@ -59,6 +59,9 @@ class ConnectionSpec:
     n: int
     program: exprlang.Program
 
+    def __post_init__(self) -> None:
+        count(self.n, "n", 1)
+
     @classmethod
     def parsed(cls, g_S: str, h: Sequence[str], n: int) -> "ConnectionSpec":
         """The fields from their texts: g_S and h1..hn may read l1..ln only."""

@@ -116,6 +116,9 @@ class MuExtension:
     n: int
     program: exprlang.Program
 
+    def __post_init__(self) -> None:
+        count(self.n, "n", 1)
+
     @classmethod
     def validated(cls, texts: Sequence[str], obs: ObservableSet) -> "MuExtension":
         """Parse f1..fn and check |f_i| < 1e-8 on sampled equilibrium embeddings.
@@ -166,6 +169,9 @@ class MMetricSpec:
 
     n: int
     program: exprlang.Program
+
+    def __post_init__(self) -> None:
+        count(self.n, "n", 1)
 
     @classmethod
     def parsed(

@@ -55,9 +55,11 @@ from thermogeom.inputs import MAX_COUNT, number
 QUBIT = ObservableSet([HermitianOperator(np.diag([1.0, -1.0]))])
 PAULI_ZX = ObservableSet([HermitianOperator(np.diag([1.0, -1.0])), HermitianOperator([[0.0, 1.0], [1.0, 0.0]])])
 SPEC = ConnectionSpec.parsed("1", ["0", "l1"], 2)
+SPEC_1 = ConnectionSpec.parsed("1", ["0"], 1)
 MU = MuExtension.zero(1)
 POINT = ThermoPoint(0.0, [0.0], [0.0])
 PATH = straight_path([0.0], [1.0], steps=8)
+M_SPEC_1 = MMetricSpec.parsed("1", ["1"], ["0"], 1)
 M_SPEC_2 = MMetricSpec.parsed("1", ["1", "1"], ["0", "0"], 2)
 # eta and d eta of the n = 1 contact form at lam = 0
 ALPHA_1 = np.array([1.0, 0.0, 0.0])
@@ -131,8 +133,11 @@ COUNTS = {
     "holonomy_via_curvature.grid[0]": (
         4, lambda c: holonomy_via_curvature(SPEC, [0, 0], [1, 1], grid=(c, 4))
     ),
+    "ConnectionSpec.n": (1, lambda c: ConnectionSpec(c, SPEC_1.program)),
     "ConnectionSpec.parsed.n": (1, lambda c: ConnectionSpec.parsed("1", ["0"], c)),
+    "MMetricSpec.n": (1, lambda c: MMetricSpec(c, M_SPEC_1.program)),
     "MMetricSpec.parsed.n": (1, lambda c: MMetricSpec.parsed("1", ["1"], ["0"], c)),
+    "MuExtension.n": (1, lambda c: MuExtension(c, MU.program)),
     "MuExtension.zero.n": (1, MuExtension.zero),
     "contact_volume_coefficient.n": (1, contact_volume_coefficient),
     "wedge_top_coefficient.n": (1, lambda c: wedge_top_coefficient(ALPHA_1, BETA_1, c)),
