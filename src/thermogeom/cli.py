@@ -2,7 +2,10 @@
 
 Every subcommand is a thin adapter over one library operation.  It
 parses its whole config first and only then computes; `--validate` runs
-the parse alone, so it accepts exactly the configs the run accepts.  Exit
+the parse alone, so it accepts exactly the configs the run accepts.  The
+parse reads every value through `thermogeom.inputs` or the library's own
+constructors, with no rule of its own: a key that is absent takes its
+default, and a key set to null is refused like any other bad value.  Exit
 codes: 0 success, 2 config validation failure, 3 numerical-domain error,
 4 geodesic non-convergence (artifact still written).  Identical configs
 produce byte-identical artifacts; outputs are written atomically.
@@ -36,7 +39,7 @@ from .contact import ThermoPoint, legendrian_residual
 from .errors import NumericalDomainError, ValidationError
 from .geometry import metric_grid
 from .gibbs import ObservableSet, gibbs_point
-from .inputs import MAX_COUNT, count, counts, number, points, positive
+from .inputs import count, counts, points, positive, vector
 from .processes import (
     MIN_PATH_STEPS,
     GeodesicProblem,
@@ -58,14 +61,6 @@ class RunConfig:
     raw: dict
     obs: ObservableSet
     connection: ConnectionSpec | None
-
-
-def _as_int(value: Any, default: int, what: str, floor: int = 0) -> int:
-    return default if value is None else count(value, what, floor)
-
-
-def _as_float(value: Any, default: float, what: str) -> float:
-    return default if value is None else number(value, what)
 
 
 def _resolve(cfg_dir: Path, obj: Any, loader: Callable, what: str):
@@ -98,21 +93,11 @@ def _section(cfg: RunConfig, key: str, *keys: str) -> dict:
     return ser.known_keys(cfg.raw.get(key), keys, f"section {key!r}")
 
 
-def _vector(obj: Any, n: int | None, what: str) -> np.ndarray:
-    """A list of numbers, of length n, or up to MAX_COUNT long if n is None."""
-    if not isinstance(obj, list) or n not in (None, len(obj)):
-        length = "" if n is None else f" of length {n}"
-        raise ValidationError(f"{what} must be a list of numbers{length}")
-    if len(obj) > MAX_COUNT:
-        raise ValidationError(f"{what} has {len(obj)} entries, more than {MAX_COUNT}")
-    return np.array([number(v, what) for v in obj], dtype=float)
-
-
 def _grid_points(obj: Any, n: int, floor: int = 0) -> np.ndarray:
     """Inclusive per-axis linspace grid in lexicographic row order, at least floor points."""
     ser.known_keys(obj, ("start", "stop", "num"), "grid")
-    start = _vector(obj.get("start"), n, "grid.start")
-    stop = _vector(obj.get("stop"), n, "grid.stop")
+    start = vector(obj.get("start"), n, "grid.start")
+    stop = vector(obj.get("stop"), n, "grid.stop")
     num = counts(obj.get("num"), n, "grid.num", floor=0)
     with np.errstate(over="ignore", invalid="ignore"):  # a span past the float range: refused below
         axes = [np.linspace(lo, hi, cnt) for lo, hi, cnt in zip(start, stop, num)]
@@ -122,19 +107,15 @@ def _grid_points(obj: Any, n: int, floor: int = 0) -> np.ndarray:
 
 def _plane(obj: Any, n: int) -> tuple[int, int]:
     """1-based [k, l] plane indices from config, returned 0-based."""
-    if not isinstance(obj, list) or len(obj) != 2:
-        raise ValidationError("plane must be [k, l] with 1-based integer indices")
-    k, l = (count(v, "plane index", floor=1) - 1 for v in obj)
-    if k >= n or l >= n or k == l:
+    k, l = counts(obj, 2, "plane", floor=1)
+    if k > n or l > n or k == l:
         raise ValidationError(f"plane {obj!r} out of range for n={n}")
-    return k, l
+    return k - 1, l - 1
 
 
-def _ray(cfg: RunConfig, sec: dict, key: str) -> tuple[np.ndarray, np.ndarray]:
+def _ray(cfg: RunConfig, sec: dict) -> tuple[np.ndarray, np.ndarray]:
     """The unit direction and the Lambda list (`_check_lambda_list`) of a boundary ray."""
-    n = cfg.obs.n
-    direction = _unit_direction(_vector(sec.get("direction"), n, f"{key}.direction"), n)
-    return direction, _check_lambda_list(_vector(sec.get("Lambda"), None, f"{key}.Lambda"))
+    return _unit_direction(sec.get("direction"), cfg.obs.n), _check_lambda_list(sec.get("Lambda"))
 
 
 def _require_connection(cfg: RunConfig) -> ConnectionSpec:
@@ -151,7 +132,7 @@ Job = Callable[[], Artifact]
 
 
 def cmd_gibbs(cfg: RunConfig) -> Job:
-    lam = _vector(_section(cfg, "gibbs", "lambda").get("lambda"), cfg.obs.n, "gibbs.lambda")
+    lam = vector(_section(cfg, "gibbs", "lambda").get("lambda"), cfg.obs.n, "gibbs.lambda")
 
     def run() -> Artifact:
         point = gibbs_point(cfg.obs, lam)
@@ -218,8 +199,7 @@ def cmd_length(cfg: RunConfig) -> Job:
 def cmd_entropy_production(cfg: RunConfig) -> Job:
     sec = _section(cfg, "entropy_production", "path", "kappa")
     path = ser.path_from_json(sec.get("path"), cfg.obs.n)
-    what = "entropy_production.kappa"
-    kappa = positive(_as_float(sec.get("kappa"), 1.0, what), what)
+    kappa = positive(sec.get("kappa", 1.0), "entropy_production.kappa")
 
     def run() -> Artifact:
         rates, total = entropy_production(cfg.obs, path, kappa)
@@ -241,13 +221,13 @@ def cmd_geodesic(cfg: RunConfig) -> Job:
     sec = _section(
         cfg, "geodesic", "start", "end", "interior_points", "duration", "max_iters", "tolerance"
     )
+    n = cfg.obs.n
     problem = GeodesicProblem(
-        start=_vector(sec.get("start"), cfg.obs.n, "geodesic.start"),
-        end=_vector(sec.get("end"), cfg.obs.n, "geodesic.end"),
-        interior_points=_as_int(sec.get("interior_points"), 15, "interior_points"),
-        duration=_as_float(sec.get("duration"), 1.0, "duration"),
-        max_iters=_as_int(sec.get("max_iters"), 500, "max_iters"),
-        tolerance=_as_float(sec.get("tolerance"), 1e-5, "tolerance"),
+        **{
+            **sec,
+            "start": vector(sec.get("start"), n, "geodesic.start"),
+            "end": vector(sec.get("end"), n, "geodesic.end"),
+        }
     )
 
     def run() -> Artifact:
@@ -282,8 +262,8 @@ def cmd_geodesic(cfg: RunConfig) -> Job:
 
 def cmd_third_law(cfg: RunConfig) -> Job:
     sec = _section(cfg, "third_law", "direction", "Lambda", "steps")
-    direction, lambdas = _ray(cfg, sec, "third_law")
-    steps = _as_int(sec.get("steps"), 1024, "third_law.steps", floor=MIN_PATH_STEPS)
+    direction, lambdas = _ray(cfg, sec)
+    steps = count(sec.get("steps", 1024), "third_law.steps", floor=MIN_PATH_STEPS)
 
     def run() -> Artifact:
         scan = third_law_scan(cfg.obs, direction, lambdas, steps=steps)
@@ -305,7 +285,7 @@ def cmd_third_law(cfg: RunConfig) -> Job:
 
 def cmd_boundary_entropy(cfg: RunConfig) -> Job:
     sec = _section(cfg, "boundary_entropy", "direction", "Lambda")
-    direction, lambdas = _ray(cfg, sec, "boundary_entropy")
+    direction, lambdas = _ray(cfg, sec)
 
     def run() -> Artifact:
         scan = boundary_entropy_limit(cfg.obs, direction, lambdas)
@@ -347,14 +327,14 @@ def _rectangle(obj: Any, n: int) -> tuple[dict, tuple[int, int], int]:
     ser.known_keys(obj, ("plane", "lo", "hi", "base", "grid", "steps"), "rectangle")
     k, l = _plane(obj.get("plane", [1, 2]), n)
     corners = {
-        "lo": _vector(obj.get("lo"), 2, "rectangle.lo"),
-        "hi": _vector(obj.get("hi"), 2, "rectangle.hi"),
+        "lo": vector(obj.get("lo"), 2, "rectangle.lo"),
+        "hi": vector(obj.get("hi"), 2, "rectangle.hi"),
         "k": k,
         "l": l,
-        "base": _vector(obj["base"], n, "rectangle.base") if "base" in obj else None,
+        "base": vector(obj["base"], n, "rectangle.base") if "base" in obj else None,
     }
     grid = counts(obj.get("grid", [64, 64]), 2, "rectangle.grid", floor=1)
-    steps = _as_int(obj.get("steps"), 256, "rectangle.steps", floor=MIN_LOOP_STEPS)
+    steps = count(obj.get("steps", 256), "rectangle.steps", floor=MIN_LOOP_STEPS)
     return corners, (grid[0], grid[1]), steps
 
 

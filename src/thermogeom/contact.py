@@ -395,15 +395,14 @@ def fiber_path_length(spec: MMetricSpec, points: Sequence[ThermoPoint]) -> float
     must be Riemannian there, so g_S > 0 is required on top of the
     positive g_a.
     """
-    pts = list(points)
-    if len(pts) < 2:
+    if not isinstance(points, (list, tuple)) or not all(isinstance(q, ThermoPoint) for q in points):
+        raise ValidationError("a fiber path's points must be a list or tuple of ThermoPoints")
+    if len(points) < 2:
         raise ValidationError("a fiber path needs at least two points")
-    if not all(isinstance(q, ThermoPoint) for q in pts):
-        raise ValidationError("a fiber path's points must be ThermoPoints")
-    _agree_on_n("metric spec and points", spec.n, pts[0].n)
-    lam0 = pts[0].lam
-    for q in pts[1:]:
-        if q.n != pts[0].n or np.max(np.abs(q.lam - lam0)) > 1e-12:
+    _agree_on_n("metric spec and points", spec.n, points[0].n)
+    lam0 = points[0].lam
+    for q in points[1:]:
+        if q.n != points[0].n or np.max(np.abs(q.lam - lam0)) > 1e-12:
             raise ValidationError("fiber paths must keep lam fixed")
     g_s, g_a, _ = spec.evaluate(lam0)
     if g_s <= 0.0:
@@ -411,6 +410,6 @@ def fiber_path_length(spec: MMetricSpec, points: Sequence[ThermoPoint]) -> float
             f"vertical restriction needs g_S > 0, got {g_s!r} at "
             f"lambda = {lam0.tolist()}"
         )
-    d_s = np.diff([q.S for q in pts])
-    d_a = np.diff([q.a for q in pts], axis=0)
+    d_s = np.diff([q.S for q in points])
+    d_a = np.diff([q.a for q in points], axis=0)
     return float(np.sum(np.sqrt(g_s * d_s**2 + d_a**2 @ g_a)))

@@ -3,12 +3,14 @@
 Every library entry point and the CLI parse check their arguments here.  A
 number is a finite `numbers.Real`, and a bool is not one; a positive number
 is a number > 0; a count is a Python int (not a bool) in [floor, cap], and
-a list of counts spans at most `MAX_COUNT` points; a vector holds finite
-real numbers, as many as the call needs; a block of points is a 2-D array
-of finite real numbers, one row per point, as wide as the call needs and
-with floor <= rows <= cap.  Real numbers are a numpy dtype of kind int,
+a list of counts spans at most `MAX_COUNT` points; a vector is a flat (1-D)
+list or array of finite real numbers, as many as the call needs, and one of
+free length is a list of at most `MAX_COUNT`; a block of points is a 2-D
+array of finite real numbers, one row per point, as wide as the call needs
+and with floor <= rows <= cap.  Real numbers are a numpy dtype of kind int,
 uint or float, so bool, complex, string and object arrays are refused, as
-is a list that mixes a bool among numbers.  Anything else raises
+is a list that mixes a bool among numbers or has rows of unequal length.
+`None` is not a number of any kind.  Anything else raises
 `ValidationError`, naming the argument.
 """
 
@@ -67,9 +69,13 @@ def counts(value: object, k: int, what: str, floor: int) -> list[int]:
 
 def reals(value: object, what: str) -> np.ndarray:
     """An array of real numbers of any shape: value itself if it is one, else a new array."""
-    v = np.asarray(value)
+    try:
+        v = np.asarray(value)
+    except ValueError:  # numpy refuses a ragged list
+        raise ValidationError(f"{what} has rows of unequal length") from None
     if v.dtype.kind not in "iuf":
-        raise ValidationError(f"{what} must hold real numbers, got dtype {v.dtype}")
+        got = repr(value) if v.ndim == 0 else f"dtype {v.dtype}"
+        raise ValidationError(f"{what} must hold real numbers, got {got}")
     # numpy turns a bool among numbers into a number, so a list is scanned too
     if not isinstance(value, np.ndarray) and any(
         isinstance(x, (bool, np.bool_)) for x in np.asarray(value, dtype=object).flat
@@ -79,8 +85,17 @@ def reals(value: object, what: str) -> np.ndarray:
 
 
 def vector(value: object, n: int | None, what: str) -> np.ndarray:
-    """A finite, read-only float copy of value with n components (any number if n is None)."""
-    v = reals(value, what).astype(float).reshape(-1)
+    """A finite, read-only flat float copy of value with n components.
+
+    Any number of components is accepted when n is None, but a list or tuple
+    longer than MAX_COUNT is refused before its entries are read.
+    """
+    if n is None and isinstance(value, (list, tuple)) and len(value) > MAX_COUNT:
+        raise ValidationError(f"{what} has {len(value)} entries, more than {MAX_COUNT}")
+    v = reals(value, what)
+    if v.ndim != 1:
+        raise ValidationError(f"{what} must be a flat list of numbers, got shape {v.shape}")
+    v = v.astype(float)
     if n is not None and v.size != n:
         raise ValidationError(f"{what} must have {n} components, got {v.size}")
     if not np.isfinite(v).all():

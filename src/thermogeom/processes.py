@@ -51,7 +51,7 @@ class ParamPath:
     samples: np.ndarray
 
     def __post_init__(self) -> None:
-        positive(self.duration, "duration")
+        object.__setattr__(self, "duration", positive(self.duration, "duration"))
         samples = points(self.samples, None, "samples", MIN_PATH_STEPS + 1, MAX_COUNT + 1).copy()
         samples.flags.writeable = False
         object.__setattr__(self, "samples", samples)

@@ -20,7 +20,7 @@ from .connection import ConnectionSpec
 from .errors import ValidationError
 from .gibbs import ObservableSet
 from .linalg import HermitianOperator
-from .inputs import MAX_COUNT, count, number, positive
+from .inputs import MAX_COUNT, count, number, points, positive
 from .processes import MIN_PATH_STEPS, ParamPath
 
 __all__ = [
@@ -119,12 +119,7 @@ def path_from_json(obj: Any, n: int) -> ParamPath:
         rows = obj["samples"]
         if isinstance(rows, list) and len(rows) > MAX_COUNT + 1:
             raise ValidationError(f"path samples must have at most {MAX_COUNT + 1} rows")
-        if not isinstance(rows, list) or not all(
-            isinstance(row, list) and len(row) == n for row in rows
-        ):
-            raise ValidationError(f"path samples must be rows of {n} coordinates")
-        samples = [[number(v, "path sample") for v in row] for row in rows]
-        return ParamPath(duration, np.array(samples, dtype=float))
+        return ParamPath(duration, points(rows, n, "path samples"))
     if "lambda_exprs" in obj:
         steps = count(obj.get("steps"), "path.steps", floor=MIN_PATH_STEPS)
         texts = exprlang.numbered("lambda_exprs", obj["lambda_exprs"], n)

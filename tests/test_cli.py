@@ -16,6 +16,7 @@ from thermogeom.cli import CONFIG_KEYS, main
 from thermogeom.inputs import MAX_COUNT
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+SHIPPED = sorted(p.stem[len("run_"):] for p in CONFIG_DIR.glob("run_*.json"))
 
 
 def write_config(tmp_path, name, payload):
@@ -302,16 +303,17 @@ class TestValidateMode:
 
 
 class TestDeterminism:
+    @pytest.mark.parametrize("config", SHIPPED)
     @pytest.mark.parametrize("fmt", ["json", "csv"])
-    def test_two_runs_byte_identical(self, fmt, tmp_path):
+    def test_two_runs_byte_identical(self, fmt, config, tmp_path):
         first = tmp_path / f"a.{fmt}"
         second = tmp_path / f"b.{fmt}"
         for out in (first, second):
             code = run(
                 [
-                    "metric",
+                    config.replace("_", "-"),
                     "--config",
-                    CONFIG_DIR / "run_metric.json",
+                    CONFIG_DIR / f"run_{config}.json",
                     "--out",
                     out,
                     "--format",
@@ -409,9 +411,6 @@ class TestModuleEntryPoint:
         assert json.loads(proc.stdout)["Z"] == pytest.approx(2.0)
 
 
-SHIPPED = sorted(p.stem[len("run_"):] for p in CONFIG_DIR.glob("run_*.json"))
-
-
 def shipped_config(config):
     """A shipped run config whose observables path no longer depends on its folder."""
     doc = json.loads((CONFIG_DIR / f"run_{config}.json").read_text())
@@ -459,6 +458,10 @@ INVALID_EDITS = {
     "grid_over_cap": ("curvature_map", lambda s: s["grid"].update(num=[2048, 1024])),
     # interior_points + 1 segments would be path steps past the cap
     "interior_points_at_cap": ("geodesic", lambda s: s.update(interior_points=MAX_COUNT)),
+    "gibbs_lambda_nested": ("gibbs", lambda s: s.update({"lambda": [[0.5]]})),
+    # an absent key takes its default; null is a bad value like any other
+    "geodesic_tolerance_null": ("geodesic", lambda s: s.update(tolerance=None)),
+    "entropy_kappa_null": ("entropy_production", lambda s: s.update(kappa=None)),
 }
 
 

@@ -103,7 +103,7 @@ VECTORS = {
     "expectation_consistency.lam": (1, lambda v: expectation_consistency(QUBIT, v)),
     "injectivity_diagnostic.lam": (1, lambda v: injectivity_diagnostic(QUBIT, v)),
     # an empty lam comes with the 0 x 0 metric of its size
-    "MetricTensor.lam": (1, lambda v: MetricTensor(v, [[1.0]] if len(v) else np.zeros((0, 0)))),
+    "MetricTensor.lam": (1, lambda v: MetricTensor(v, np.zeros((0, 0)) if v == [] else [[1.0]])),
 }
 
 POSITIVES = {
@@ -177,6 +177,12 @@ def _bad_vectors(n):
         yield "mixed bool", [0.5] * (n - 1) + [True]
     yield "length", [1.0] + [0.0] * n
     yield "empty", []
+    # the valid vector of `test_the_valid_calls_pass`, in a shape that is not flat
+    valid = [1.0] + [0.0] * (n - 1)
+    yield "nested", [valid]
+    yield "ragged", [valid, valid + [0.0]]
+    if n == 1:
+        yield "scalar", 1.0
 
 
 def _valid_block(n, floor):
@@ -200,6 +206,7 @@ def _bad_blocks(n, floor, rank):
     yield f"rank {rank}", np.zeros((1,) * (rank - 1) + good.shape[1:] if rank else ())
     if floor:
         yield "rows", good[1:]
+    yield "ragged", good.tolist() + [[0.0] * (good.shape[1] + 1)]
 
 
 BAD_NUMBERS = [math.nan, math.inf, -math.inf, True, "1.0", None]
@@ -209,9 +216,18 @@ BAD_EXPRESSIONS = [1, 0, None, b"l1", ["l1"]]
 BAD_MATRICES = {"bool": [[True]], "ragged": [[1.0, 0.0], [0.0]], "string": [["1"]], "object": [[1.0, None]]}
 
 
+# these take a batch of points too, shape (..., n), so a nested list is one
+TAKES_BATCHES = {"curvature.lam", "ConnectionSpec.gamma.lam"}
+
+
 @pytest.mark.parametrize(
     "arg, case",
-    [(arg, case) for arg, (n, _) in VECTORS.items() for case, _ in _bad_vectors(n)],
+    [
+        (arg, case)
+        for arg, (n, _) in VECTORS.items()
+        for case, _ in _bad_vectors(n)
+        if not (case == "nested" and arg in TAKES_BATCHES)
+    ],
 )
 def test_bad_vector_is_rejected(arg, case):
     n, call = VECTORS[arg]
@@ -322,6 +338,8 @@ def test_fiber_path_points_must_be_thermo_points():
         fiber_path_length(spec, [1.0, 2.0])
     with pytest.raises(ValidationError, match="ThermoPoint"):
         fiber_path_length(spec, [POINT, (0.5, [0.0], [0.0])])
+    with pytest.raises(ValidationError, match="ThermoPoint"):
+        fiber_path_length(spec, 5)
 
 
 def test_observable_set_checks_the_type_first():
