@@ -4,8 +4,9 @@ Every subcommand is a thin adapter over one library operation.  It
 parses its whole config first and only then computes; `--validate` runs
 the parse alone, so it accepts exactly the configs the run accepts.  The
 parse reads every value through `thermogeom.inputs` or the library's own
-constructors, with no rule of its own: a key that is absent takes its
-default, and a key set to null is refused like any other bad value.  Exit
+constructors, with no rule of its own: a key that is absent takes the
+default of the library parameter it feeds, read from its signature or
+dataclass, and a key set to null is refused like any other bad value.  Exit
 codes: 0 success, 2 config validation failure, 3 numerical-domain error,
 4 geodesic non-convergence (artifact still written).  Identical configs
 produce byte-identical artifacts; outputs are written atomically.
@@ -14,7 +15,9 @@ produce byte-identical artifacts; outputs are written atomically.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
+import inspect
 import json
 import sys
 from dataclasses import dataclass
@@ -118,6 +121,11 @@ def _ray(cfg: RunConfig, sec: dict) -> tuple[np.ndarray, np.ndarray]:
     return _unit_direction(sec.get("direction"), cfg.obs.n), _check_lambda_list(sec.get("Lambda"))
 
 
+def _get(sec: dict, key: str, fn: Callable) -> Any:
+    """sec[key], else the default of fn's parameter key, so the library keeps the only copy."""
+    return sec[key] if key in sec else inspect.signature(fn).parameters[key].default
+
+
 def _require_connection(cfg: RunConfig) -> ConnectionSpec:
     if cfg.connection is None:
         raise ValidationError("this subcommand needs a 'connection' entry in the config")
@@ -199,7 +207,7 @@ def cmd_length(cfg: RunConfig) -> Job:
 def cmd_entropy_production(cfg: RunConfig) -> Job:
     sec = _section(cfg, "entropy_production", "path", "kappa")
     path = ser.path_from_json(sec.get("path"), cfg.obs.n)
-    kappa = positive(sec.get("kappa", 1.0), "entropy_production.kappa")
+    kappa = positive(_get(sec, "kappa", entropy_production), "entropy_production.kappa")
 
     def run() -> Artifact:
         rates, total = entropy_production(cfg.obs, path, kappa)
@@ -218,9 +226,7 @@ def cmd_entropy_production(cfg: RunConfig) -> Job:
 
 
 def cmd_geodesic(cfg: RunConfig) -> Job:
-    sec = _section(
-        cfg, "geodesic", "start", "end", "interior_points", "duration", "max_iters", "tolerance"
-    )
+    sec = _section(cfg, "geodesic", *(f.name for f in dataclasses.fields(GeodesicProblem)))
     n = cfg.obs.n
     problem = GeodesicProblem(
         **{
@@ -263,7 +269,7 @@ def cmd_geodesic(cfg: RunConfig) -> Job:
 def cmd_third_law(cfg: RunConfig) -> Job:
     sec = _section(cfg, "third_law", "direction", "Lambda", "steps")
     direction, lambdas = _ray(cfg, sec)
-    steps = count(sec.get("steps", 1024), "third_law.steps", floor=MIN_PATH_STEPS)
+    steps = count(_get(sec, "steps", third_law_scan), "third_law.steps", floor=MIN_PATH_STEPS)
 
     def run() -> Artifact:
         scan = third_law_scan(cfg.obs, direction, lambdas, steps=steps)
@@ -333,8 +339,8 @@ def _rectangle(obj: Any, n: int) -> tuple[dict, tuple[int, int], int]:
         "l": l,
         "base": vector(obj["base"], n, "rectangle.base") if "base" in obj else None,
     }
-    grid = counts(obj.get("grid", [64, 64]), 2, "rectangle.grid", floor=1)
-    steps = count(obj.get("steps", 256), "rectangle.steps", floor=MIN_LOOP_STEPS)
+    grid = counts(_get(obj, "grid", holonomy_via_curvature), 2, "rectangle.grid", floor=1)
+    steps = count(_get(obj, "steps", rectangle_loop), "rectangle.steps", floor=MIN_LOOP_STEPS)
     return corners, (grid[0], grid[1]), steps
 
 
@@ -399,7 +405,7 @@ def cmd_flatness(cfg: RunConfig) -> Job:
     spec = _require_connection(cfg)
     sec = _section(cfg, "flatness", "grid", "tol")
     pts = _grid_points(sec.get("grid"), cfg.obs.n, 1)
-    tol = positive(sec.get("tol", 1e-7), "flatness.tol")
+    tol = positive(_get(sec, "tol", flatness_check), "flatness.tol")
 
     def run() -> Artifact:
         report = flatness_check(spec, pts, tol)

@@ -6,6 +6,8 @@ state-function extensions and path coordinates.  Precedence, low to high:
 ``-l1^2`` means ``-(l1^2)``.  Functions: exp, log, sqrt, sin, cos, sinh,
 cosh, tanh, abs (unary) and min, max, pow (binary).  The variable alphabet
 is fixed by the parameter count n at parse time: {t, S, a1..an, l1..ln}.
+The parser refuses a literal that is not a finite double and a text that
+nests deeper than `MAX_DEPTH` levels.
 
 `Program` is the one evaluator.  It compiles a tuple of expressions once
 into straight-line code whose instructions apply numpy ufuncs to whole
@@ -17,12 +19,14 @@ first failing expression raises alone.
 
 `compile_fields` is the one route from expression text to a program: every
 holder of user fields (connection, g_M metric, mu extension) and every
-config path builds its program there, once, and `numbered` names the slots
-of a list of texts.  `eval_expr` runs a program over one expression.
+config path builds its program there, once, parsing each slot against the
+variables that slot may read, and `numbered` names the slots of a list of
+texts.  `eval_expr` runs a program over one expression.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 import re
 import struct
@@ -105,6 +109,17 @@ _FUNCTIONS = {
 _NUM_RE = re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 _OPS = "+-*/^(),"
+# binding power of each binary operator; a unary minus binds between * and ^,
+# so -l1^2 is -(l1^2) and -l1*2 is (-l1)*2
+_POWER = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 4}
+_NEG = 3
+
+# The deepest level a token may sit at.  The whole text is level 1; each
+# bracket, unary minus and operator right-hand side opens a level, and each
+# operator of a chain pushes its left operand a level down, so a sum has at
+# most MAX_DEPTH terms.  Parsing, `Program` and `pretty` recurse at most
+# twice a level, well inside Python's default recursion limit of 1000.
+MAX_DEPTH = 300
 
 
 def allowed_variables(n: int) -> tuple[str, ...]:
@@ -153,11 +168,18 @@ def _tokenize(text: str) -> list[_Token]:
     return tokens
 
 
+def _too_deep(pos: int) -> ExprSyntaxError:
+    return ExprSyntaxError(f"expression nests deeper than {MAX_DEPTH} levels", pos)
+
+
 class _Parser:
+    """Precedence climbing that tracks the level of each token (see `MAX_DEPTH`)."""
+
     def __init__(self, tokens: list[_Token], variables: tuple[str, ...]):
         self.tokens = tokens
         self.variables = variables
         self.i = 0
+        self.depth = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.i]
@@ -174,101 +196,86 @@ class _Parser:
         self.advance()
 
     def parse(self) -> Expr:
-        e = self.expr()
+        e, _ = self.expr(1, 0)
         tok = self.peek()
         if tok.kind != "end":
             raise ExprSyntaxError(f"trailing input {tok.text!r}", tok.pos)
         return e
 
-    def expr(self) -> Expr:
-        left = self.term()
-        while self.peek().kind == "op" and self.peek().text in "+-":
-            op = self.advance().text
-            left = BinOp(op, left, self.term())
-        return left
+    def expr(self, floor: int, pos: int) -> tuple[Expr, int]:
+        """The operand one level below the caller's, with the operators after it of power >= floor.
 
-    def term(self) -> Expr:
-        left = self.factor()
-        while self.peek().kind == "op" and self.peek().text in "*/":
-            op = self.advance().text
-            left = BinOp(op, left, self.factor())
-        return left
-
-    def factor(self) -> Expr:
-        if self.peek().kind == "op" and self.peek().text == "-":
-            self.advance()
-            return Neg(self.factor())
-        return self.power()
-
-    def power(self) -> Expr:
-        base = self.primary()
-        if self.peek().kind == "op" and self.peek().text == "^":
-            self.advance()
-            return BinOp("^", base, self.factor())
-        return base
-
-    def primary(self) -> Expr:
-        tok = self.peek()
+        pos is the offset of what opened the level; returns the expression
+        and the deepest level in it.  No other token has an operator's text,
+        so an operator is known by its text alone.
+        """
+        self.depth = level = self.depth + 1
+        if level > MAX_DEPTH:
+            raise _too_deep(pos)
+        tok = self.advance()
         if tok.kind == "num":
-            self.advance()
-            return Num(float(tok.text))
-        if tok.kind == "name":
-            self.advance()
-            if self.peek().kind == "op" and self.peek().text == "(":
-                return self.call(tok)
+            value = float(tok.text)
+            if not math.isfinite(value):
+                raise ExprSyntaxError(f"number {tok.text!r} is not a finite double", tok.pos)
+            left, deepest = Num(value), level
+        elif tok.kind == "name" and self.peek().text == "(":
+            left, deepest = self.call(tok)
+        elif tok.kind == "name":
             if tok.text not in self.variables:
                 raise ExprNameError(
                     f"unknown identifier {tok.text!r} at offset {tok.pos}; "
                     f"allowed variables: {', '.join(self.variables)}"
                 )
-            return Var(tok.text)
-        if tok.kind == "op" and tok.text == "(":
-            self.advance()
-            e = self.expr()
+            left, deepest = Var(tok.text), level
+        elif tok.text == "(":
+            left, deepest = self.expr(1, tok.pos)
             self.expect_op(")")
-            return e
-        raise ExprSyntaxError(f"unexpected token {tok.text!r}", tok.pos)
+        elif tok.text == "-":
+            arg, deepest = self.expr(_NEG, tok.pos)
+            left = Neg(arg)
+        else:
+            raise ExprSyntaxError(f"unexpected token {tok.text!r}", tok.pos)
+        while (power := _POWER.get((op := self.peek()).text, 0)) >= floor:
+            self.advance()
+            # ^ is right-associative: its right-hand side takes the rest of the chain
+            right, right_deepest = self.expr(power if op.text == "^" else power + 1, op.pos)
+            deepest = max(deepest + 1, right_deepest)
+            if deepest > MAX_DEPTH:
+                raise _too_deep(op.pos)
+            left = BinOp(op.text, left, right)
+        self.depth = level - 1
+        return left, deepest
 
-    def call(self, name_tok: _Token) -> Expr:
+    def call(self, name_tok: _Token) -> tuple[Expr, int]:
         func = name_tok.text
         if func not in _FUNCTIONS:
             raise ExprNameError(
                 f"unknown function {func!r} at offset {name_tok.pos}; "
                 f"allowed functions: {', '.join(sorted(_FUNCTIONS))}"
             )
-        self.expect_op("(")
-        args = [self.expr()]
-        while self.peek().kind == "op" and self.peek().text == ",":
-            self.advance()
-            args.append(self.expr())
+        opener = self.advance()  # the "(" after the name
+        parsed = [self.expr(1, opener.pos)]
+        while self.peek().text == ",":
+            parsed.append(self.expr(1, self.advance().pos))
         self.expect_op(")")
         arity = _FUNCTIONS[func]
-        if len(args) != arity:
-            raise ExprArityError(
-                f"{func} takes {arity} argument(s), got {len(args)}"
-            )
-        return Call(func, tuple(args))
+        if len(parsed) != arity:
+            raise ExprArityError(f"{func} takes {arity} argument(s), got {len(parsed)}")
+        return Call(func, tuple(e for e, _ in parsed)), max(deepest for _, deepest in parsed)
 
 
-def parse(text: str, n: int) -> Expr:
-    """Parse expression text against the variable alphabet fixed by n."""
+def _parse(text: object, variables: tuple[str, ...]) -> Expr:
+    """Parse expression text that may read only the given variables."""
     if not isinstance(text, str):
         raise ValidationError(f"an expression must be a string, got {text!r}")
     if not text.strip():
         raise ExprSyntaxError("empty expression", 0)
-    return _Parser(_tokenize(text), allowed_variables(n)).parse()
+    return _Parser(_tokenize(text), variables).parse()
 
 
-def _free_vars(e: Expr) -> frozenset[str]:
-    if isinstance(e, Num):
-        return frozenset()
-    if isinstance(e, Var):
-        return frozenset((e.name,))
-    if isinstance(e, Neg):
-        return _free_vars(e.arg)
-    if isinstance(e, BinOp):
-        return _free_vars(e.left) | _free_vars(e.right)
-    return frozenset().union(*(_free_vars(a) for a in e.args)) if e.args else frozenset()
+def parse(text: str, n: int) -> Expr:
+    """Parse expression text against the variable alphabet fixed by n."""
+    return _parse(text, allowed_variables(n))
 
 
 def _env_shape(values: tuple) -> tuple[int, ...]:
@@ -413,7 +420,7 @@ class Program:
             elif kind is BinOp:
                 key = (e.op, number(e.left), number(e.right))
             else:
-                key = (e.func, *(number(a) for a in e.args))
+                key = (e.func, *map(number, e.args))
             reg = numbering.get(key)
             if reg is not None:
                 return reg
@@ -489,21 +496,19 @@ def numbered(what: str, texts: object, k: int) -> dict[str, object]:
 def compile_fields(named_texts: Mapping[str, object], n: int, allowed: Collection[str]) -> Program:
     """One program over the slots' texts, each a string over n's alphabet reading only `allowed`.
 
-    A slot whose text is not a string, does not parse or reads another
-    variable raises `ValidationError` (an `Expr*Error` where parsing
-    fails) with the slot's name in front of the message.
+    Each slot parses against n's alphabet filtered to `allowed`, so a
+    slot whose text is not a string or does not parse, reading another
+    variable included, raises `ValidationError` (an `Expr*Error` where
+    parsing fails) with the slot's name in front of the message.
     """
+    variables = tuple(v for v in allowed_variables(n) if v in allowed)
     exprs = []
     for slot, text in named_texts.items():
         try:
-            e = parse(text, n)
-            extra = _free_vars(e) - set(allowed)
-            if extra:
-                raise ValidationError(f"may only use {sorted(allowed)}, found {sorted(extra)}")
+            exprs.append(_parse(text, variables))
         except ValidationError as exc:
             exc.args = (f"{slot}: {exc}",)
             raise
-        exprs.append(e)
     return Program(exprs)
 
 
@@ -562,4 +567,4 @@ def pretty(e: Expr) -> str:
         left = _wrap(e.left, _level(e.left) < lvl)
         right = _wrap(e.right, _level(e.right) <= lvl)
         return f"{left}{e.op}{right}"
-    return f"{e.func}({', '.join(pretty(a) for a in e.args)})"
+    return f"{e.func}({', '.join(map(pretty, e.args))})"

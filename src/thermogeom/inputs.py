@@ -8,10 +8,12 @@ list or array of finite real numbers, as many as the call needs, and one of
 free length is a list of at most `MAX_COUNT`; a block of points is a 2-D
 array of finite real numbers, one row per point, as wide as the call needs
 and with floor <= rows <= cap.  Real numbers are a numpy dtype of kind int,
-uint or float, so bool, complex, string and object arrays are refused, as
-is a list that mixes a bool among numbers or has rows of unequal length.
-`None` is not a number of any kind.  Anything else raises
-`ValidationError`, naming the argument.
+uint or float, or an object array (numpy's holder for an int past the
+64-bit range) of non-bool `numbers.Real`; so bool, complex and string
+arrays are refused, as are a list that mixes a bool, None or a string among
+numbers and one whose rows have unequal length.  An int past the float range
+reads as an infinity, so it is refused where a finite number is asked for.
+Anything else raises `ValidationError`, naming the argument.
 """
 
 from __future__ import annotations
@@ -30,15 +32,22 @@ __all__ = ["MAX_COUNT", "number", "positive", "count", "counts", "reals", "vecto
 MAX_COUNT = 1 << 20
 
 
+def _is_real(x: object) -> bool:
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
+def _float(x: numbers.Real) -> float:
+    """x as a float; an int past the float range is an infinity of its sign."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
+
+
 def number(value: object, what: str) -> float:
     """A finite real number as a float; bool is not a number here."""
-    if isinstance(value, numbers.Real) and not isinstance(value, bool):
-        try:
-            x = float(value)
-        except OverflowError:
-            x = math.inf
-        if math.isfinite(x):
-            return x
+    if _is_real(value) and math.isfinite(x := _float(value)):
+        return x
     raise ValidationError(f"{what} must be a finite number, got {value!r}")
 
 
@@ -73,6 +82,8 @@ def reals(value: object, what: str) -> np.ndarray:
         v = np.asarray(value)
     except ValueError:  # numpy refuses a ragged list
         raise ValidationError(f"{what} has rows of unequal length") from None
+    if v.dtype == object and all(map(_is_real, v.flat)):
+        v = np.array([_float(x) for x in v.flat]).reshape(v.shape)
     if v.dtype.kind not in "iuf":
         got = repr(value) if v.ndim == 0 else f"dtype {v.dtype}"
         raise ValidationError(f"{what} must hold real numbers, got {got}")

@@ -1,8 +1,9 @@
-"""JSON codecs for the shared file formats, plus atomic artifact writing.
+"""JSON readers for the config file formats, plus atomic artifact writing.
 
-Complex matrices travel as nested arrays of [re, im] pairs, row-major;
-this format is shared by every module.  Floats are rendered with 17
-significant digits so artifacts round-trip and diff cleanly.
+Complex matrices travel as nested arrays of [re, im] pairs, row-major.
+Every reader checks its values through `thermogeom.inputs` and the
+library's own constructors.  Artifacts render floats with 17 significant
+digits (`format_float`), so they round-trip and diff cleanly.
 """
 
 from __future__ import annotations
@@ -26,12 +27,9 @@ from .processes import MIN_PATH_STEPS, ParamPath
 __all__ = [
     "known_keys",
     "format_float",
-    "complex_matrix_to_json",
     "complex_matrix_from_json",
-    "observable_set_to_json",
     "observable_set_from_json",
     "path_from_json",
-    "path_to_json",
     "connection_spec_from_json",
     "load_json_file",
     "atomic_write_text",
@@ -50,11 +48,6 @@ def known_keys(obj: Any, keys: Collection[str], what: str) -> dict:
 
 def format_float(x: float) -> str:
     return format(float(x), ".17g")
-
-
-def complex_matrix_to_json(matrix: np.ndarray) -> list:
-    m = np.asarray(matrix, dtype=complex)
-    return [[[float(v.real), float(v.imag)] for v in row] for row in m]
 
 
 def complex_matrix_from_json(obj: Any, expect_dim: int | None = None) -> np.ndarray:
@@ -77,16 +70,6 @@ def complex_matrix_from_json(obj: Any, expect_dim: int | None = None) -> np.ndar
     return out
 
 
-def observable_set_to_json(obs: ObservableSet) -> dict:
-    return {
-        "dim": obs.dim,
-        "observables": [
-            {"name": name, "matrix": complex_matrix_to_json(op.matrix)}
-            for name, op in zip(obs.names, obs.observables)
-        ],
-    }
-
-
 def observable_set_from_json(obj: Any) -> ObservableSet:
     if not isinstance(obj, dict):
         raise ValidationError("observable set must be a JSON object")
@@ -102,13 +85,6 @@ def observable_set_from_json(obj: Any) -> ObservableSet:
         names.append(str(entry.get("name", f"A{k + 1}")))
         ops.append(HermitianOperator(complex_matrix_from_json(entry["matrix"], dim)))
     return ObservableSet(ops, names)
-
-
-def path_to_json(path: ParamPath) -> dict:
-    return {
-        "duration": path.duration,
-        "samples": [list(map(float, row)) for row in path.samples],
-    }
 
 
 def path_from_json(obj: Any, n: int) -> ParamPath:

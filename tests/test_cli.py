@@ -1,5 +1,6 @@
 import copy
 import functools
+import inspect
 import json
 import math
 import operator
@@ -462,6 +463,12 @@ INVALID_EDITS = {
     # an absent key takes its default; null is a bad value like any other
     "geodesic_tolerance_null": ("geodesic", lambda s: s.update(tolerance=None)),
     "entropy_kappa_null": ("entropy_production", lambda s: s.update(kappa=None)),
+    # expressions past the parser's nesting bound, or with a literal past the
+    # float range; a dict is merged into the config's connection
+    "g_S_deep_parentheses": ("holonomy", {"g_S": "(" * 3000 + "1" + ")" * 3000}),
+    "h2_many_minuses": ("holonomy", {"h": ["0", "-" * 5000 + "l1"]}),
+    "h2_long_sum": ("holonomy", {"h": ["0", "+".join(["l1"] * 1000)]}),
+    "h2_literal_past_float_range": ("holonomy", {"h": ["0", "l1*1e400"]}),
 }
 
 
@@ -489,7 +496,10 @@ def test_invalid_edit_exits_2_under_validate_and_run(name, tmp_path, capsys):
     else:
         config, edit = INVALID_EDITS[name]
         doc = shipped_config(config)
-        edit(doc[config])
+        if isinstance(edit, dict):
+            doc["connection"].update(edit)
+        else:
+            edit(doc[config])
     cfg = write_config(tmp_path, "cfg.json", doc)
     out = tmp_path / "artifact"
     command = config.replace("_", "-")
@@ -498,6 +508,44 @@ def test_invalid_edit_exits_2_under_validate_and_run(name, tmp_path, capsys):
     assert not out.exists()
     if name in UNKNOWN_KEYS:
         assert capsys.readouterr().err.count(repr(key)) == 2
+
+
+# (config, key path below its section) -> the library parameter whose default
+# the key takes when it is absent, and a value that is not that default
+LIBRARY_DEFAULTS = {
+    ("entropy_production", ("kappa",)): (cli.entropy_production, "kappa", 2.0),
+    ("third_law", ("steps",)): (cli.third_law_scan, "steps", 512),
+    ("holonomy", ("rectangle", "steps")): (cli.rectangle_loop, "steps", 128),
+    ("holonomy", ("rectangle", "grid")): (cli.holonomy_via_curvature, "grid", [32, 32]),
+    ("flatness", ("tol",)): (cli.flatness_check, "tol", 1e-6),
+}
+
+
+@pytest.mark.parametrize(
+    "config, keys",
+    sorted(LIBRARY_DEFAULTS),
+    ids=[".".join((c, *k)) for c, k in sorted(LIBRARY_DEFAULTS)],
+)
+def test_absent_key_takes_the_library_default(config, keys, tmp_path):
+    fn, name, other = LIBRARY_DEFAULTS[config, keys]
+    default = inspect.signature(fn).parameters[name].default
+    artifacts = []
+    for value in (None, list(default) if isinstance(default, tuple) else default, other):
+        doc = shipped_config(config)
+        if config == "holonomy":
+            # a curved connection, so the holonomy depends on the loop's steps and the grid
+            doc["connection"]["h"] = ["0", "exp(l1)"]
+        *parents, key = keys
+        holder = functools.reduce(operator.getitem, parents, doc[config])
+        holder.pop(key, None)
+        if value is not None:
+            holder[key] = value
+        cfg = write_config(tmp_path, "cfg.json", doc)
+        out = tmp_path / f"{len(artifacts)}.out"
+        assert run([config.replace("_", "-"), "--config", cfg, "--out", out]) == 0
+        artifacts.append(out.read_bytes())
+    absent, at_default, at_other = artifacts
+    assert absent == at_default != at_other
 
 
 @pytest.mark.parametrize(

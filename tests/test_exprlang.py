@@ -23,7 +23,6 @@ from thermogeom.exprlang import (
     Num,
     Program,
     Var,
-    _free_vars,
     compile_fields,
     eval_expr,
     numbered,
@@ -140,14 +139,55 @@ def test_empty_input():
         parse("   ", 1)
 
 
-def test_free_vars():
-    assert _free_vars(parse("l1*t + sin(a2)", 2)) == {"l1", "t", "a2"}
+def test_literal_must_be_a_finite_double():
+    with pytest.raises(ExprSyntaxError, match="'1e400' is not a finite double") as err:
+        parse("l1*1e400", 1)
+    assert err.value.offset == 3
+    assert ev("1e-400") == 0.0
+
+
+def test_sum_of_300_terms_compiles_and_evaluates():
+    program = compile_fields({"f": "+".join(["l1"] * 300)}, 1, {"l1"})
+    assert next(program.run({"l1": 0.5})) == 150.0
+
+
+# texts whose deepest token sits at level MAX_DEPTH, and a prefix that puts
+# it one level deeper, crossing the bound at the given offset
+_D = exprlang.MAX_DEPTH
+AT_THE_BOUND = {
+    "brackets": ("(" * (_D - 1) + "l1" + ")" * (_D - 1), "(", _D - 1),
+    "calls": ("abs(" * (_D - 1) + "l1" + ")" * (_D - 1), "abs(", 4 * _D - 1),
+    "minuses": ("-" * (_D - 1) + "l1", "-", _D - 1),
+    "powers": ("l1^" * (_D - 1) + "l1", "l1^", 3 * _D - 1),
+    "sum": ("l1+" * (_D - 1) + "l1", "l1+", 3 * _D - 1),
+}
+# at the bound too, with a domain error that prints the root of the whole tree
+DOMAIN_ERROR_AT_THE_BOUND = {
+    "log of minuses": ("log(" + "-" * (_D - 2) + "l1)", "-", _D + 2),
+    "sqrt of a sum": ("sqrt(" + "l1+" * (_D - 2) + "l1)", "l1+", 3 * _D + 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(AT_THE_BOUND) + sorted(DOMAIN_ERROR_AT_THE_BOUND))
+def test_nesting_is_bounded_by_max_depth(name):
+    text, prefix, offset = {**AT_THE_BOUND, **DOMAIN_ERROR_AT_THE_BOUND}[name]
+    e = parse(text, 1)
+    assert pretty(parse(pretty(e), 1)) == pretty(e)
+    if name in AT_THE_BOUND:
+        eval_expr(e, {"l1": 0.5})
+    else:
+        with pytest.raises(ExprDomainError, match=re.escape(text[:4])):
+            eval_expr(e, {"l1": -0.5})
+    with pytest.raises(ExprSyntaxError, match=f"deeper than {_D} levels") as err:
+        parse(prefix + text, 1)
+    assert err.value.offset == offset
 
 
 def test_compile_fields_names_slot_and_extras():
     program = compile_fields({"g_S": "l1*t + sin(a2)"}, 2, {"l1", "t", "a2"})
     assert next(program.run({"l1": 2.0, "t": 3.0, "a2": 0.0})) == 6.0
-    with pytest.raises(ValidationError, match=r"^g_S: may only use \['l1'\], found \['a2', 't'\]$"):
+    message = "g_S: unknown identifier 't' at offset 3; allowed variables: l1"
+    with pytest.raises(ExprNameError, match=f"^{re.escape(message)}$"):
         compile_fields({"g_S": "l1*t + sin(a2)"}, 2, {"l1"})
 
 

@@ -50,7 +50,7 @@ from thermogeom.contact import fiber_path_length, wedge_top_coefficient
 from thermogeom.errors import ValidationError
 from thermogeom.exprlang import parse
 from thermogeom.gibbs import gibbs_batch
-from thermogeom.inputs import MAX_COUNT, number
+from thermogeom.inputs import MAX_COUNT, number, points, vector
 
 QUBIT = ObservableSet([HermitianOperator(np.diag([1.0, -1.0]))])
 PAULI_ZX = ObservableSet([HermitianOperator(np.diag([1.0, -1.0])), HermitianOperator([[0.0, 1.0], [1.0, 0.0]])])
@@ -183,6 +183,12 @@ def _bad_vectors(n):
     yield "ragged", [valid, valid + [0.0]]
     if n == 1:
         yield "scalar", 1.0
+    # numpy holds an int past the 64-bit range as an object: read as a float,
+    # it is infinite here, and an object entry that is no real number is refused
+    yield "int past the float range", [-(10**400)] + [0.0] * (n - 1)
+    yield "None", [None] + [0.0] * (n - 1)
+    yield "str among big ints", [2**70] * (n - 1) + ["1"]
+    yield "bool among big ints", [2**70] * (n - 1) + [True]
 
 
 def _valid_block(n, floor):
@@ -207,6 +213,12 @@ def _bad_blocks(n, floor, rank):
     if floor:
         yield "rows", good[1:]
     yield "ragged", good.tolist() + [[0.0] * (good.shape[1] + 1)]
+    rows = good.tolist()
+    rows[-1][-1] = 10**400
+    yield "int past the float range", rows
+    rows = good.tolist()
+    rows[-1][-1] = None
+    yield "None", rows
 
 
 BAD_NUMBERS = [math.nan, math.inf, -math.inf, True, "1.0", None]
@@ -356,6 +368,13 @@ def test_two_form_must_be_exactly_antisymmetric():
 
 def test_number_takes_any_real_but_bool():
     assert [number(x, "x") for x in (np.int64(3), np.float32(0.5), Fraction(1, 4))] == [3.0, 0.5, 0.25]
+
+
+def test_large_int_reads_as_float_everywhere():
+    big = 2**70  # past the 64-bit range, so numpy holds it as an object
+    assert number(big, "x") == float(big)
+    assert vector([big, 0.5], 2, "x").tolist() == [float(big), 0.5]
+    assert points([[big], [1]], 1, "x").tolist() == [[float(big)], [1.0]]
 
 
 def test_empty_block_of_the_wrong_width_is_rejected():
