@@ -27,8 +27,8 @@ from typing import Sequence
 import numpy as np
 
 from . import exprlang
-from .errors import DegenerateMetricError, ValidationError
-from .contact import ThermoPoint
+from .errors import ValidationError
+from .contact import ThermoPoint, _check_g_S
 from .linalg import central_difference
 from .inputs import count, counts, points, positive, reals, vector
 from .processes import ParamPath
@@ -73,8 +73,8 @@ class ConnectionSpec:
         """Gamma^k = h_k / g_S, mapping lam of shape (..., n) to (..., n).
 
         One run of the spec's program over [g_S, *h] covers every point;
-        |g_S| <= 1e-12 at any point raises, naming the first such point in
-        C order, before any h_k is evaluated.
+        |g_S| <= `contact.G_S_FLOOR` at any point raises, naming the first
+        such point in C order, before any h_k is evaluated.
         """
         lam = reals(lam, "lam")
         # the points as rows; a last axis of another length fails the width check
@@ -84,12 +84,7 @@ class ConnectionSpec:
         env = {f"l{i + 1}": columns[i] for i in range(self.n)}
         values = self.program.run(env)
         g_s = next(values)
-        degenerate = np.abs(g_s) <= 1e-12
-        if degenerate.any():
-            at = int(np.argmax(degenerate))
-            raise DegenerateMetricError(
-                f"|g_S| = {abs(float(g_s[at])):.3e} at lambda = {flat[at].tolist()}"
-            )
+        _check_g_S(g_s, flat)
         h = np.stack(list(values), axis=-1)
         return (h / g_s[:, None]).reshape(lam.shape)
 

@@ -18,7 +18,7 @@ import numpy as np
 from . import exprlang
 from .errors import DegenerateMetricError, SignatureError, ValidationError
 from .geometry import MetricTensor
-from .gibbs import ObservableSet, gibbs_batch, gibbs_point
+from .gibbs import ObservableSet, gibbs_batch, gibbs_point, observables
 from .linalg import DensityOperator, central_difference
 from .inputs import count, number, points, positive, vector
 
@@ -49,6 +49,22 @@ MU_VALIDATION_POINTS = 32
 MU_VALIDATION_BOX = 1.0
 MU_VALIDATION_TOL = 1e-8
 _MU_GRID_SEED = 173651
+# a g_S of at most this magnitude makes the fields degenerate
+G_S_FLOOR = 1e-12
+
+
+def _check_g_S(g_s, lam) -> None:
+    """Raise DegenerateMetricError at the first point where |g_S| <= G_S_FLOOR.
+
+    g_s holds one value per point and lam the points as rows; one point may come bare.
+    """
+    g_s, lam = np.atleast_1d(g_s), np.atleast_2d(lam)
+    degenerate = np.abs(g_s) <= G_S_FLOOR
+    if degenerate.any():
+        at = int(np.argmax(degenerate))
+        raise DegenerateMetricError(
+            f"|g_S| = {abs(float(g_s[at])):.3e} at lambda = {lam[at].tolist()}"
+        )
 
 
 @dataclass(frozen=True)
@@ -125,7 +141,7 @@ class MuExtension:
 
         The f_i may read S, a1..an and l1..ln, not t.
         """
-        n = obs.n
+        n = observables(obs).n
         allowed = set(exprlang.allowed_variables(n)) - {"t"}
         mu = cls(n, exprlang.compile_fields(exprlang.numbered("f", texts, n), n, allowed))
         rng = np.random.default_rng(_MU_GRID_SEED)
@@ -191,10 +207,7 @@ class MMetricSpec:
         env = {f"l{i + 1}": float(lam[i]) for i in range(self.n)}
         values = self.program.run(env)
         g_s = next(values)
-        if abs(g_s) <= 1e-12:
-            raise DegenerateMetricError(
-                f"|g_S| = {abs(g_s):.3e} at lambda = {lam.tolist()}"
-            )
+        _check_g_S(g_s, lam)
         g_a = np.array([next(values) for _ in range(self.n)])
         if np.any(g_a <= 0.0):
             raise SignatureError(
@@ -302,7 +315,7 @@ def legendrian_residual(obs: ObservableSet, lambda_grid) -> float:
     residual vanishes on the equilibrium submanifold (the first law), so
     this is the Legendrian diagnostic.
     """
-    grid = points(lambda_grid, obs.n, "grid", 1)
+    grid = points(lambda_grid, observables(obs).n, "grid", 1)
     n = obs.n
 
     def entropy_and_expectations(taps: np.ndarray) -> np.ndarray:
@@ -319,7 +332,7 @@ def state_function(
     obs: ObservableSet, mu: MuExtension, p: ThermoPoint
 ) -> DensityOperator:
     """The density operator rho_{mu(p)}; reduces to rho_lam on equilibrium."""
-    _agree_on_n("extension, point and observables", mu.n, p.n, obs.n)
+    _agree_on_n("extension, point and observables", mu.n, p.n, observables(obs).n)
     return gibbs_point(obs, mu.mu_values(p)).rho
 
 
@@ -331,7 +344,7 @@ def fiber_membership(
     tol: float = 1e-9,
 ) -> bool:
     """Whether p lies on the fiber over rho_c, i.e. max_i |mu_i(p) - c_i| <= tol."""
-    _agree_on_n("extension, point and observables", mu.n, p.n, obs.n)
+    _agree_on_n("extension, point and observables", mu.n, p.n, observables(obs).n)
     c = vector(c, obs.n, "fiber label")
     return bool(np.max(np.abs(mu.mu_values(p) - c)) <= positive(tol, "tol"))
 

@@ -11,11 +11,14 @@ nests deeper than `MAX_DEPTH` levels.
 
 `Program` is the one evaluator.  It compiles a tuple of expressions once
 into straight-line code whose instructions apply numpy ufuncs to whole
-arrays, in IEEE doubles per element, with domain violations checked as
-masks; equal subtrees share one register and are evaluated once per run,
-and a register is dropped after its last use.  Values come out in order,
-each computed when asked for, so the first error raised is the one the
-first failing expression raises alone.
+arrays, in IEEE doubles per element; equal subtrees share one register and
+are evaluated once per run, and a register is dropped after its last use.
+Its one failure rule is IEEE 754's: each expression runs with numpy's
+floating-point exceptions raised (underflow aside), and an operation that
+raises fails where its finite arguments give a non-finite value, so
+overflow in any operation, + - * / included, is an error.  Values come out
+in order, each computed when asked for, so the first error raised is the
+one the first failing expression raises alone.
 
 `compile_fields` is the one route from expression text to a program: every
 holder of user fields (connection, g_M metric, mu extension) and every
@@ -27,7 +30,6 @@ texts.  `eval_expr` runs a program over one expression.
 from __future__ import annotations
 
 import math
-import operator
 import re
 import struct
 from dataclasses import dataclass
@@ -303,36 +305,6 @@ def _domain(
     )
 
 
-def _check(bad, node: Expr, what: str, operand, env) -> None:
-    # count_nonzero is the cheapest "any" on small arrays and plain bools
-    if np.count_nonzero(bad):
-        raise _domain(node, what, operand, bad, env)
-
-
-def _check_overflow(out, node: Expr, operands, env) -> None:
-    """A non-finite result from finite operands is an overflow."""
-    bad = ~np.isfinite(out)
-    if np.count_nonzero(bad):
-        for x in operands:
-            bad &= np.isfinite(x)
-        _check(bad, node, "overflow", operands[0], env)
-
-
-def _pow(node: Expr, env, base, expo):
-    _check((base == 0.0) & (expo < 0.0), node, "zero raised to a negative power", base, env)
-    # a negative base takes integer exponents only: (-2)^3 = -8
-    _check(
-        (base < 0.0) & (expo != np.floor(expo)),
-        node,
-        "negative base with non-integer exponent",
-        base,
-        env,
-    )
-    out = np.power(base, expo)
-    _check_overflow(out, node, (base, expo), env)
-    return out
-
-
 def _var(node: Var, env):
     try:
         return np.asarray(env[node.name], dtype=float)
@@ -340,54 +312,56 @@ def _var(node: Var, env):
         raise ExprNameError(f"unbound variable {node.name!r}") from None
 
 
-def _divide(node: Expr, env, a, b):
-    _check(b == 0.0, node, "division by zero", b, env)
-    return a / b
-
-
-def _log(node: Expr, env, x):
-    _check(x <= 0.0, node, "log of non-positive value", x, env)
-    return np.log(x)
-
-
-def _sqrt(node: Expr, env, x):
-    _check(x < 0.0, node, "sqrt of negative value", x, env)
-    return np.sqrt(x)
-
-
-def _overflowing(ufunc):
-    def apply(node: Expr, env, x):
-        out = ufunc(x)
-        _check_overflow(out, node, (x,), env)
-        return out
-
-    return apply
-
-
-# operations that cannot fail, called on the argument values alone
-_UNCHECKED = {
-    "+": operator.add,
-    "-": operator.sub,
-    "*": operator.mul,
-    "neg": operator.neg,
+# each operation is one numpy ufunc, called on its argument values
+_UFUNCS = {
+    "+": np.add,
+    "-": np.subtract,
+    "*": np.multiply,
+    "/": np.divide,
+    "^": np.power,
+    "neg": np.negative,
+    "exp": np.exp,
+    "log": np.log,
+    "sqrt": np.sqrt,
     "sin": np.sin,
     "cos": np.cos,
+    "sinh": np.sinh,
+    "cosh": np.cosh,
     "tanh": np.tanh,
     "abs": np.abs,
     "min": np.minimum,
     "max": np.maximum,
+    "pow": np.power,
 }
-# operations with a domain check, called as (node, env, *argument values)
-_CHECKED = {
-    "/": _divide,
-    "^": _pow,
-    "pow": _pow,
-    "log": _log,
-    "sqrt": _sqrt,
-    "exp": _overflowing(np.exp),
-    "sinh": _overflowing(np.sinh),
-    "cosh": _overflowing(np.cosh),
-}
+# the named causes of a failure, tried in order: the ufunc, the elements it
+# fails at for that cause, the name, and the argument the message prints
+# (a negative base takes integer exponents only: (-2)^3 = -8)
+_CAUSES = (
+    (np.divide, lambda a, b: b == 0.0, "division by zero", 1),
+    (np.power, lambda a, b: (a == 0.0) & (b < 0.0), "zero raised to a negative power", 0),
+    (np.power, lambda a, b: (a < 0.0) & (b != np.floor(b)), "negative base with non-integer exponent", 0),
+    (np.log, lambda x: x <= 0.0, "log of non-positive value", 0),
+    (np.sqrt, lambda x: x < 0.0, "sqrt of negative value", 0),
+)
+
+
+def _failed(fn, node: Expr, env, args: tuple):
+    """The value of an instruction that raised a floating-point exception, or its error.
+
+    It fails where finite arguments give a non-finite value; a flag raised by
+    a non-finite argument alone is no failure, and the value is kept.
+    """
+    with np.errstate(all="ignore"):
+        out = fn(*args)
+        bad = ~np.isfinite(out)
+        for x in args:
+            bad &= np.isfinite(x)
+        if not np.any(bad):
+            return out
+        for ufunc, test, what, k in _CAUSES:
+            if ufunc is fn and np.any(cause := bad & test(*args)):
+                raise _domain(node, what, args[k], cause, env)
+        raise _domain(node, "overflow", args[0], bad, env)
 
 
 class Program:
@@ -404,8 +378,8 @@ class Program:
     def __init__(self, exprs: Sequence[Expr]) -> None:
         registers: list = []  # a constant's value; None where an instruction writes
         numbering: dict[tuple, int] = {}
-        # [function, node (None if unchecked), argument registers a and b (or
-        # None), register written, registers dropped after it]
+        # [function, node, argument registers a and b (or None), register
+        # written, registers dropped after it]
         code: list[list] = []
         last: dict[int, list] = {}  # register -> the drop list of its last reader
 
@@ -430,8 +404,7 @@ class Program:
                 code.append([_var, e, None, None, reg, []])
             elif kind is not Num:
                 op, a, b = (*key, None)[:3]
-                fn = _UNCHECKED.get(op)
-                code.append([fn, None, a, b, reg, []] if fn else [_CHECKED[op], e, a, b, reg, []])
+                code.append([_UFUNCS[op], e, a, b, reg, []])
                 last[a] = last[b] = code[-1][5]
             return reg
 
@@ -461,16 +434,19 @@ class Program:
         regs = list(self._registers)
         shape = None
         for steps, out, dropped in self._segments:
-            with np.errstate(all="ignore"):
+            # held for one expression, never across a yield
+            with np.errstate(all="raise", under="ignore"):
                 for fn, node, a, b, reg, done in steps:
-                    if a is None:
-                        regs[reg] = fn(node, env)
-                    elif b is None:
-                        regs[reg] = fn(regs[a]) if node is None else fn(node, env, regs[a])
-                    elif node is None:
-                        regs[reg] = fn(regs[a], regs[b])
-                    else:
-                        regs[reg] = fn(node, env, regs[a], regs[b])
+                    try:
+                        if a is None:
+                            regs[reg] = fn(node, env)
+                        elif b is None:
+                            regs[reg] = fn(regs[a])
+                        else:
+                            regs[reg] = fn(regs[a], regs[b])
+                    except FloatingPointError:
+                        args = (regs[a],) if b is None else (regs[a], regs[b])
+                        regs[reg] = _failed(fn, node, env, args)
                     for r in done:
                         regs[r] = None
             value = regs[out]
@@ -519,12 +495,14 @@ def eval_expr(e: Expr, env: Mapping[str, float | np.ndarray]) -> float | np.ndar
     broadcast together.  `Program((e,))` applies numpy ufuncs to whole
     arrays, one per distinct subtree.  The result has the broadcast shape
     of all env values; it is a float when every value is a scalar, so a
-    single point is the one-element case of the same program.  A domain
-    violation at any element (division by zero, log or sqrt outside its
-    domain, zero to a negative power, a negative base with a non-integer
-    exponent, overflow in exp, sinh, cosh or pow) raises ExprDomainError
-    naming the node, the operand at the first offending element in C
-    order, and the variable values there.
+    single point is the one-element case of the same program.  An
+    operation whose finite arguments give a non-finite value at any element
+    (division by zero, log or sqrt outside its domain, zero to a negative
+    power, a negative base with a non-integer exponent, overflow in any
+    operation) raises ExprDomainError naming the node, the operand at the
+    first offending element in C order, and the variable values there.  A
+    non-finite variable value is passed through: log(l1) at l1 = -inf is
+    nan, not an error.
     """
     return next(Program((e,)).run(env))
 

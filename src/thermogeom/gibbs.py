@@ -98,6 +98,13 @@ class ObservableSet:
         return f"ObservableSet(dim={self.dim}, names={list(self.names)})"
 
 
+def observables(obs: object) -> ObservableSet:
+    """obs itself, checked to be an ObservableSet before a public call reads it."""
+    if not isinstance(obs, ObservableSet):
+        raise ValidationError(f"observables must be an ObservableSet, got {type(obs).__name__}")
+    return obs
+
+
 @dataclass(frozen=True)
 class GibbsPoint:
     """One evaluated family member: (lam, ln Z, rho, a, S).
@@ -142,7 +149,7 @@ def gibbs_batch(obs: ObservableSet, lams) -> FamilyBatch:
     workhorse behind grids and paths, and its eigenpairs (x, U) are all
     the closed-form metric needs.
     """
-    lams = points(lams, obs.n, "parameter block")
+    lams = points(lams, observables(obs).n, "parameter block")
     worst = float(np.abs(lams).max(initial=0.0))
     if worst > LAMBDA_GUARD:
         raise ParameterRangeError(
@@ -169,7 +176,7 @@ def gibbs_batch(obs: ObservableSet, lams) -> FamilyBatch:
 
 def gibbs_point(obs: ObservableSet, lam) -> GibbsPoint:
     """The Gibbs state, partition function, expectations and entropy at lam."""
-    batch = gibbs_batch(obs, vector(lam, obs.n, "lam")[None])
+    batch = gibbs_batch(obs, vector(lam, observables(obs).n, "lam")[None])
     rho = DensityOperator._with_spectrum(batch.rho[0], batch.p[0, ::-1], batch.U[0, :, ::-1])
     lam_row = batch.lam[0].copy()
     lam_row.flags.writeable = False
@@ -191,7 +198,7 @@ def expectation_consistency(obs: ObservableSet, lam) -> float:
     through `linalg.central_difference` at order 2 with step 1e-4, whose
     taps go to one `gibbs_batch` call.
     """
-    lam = vector(lam, obs.n, "lam")
+    lam = vector(lam, observables(obs).n, "lam")
     point = gibbs_point(obs, lam)
 
     def neg_log_z(taps: np.ndarray) -> np.ndarray:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .geometry import _quadratic_form_derivatives, metric_grid
-from .gibbs import ObservableSet, gibbs_batch
+from .gibbs import ObservableSet, gibbs_batch, observables
 from .inputs import MAX_COUNT, count, points, positive, vector
 
 __all__ = [
@@ -191,7 +191,7 @@ def _midpoint_terms(
 def _segment_energies(obs: ObservableSet, samples, duration) -> tuple[np.ndarray, float]:
     """The e_s of `_midpoint_terms` from `metric_grid` at the midpoints, and dt."""
     positive(duration, "duration")
-    samples = points(samples, obs.n, "samples", 2)
+    samples = points(samples, observables(obs).n, "samples", 2)
     dt = duration / (samples.shape[0] - 1)
     deltas = samples[1:] - samples[:-1]
     gv = np.einsum("kij,kj->ki", metric_grid(obs, 0.5 * (samples[:-1] + samples[1:])), deltas)
@@ -329,7 +329,7 @@ def third_law_scan(
     speeds sqrt(d^T g d) at all nodes, and each length is the cumulative
     trapezoid sum at its Lambda.
     """
-    d = _unit_direction(direction, obs.n)
+    d = _unit_direction(direction, observables(obs).n)
     lam = _check_lambda_list(lambdas)
     nodes = np.union1d(np.linspace(0.0, lam[-1], count(steps, "steps", MIN_PATH_STEPS) + 1), lam)
     q = np.einsum("i,kij,j->k", d, metric_grid(obs, nodes[:, None] * d), d)
@@ -361,7 +361,7 @@ def boundary_entropy_limit(
     obs: ObservableSet, direction, lambdas
 ) -> BoundaryEntropyScan:
     """Entropies S(rho_{Lambda d}) and their gap to the ln k limit."""
-    d = _unit_direction(direction, obs.n)
+    d = _unit_direction(direction, observables(obs).n)
     lam = _check_lambda_list(lambdas)
     h_d = np.einsum("k,kij->ij", d, obs._stack)
     w = np.linalg.eigvalsh(h_d)

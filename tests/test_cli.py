@@ -567,6 +567,18 @@ def test_overflowing_exponent_exits_3(command, section, tmp_path):
     assert not out.exists()
 
 
+def test_overflowing_field_exits_3(tmp_path, capsys):
+    # every operand is finite, but the product overflows on the rectangle
+    doc = shipped_config("holonomy")
+    doc["connection"]["h"] = ["0", "l1*1e308*10"]
+    cfg = write_config(tmp_path, "cfg.json", doc)
+    out = tmp_path / "artifact"
+    assert run(["holonomy", "--config", cfg, "--validate"]) == 0
+    assert run(["holonomy", "--config", cfg, "--out", out]) == 3
+    assert not out.exists()
+    assert "overflow in 'l1*1e+308*10.0'" in capsys.readouterr().err
+
+
 def test_lambda_list_is_capped_before_its_entries_are_read(tmp_path, capsys):
     doc = shipped_config("third_law")
     doc["third_law"]["Lambda"] = ["x"] * (MAX_COUNT + 1)

@@ -91,8 +91,17 @@ def test_negative_base_fractional_power_is_error():
 
 
 def test_overflow_is_loud():
-    with pytest.raises(ExprDomainError):
-        ev("exp(l1)", l1=1e4)
+    # tanh would squash the inf of an unchecked product to 1.0
+    for text in ("exp(l1)", "l1*1e308*10", "tanh(l1*1e308*10)"):
+        with pytest.raises(ExprDomainError, match="overflow"):
+            ev(text, l1=1e4)
+
+
+def test_non_finite_variable_passes_through():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = ev("l1 + 1", l1=np.array([math.inf, 1.0]))
+    assert out.tolist() == [math.inf, 2.0]
 
 
 def test_min_max_pow():
@@ -336,6 +345,10 @@ def test_array_env_broadcasts_every_value():
         ("l2 + exp(l1)", [1.0, 10.0, 1000.0, 1e4, 1.0], "exp(l1)", "1000.0"),
         ("l2 + l1^0.5", [4.0, 1.0, -2.0, -3.0, 0.0], "l1^0.5", "-2.0"),
         ("l2 + pow(l1, -1)", [4.0, 1.0, 0.0, -3.0, 0.0], "pow(l1, -1.0)", "0.0"),
+        # overflow in arithmetic names the first operand
+        ("l2 * (l1*1e308)", [1.0, 0.5, 2.0, -3.0, 0.0], "l1*1e+308", "2.0"),
+        ("l2 + (l1*1e308 + 1e308)", [0.5, -1.0, 1.0, 0.0, 1.5], "l1*1e+308+1e+308", "1e+308"),
+        ("l2 + 1e300/l1", [1.0, -1.0, 1e-300, 0.5, 1e-10], "1e+300/l1", "1e+300"),
     ],
 )
 def test_array_domain_error_names_node_operand_and_element(text, values, node, operand):
@@ -424,15 +437,17 @@ def _walk(e, env):
         op, args = e.op, (e.left, e.right)
     else:
         op, args = e.func, e.args
-    values = [_walk(a, env) for a in args]
-    if op in exprlang._UNCHECKED:
-        return exprlang._UNCHECKED[op](*values)
-    return exprlang._CHECKED[op](e, env, *values)
+    values = tuple(_walk(a, env) for a in args)
+    fn = exprlang._UFUNCS[op]
+    try:
+        with np.errstate(all="raise", under="ignore"):
+            return fn(*values)
+    except FloatingPointError:
+        return exprlang._failed(fn, e, env, values)
 
 
 def _walk_expr(e, env):
-    with np.errstate(all="ignore"):
-        out = _walk(e, env)
+    out = _walk(e, env)
     shape = np.broadcast_shapes(*map(np.shape, env.values()))
     if not shape:
         return float(out)

@@ -34,6 +34,7 @@ from thermogeom import (
     fiber_membership,
     flatness_check,
     gauge_translate,
+    geodesic_between,
     gibbs_point,
     injectivity_diagnostic,
     legendrian_residual,
@@ -42,7 +43,9 @@ from thermogeom import (
     rectangle_loop,
     segment_speed_profile,
     state_derivatives,
+    state_function,
     straight_path,
+    thermo_length,
     third_law_scan,
 )
 from thermogeom.connection import curvature, holonomy_via_curvature
@@ -156,6 +159,29 @@ BLOCKS = {
     "legendrian_residual.lambda_grid": (1, 1, 1, lambda b: legendrian_residual(QUBIT, b)),
     "MetricTensor.g": (1, 1, 1, lambda b: MetricTensor([0.0], b)),
     "wedge_top_coefficient.two_form": (3, 3, 1, lambda b: wedge_top_coefficient(ALPHA_1, b, 1)),
+}
+
+# entry point -> a call with its observable set in place
+OBSERVABLE_SETS = {
+    "gibbs_batch": lambda o: gibbs_batch(o, [[0.0]]),
+    "gibbs_point": lambda o: gibbs_point(o, [0.0]),
+    "expectation_consistency": lambda o: expectation_consistency(o, [0.0]),
+    "injectivity_diagnostic": lambda o: injectivity_diagnostic(o, [0.0]),
+    "state_derivatives": lambda o: state_derivatives(o, [0.0]),
+    "metric_tensor": lambda o: metric_tensor(o, [0.0]),
+    "metric_grid": lambda o: metric_grid(o, [[0.0]]),
+    "thermo_length": lambda o: thermo_length(o, PATH),
+    "entropy_production": lambda o: entropy_production(o, PATH),
+    "discrete_path_energy": lambda o: discrete_path_energy(o, PATH.samples, 1.0),
+    "segment_speed_profile": lambda o: segment_speed_profile(o, PATH.samples, 1.0),
+    "geodesic_between": lambda o: geodesic_between(o, GeodesicProblem([0.0], [1.0], max_iters=1)),
+    "third_law_scan": lambda o: third_law_scan(o, [1.0], [1.0], steps=8),
+    "boundary_entropy_limit": lambda o: boundary_entropy_limit(o, [1.0], [1.0]),
+    "MuExtension.validated": lambda o: MuExtension.validated(["0"], o),
+    "legendrian_residual": lambda o: legendrian_residual(o, [[0.0]]),
+    "state_function": lambda o: state_function(o, MU, POINT),
+    "fiber_membership": lambda o: fiber_membership(o, MU, POINT, [0.0]),
+    "equilibrium_point": lambda o: equilibrium_point(o, [0.0]),
 }
 
 # argument -> (its number of expressions, a call with that list of expression texts)
@@ -333,6 +359,12 @@ def test_observable_set_needs_lists(call):
         call()
 
 
+@pytest.mark.parametrize("arg", sorted(OBSERVABLE_SETS))
+def test_observables_must_be_an_observable_set(arg):
+    with pytest.raises(ValidationError, match="^observables must be an ObservableSet"):
+        OBSERVABLE_SETS[arg](5)
+
+
 @pytest.mark.parametrize(
     "call",
     [gibbs_point, metric_tensor, state_derivatives, expectation_consistency, injectivity_diagnostic],
@@ -402,6 +434,8 @@ def test_the_valid_calls_pass():
         call(_valid_block(n, floor))
     for n, call in EXPRESSION_LISTS.values():
         call(["0"] * n)
+    for call in OBSERVABLE_SETS.values():
+        call(QUBIT)
     for matrix in ([[1]], [[0.5, 0.5j], [-0.5j, 0.5]]):
         HermitianOperator(matrix)
         DensityOperator(matrix)
