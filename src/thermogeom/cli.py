@@ -7,9 +7,11 @@ parse reads every value through `thermogeom.inputs` or the library's own
 constructors, with no rule of its own: a key that is absent takes the
 default of the library parameter it feeds, read from its signature or
 dataclass, and a key set to null is refused like any other bad value.  Exit
-codes: 0 success, 2 config validation failure, 3 numerical-domain error,
-4 geodesic non-convergence (artifact still written).  Identical configs
-produce byte-identical artifacts; outputs are written atomically.
+codes: 0 success, 2 config validation failure, 3 numerical-domain error
+(an IEEE overflow, division by zero or invalid operation in the computation
+among them), 4 geodesic non-convergence (artifact still written).
+Identical configs produce byte-identical artifacts; outputs are written
+atomically.
 """
 
 from __future__ import annotations
@@ -492,7 +494,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.validate:
             print(f"{args.command}: config OK", file=sys.stderr)
             return 0
-        payload, header, rows = job()
+        try:
+            # any IEEE exception but underflow ends the run: no NaN or inf is written
+            with np.errstate(all="raise", under="ignore"):
+                payload, header, rows = job()
+        except FloatingPointError as exc:
+            raise NumericalDomainError(f"{args.command}: {exc}") from exc
     except ValidationError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

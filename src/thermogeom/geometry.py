@@ -9,6 +9,11 @@ point gives the exact metric.  The second divided differences give, from
 the same eigendecomposition, the exact gradient of v^T g v in lam that the
 geodesic solver's energy gradient is built from.  The distance is
 d^2 = tr A + tr B - 2 tr[(A^{1/2} B A^{1/2})^{1/2}].
+
+At a block of P points the contractions run as matrix products over the
+whole batch: the n observables are rotated into every eigenbasis by one
+(P m, m) @ (m, n m) product and one (n m, m) @ (m, m) product per point,
+and the metric is one (n, m^2) @ (m^2, n) product per point.
 """
 
 from __future__ import annotations
@@ -125,8 +130,18 @@ def _daleckii_krein(obs: ObservableSet, batch: FamilyBatch) -> tuple[np.ndarray,
     x, p, u = batch.x, batch.p, batch.U
     gap = np.abs(x[:, :, None] - x[:, None, :])
     f1 = np.maximum(p[:, :, None], p[:, None, :]) * _phi(gap)
-    a_tilde = u.conj().swapaxes(1, 2)[:, None] @ obs._stack @ u[:, None]
-    diag = np.arange(obs.dim)
+    size, m = x.shape
+    n = obs.n
+    # U^dagger A_k at every point for every k is one (P m, m) @ (m, n m) product
+    # of the stacked rows of U^dagger with [A_1 | ... | A_n]; a transpose copy
+    # to (P, n m, m) and one (n m, m) @ (m, m) product per point finish At.
+    # Each step drops the block before it: at most two (P, n, m, m) live.
+    t = u.conj().swapaxes(1, 2).reshape(size * m, m)
+    t = t @ obs._stack.transpose(1, 0, 2).reshape(m, n * m)
+    t = np.ascontiguousarray(t.reshape(size, m, n, m).transpose(0, 2, 1, 3))
+    a_tilde = (t.reshape(size, n * m, m) @ u).reshape(size, n, m, m)
+    del t
+    diag = np.arange(m)
     a_tilde[:, :, diag, diag] -= batch.a[:, :, None]
     return a_tilde, f1
 
@@ -206,8 +221,10 @@ def metric_grid(obs: ObservableSet, lams) -> np.ndarray:
 
 def _metric_from_frame(denom: np.ndarray, a_tilde: np.ndarray, f1: np.ndarray) -> np.ndarray:
     """The (P, n, n) metric from an SLD frame; overwrites a_tilde."""
-    # d_i rho * sqrt(2 / (p_a + p_b)), built in At's buffer: no (P, n, m, m) copies
-    f = np.negative(a_tilde, out=a_tilde)
+    # F_i = At_i * f1 * sqrt(2 / (p_a + p_b)), built in At's buffer, is
+    # -d_i rho * sqrt(2 / (p_a + p_b)); g = Re F F^H is blind to that sign and
+    # is one (n, m^2) @ (m^2, n) product per point
+    f = a_tilde
     f *= f1[:, None]
     f *= np.sqrt(2.0 / denom)[:, None]
     p, n, m = f.shape[:3]

@@ -166,9 +166,11 @@ def gibbs_batch(obs: ObservableSet, lams) -> FamilyBatch:
     z_tilde = e.sum(axis=1)
     p = e / z_tilde[:, None]
     log_z = shift[:, 0] + np.log(z_tilde)
-    rho = np.einsum("pik,pk,pjk->pij", u, p, u.conj())
+    rho = (u * p[:, None, :]) @ u.conj().swapaxes(1, 2)
     rho = (rho + rho.conj().swapaxes(1, 2)) / 2
-    a = np.einsum("kij,pji->pk", obs._stack, rho).real
+    # tr(A_k rho) = sum_ij conj(A_k)_ij rho_ij: one (P, m^2) @ (m^2, n) product
+    mm = obs.dim * obs.dim
+    a = (rho.reshape(len(p), mm) @ obs._stack.conj().reshape(obs.n, mm).T).real
     logp = np.where(p > 0.0, np.log(np.where(p > 0.0, p, 1.0)), 0.0)
     s = -(p * logp).sum(axis=1)
     return FamilyBatch(lams, log_z, w, p, u, rho, a, s)

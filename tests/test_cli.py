@@ -579,6 +579,41 @@ def test_overflowing_field_exits_3(tmp_path, capsys):
     assert "overflow in 'l1*1e+308*10.0'" in capsys.readouterr().err
 
 
+def _holonomy_quotient_overflow():
+    # g_S is above its floor and h is finite, but h / g_S overflows
+    doc = shipped_config("holonomy")
+    doc["connection"]["g_S"] = "1e-11"
+    doc["connection"]["h"] = ["0", "1e300*l1"]
+    return doc
+
+
+def _metric_scaled_qubit():
+    # the exponent stays tiny, but the metric of sz * 1e200 overflows
+    obs = qubit_observables()
+    obs["observables"][0]["matrix"] = [[[1e200, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-1e200, 0.0]]]
+    grid = {"start": [-1e-201], "stop": [1e-201], "num": [5]}
+    return {"observables": obs, "metric": {"grid": grid}}
+
+
+@pytest.mark.parametrize(
+    "command, config, message",
+    [
+        ("holonomy", _holonomy_quotient_overflow, "holonomy: overflow encountered in divide"),
+        ("metric", _metric_scaled_qubit, "metric: overflow encountered in"),
+    ],
+    ids=["holonomy-quotient", "metric-scaled-qubit"],
+)
+def test_non_finite_result_exits_3(command, config, message, tmp_path, capsys):
+    # each run once wrote NaN or Infinity into an artifact and exited 0
+    cfg = write_config(tmp_path, "cfg.json", config())
+    out = tmp_path / "artifact"
+    assert run([command, "--config", cfg, "--validate"]) == 0
+    for fmt in ("json", "csv"):
+        assert run([command, "--config", cfg, "--format", fmt, "--out", out]) == 3
+        assert not out.exists()
+    assert f"numerical domain error: {message}" in capsys.readouterr().err
+
+
 def test_lambda_list_is_capped_before_its_entries_are_read(tmp_path, capsys):
     doc = shipped_config("third_law")
     doc["third_law"]["Lambda"] = ["x"] * (MAX_COUNT + 1)

@@ -1,0 +1,140 @@
+"""The GEMM-shaped Gibbs and SLD kernels against the formulas they replace.
+
+`gibbs_batch` forms rho as (U p) @ U^dagger and every a_k = tr(A_k rho) in
+one (P, m^2) @ (m^2, n) product; `_daleckii_krein` rotates all n
+observables at all P points through one (P m, m) @ (m, n m) product and one
+(n m, m) @ (m, m) product per point.  The reference below keeps the
+element-wise forms (einsum rho, einsum trace, broadcast U^dagger A U) and is
+swapped into `geometry` to give the metric and the quadratic-form gradient
+along the old contractions, so the two routes differ only in how they sum.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from thermogeom import geometry
+from thermogeom.geometry import _quadratic_form_derivatives, _phi, metric_grid, metric_tensor
+from thermogeom.gibbs import FamilyBatch, ObservableSet, gibbs_batch
+from thermogeom.linalg import HermitianOperator
+
+RTOL = 1e-13
+DIMS = (2, 3, 4, 8, 16)
+COUNTS = (1, 3, 8)
+BATCHES = (1, 7, 256)
+
+
+def reference_gibbs_batch(obs, lams):
+    lams = np.asarray(lams, dtype=float)
+    w, u = np.linalg.eigh(-np.einsum("pk,kij->pij", lams, obs._stack))
+    shift = w[:, -1:]
+    e = np.exp(w - shift)
+    z_tilde = e.sum(axis=1)
+    p = e / z_tilde[:, None]
+    log_z = shift[:, 0] + np.log(z_tilde)
+    rho = np.einsum("pik,pk,pjk->pij", u, p, u.conj())
+    rho = (rho + rho.conj().swapaxes(1, 2)) / 2
+    a = np.einsum("kij,pji->pk", obs._stack, rho).real
+    logp = np.where(p > 0.0, np.log(np.where(p > 0.0, p, 1.0)), 0.0)
+    return FamilyBatch(lams, log_z, w, p, u, rho, a, -(p * logp).sum(axis=1))
+
+
+def reference_daleckii_krein(obs, batch):
+    x, p, u = batch.x, batch.p, batch.U
+    f1 = np.maximum(p[:, :, None], p[:, None, :]) * _phi(np.abs(x[:, :, None] - x[:, None, :]))
+    a_tilde = u.conj().swapaxes(1, 2)[:, None] @ obs._stack @ u[:, None]
+    diag = np.arange(obs.dim)
+    a_tilde[:, :, diag, diag] -= batch.a[:, :, None]
+    return a_tilde, f1
+
+
+def reference_metric_from_frame(denom, a_tilde, f1):
+    f = -a_tilde * f1[:, None] * np.sqrt(2.0 / denom)[:, None]
+    f = f.reshape(*f.shape[:2], -1)
+    g = (f @ f.conj().swapaxes(1, 2)).real
+    return (g + g.swapaxes(1, 2)) / 2
+
+
+def family(m, n, seed):
+    """n seeded non-commuting observables of unit spectral norm on C^m."""
+    rng = np.random.default_rng(seed)
+    mats = []
+    for _ in range(n):
+        a = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
+        a = a + a.conj().T
+        mats.append(HermitianOperator(a / np.abs(np.linalg.eigvalsh(a)).max()))
+    return ObservableSet(mats)
+
+
+def block(n, size, seed):
+    """size points whose exponent spectra spread by at most 4."""
+    rng = np.random.default_rng(seed)
+    d = rng.normal(size=(size, n))
+    return d * (rng.uniform(0.25, 2.0, size) / np.abs(d).sum(axis=1))[:, None]
+
+
+def assert_close(actual, expected, rtol):
+    scale = np.abs(expected).max()
+    assert np.abs(actual - expected).max() <= rtol * scale
+
+
+@pytest.fixture
+def reference(monkeypatch):
+    """Run a callable with the element-wise contractions swapped into geometry."""
+
+    def run(fn, *args):
+        with monkeypatch.context() as patch:
+            patch.setattr(geometry, "gibbs_batch", reference_gibbs_batch)
+            patch.setattr(geometry, "_daleckii_krein", reference_daleckii_krein)
+            patch.setattr(geometry, "_metric_from_frame", reference_metric_from_frame)
+            return fn(*args)
+
+    return run
+
+
+@pytest.mark.parametrize("size", BATCHES)
+@pytest.mark.parametrize("n", COUNTS)
+@pytest.mark.parametrize("m", DIMS)
+def test_gemm_kernels_match_the_element_wise_formulas(m, n, size, reference):
+    obs = family(m, n, seed=1000 * m + n)
+    lams = block(n, size, seed=size)
+    new, ref = gibbs_batch(obs, lams), reference_gibbs_batch(obs, lams)
+    for field in ("log_Z", "p", "rho", "a", "S"):
+        assert_close(getattr(new, field), getattr(ref, field), RTOL)
+    assert_close(metric_grid(obs, lams), reference(metric_grid, obs, lams), RTOL)
+    v = np.random.default_rng(size).normal(size=(size, n))
+    new_g, new_c = _quadratic_form_derivatives(obs, lams, v)
+    ref_g, ref_c = reference(_quadratic_form_derivatives, obs, lams, v)
+    assert_close(new_g, ref_g, RTOL)
+    assert_close(new_c, ref_c, RTOL)
+
+
+@pytest.mark.parametrize("n", COUNTS)
+@pytest.mark.parametrize("m", DIMS)
+def test_single_point_is_the_batch_of_one(m, n):
+    obs = family(m, n, seed=1000 * m + n)
+    lams = block(n, 7, seed=m + n)
+    grid = metric_grid(obs, lams)
+    for row, lam in enumerate(lams):
+        assert_close(metric_tensor(obs, lam).g, grid[row], 1e-14)
+
+
+# metric_grid's tracemalloc peak, in units of one complex (P, n, m, m) block,
+# measured at commit 9102af4 (numpy 2.4) before the contractions were reshaped
+PARENT_PEAK_BLOCKS = {(16, 4, 256): 2.897, (4, 3, 2000): 3.335, (8, 8, 256): 2.472}
+
+
+@pytest.mark.parametrize("m, n, size", sorted(PARENT_PEAK_BLOCKS))
+def test_rotation_peak_memory_stays_at_the_parent(m, n, size):
+    obs = family(m, n, seed=7)
+    lams = block(n, size, seed=7)
+    metric_grid(obs, lams)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        metric_grid(obs, lams)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= PARENT_PEAK_BLOCKS[(m, n, size)] * size * n * m * m * 16
