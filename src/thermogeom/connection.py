@@ -8,20 +8,24 @@ vertical displacement dS of a lifted loop, and the same number is
 recovered as minus the curvature flux through a spanning rectangle
 (Stokes, since the group is abelian).
 
-Every layer is batched over points.  A `ConnectionSpec` holds n and the
-one program `exprlang.compile_fields` makes of [g_S, *h], so a subtree
-shared between g_S and the h_k (as in an exact h_k = g_S d_k phi) is
-evaluated once per call and its registers are dropped after their last use;
-`ConnectionSpec.gamma` maps lam of shape (..., n) to (..., n) with one
-run of it, checking g_S before any h_k is evaluated.  A curvature batch
-differentiates gamma through `linalg.central_difference`, and a lift
-makes one gamma call for its samples and midpoints.
+Every layer is batched over points.  A `ConnectionSpec` holds n and one
+program over [g_S, Gamma^1, ..., Gamma^n], built by `ConnectionSpec.parsed`
+from the texts of g_S and the h_k through `exprlang.compile_fields`, with
+each Gamma^k = h_k / g_S a node of the program: a subtree shared between
+g_S and the h_k (as in an exact h_k = g_S d_k phi) is evaluated once per
+call, and an overflow in a quotient names its node and point.
+`ConnectionSpec.gamma` maps lam of shape (..., n) to (..., n) with one run
+of it, checking g_S before any Gamma^k is evaluated.  The curvature of a
+plane is the program [g_S, R_kl] that `exprlang.derivative` makes of the
+same expressions, compiled on the plane's first use and kept on the spec,
+so it is exact up to rounding and evaluates no point but those asked for.
+A lift makes one gamma call for its samples and midpoints.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -29,7 +33,6 @@ import numpy as np
 from . import exprlang
 from .errors import ValidationError
 from .contact import ThermoPoint, _check_g_S
-from .linalg import central_difference
 from .inputs import count, counts, points, positive, reals, vector
 from .processes import ParamPath
 
@@ -53,11 +56,14 @@ MIN_LOOP_STEPS = 16
 class ConnectionSpec:
     """Scalar fields g_S(lam) and h_k(lam) over n parameters, compiled into one program.
 
-    Build it with `ConnectionSpec.parsed`; the program computes [g_S, *h].
+    Build it with `ConnectionSpec.parsed`; the program computes
+    [g_S, h_1/g_S, ..., h_n/g_S].
     """
 
     n: int
     program: exprlang.Program
+    # (k, l) with k < l -> the program [g_S, R_kl], compiled on first use
+    _planes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         count(self.n, "n", 1)
@@ -67,26 +73,45 @@ class ConnectionSpec:
         """The fields from their texts: g_S and h1..hn may read l1..ln only."""
         n = count(n, "n", 1)
         fields = {"g_S": g_S, **exprlang.numbered("h", h, n)}
-        return cls(n, exprlang.compile_fields(fields, n, {f"l{i}" for i in range(1, n + 1)}))
+        g, *hs = exprlang.compile_fields(fields, n, {f"l{i}" for i in range(1, n + 1)}).exprs
+        return cls(n, exprlang.Program([g, *(exprlang.BinOp("/", h_k, g) for h_k in hs)]))
+
+    def _run(self, program: exprlang.Program, lam: np.ndarray) -> list[np.ndarray]:
+        """The outputs after the first of program at the points lam, shape (P, n).
+
+        The first output is g_S, checked before any other is evaluated.
+        """
+        # contiguous copies of the components: ufuncs on strided views cost more
+        columns = lam.T.copy()
+        values = program.run({f"l{i + 1}": columns[i] for i in range(self.n)})
+        _check_g_S(next(values), lam)
+        return list(values)
 
     def gamma(self, lam) -> np.ndarray:
         """Gamma^k = h_k / g_S, mapping lam of shape (..., n) to (..., n).
 
-        One run of the spec's program over [g_S, *h] covers every point;
-        |g_S| <= `contact.G_S_FLOOR` at any point raises, naming the first
-        such point in C order, before any h_k is evaluated.
+        One run of the spec's program covers every point; |g_S| <=
+        `contact.G_S_FLOOR` at any point raises, naming the first such point
+        in C order, before any Gamma^k is evaluated.
         """
         lam = reals(lam, "lam")
         # the points as rows; a last axis of another length fails the width check
         flat = points(lam.reshape(math.prod(lam.shape[:-1]), *lam.shape[-1:]), self.n, "lam")
-        # contiguous copies of the components: ufuncs on strided views cost more
-        columns = flat.T.copy()
-        env = {f"l{i + 1}": columns[i] for i in range(self.n)}
-        values = self.program.run(env)
-        g_s = next(values)
-        _check_g_S(g_s, flat)
-        h = np.stack(list(values), axis=-1)
-        return (h / g_s[:, None]).reshape(lam.shape)
+        return np.stack(self._run(self.program, flat), axis=-1).reshape(lam.shape)
+
+    def _curvature(self, lam: np.ndarray, k: int, l: int) -> np.ndarray:
+        """R_kl at the points lam, shape (P, n), for k < l."""
+        program = self._planes.get((k, l))
+        if program is None:
+            g, *gamma = self.program.exprs
+            r = exprlang.BinOp(
+                "-",
+                exprlang.derivative(gamma[l], f"l{k + 1}"),
+                exprlang.derivative(gamma[k], f"l{l + 1}"),
+            )
+            program = self._planes[k, l] = exprlang.Program([g, r])
+        (r,) = self._run(program, lam)
+        return r
 
 
 @dataclass(frozen=True)
@@ -202,33 +227,24 @@ def horizontal_lift(
     ]
 
 
-# points per batched gamma call in curvature, which bounds its working set
-_CURVATURE_CHUNK = 4096
-
-
-def _curvature_rows(spec: ConnectionSpec, lam: np.ndarray, k: int, l: int) -> np.ndarray:
-    d = central_difference(spec.gamma, lam, 1e-5, 4, axes=(k, l))
-    return d[:, 0, l] - d[:, 1, k]
-
-
 def curvature(spec: ConnectionSpec, lam, k: int, l: int) -> float | np.ndarray:
     """R_kl = d(h_l/g_S)/dlam_k - d(h_k/g_S)/dlam_l, the dS-coefficient.
 
     lam of shape (n,) gives a float; a batch of shape (P, n) gives a (P,)
-    array.  `linalg.central_difference` differentiates `spec.gamma` along
-    (k, l) at order 4 with step 1e-5, in one gamma call over all taps;
-    antisymmetric in (k, l) by construction.
+    array.  The spec's compiled [g_S, R_kl] program runs once over the
+    batch; R_lk is exactly -R_kl, and R_kk is 0.
     """
     if spec.n < 2:
         raise ValidationError("curvature needs at least two parameters")
     k, l = count(k, "plane index", 0, spec.n - 1), count(l, "plane index", 0, spec.n - 1)
     lam = reals(lam, "lam")
     pts = points(np.atleast_2d(lam), spec.n, "lam")
-    out = np.zeros(pts.shape[0])
-    if k != l:
-        for start in range(0, pts.shape[0], _CURVATURE_CHUNK):
-            stop = start + _CURVATURE_CHUNK
-            out[start:stop] = _curvature_rows(spec, pts[start:stop], k, l)
+    if k == l:
+        out = np.zeros(pts.shape[0])
+    elif k < l:
+        out = spec._curvature(pts, k, l)
+    else:
+        out = -spec._curvature(pts, l, k)
     return float(out[0]) if lam.ndim == 1 else out
 
 

@@ -18,7 +18,7 @@ import numpy as np
 from . import exprlang
 from .errors import DegenerateMetricError, SignatureError, ValidationError
 from .geometry import MetricTensor
-from .gibbs import ObservableSet, gibbs_batch, gibbs_point, observables
+from .gibbs import ObservableSet, _tap_room, gibbs_batch, gibbs_point, observables
 from .linalg import DensityOperator, central_difference
 from .inputs import count, number, points, positive, vector
 
@@ -51,6 +51,8 @@ MU_VALIDATION_TOL = 1e-8
 _MU_GRID_SEED = 173651
 # a g_S of at most this magnitude makes the fields degenerate
 G_S_FLOOR = 1e-12
+# step and order of the central difference of (S, a) in the Legendrian residual
+_LEGENDRIAN_STENCIL = (1e-5, 4)
 
 
 def _check_g_S(g_s, lam) -> None:
@@ -307,15 +309,22 @@ def contact_volume_coefficient(n: int) -> float:
     return value
 
 
+def _legendrian_grid(obs: ObservableSet, lambda_grid) -> np.ndarray:
+    """The (P, n) points of a Legendrian-residual grid, P >= 1, whose taps stay within LAMBDA_GUARD."""
+    return _tap_room(points(lambda_grid, observables(obs).n, "grid", 1), *_LEGENDRIAN_STENCIL)
+
+
 def legendrian_residual(obs: ObservableSet, lambda_grid) -> float:
     """max |dS/dlam_k - sum_i lam_i da_i/dlam_k| over a grid of base points.
 
     `linalg.central_difference`, at order 4 with step 1e-5,
     differentiates (S, a) from one `gibbs_batch` call over every tap; the
     residual vanishes on the equilibrium submanifold (the first law), so
-    this is the Legendrian diagnostic.
+    this is the Legendrian diagnostic.  A point within 2e-5 of
+    LAMBDA_GUARD raises `ValidationError`, since its taps would cross the
+    guard.
     """
-    grid = points(lambda_grid, observables(obs).n, "grid", 1)
+    grid = _legendrian_grid(obs, lambda_grid)
     n = obs.n
 
     def entropy_and_expectations(taps: np.ndarray) -> np.ndarray:
@@ -323,7 +332,7 @@ def legendrian_residual(obs: ObservableSet, lambda_grid) -> float:
         values = np.concatenate((batch.S[:, None], batch.a), axis=1)
         return values.reshape(*taps.shape[:-1], n + 1)
 
-    d = central_difference(entropy_and_expectations, grid, 1e-5, 4)
+    d = central_difference(entropy_and_expectations, grid, *_LEGENDRIAN_STENCIL)
     residual = d[..., 0] - np.einsum("pi,pki->pk", grid, d[..., 1:])
     return float(np.max(np.abs(residual)))
 
@@ -350,22 +359,21 @@ def fiber_membership(
 
 
 def mu_jacobian(mu: MuExtension, p: ThermoPoint) -> np.ndarray:
-    """Central-difference Jacobian of mu over (S, a, lam), shape (n, 2n+1).
+    """Jacobian of mu over (S, a, lam), shape (n, 2n+1).
 
-    `linalg.central_difference`, at order 2 with step 1e-6, differentiates
-    mu_i = lam_i + f_i, each f_i evaluated once over all taps.  Rank n
-    certifies the fiber is a smooth (n+1)-dimensional level set.
+    `exprlang.derivative` differentiates each f_i of `mu.program.exprs`
+    along S, a1..an and l1..ln, and one program evaluates all n(2n+1)
+    partials at p; mu_i = lam_i + f_i adds the identity on the lam block.
+    Rank n certifies the fiber is a smooth (n+1)-dimensional level set.
     """
     _agree_on_n("extension and point", mu.n, p.n)
     n = p.n
-
-    def mu_values(coords: np.ndarray) -> np.ndarray:
-        lam = coords[..., n + 1 :]
-        env = _point_env(coords[..., 0], coords[..., 1 : n + 1], lam)
-        return lam + np.stack(list(mu.program.run(env)), axis=-1)
-
-    coords = np.concatenate(([p.S], p.a, p.lam))
-    return central_difference(mu_values, coords, 1e-6, 2).T
+    coords = exprlang.allowed_variables(n)[1:]  # S, a1..an, l1..ln
+    partials = [exprlang.derivative(f, v) for f in mu.program.exprs for v in coords]
+    values = exprlang.Program(partials).run(_point_env(p.S, p.a, p.lam))
+    jac = np.reshape(list(values), (n, 2 * n + 1))
+    jac[:, n + 1 :] += np.eye(n)
+    return jac
 
 
 def equilibrium_point(obs: ObservableSet, c) -> ThermoPoint:

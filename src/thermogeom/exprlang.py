@@ -24,7 +24,13 @@ one the first failing expression raises alone.
 holder of user fields (connection, g_M metric, mu extension) and every
 config path builds its program there, once, parsing each slot against the
 variables that slot may read, and `numbered` names the slots of a list of
-texts.  `eval_expr` runs a program over one expression.
+texts.  A program keeps its expressions as `Program.exprs`, and
+`derivative` differentiates one symbolically; its result reuses the
+expression's own subtrees, so a program over both shares their registers.
+A derivative fails where its rule does, as any operation fails: d|a| =
+da a/|a| divides by zero at a = 0, and so do min and max, read as
+(a + b -/+ |a - b|)/2, at a tie.  `eval_expr` runs a program over one
+expression.
 """
 
 from __future__ import annotations
@@ -58,6 +64,7 @@ __all__ = [
     "numbered",
     "compile_fields",
     "Program",
+    "derivative",
     "eval_expr",
     "pretty",
 ]
@@ -119,8 +126,10 @@ _NEG = 3
 # The deepest level a token may sit at.  The whole text is level 1; each
 # bracket, unary minus and operator right-hand side opens a level, and each
 # operator of a chain pushes its left operand a level down, so a sum has at
-# most MAX_DEPTH terms.  Parsing, `Program` and `pretty` recurse at most
-# twice a level, well inside Python's default recursion limit of 1000.
+# most MAX_DEPTH terms.  Parsing recurses at most twice a level, and
+# `derivative`, `Program` and `pretty` once a node; a derivative nests at
+# most about twice as deep as its text (the product rule puts da two nodes
+# down), so every walk stays inside Python's default recursion limit of 1000.
 MAX_DEPTH = 300
 
 
@@ -365,7 +374,7 @@ def _failed(fn, node: Expr, env, args: tuple):
 
 
 class Program:
-    """One straight-line program computing a tuple of expressions.
+    """One straight-line program computing a tuple of expressions, kept as `exprs`.
 
     An instruction is keyed by its operation, payload and argument registers
     (a constant by its float bits, so 0.0 and -0.0 stay apart): equal
@@ -373,17 +382,23 @@ class Program:
     expression in turn, and a register is dropped after its last reader.
     """
 
-    __slots__ = ("_registers", "_segments")
+    __slots__ = ("exprs", "_registers", "_segments")
 
     def __init__(self, exprs: Sequence[Expr]) -> None:
+        self.exprs = tuple(exprs)
         registers: list = []  # a constant's value; None where an instruction writes
         numbering: dict[tuple, int] = {}
+        reg_of: dict[int, int] = {}  # id of a node numbered so far -> its register
         # [function, node, argument registers a and b (or None), register
         # written, registers dropped after it]
         code: list[list] = []
         last: dict[int, list] = {}  # register -> the drop list of its last reader
 
         def number(e: Expr) -> int:
+            # a derivative reuses node objects: each is numbered once
+            reg = reg_of.get(id(e))
+            if reg is not None:
+                return reg
             kind = type(e)
             if kind is Num:
                 key = (Num, type(e.value), struct.pack("<d", e.value))
@@ -396,20 +411,20 @@ class Program:
             else:
                 key = (e.func, *map(number, e.args))
             reg = numbering.get(key)
-            if reg is not None:
-                return reg
-            reg = numbering[key] = len(registers)
-            registers.append(e.value if kind is Num else None)
-            if kind is Var:
-                code.append([_var, e, None, None, reg, []])
-            elif kind is not Num:
-                op, a, b = (*key, None)[:3]
-                code.append([_UFUNCS[op], e, a, b, reg, []])
-                last[a] = last[b] = code[-1][5]
+            if reg is None:
+                reg = numbering[key] = len(registers)
+                registers.append(e.value if kind is Num else None)
+                if kind is Var:
+                    code.append([_var, e, None, None, reg, []])
+                elif kind is not Num:
+                    op, a, b = (*key, None)[:3]
+                    code.append([_UFUNCS[op], e, a, b, reg, []])
+                    last[a] = last[b] = code[-1][5]
+            reg_of[id(e)] = reg
             return reg
 
         segments = []  # (instructions, output register, dropped after the output)
-        for e in exprs:
+        for e in self.exprs:
             start = len(code)
             out = number(e)
             segments.append((code[start:], out, []))
@@ -507,6 +522,104 @@ def eval_expr(e: Expr, env: Mapping[str, float | np.ndarray]) -> float | np.ndar
     return next(Program((e,)).run(env))
 
 
+def _is(e: Expr, value: float) -> bool:
+    return type(e) is Num and e.value == value
+
+
+def _add(a: Expr, b: Expr) -> Expr:
+    return b if _is(a, 0.0) else a if _is(b, 0.0) else BinOp("+", a, b)
+
+
+def _sub(a: Expr, b: Expr) -> Expr:
+    if _is(b, 0.0):
+        return a
+    return Neg(b) if _is(a, 0.0) else BinOp("-", a, b)
+
+
+def _mul(a: Expr, b: Expr) -> Expr:
+    if _is(a, 0.0) or _is(b, 0.0):
+        return Num(0.0)
+    return b if _is(a, 1.0) else a if _is(b, 1.0) else BinOp("*", a, b)
+
+
+def _div(a: Expr, b: Expr) -> Expr:
+    return a if _is(a, 0.0) or _is(b, 1.0) else BinOp("/", a, b)
+
+
+def _tie_weights(a: Expr, b: Expr) -> tuple[Expr, Expr]:
+    """(1 + s)/2 and (1 - s)/2 for s = (a - b)/|a - b|, which divides by zero at a tie.
+
+    They are max's partials in a and b, and min's in b and a.
+    """
+    gap = BinOp("-", a, b)
+    s = BinOp("/", gap, Call("abs", (gap,)))
+    return (
+        BinOp("*", Num(0.5), BinOp("+", Num(1.0), s)),
+        BinOp("*", Num(0.5), BinOp("-", Num(1.0), s)),
+    )
+
+
+# the partial derivatives of each function, one per argument, given the
+# call itself and its arguments
+_PARTIALS = {
+    "exp": lambda e, x: (e,),
+    "log": lambda e, x: (BinOp("/", Num(1.0), x),),
+    "sqrt": lambda e, x: (BinOp("/", Num(0.5), e),),
+    "sin": lambda e, x: (Call("cos", (x,)),),
+    "cos": lambda e, x: (Neg(Call("sin", (x,))),),
+    "sinh": lambda e, x: (Call("cosh", (x,)),),
+    "cosh": lambda e, x: (Call("sinh", (x,)),),
+    "tanh": lambda e, x: (BinOp("-", Num(1.0), BinOp("*", e, e)),),
+    "abs": lambda e, x: (BinOp("/", x, e),),
+    "min": lambda e, a, b: _tie_weights(a, b)[::-1],
+    "max": lambda e, a, b: _tie_weights(a, b),
+    # the log term is dropped, by the zero it is multiplied by, where b is constant
+    "pow": lambda e, a, b: (
+        BinOp("*", b, BinOp("^", a, BinOp("-", b, Num(1.0)))),
+        BinOp("*", e, Call("log", (a,))),
+    ),
+}
+
+
+def derivative(e: Expr, var: str) -> Expr:
+    """The symbolic partial derivative de/d(var), built from e's own subtrees.
+
+    Only literal 0 and 1 are folded (0 + x, 1 * x, 0 * x, 0 / x, x / 1),
+    so a variable e does not read differentiates to Num(0.0).  The quotient
+    rule reuses the quotient, d(a/b) = (da - (a/b) db)/b, and a power a^b
+    takes the log term b' a^b log(a) only where b varies.  Where a rule
+    divides by zero or raises zero to a negative power (|a| at a = 0, min
+    or max at a tie, sqrt(a) and a^b with b < 1 at a = 0) the program
+    raises `ExprDomainError`, as it does for any other operation.
+    """
+    kind = type(e)
+    if kind is Num:
+        return Num(0.0)
+    if kind is Var:
+        return Num(1.0 if e.name == var else 0.0)
+    if kind is Neg:
+        return _sub(Num(0.0), derivative(e.arg, var))
+    if kind is BinOp:
+        a, b = e.left, e.right
+        da, db = derivative(a, var), derivative(b, var)
+        if e.op == "+":
+            return _add(da, db)
+        if e.op == "-":
+            return _sub(da, db)
+        if e.op == "*":
+            return _add(_mul(da, b), _mul(a, db))
+        if e.op == "/":
+            return _div(_sub(da, _mul(e, db)), b)
+        args, partials = (a, b), (da, db)
+    else:
+        args = e.args
+        partials = tuple(derivative(x, var) for x in args)
+    total: Expr = Num(0.0)
+    for weight, d in zip(_PARTIALS["pow" if kind is BinOp else e.func](e, *args), partials):
+        total = _add(total, _mul(weight, d))
+    return total
+
+
 # precedence levels for printing
 _LVL_ADD, _LVL_MUL, _LVL_NEG, _LVL_POW, _LVL_ATOM = 1, 2, 3, 4, 5
 
@@ -523,8 +636,7 @@ def _level(e: Expr) -> int:
     return _LVL_ATOM
 
 
-def _wrap(e: Expr, need_parens: bool) -> str:
-    s = pretty(e)
+def _paren(s: str, need_parens: bool) -> str:
     return f"({s})" if need_parens else s
 
 
@@ -535,14 +647,14 @@ def pretty(e: Expr) -> str:
     if isinstance(e, Var):
         return e.name
     if isinstance(e, Neg):
-        return "-" + _wrap(e.arg, _level(e.arg) < _LVL_NEG)
+        return "-" + _paren(pretty(e.arg), _level(e.arg) < _LVL_NEG)
     if isinstance(e, BinOp):
         if e.op == "^":
-            left = _wrap(e.left, _level(e.left) <= _LVL_POW)
-            right = _wrap(e.right, _level(e.right) < _LVL_NEG)
+            left = _paren(pretty(e.left), _level(e.left) <= _LVL_POW)
+            right = _paren(pretty(e.right), _level(e.right) < _LVL_NEG)
             return f"{left}^{right}"
         lvl = _LVL_ADD if e.op in "+-" else _LVL_MUL
-        left = _wrap(e.left, _level(e.left) < lvl)
-        right = _wrap(e.right, _level(e.right) <= lvl)
+        left = _paren(pretty(e.left), _level(e.left) < lvl)
+        right = _paren(pretty(e.right), _level(e.right) <= lvl)
         return f"{left}{e.op}{right}"
     return f"{e.func}({', '.join(map(pretty, e.args))})"

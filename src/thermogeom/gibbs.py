@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ParameterRangeError, ValidationError
 from .inputs import points, vector
-from .linalg import DensityOperator, HermitianOperator, central_difference
+from .linalg import CENTRAL_STENCILS, DensityOperator, HermitianOperator, central_difference
 
 __all__ = [
     "LAMBDA_GUARD",
@@ -34,6 +34,8 @@ __all__ = [
 
 LAMBDA_GUARD = 1e3
 _INDEPENDENCE_RTOL = 1e-10
+# step and order of the central difference of -ln Z
+_CONSISTENCY_STENCIL = (1e-4, 2)
 
 
 class ObservableSet:
@@ -193,20 +195,37 @@ def gibbs_point(obs: ObservableSet, lam) -> GibbsPoint:
     )
 
 
+def _tap_room(lams: np.ndarray, step: float, order: int) -> np.ndarray:
+    """lams, refused where a point within LAMBDA_GUARD has a central-difference tap past it.
+
+    The taps of `linalg.central_difference` at this step and order lie up
+    to the stencil's reach, its largest offset times step, from each point.
+    """
+    reach = CENTRAL_STENCILS[order][0][-1] * step
+    worst = float(np.abs(lams).max(initial=0.0))
+    if worst <= LAMBDA_GUARD < worst + reach:
+        raise ValidationError(
+            f"|lambda| = {worst!r} is within the stencil reach {reach:g} of the overflow "
+            f"guard {LAMBDA_GUARD:g}, so the finite-difference taps would cross it"
+        )
+    return lams
+
+
 def expectation_consistency(obs: ObservableSet, lam) -> float:
     """Max deviation of a_i from the central difference of -ln Z.
 
     Check of the equilibrium consistency condition a_i = -d ln Z / d lam_i
     through `linalg.central_difference` at order 2 with step 1e-4, whose
-    taps go to one `gibbs_batch` call.
+    taps go to one `gibbs_batch` call; a lam within 1e-4 of LAMBDA_GUARD
+    raises `ValidationError`, since its taps would cross the guard.
     """
-    lam = vector(lam, observables(obs).n, "lam")
+    lam = _tap_room(vector(lam, observables(obs).n, "lam"), *_CONSISTENCY_STENCIL)
     point = gibbs_point(obs, lam)
 
     def neg_log_z(taps: np.ndarray) -> np.ndarray:
         return -gibbs_batch(obs, taps.reshape(-1, obs.n)).log_Z.reshape(taps.shape[:-1])
 
-    fd = central_difference(neg_log_z, lam, 1e-4, 2)
+    fd = central_difference(neg_log_z, lam, *_CONSISTENCY_STENCIL)
     return float(np.max(np.abs(point.a - fd)))
 
 

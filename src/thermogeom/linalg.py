@@ -36,21 +36,19 @@ CENTRAL_STENCILS = {
 }
 
 
-def central_difference(f, x, step: float, order: int, axes=None) -> np.ndarray:
+def central_difference(f, x, step: float, order: int) -> np.ndarray:
     """Central first derivatives of f at the points x of shape (..., n).
 
     f maps points of shape (..., n) to values of shape (..., *out).  The
-    taps of every point along every coordinate in `axes` (default: all n)
-    form one array of shape (..., len(axes), taps, n), so f is called once.
-    The result has shape (..., len(axes), *out); entry [..., a, ...] is the
-    derivative along coordinate axes[a].
+    taps of every point along every coordinate form one array of shape
+    (..., n, taps, n), so f is called once.  The result has shape
+    (..., n, *out); entry [..., a, ...] is the derivative along coordinate a.
     """
     offsets, weights, denom = CENTRAL_STENCILS[order]
     x = np.asarray(x, dtype=float)
-    axes = np.arange(x.shape[-1]) if axes is None else np.asarray(axes)
-    shape = (*x.shape[:-1], axes.size, offsets.size, x.shape[-1])
-    taps = np.broadcast_to(x[..., None, None, :], shape).copy()
-    taps[..., np.arange(axes.size), :, axes] += offsets * step
+    n = x.shape[-1]
+    taps = np.broadcast_to(x[..., None, None, :], (*x.shape[:-1], n, offsets.size, n)).copy()
+    taps[..., np.arange(n), :, np.arange(n)] += offsets * step
     vals = np.moveaxis(f(taps), x.ndim, -1)
     return (vals @ weights) / (denom * step)
 

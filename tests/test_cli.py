@@ -445,6 +445,9 @@ INVALID_EDITS = {
     "flatness_tol_negative": ("flatness", lambda s: s.update(tol=-1)),
     "section_kappa_negative": ("entropy_production", lambda s: s.update(kappa=-1)),
     "contact_grid_empty": ("contact_check", lambda s: s["grid"].update(num=[0])),
+    # within the guard, but within the Legendrian stencil's reach (2e-5) of it
+    "contact_grid_stop_at_tap_reach": ("contact_check", lambda s: s["grid"].update(stop=[999.99999])),
+    "contact_grid_start_at_tap_reach": ("contact_check", lambda s: s["grid"].update(start=[-999.99999])),
     "flatness_grid_empty": ("flatness", lambda s: s["grid"].update(num=[0, 5])),
     # the grid's step overflows, so its points are not finite
     "grid_span_overflows": ("metric", lambda s: s["grid"].update(start=[-1.7e308], stop=[1.7e308])),
@@ -579,6 +582,18 @@ def test_overflowing_field_exits_3(tmp_path, capsys):
     assert "overflow in 'l1*1e+308*10.0'" in capsys.readouterr().err
 
 
+def test_curvature_at_a_kink_exits_3(tmp_path, capsys):
+    # |l1| has no derivative at l1 = 0, which the shipped flatness grid contains
+    doc = shipped_config("flatness")
+    doc["connection"]["h"] = ["0", "abs(l1)"]
+    cfg = write_config(tmp_path, "cfg.json", doc)
+    out = tmp_path / "artifact"
+    assert run(["flatness", "--config", cfg, "--validate"]) == 0
+    assert run(["flatness", "--config", cfg, "--out", out]) == 3
+    assert not out.exists()
+    assert "division by zero in 'l1/abs(l1)' (operand 0.0 at l1=0.0, l2=-1.0)" in capsys.readouterr().err
+
+
 def _holonomy_quotient_overflow():
     # g_S is above its floor and h is finite, but h / g_S overflows
     doc = shipped_config("holonomy")
@@ -598,7 +613,12 @@ def _metric_scaled_qubit():
 @pytest.mark.parametrize(
     "command, config, message",
     [
-        ("holonomy", _holonomy_quotient_overflow, "holonomy: overflow encountered in divide"),
+        # the quotient is a node of the spec's program: the evaluator names it and the point
+        (
+            "holonomy",
+            _holonomy_quotient_overflow,
+            "overflow in '1e+300*l1/1e-11' (operand 1.5625e+298 at l1=0.015625, l2=0.0)",
+        ),
         ("metric", _metric_scaled_qubit, "metric: overflow encountered in"),
     ],
     ids=["holonomy-quotient", "metric-scaled-qubit"],

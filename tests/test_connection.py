@@ -17,6 +17,7 @@ from thermogeom.connection import (
 )
 from thermogeom.contact import MMetricSpec, ThermoPoint, fiber_path_length
 from thermogeom.errors import DegenerateMetricError, ValidationError
+from thermogeom.exprlang import MAX_DEPTH
 from thermogeom.processes import ParamPath
 
 
@@ -111,6 +112,24 @@ class TestCurvature:
         with pytest.raises(ValidationError):
             curvature(spec, [0.0], 0, 0)
 
+    @pytest.mark.parametrize("l1", [3e-5, 1.5e-5])
+    def test_exact_near_a_singularity(self, l1):
+        # R_12 = 1/l1; a difference at step 1e-5 read 32 798 for 33 333 at 3e-5,
+        # and at 1.5e-5 evaluated log at l1 = -5e-6
+        r = curvature(spec2(h=("0", "log(l1)")), [l1, 0.5], 0, 1)
+        assert abs(r - 1.0 / l1) <= 4 * np.spacing(1.0 / l1)
+
+    def test_exactly_antisymmetric(self):
+        for k, l in [(0, 1), (0, 2), (1, 2)]:
+            r_kl, r_lk = curvature(CURVED3, POINTS3, k, l), curvature(CURVED3, POINTS3, l, k)
+            assert (-r_kl).tobytes() == r_lk.tobytes()
+
+    def test_g_S_is_checked_before_R(self):
+        # R_12 = 1/l1 fails at l1 = 0 too, but g_S = l1 is degenerate there first
+        spec = spec2(g_S="l1", h=("0", "l1*log(l1)"))
+        with pytest.raises(DegenerateMetricError, match=r"\[0\.0, 1\.0\]"):
+            curvature(spec, np.array([[1.0, 1.0], [0.0, 1.0]]), 0, 1)
+
 
 class TestHolonomy:
     def test_flat_spec_any_loop(self):
@@ -148,6 +167,15 @@ class TestHolonomy:
         spec = spec2(h=("0", "l1*l2"))  # R = l2, integral over square = 1/2
         result = holonomy_via_curvature(spec, [0, 0], [1, 1], 0, 1, grid=(64, 64))
         assert result.dS == pytest.approx(-0.5, abs=1e-6)
+
+    def test_curvature_integral_next_to_a_log_singularity(self):
+        # the lift gives -ln(1e5) exactly; the trapezoid of R = 1/l1 is coarse
+        # there, but every node it evaluates lies inside the rectangle
+        spec = spec2(h=("0", "log(l1)"))
+        lift = holonomy_via_lift(spec, rectangle_loop([1e-5, 0.0], [1.0, 1.0]), point([1e-5, 0.0]))
+        surf = holonomy_via_curvature(spec, [1e-5, 0.0], [1.0, 1.0])
+        assert lift.dS == pytest.approx(-math.log(1e5), rel=1e-12)
+        assert surf.dS < lift.dS < 0.0
 
     def test_zero_area_rectangle(self):
         spec = spec2(h=("0", "l1"))
@@ -431,3 +459,34 @@ class TestBatchedMatchesPointwise:
         p0 = point(loop.path.samples[0])
         s = sequential_lift(CURVED3, loop.path, 0.0)
         assert holonomy_via_lift(CURVED3, loop, p0).dS == pytest.approx(s[-1] - s[0], abs=1e-13)
+
+
+# texts at the parser's nesting bound, whose derivatives nest deeper still
+_D = MAX_DEPTH
+DEEP_CHAINS = {
+    "product": ("*".join(["l1"] * _D), lambda x: _D * x ** (_D - 1)),
+    "quotient": ("/".join(["l1"] * _D), lambda x: (2 - _D) * x ** (1 - _D)),
+    "exp-log": ("exp(log(" * ((_D - 1) // 2) + "l1" + "))" * ((_D - 1) // 2), lambda x: 1.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEEP_CHAINS))
+def test_curvature_map_of_a_chain_at_max_depth(name, tmp_path):
+    text, slope = DEEP_CHAINS[name]
+    doc = {
+        "observables": {
+            "dim": 2,
+            "observables": [
+                {"name": "z", "matrix": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-1.0, 0.0]]]},
+                {"name": "x", "matrix": [[[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]]},
+            ],
+        },
+        "connection": {"g_S": "1", "h": ["0", text]},
+        "curvature_map": {"grid": {"start": [0.99, 0.0], "stop": [1.01, 1.0], "num": [3, 2]}},
+    }
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "map.json"
+    assert main(["curvature-map", "--config", str(cfg), "--out", str(out)]) == 0
+    rows = np.array(json.loads(out.read_text())["rows"])
+    np.testing.assert_allclose(rows[:, 2], [slope(x) for x in rows[:, 0]], rtol=1e-12)

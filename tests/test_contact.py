@@ -214,6 +214,16 @@ class TestLegendrianResidual:
         with pytest.raises(ValidationError, match="0 points; it needs at least 1"):
             legendrian_residual(QUBIT, np.zeros((0, 1)))
 
+    @pytest.mark.parametrize("lam", [999.99999, -999.99999])
+    def test_taps_may_not_cross_the_guard(self, lam):
+        # the point itself is within the guard, its taps at +-2e-5 are not
+        gibbs_point(QUBIT, [lam])
+        with pytest.raises(ValidationError, match="within the stencil reach 2e-05 of the overflow guard"):
+            legendrian_residual(QUBIT, [[0.5], [lam]])
+
+    def test_taps_may_reach_the_guard(self):
+        assert legendrian_residual(QUBIT, [[999.99998], [-999.99998]]) < 1e-8
+
 
 class TestMuExtension:
     def test_zero_extension_validates(self):
@@ -296,7 +306,7 @@ class TestFiberMembership:
                 [0.0, np.exp(0.1), 0.0, np.exp(-np.tanh(0.5)) * sech2[0], 1.0],
             ]
         )
-        np.testing.assert_allclose(mu_jacobian(mu, p), expect, rtol=0.0, atol=1e-9)
+        np.testing.assert_allclose(mu_jacobian(mu, p), expect, rtol=1e-14, atol=0.0)
 
 
 class TestEquilibriumPoint:

@@ -24,6 +24,7 @@ from thermogeom.exprlang import (
     Program,
     Var,
     compile_fields,
+    derivative,
     eval_expr,
     numbered,
     parse,
@@ -539,3 +540,151 @@ def test_each_register_is_dropped_after_its_last_reader():
     assert (out, dropped) == (total, [total])
     # the second expression only reads l2, which lives until it is output
     assert (steps2, out2, dropped2) == ([], l2, [l2])
+
+
+# ---- symbolic derivatives ----------------------------------------------------
+
+
+def test_every_function_has_a_derivative_rule():
+    assert set(exprlang._PARTIALS) == set(exprlang._FUNCTIONS)
+    x, y = Var("l1"), Var("l2")
+    for func, arity in exprlang._FUNCTIONS.items():
+        args = (x, y)[:arity]
+        assert len(exprlang._PARTIALS[func](Call(func, args), *args)) == arity
+
+
+def _derivative_at(text, var, **env):
+    return eval_expr(derivative(parse(text, 2), var), env)
+
+
+@pytest.mark.parametrize(
+    "text, var, env, expect",
+    [
+        ("l1^3", "l1", {"l1": 2.0}, 12.0),
+        ("l2^l1", "l1", {"l1": 0.5, "l2": 4.0}, 2.0 * math.log(4.0)),
+        ("l1/l2", "l2", {"l1": 3.0, "l2": 2.0}, -0.75),
+        ("sqrt(l1)", "l1", {"l1": 4.0}, 0.25),
+        ("abs(l1)", "l1", {"l1": -3.0}, -1.0),
+        ("min(l1, l2)", "l1", {"l1": 1.0, "l2": 2.0}, 1.0),
+        ("min(l1, l2)", "l2", {"l1": 1.0, "l2": 2.0}, 0.0),
+        ("max(l1, l2)", "l1", {"l1": 1.0, "l2": 2.0}, 0.0),
+        ("-cos(l1)", "l1", {"l1": 0.5}, math.sin(0.5)),
+        ("l2*sinh(l1)", "l1", {"l1": 0.5, "l2": 3.0}, 3.0 * math.cosh(0.5)),
+    ],
+)
+def test_derivative_rules(text, var, env, expect):
+    assert _derivative_at(text, var, **env) == pytest.approx(expect, rel=1e-15, abs=0.0)
+
+
+def test_derivative_folds_only_literal_zero_and_one():
+    assert derivative(parse("l2*sin(l2)+3", 2), "l1") == Num(0.0)
+    assert derivative(parse("l1*l2", 2), "l1") == Var("l2")
+    # the quotient rule reuses the quotient node itself
+    quotient = parse("sin(l1)/l2", 2)
+    assert derivative(quotient, "l2") == BinOp("/", Neg(quotient), Var("l2"))
+    # a constant exponent takes no log term; 2.0 - 1.0 is left to the program
+    assert pretty(derivative(parse("l1^2", 2), "l1")) == "2.0*l1^(2.0-1.0)"
+
+
+@pytest.mark.parametrize(
+    "text, env, what",
+    [
+        ("abs(l1)", {"l1": 0.0}, "division by zero in 'l1/abs(l1)'"),
+        ("max(l1, l2)", {"l1": 0.5, "l2": 0.5}, "division by zero in '(l1-l2)/abs(l1-l2)'"),
+        ("min(l1, 2*l2)", {"l1": 1.0, "l2": 0.5}, "division by zero"),
+        ("sqrt(l1)", {"l1": 0.0}, "division by zero in '0.5/sqrt(l1)'"),
+        ("l1^0.5", {"l1": 0.0}, "zero raised to a negative power"),
+    ],
+)
+def test_a_kink_is_a_domain_error(text, env, what):
+    # the value is defined there, the derivative is not
+    eval_expr(parse(text, 2), env)
+    with pytest.raises(ExprDomainError, match=re.escape(what)):
+        _derivative_at(text, "l1", **env)
+
+
+def test_derivative_shares_the_primal_registers():
+    e = parse("exp(sin(l1)*l2)", 2)
+    d = derivative(e, "l1")
+    # exp(..)*(cos(l1)*l2): only cos(l1), the product with l2 and the outer product are new
+    assert len(Program([e, d])) == len(Program([e])) + 3
+
+
+# nodes at which a sign change of the value makes e kinked or singular
+def _kink_sites(e):
+    if isinstance(e, BinOp):
+        yield from _kink_sites(e.left)
+        yield from _kink_sites(e.right)
+        if e.op == "/":
+            yield e.right
+        elif e.op == "^":
+            yield e.left
+    elif isinstance(e, Neg):
+        yield from _kink_sites(e.arg)
+    elif isinstance(e, Call):
+        for a in e.args:
+            yield from _kink_sites(a)
+        if e.func in ("abs", "pow", "log", "sqrt"):
+            yield e.args[0]
+        elif e.func in ("min", "max"):
+            yield BinOp("-", *e.args)
+
+
+_STEPS = np.array([-2.0, -1.0, 1.0, 2.0])
+
+
+def _central_difference(e, env, var, h):
+    v = np.broadcast_to(eval_expr(e, {**env, var: env[var] + h * _STEPS}), (4,))
+    # differences first: the values may be too large to weight
+    return (8.0 * (v[2] - v[1]) - (v[3] - v[0])) / (12.0 * h), float(np.max(np.abs(v)))
+
+
+@settings(max_examples=1000, derandomize=True, deadline=None, database=None)
+@given(_EXPRS, st.floats(-3.0, 3.0), st.floats(-3.0, 3.0), st.booleans())
+def test_derivative_matches_a_central_difference(e, l1, l2, second):
+    # along a variable that e reads, where there is one
+    text = pretty(e)
+    var = "l2" if "l2" in text and (second or "l1" not in text) else "l1"
+    env = {"l1": l1, "l2": l2}
+    h = 1e-3
+    span = {**env, var: env[var] + 2.0 * h * np.linspace(-1.0, 1.0, 65)}
+    # the differences of values near the float range may overflow: such a case is skipped
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            exact = eval_expr(derivative(e, var), env)
+            coarse, _ = _central_difference(e, env, var, h)
+            fine, scale = _central_difference(e, env, var, h / 2)
+            # no kink or pole within the taps, where a difference says nothing
+            smooth = all(
+                np.all(v > 0.0) or np.all(v < 0.0)
+                for v in (np.broadcast_to(eval_expr(site, span), (65,)) for site in _kink_sites(e))
+            )
+        except ExprDomainError:
+            smooth = False
+        if not (smooth and np.isfinite(coarse) and np.isfinite(fine)):
+            return
+        # the truncation error of the finer difference, by Richardson, and its
+        # roundoff, relative and at the subnormal range
+        eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
+        tol = 2.0 * abs(coarse - fine) + 1e3 * eps * (scale / h + abs(exact)) + tiny / h
+        assert abs(exact - fine) <= tol
+
+
+# chains at the nesting bound whose derivatives nest about twice as deep
+_D_CHAINS = {
+    "product": "*".join(["l1"] * _D),
+    "quotient": "/".join(["l1"] * _D),
+    "power": "^".join(["l1"] * _D),
+    "max": "max(0.5*l1, " * (_D - 2) + "l1" + ")" * (_D - 2),
+    "sin": "sin(" * (_D - 1) + "l1" + ")" * (_D - 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_D_CHAINS))
+def test_chains_at_max_depth_differentiate_compile_and_print(name):
+    e = parse(_D_CHAINS[name], 1)
+    d = derivative(e, "l1")
+    _, exact = Program([e, d]).run({"l1": np.array([0.9, 1.001, 1.1])})
+    fine, _ = _central_difference(e, {"l1": 1.001}, "l1", 1e-6)
+    assert exact[1] == pytest.approx(fine, rel=1e-6)
+    assert len(pretty(d)) > len(_D_CHAINS[name])

@@ -195,6 +195,16 @@ class TestExpectationConsistency:
     def test_qutrit(self):
         assert expectation_consistency(QUTRIT, [0.2]) < 1e-6
 
+    @pytest.mark.parametrize("lam", [999.99995, -999.99995, 1000.0])
+    def test_taps_may_not_cross_the_guard(self, lam):
+        # the point itself is within the guard, its taps at +-1e-4 are not
+        gibbs_point(QUBIT, [lam])
+        with pytest.raises(ValidationError, match="within the stencil reach 0.0001 of the overflow guard"):
+            expectation_consistency(QUBIT, [lam])
+
+    def test_taps_may_reach_the_guard(self):
+        assert expectation_consistency(QUBIT, [999.9999]) < 1e-8
+
 
 class TestInjectivityDiagnostic:
     def test_redundant_pair_is_rank_deficient(self):

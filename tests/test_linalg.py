@@ -1,3 +1,7 @@
+import ast
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -154,14 +158,11 @@ class TestCentralDifference:
         # order 2 is not: its truncation error shows at this step
         assert np.max(np.abs(central_difference(self.quartic, self.X, 0.1, 2) - d)) > 1e-3
 
-    def test_axes_subset_and_single_point(self):
+    def test_single_point(self):
         full = central_difference(self.quartic, self.X, 1e-3, 4)
-        sub = central_difference(self.quartic, self.X, 1e-3, 4, axes=(2, 0))
-        assert sub.shape == (4, 5, 2, 2)
-        assert np.array_equal(sub, full[..., [2, 0], :])
-        one = central_difference(self.quartic, self.X[1, 2], 1e-3, 4, axes=[1])
-        assert one.shape == (1, 2)
-        assert np.array_equal(one, full[1, 2, [1]])
+        one = central_difference(self.quartic, self.X[1, 2], 1e-3, 4)
+        assert one.shape == (3, 2)
+        assert np.array_equal(one, full[1, 2])
 
     def test_f_is_called_once_on_every_tap(self):
         shapes = []
@@ -170,8 +171,8 @@ class TestCentralDifference:
             shapes.append(taps.shape)
             return self.quadratic(taps)
 
-        central_difference(f, self.X, 1e-4, 4, axes=(0, 2))
-        assert shapes == [(4, 5, 2, 4, 3)]
+        central_difference(f, self.X, 1e-4, 4)
+        assert shapes == [(4, 5, 3, 4, 3)]
 
     def test_taps_move_one_coordinate(self):
         seen = []
@@ -180,6 +181,45 @@ class TestCentralDifference:
             seen.append(taps.copy())
             return taps[..., 0]
 
-        central_difference(f, np.array([1.0, 0.0, 2.0]), 0.5, 4, axes=(1,))
-        expect = np.array([[[1.0, -1.0, 2.0], [1.0, -0.5, 2.0], [1.0, 0.5, 2.0], [1.0, 1.0, 2.0]]])
-        assert np.array_equal(seen[0], expect)
+        central_difference(f, np.array([1.0, 0.0, 2.0]), 0.5, 4)
+        expect = np.array([[1.0, -1.0, 2.0], [1.0, -0.5, 2.0], [1.0, 0.5, 2.0], [1.0, 1.0, 2.0]])
+        assert seen[0].shape == (3, 4, 3)
+        assert np.array_equal(seen[0][1], expect)
+        assert np.array_equal(seen[0][[0, 2], :, 1], np.zeros((2, 4)))
+
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "thermogeom"
+
+
+def _central_difference_callers() -> set[str]:
+    """module.function for each top-level function or method that calls central_difference."""
+    callers = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        defs = [d for d in tree.body if isinstance(d, ast.FunctionDef)]
+        for cls in (c for c in tree.body if isinstance(c, ast.ClassDef)):
+            defs += [d for d in cls.body if isinstance(d, ast.FunctionDef)]
+        for d in defs:
+            for node in ast.walk(d):
+                if isinstance(node, ast.Call) and "central_difference" in (
+                    getattr(node.func, "id", None), getattr(node.func, "attr", None)
+                ):
+                    callers.add(f"{path.stem}.{d.name}")
+    return callers
+
+
+def test_finite_differences_are_the_two_black_box_checks():
+    callers = _central_difference_callers()
+    assert callers == {"contact.legendrian_residual", "gibbs.expectation_consistency"}
+    # and README's finite-difference paragraph names exactly them
+    readme = (SRC.parents[1] / "README.md").read_text(encoding="utf-8")
+    start = readme.index("The remaining finite differences")
+    paragraph = readme[start : readme.index("\n\n", start)]
+    functions = {
+        d.name
+        for path in SRC.glob("*.py")
+        for d in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(d, ast.FunctionDef)
+    }
+    named = set(re.findall(r"`(\w+)`", paragraph)) & functions
+    assert named == {c.split(".")[1] for c in callers}
