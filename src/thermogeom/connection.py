@@ -10,16 +10,17 @@ recovered as minus the curvature flux through a spanning rectangle
 
 Every layer is batched over points.  A `ConnectionSpec` holds n and one
 program over [g_S, Gamma^1, ..., Gamma^n], built by `ConnectionSpec.parsed`
-from the texts of g_S and the h_k through `exprlang.compile_fields`, with
-each Gamma^k = h_k / g_S a node of the program: a subtree shared between
-g_S and the h_k (as in an exact h_k = g_S d_k phi) is evaluated once per
-call, and an overflow in a quotient names its node and point.
-`ConnectionSpec.gamma` maps lam of shape (..., n) to (..., n) with one run
-of it, checking g_S before any Gamma^k is evaluated.  The curvature of a
-plane is the program [g_S, R_kl] that `exprlang.derivative` makes of the
-same expressions, compiled on the plane's first use and kept on the spec,
-so it is exact up to rounding and evaluates no point but those asked for.
-A lift makes one gamma call for its samples and midpoints.
+from the texts of g_S and the h_k, parsed as `exprlang.compile_fields`
+parses its slots and compiled once, with each Gamma^k = h_k / g_S a node
+of the program: a subtree shared between g_S and the h_k (as in an exact
+h_k = g_S d_k phi) is evaluated once per call, and an overflow in a
+quotient names its node and point.  `ConnectionSpec.gamma` maps lam of
+shape (..., n) to (..., n) with one run of it, checking g_S before any
+Gamma^k is evaluated.  The curvature of a plane is the program
+[g_S, R_kl] that `exprlang.derivative` makes of the same expressions,
+compiled on the plane's first use and kept on the spec, so it is exact up
+to rounding and evaluates no point but those asked for.  A lift makes one
+gamma call for its samples and midpoints.
 """
 
 from __future__ import annotations
@@ -73,7 +74,7 @@ class ConnectionSpec:
         """The fields from their texts: g_S and h1..hn may read l1..ln only."""
         n = count(n, "n", 1)
         fields = {"g_S": g_S, **exprlang.numbered("h", h, n)}
-        g, *hs = exprlang.compile_fields(fields, n, {f"l{i}" for i in range(1, n + 1)}).exprs
+        g, *hs = exprlang._parse_fields(fields, n, {f"l{i}" for i in range(1, n + 1)})
         return cls(n, exprlang.Program([g, *(exprlang.BinOp("/", h_k, g) for h_k in hs)]))
 
     def _run(self, program: exprlang.Program, lam: np.ndarray) -> list[np.ndarray]:

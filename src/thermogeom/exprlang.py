@@ -21,16 +21,17 @@ in order, each computed when asked for, so the first error raised is the
 one the first failing expression raises alone.
 
 `compile_fields` is the one route from expression text to a program: every
-holder of user fields (connection, g_M metric, mu extension) and every
-config path builds its program there, once, parsing each slot against the
-variables that slot may read, and `numbered` names the slots of a list of
-texts.  A program keeps its expressions as `Program.exprs`, and
-`derivative` differentiates one symbolically; its result reuses the
-expression's own subtrees, so a program over both shares their registers.
-A derivative fails where its rule does, as any operation fails: d|a| =
-da a/|a| divides by zero at a = 0, and so do min and max, read as
-(a + b -/+ |a - b|)/2, at a tie.  `eval_expr` runs a program over one
-expression.
+holder of user fields (g_M metric, mu extension) and every config path
+builds its program there, once, parsing each slot against the variables
+that slot may read, and `numbered` names the slots of a list of texts.
+The connection takes the same parse without the compile and compiles
+[g_S, h_k / g_S] as its one program.  A program keeps its expressions as
+`Program.exprs`, and `derivative` differentiates one symbolically; its
+result reuses the expression's own subtrees, so a program over both shares
+their registers.  A derivative fails where its rule does, as any operation
+fails: d|a| = da a/|a| divides by zero at a = 0, and so do min and max,
+read as (a + b -/+ |a - b|)/2, at a tie.  `eval_expr` runs a program over
+one expression.
 """
 
 from __future__ import annotations
@@ -484,14 +485,8 @@ def numbered(what: str, texts: object, k: int) -> dict[str, object]:
     return {f"{what}{i}": text for i, text in enumerate(texts, 1)}
 
 
-def compile_fields(named_texts: Mapping[str, object], n: int, allowed: Collection[str]) -> Program:
-    """One program over the slots' texts, each a string over n's alphabet reading only `allowed`.
-
-    Each slot parses against n's alphabet filtered to `allowed`, so a
-    slot whose text is not a string or does not parse, reading another
-    variable included, raises `ValidationError` (an `Expr*Error` where
-    parsing fails) with the slot's name in front of the message.
-    """
+def _parse_fields(named_texts: Mapping[str, object], n: int, allowed: Collection[str]) -> list[Expr]:
+    """The slots' parsed expressions, in order: `compile_fields` before it compiles."""
     variables = tuple(v for v in allowed_variables(n) if v in allowed)
     exprs = []
     for slot, text in named_texts.items():
@@ -500,7 +495,18 @@ def compile_fields(named_texts: Mapping[str, object], n: int, allowed: Collectio
         except ValidationError as exc:
             exc.args = (f"{slot}: {exc}",)
             raise
-    return Program(exprs)
+    return exprs
+
+
+def compile_fields(named_texts: Mapping[str, object], n: int, allowed: Collection[str]) -> Program:
+    """One program over the slots' texts, each a string over n's alphabet reading only `allowed`.
+
+    Each slot parses against n's alphabet filtered to `allowed`, so a
+    slot whose text is not a string or does not parse, reading another
+    variable included, raises `ValidationError` (an `Expr*Error` where
+    parsing fails) with the slot's name in front of the message.
+    """
+    return Program(_parse_fields(named_texts, n, allowed))
 
 
 def eval_expr(e: Expr, env: Mapping[str, float | np.ndarray]) -> float | np.ndarray:
@@ -559,6 +565,18 @@ def _tie_weights(a: Expr, b: Expr) -> tuple[Expr, Expr]:
     )
 
 
+def _sech_squared(x: Expr) -> Expr:
+    """tanh' x = sech^2 x as 4 q / (1 + q)^2 with q = exp(-2|x|).
+
+    It is exact to a few ulp at every x, where 1 - tanh^2 is 0.0 once tanh
+    rounds to +-1 (|x| above about 19).  As q <= 1 it overflows only where
+    2|x| leaves the float range, where 1/cosh^2 overflows past |x| = 355.
+    """
+    q = Call("exp", (BinOp("*", Num(-2.0), Call("abs", (x,))),))
+    one_plus_q = BinOp("+", Num(1.0), q)
+    return BinOp("/", BinOp("*", Num(4.0), q), BinOp("*", one_plus_q, one_plus_q))
+
+
 # the partial derivatives of each function, one per argument, given the
 # call itself and its arguments
 _PARTIALS = {
@@ -569,7 +587,7 @@ _PARTIALS = {
     "cos": lambda e, x: (Neg(Call("sin", (x,))),),
     "sinh": lambda e, x: (Call("cosh", (x,)),),
     "cosh": lambda e, x: (Call("sinh", (x,)),),
-    "tanh": lambda e, x: (BinOp("-", Num(1.0), BinOp("*", e, e)),),
+    "tanh": lambda e, x: (_sech_squared(x),),
     "abs": lambda e, x: (BinOp("/", x, e),),
     "min": lambda e, a, b: _tie_weights(a, b)[::-1],
     "max": lambda e, a, b: _tie_weights(a, b),

@@ -10,10 +10,13 @@ the same eigendecomposition, the exact gradient of v^T g v in lam that the
 geodesic solver's energy gradient is built from.  The distance is
 d^2 = tr A + tr B - 2 tr[(A^{1/2} B A^{1/2})^{1/2}].
 
-At a block of P points the contractions run as matrix products over the
-whole batch: the n observables are rotated into every eigenbasis by one
-(P m, m) @ (m, n m) product and one (n m, m) @ (m, m) product per point,
-and the metric is one (n, m^2) @ (m^2, n) product per point.
+At a block of P points every SLD computation reads only the block's
+spectral core from `gibbs` (one stacked eigendecomposition, no rho and no
+expectations), and the contractions run as matrix products over the whole
+batch: the n observables are rotated into every eigenbasis by one
+(n m, m) @ (m, P m) product and one (n m, m) @ (m, m) product per point,
+each centred by its own p-weighted diagonal, a_i = sum_b p_b (U^dagger
+A_i U)_bb, and the metric is one (n, m^2) @ (m^2, n) product per point.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from .errors import (
     NumericalConsistencyError,
     ValidationError,
 )
-from .gibbs import FamilyBatch, ObservableSet, gibbs_batch, observables
+from .gibbs import ObservableSet, _Spectra, _spectra, observables
 from .inputs import count, points, vector
 from .linalg import DensityOperator, HermitianOperator, hermitize
 
@@ -118,35 +121,39 @@ def _phi(u: np.ndarray) -> np.ndarray:
     return out
 
 
-def _daleckii_krein(obs: ObservableSet, batch: FamilyBatch) -> tuple[np.ndarray, np.ndarray]:
+def _daleckii_krein(obs: ObservableSet, spectra: _Spectra) -> tuple[np.ndarray, np.ndarray]:
     """Centred observables and first divided differences in each eigenbasis U.
 
     Returns At_i = U^dagger A_i U - a_i, shape (P, n, m, m), and the first
     divided differences of exp at y = x - ln Z, shape (P, m, m), so that
-    U^dagger d_i rho U = -At_i * f1 (Daleckii-Krein).  f1 is taken from the
-    larger population as p_hi phi(|dx|), which tends to p_a on degenerate
-    pairs and stays exact when the smaller one underflows.
+    U^dagger d_i rho U = -At_i * f1 (Daleckii-Krein).  The centring value
+    is a_i = tr(A_i rho) = sum_b p_b (U^dagger A_i U)_bb, read off the
+    rotated diagonal.  f1 is taken from the larger population as
+    p_hi phi(|dx|), which tends to p_a on degenerate pairs and stays exact
+    when the smaller one underflows.
     """
-    x, p, u = batch.x, batch.p, batch.U
+    x, p, u = spectra.x, spectra.p, spectra.U
     gap = np.abs(x[:, :, None] - x[:, None, :])
     f1 = np.maximum(p[:, :, None], p[:, None, :]) * _phi(gap)
     size, m = x.shape
     n = obs.n
-    # U^dagger A_k at every point for every k is one (P m, m) @ (m, n m) product
-    # of the stacked rows of U^dagger with [A_1 | ... | A_n]; a transpose copy
-    # to (P, n m, m) and one (n m, m) @ (m, m) product per point finish At.
-    # Each step drops the block before it: at most two (P, n, m, m) live.
-    t = u.conj().swapaxes(1, 2).reshape(size * m, m)
-    t = t @ obs._stack.transpose(1, 0, 2).reshape(m, n * m)
-    t = np.ascontiguousarray(t.reshape(size, m, n, m).transpose(0, 2, 1, 3))
-    a_tilde = (t.reshape(size, n * m, m) @ u).reshape(size, n, m, m)
+    # A_k U at every point for every k is one (n m, m) @ (m, P m) product of
+    # [A_1; ...; A_n] with [U_1 | ... | U_P]; its conjugate transpose, written
+    # C-ordered as (P, n m, m), and one (n m, m) @ (m, m) product per point
+    # finish At.  Each step drops the block before it: at most two
+    # (P, n, m, m) live.
+    t = obs._stack.reshape(n * m, m) @ u.transpose(1, 0, 2).reshape(m, size * m)
+    ut = np.empty((size, n, m, m), dtype=t.dtype)
+    np.conjugate(t.reshape(n, m, size, m).transpose(2, 0, 3, 1), out=ut)
     del t
+    a_tilde = (ut.reshape(size, n * m, m) @ u).reshape(size, n, m, m)
+    del ut
     diag = np.arange(m)
-    a_tilde[:, :, diag, diag] -= batch.a[:, :, None]
+    a_tilde[:, :, diag, diag] -= np.einsum("pkbb,pb->pk", a_tilde.real, p)[:, :, None]
     return a_tilde, f1
 
 
-def _second_divided_differences(batch: FamilyBatch) -> np.ndarray:
+def _second_divided_differences(spectra: _Spectra) -> np.ndarray:
     """Second divided differences f2 of exp at y = x - ln Z, shape (P, m, m, m).
 
     x ascends, so each index triple sorts to (lo, mid, hi) with
@@ -156,13 +163,13 @@ def _second_divided_differences(batch: FamilyBatch) -> np.ndarray:
     widest gap; below t = 1e-3 psi is its cubic Taylor polynomial.  Like f1,
     f2 tends to p_hi / 2 on degenerate triples and never divides by p.
     """
-    m = batch.x.shape[1]
+    m = spectra.x.shape[1]
     lo, mid, hi = np.sort(np.indices((m, m, m)), axis=0)
-    y = batch.x
+    y = spectra.x
     s, t = y[:, hi] - y[:, mid], y[:, hi] - y[:, lo]
     psi = 0.5 - (s + t) / 6 + (s * s + s * t + t * t) / 24 - (s + t) * (s * s + t * t) / 120
     np.divide(_phi(s) - np.exp(-s) * _phi(t - s), t, out=psi, where=t >= 1e-3)
-    return batch.p[:, hi] * psi
+    return spectra.p[:, hi] * psi
 
 
 def state_derivatives(obs: ObservableSet, lam) -> list[HermitianOperator]:
@@ -171,9 +178,9 @@ def state_derivatives(obs: ObservableSet, lam) -> list[HermitianOperator]:
     Each derivative is self-adjoint and traceless (the trace of rho is
     constant along the family).
     """
-    batch = gibbs_batch(obs, vector(lam, observables(obs).n, "lam")[None])
-    a_tilde, f1 = _daleckii_krein(obs, batch)
-    u = batch.U[0]
+    spectra = _spectra(obs, vector(lam, observables(obs).n, "lam")[None])
+    a_tilde, f1 = _daleckii_krein(obs, spectra)
+    u = spectra.U[0]
     drho = u @ (-a_tilde[0] * f1[0]) @ u.conj().T
     return [HermitianOperator(d) for d in drho]
 
@@ -186,25 +193,26 @@ def metric_tensor(obs: ObservableSet, lam) -> MetricTensor:
 
 def _sld_frame(
     obs: ObservableSet, lams: np.ndarray
-) -> tuple[FamilyBatch, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[_Spectra, np.ndarray, np.ndarray, np.ndarray]:
     """What every SLD computation at a (P, n) block starts from.
 
-    One `gibbs_batch`, the p_a + p_b denominators checked against
-    `SLD_DENOM_FLOOR` (the exit-3 boundary), and the Daleckii-Krein parts
-    (centred observables, first divided differences).
+    The block's spectra (one stacked eigendecomposition, no rho), the
+    p_a + p_b denominators checked against `SLD_DENOM_FLOOR` (the exit-3
+    boundary), and the Daleckii-Krein parts (centred observables, first
+    divided differences).
     """
-    batch = gibbs_batch(obs, lams)
-    p = batch.p
+    spectra = _spectra(obs, lams)
+    p = spectra.p
     denom = p[:, :, None] + p[:, None, :]
     worst = float(denom.min(initial=np.inf))
     if worst < SLD_DENOM_FLOOR:
         idx = int(np.unravel_index(np.argmin(denom), denom.shape)[0])
         raise NearSingularError(
             f"eigenvalue sum {worst:.3e} below {SLD_DENOM_FLOOR:.0e} at "
-            f"lambda = {batch.lam[idx].tolist()}; too close to the boundary"
+            f"lambda = {spectra.lam[idx].tolist()}; too close to the boundary"
         )
-    a_tilde, f1 = _daleckii_krein(obs, batch)
-    return batch, denom, a_tilde, f1
+    a_tilde, f1 = _daleckii_krein(obs, spectra)
+    return spectra, denom, a_tilde, f1
 
 
 def metric_grid(obs: ObservableSet, lams) -> np.ndarray:
@@ -221,12 +229,11 @@ def metric_grid(obs: ObservableSet, lams) -> np.ndarray:
 
 def _metric_from_frame(denom: np.ndarray, a_tilde: np.ndarray, f1: np.ndarray) -> np.ndarray:
     """The (P, n, n) metric from an SLD frame; overwrites a_tilde."""
-    # F_i = At_i * f1 * sqrt(2 / (p_a + p_b)), built in At's buffer, is
-    # -d_i rho * sqrt(2 / (p_a + p_b)); g = Re F F^H is blind to that sign and
-    # is one (n, m^2) @ (m^2, n) product per point
+    # F_i = At_i * f1 sqrt(2 / (p_a + p_b)), built in At's buffer by one
+    # scaling, is -d_i rho * sqrt(2 / (p_a + p_b)); g = Re F F^H is blind to
+    # that sign and is one (n, m^2) @ (m^2, n) product per point
     f = a_tilde
-    f *= f1[:, None]
-    f *= np.sqrt(2.0 / denom)[:, None]
+    f *= (f1 * np.sqrt(2.0 / denom))[:, None]
     p, n, m = f.shape[:3]
     f = f.reshape(p, n, m * m)
     g = (f @ f.conj().swapaxes(1, 2)).real
@@ -248,10 +255,10 @@ def _quadratic_form_derivatives(
     complex conjugates, so c_k = Re sum_ab At_k,ab W_ab with
     W = 4 N^T + f1 (L_v^2)^T and N_ac = sum_b L_v,ab At_v,bc f2_abc.
     """
-    batch, denom, a_tilde, f1 = _sld_frame(obs, lams)
+    spectra, denom, a_tilde, f1 = _sld_frame(obs, lams)
     a_v = np.einsum("pi,piab->pab", v, a_tilde)
     sld = -2.0 * a_v * f1 / denom
-    n_ac = np.einsum("pab,pbc,pabc->pac", sld, a_v, _second_divided_differences(batch))
+    n_ac = np.einsum("pab,pbc,pabc->pac", sld, a_v, _second_divided_differences(spectra))
     w = 4.0 * n_ac.swapaxes(1, 2) + f1 * (sld @ sld).swapaxes(1, 2)
     c = np.einsum("piab,pab->pi", a_tilde, w).real
     return _metric_from_frame(denom, a_tilde, f1), c

@@ -8,6 +8,14 @@ eigenvalue before exponentiation, so only ln Z (never Z itself) is
 formed; the guard |lam_i| <= 1e3 keeps the shifted exponent in range for
 observables of moderate norm, and an exponent that overflows all the same
 raises `ParameterRangeError`.
+
+At a block of P points the exponents are one (P, n) @ (n, m^2) product and
+share one stacked eigendecomposition.  That spectral core (lam, ln Z, the
+eigenvalues x, the populations p and the eigenvectors U) is all the metric
+reads.  `gibbs_batch` adds the expectations a and the entropy S to make
+a `FamilyBatch`; it forms rho = (U p) U^dagger only as the intermediate of
+a, one (P, m^2) @ (m^2, n) product, and keeps no rho.  `gibbs_point` forms
+its one Hermitian rho from the batch's (p, U).
 """
 
 from __future__ import annotations
@@ -19,7 +27,13 @@ import numpy as np
 
 from .errors import ParameterRangeError, ValidationError
 from .inputs import points, vector
-from .linalg import CENTRAL_STENCILS, DensityOperator, HermitianOperator, central_difference
+from .linalg import (
+    CENTRAL_STENCILS,
+    DensityOperator,
+    HermitianOperator,
+    central_difference,
+    hermitize,
+)
 
 __all__ = [
     "LAMBDA_GUARD",
@@ -131,6 +145,16 @@ class GibbsPoint:
             return float(np.exp(self.log_Z))
 
 
+class _Spectra(NamedTuple):
+    """The spectral core of a family evaluation at P parameter points."""
+
+    lam: np.ndarray  # (P, n)
+    log_Z: np.ndarray  # (P,)
+    x: np.ndarray  # (P, m) eigenvalues of the exponent -sum_i lam_i A_i, ascending
+    p: np.ndarray  # (P, m) populations exp(x) / Z, ascending
+    U: np.ndarray  # (P, m, m) eigenvectors (columns) shared with the exponent
+
+
 class FamilyBatch(NamedTuple):
     """Vectorized family evaluation at P parameter points."""
 
@@ -139,17 +163,15 @@ class FamilyBatch(NamedTuple):
     x: np.ndarray  # (P, m) eigenvalues of the exponent -sum_i lam_i A_i, ascending
     p: np.ndarray  # (P, m) populations exp(x) / Z, ascending
     U: np.ndarray  # (P, m, m) eigenvectors (columns) shared with the exponent
-    rho: np.ndarray  # (P, m, m)
     a: np.ndarray  # (P, n)
     S: np.ndarray  # (P,)
 
 
-def gibbs_batch(obs: ObservableSet, lams) -> FamilyBatch:
-    """Evaluate the family at a (P, n) block of parameter points at once.
+def _spectra(obs: ObservableSet, lams) -> _Spectra:
+    """The guarded eigendecomposition of the exponent at a (P, n) block, with p and ln Z.
 
-    One stacked eigendecomposition serves every point; this is the
-    workhorse behind grids and paths, and its eigenpairs (x, U) are all
-    the closed-form metric needs.
+    The exponents are one (P, n) @ (n, m^2) product and share one stacked
+    eigendecomposition; the metric reads nothing else.
     """
     lams = points(lams, observables(obs).n, "parameter block")
     worst = float(np.abs(lams).max(initial=0.0))
@@ -157,7 +179,10 @@ def gibbs_batch(obs: ObservableSet, lams) -> FamilyBatch:
         raise ParameterRangeError(
             f"|lambda| = {worst:.4g} exceeds the overflow guard {LAMBDA_GUARD:g}"
         )
-    exponent = -np.einsum("pk,kij->pij", lams, obs._stack)
+    m = obs.dim
+    # an overflowing entry is named by the isfinite check below
+    with np.errstate(over="ignore", invalid="ignore"):
+        exponent = (-lams @ obs._stack.reshape(obs.n, m * m)).reshape(len(lams), m, m)
     w, u = np.linalg.eigh(exponent)
     if not np.isfinite(w).all():
         # |lam| <= LAMBDA_GUARD does not bound lam * A: this exponent overflowed
@@ -166,22 +191,33 @@ def gibbs_batch(obs: ObservableSet, lams) -> FamilyBatch:
     shift = w[:, -1:]
     e = np.exp(w - shift)
     z_tilde = e.sum(axis=1)
-    p = e / z_tilde[:, None]
-    log_z = shift[:, 0] + np.log(z_tilde)
+    return _Spectra(lams, shift[:, 0] + np.log(z_tilde), w, e / z_tilde[:, None], u)
+
+
+def gibbs_batch(obs: ObservableSet, lams) -> FamilyBatch:
+    """Evaluate the family at a (P, n) block of parameter points at once.
+
+    One stacked eigendecomposition serves every point; this is the
+    workhorse behind grids and paths.  The expectations come from
+    rho = (U p) U^dagger, formed only for them: every a_k = tr(A_k rho) is
+    one (P, m^2) @ (m^2, n) product.
+    """
+    spectra = _spectra(obs, lams)
+    p, u = spectra.p, spectra.U
     rho = (u * p[:, None, :]) @ u.conj().swapaxes(1, 2)
-    rho = (rho + rho.conj().swapaxes(1, 2)) / 2
-    # tr(A_k rho) = sum_ij conj(A_k)_ij rho_ij: one (P, m^2) @ (m^2, n) product
+    # tr(A_k rho) = sum_ij conj(A_k)_ij rho_ij, whose real part is that of
+    # the hermitised rho
     mm = obs.dim * obs.dim
     a = (rho.reshape(len(p), mm) @ obs._stack.conj().reshape(obs.n, mm).T).real
     logp = np.where(p > 0.0, np.log(np.where(p > 0.0, p, 1.0)), 0.0)
-    s = -(p * logp).sum(axis=1)
-    return FamilyBatch(lams, log_z, w, p, u, rho, a, s)
+    return FamilyBatch(*spectra, a, -(p * logp).sum(axis=1))
 
 
 def gibbs_point(obs: ObservableSet, lam) -> GibbsPoint:
     """The Gibbs state, partition function, expectations and entropy at lam."""
     batch = gibbs_batch(obs, vector(lam, observables(obs).n, "lam")[None])
-    rho = DensityOperator._with_spectrum(batch.rho[0], batch.p[0, ::-1], batch.U[0, :, ::-1])
+    p, u = batch.p[0], batch.U[0]
+    rho = DensityOperator._with_spectrum(hermitize((u * p) @ u.conj().T), p[::-1], u[:, ::-1])
     lam_row = batch.lam[0].copy()
     lam_row.flags.writeable = False
     a = batch.a[0].copy()

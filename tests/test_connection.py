@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from thermogeom import exprlang
 from thermogeom.cli import main
 from thermogeom.connection import (
     ConnectionSpec,
@@ -39,6 +40,22 @@ def line_path(lam_a, lam_b, steps=64, duration=1.0):
 
 
 UNIT_SQUARE = rectangle_loop([0.0, 0.0], [1.0, 1.0], steps=256)
+
+
+def test_parsed_compiles_one_program(monkeypatch):
+    built = []
+
+    class Counted(exprlang.Program):
+        __slots__ = ()
+
+        def __init__(self, exprs):
+            built.append(self)
+            super().__init__(exprs)
+
+    monkeypatch.setattr(exprlang, "Program", Counted)
+    spec = ConnectionSpec.parsed("1 + l1^2", ["l2", "sin(l1)"], 2)
+    assert built == [spec.program]
+    assert len(spec.program.exprs) == 3
 
 
 class TestGammaCoeffs:
@@ -118,6 +135,14 @@ class TestCurvature:
         # and at 1.5e-5 evaluated log at l1 = -5e-6
         r = curvature(spec2(h=("0", "log(l1)")), [l1, 0.5], 0, 1)
         assert abs(r - 1.0 / l1) <= 4 * np.spacing(1.0 / l1)
+
+    def test_exact_in_the_tail_of_tanh(self):
+        # R_12 = sech^2(l1); 1 - tanh^2 read 0.0 here
+        r = curvature(spec2(h=("0", "tanh(l1)")), [25.0, 0.5], 0, 1)
+        q = math.exp(-50.0)
+        expected = 4.0 * q / (1.0 + q) ** 2
+        assert r != 0.0
+        assert abs(r - expected) <= 4 * np.spacing(expected)
 
     def test_exactly_antisymmetric(self):
         for k, l in [(0, 1), (0, 2), (1, 2)]:

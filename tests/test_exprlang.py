@@ -576,6 +576,15 @@ def test_derivative_rules(text, var, env, expect):
     assert _derivative_at(text, var, **env) == pytest.approx(expect, rel=1e-15, abs=0.0)
 
 
+def test_tanh_partial_is_exact_in_the_tails():
+    # 1 - tanh^2 read 0.0 once tanh rounded to +-1, for |l1| above about 19
+    assert _derivative_at("tanh(l1)", "l1", l1=0.0) == 1.0
+    for l1 in (20.0, -30.0):
+        q = math.exp(-2.0 * abs(l1))
+        expected = 4.0 * q / (1.0 + q) ** 2
+        assert abs(_derivative_at("tanh(l1)", "l1", l1=l1) - expected) <= 4 * np.spacing(expected)
+
+
 def test_derivative_folds_only_literal_zero_and_one():
     assert derivative(parse("l2*sin(l2)+3", 2), "l1") == Num(0.0)
     assert derivative(parse("l1*l2", 2), "l1") == Var("l2")

@@ -56,7 +56,8 @@ def fd_state_derivatives(obs, lam, step=5e-4):
     offsets = np.array([-2.0, -1.0, 1.0, 2.0])
     weights = np.array([1.0, -8.0, 8.0, -1.0]) / (12.0 * step)
     pts = lam + step * offsets[None, :, None] * np.eye(obs.n)[:, None, :]
-    rho = gibbs_batch(obs, pts.reshape(-1, obs.n)).rho
+    batch = gibbs_batch(obs, pts.reshape(-1, obs.n))
+    rho = (batch.U * batch.p[:, None, :]) @ batch.U.conj().swapaxes(1, 2)
     return np.einsum("o,iokl->ikl", weights, rho.reshape(obs.n, 4, obs.dim, obs.dim))
 
 

@@ -12,7 +12,7 @@ from thermogeom.gibbs import (
     gibbs_point,
     injectivity_diagnostic,
 )
-from thermogeom.linalg import HermitianOperator
+from thermogeom.linalg import HermitianOperator, hermitize
 from thermogeom.serialization import observable_set_from_json
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -146,8 +146,8 @@ class TestGibbsPoint:
         for j, lam in enumerate(lams):
             point = gibbs_point(QUBIT, lam)
             assert batch.log_Z[j] == pytest.approx(point.log_Z, rel=1e-14)
-            assert np.allclose(batch.rho[j], point.rho.matrix, atol=1e-14)
             assert np.allclose(batch.a[j], point.a, atol=1e-14)
+            assert batch.S[j] == pytest.approx(point.S, rel=1e-14)
 
 
 # {sz, sx} at lam = r (0.6, 0.8): the exponent has eigenvalues -r and r, so
@@ -182,7 +182,8 @@ class TestGibbsSpectrum:
         rho = gibbs_point(obs, lam).rho
         assert rho.eigenvalues.tobytes() == batch.p[0, ::-1].tobytes()
         assert rho.eigenvectors.tobytes() == batch.U[0, :, ::-1].tobytes()
-        assert rho.matrix.tobytes() == batch.rho[0].tobytes()
+        u, p = batch.U[0], batch.p[0]
+        assert rho.matrix.tobytes() == hermitize((u * p) @ u.conj().T).tobytes()
 
 
 class TestExpectationConsistency:

@@ -1,12 +1,15 @@
 """The GEMM-shaped Gibbs and SLD kernels against the formulas they replace.
 
+The exponents of a block are one (P, n) @ (n, m^2) product, and
 `gibbs_batch` forms rho as (U p) @ U^dagger and every a_k = tr(A_k rho) in
-one (P, m^2) @ (m^2, n) product; `_daleckii_krein` rotates all n
-observables at all P points through one (P m, m) @ (m, n m) product and one
-(n m, m) @ (m, m) product per point.  The reference below keeps the
-element-wise forms (einsum rho, einsum trace, broadcast U^dagger A U) and is
-swapped into `geometry` to give the metric and the quadratic-form gradient
-along the old contractions, so the two routes differ only in how they sum.
+one (P, m^2) @ (m^2, n) product.  `_daleckii_krein` rotates all n
+observables at all P points through one (n m, m) @ (m, P m) product and one
+(n m, m) @ (m, m) product per point, and centres each rotated observable by
+its p-weighted diagonal.  The reference below keeps the element-wise forms
+(einsum exponent, einsum rho, einsum trace, broadcast U^dagger A U centred
+by the batch's a) and is swapped into `geometry` in place of the spectral
+core to give the metric and the quadratic-form gradient along the old
+contractions, so the two routes differ only in how they sum.
 """
 
 import tracemalloc
@@ -14,9 +17,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from thermogeom import geometry
-from thermogeom.geometry import _quadratic_form_derivatives, _phi, metric_grid, metric_tensor
-from thermogeom.gibbs import FamilyBatch, ObservableSet, gibbs_batch
+from thermogeom import geometry, gibbs
+from thermogeom.geometry import (
+    _phi,
+    _quadratic_form_derivatives,
+    metric_grid,
+    metric_tensor,
+    state_derivatives,
+)
+from thermogeom.gibbs import FamilyBatch, ObservableSet, _spectra, gibbs_batch
 from thermogeom.linalg import HermitianOperator
 
 RTOL = 1e-13
@@ -37,7 +46,7 @@ def reference_gibbs_batch(obs, lams):
     rho = (rho + rho.conj().swapaxes(1, 2)) / 2
     a = np.einsum("kij,pji->pk", obs._stack, rho).real
     logp = np.where(p > 0.0, np.log(np.where(p > 0.0, p, 1.0)), 0.0)
-    return FamilyBatch(lams, log_z, w, p, u, rho, a, -(p * logp).sum(axis=1))
+    return FamilyBatch(lams, log_z, w, p, u, a, -(p * logp).sum(axis=1))
 
 
 def reference_daleckii_krein(obs, batch):
@@ -85,7 +94,7 @@ def reference(monkeypatch):
 
     def run(fn, *args):
         with monkeypatch.context() as patch:
-            patch.setattr(geometry, "gibbs_batch", reference_gibbs_batch)
+            patch.setattr(geometry, "_spectra", reference_gibbs_batch)
             patch.setattr(geometry, "_daleckii_krein", reference_daleckii_krein)
             patch.setattr(geometry, "_metric_from_frame", reference_metric_from_frame)
             return fn(*args)
@@ -100,7 +109,7 @@ def test_gemm_kernels_match_the_element_wise_formulas(m, n, size, reference):
     obs = family(m, n, seed=1000 * m + n)
     lams = block(n, size, seed=size)
     new, ref = gibbs_batch(obs, lams), reference_gibbs_batch(obs, lams)
-    for field in ("log_Z", "p", "rho", "a", "S"):
+    for field in ("log_Z", "p", "a", "S"):
         assert_close(getattr(new, field), getattr(ref, field), RTOL)
     assert_close(metric_grid(obs, lams), reference(metric_grid, obs, lams), RTOL)
     v = np.random.default_rng(size).normal(size=(size, n))
@@ -118,6 +127,57 @@ def test_single_point_is_the_batch_of_one(m, n):
     grid = metric_grid(obs, lams)
     for row, lam in enumerate(lams):
         assert_close(metric_tensor(obs, lam).g, grid[row], 1e-14)
+
+
+# each metric-path call with the number of points it decomposes
+METRIC_PATH = {
+    "metric_grid": (lambda obs, lams: metric_grid(obs, lams), 5),
+    "quadratic_form_derivatives": (
+        lambda obs, lams: _quadratic_form_derivatives(obs, lams, np.ones_like(lams)),
+        5,
+    ),
+    "state_derivatives": (lambda obs, lams: state_derivatives(obs, lams[0]), 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(METRIC_PATH))
+def test_the_metric_path_reads_only_the_spectra(name, monkeypatch):
+    # one stacked eigh per call, and no rho or expectation product
+    call, size = METRIC_PATH[name]
+    obs = family(4, 3, seed=11)
+    lams = block(3, 5, seed=11)
+    stacks = []
+    eigh = np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        stacks.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("the metric path called gibbs_batch")
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    for module in (gibbs, geometry):
+        monkeypatch.setattr(module, "gibbs_batch", refused, raising=False)
+    call(obs, lams)
+    assert stacks == [(size, 4, 4)]
+
+
+@pytest.mark.parametrize("m", (2, 3, 8, 16))
+def test_the_centring_value_is_the_expectation(m):
+    # At_k = U^dagger A_k U - a_k: every diagonal entry of the rotation minus
+    # that of At is the p-weighted diagonal, which must be tr(A_k rho)
+    obs = family(m, 3, seed=m)
+    lams = block(3, 7, seed=m)
+    spectra = _spectra(obs, lams)
+    a_tilde, _ = geometry._daleckii_krein(obs, spectra)
+    u = spectra.U
+    rotated = u.conj().swapaxes(1, 2)[:, None] @ obs._stack @ u[:, None]
+    diag = np.arange(m)
+    centring = (rotated - a_tilde)[:, :, diag, diag]
+    expected = gibbs_batch(obs, lams).a
+    for b in diag:
+        assert_close(centring[..., b], expected, 1e-14)
 
 
 # metric_grid's tracemalloc peak, in units of one complex (P, n, m, m) block,

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from thermogeom import geometry, processes
+from thermogeom import processes
 from thermogeom.errors import NearSingularError, ValidationError
 from thermogeom.geometry import fidelity, metric_grid
 from thermogeom.gibbs import ObservableSet, gibbs_point
@@ -344,31 +344,34 @@ class TestGeodesic:
 
     def test_one_decomposition_per_energy_evaluation(self, monkeypatch):
         # the start and every line-search trial each decompose their K
-        # midpoints once; nothing else (no repeat for the gradient, no
-        # trailing node-grid report) reaches gibbs_batch
-        blocks, evaluations = [], []
-        gibbs_batch = geometry.gibbs_batch
+        # midpoints once, in one stacked eigh; nothing else (no repeat for
+        # the gradient, no trailing node-grid report) decomposes a matrix
+        stacks, evaluations = [], []
+        eigh = np.linalg.eigh
         midpoint_terms = processes._midpoint_terms
 
-        def record_batch(obs, lams):
-            blocks.append(np.array(lams, dtype=float))
-            return gibbs_batch(obs, lams)
+        def record_eigh(a, *args, **kwargs):
+            stacks.append(np.array(a))
+            return eigh(a, *args, **kwargs)
 
         def record_evaluation(obs, samples, dt):
-            evaluations.append(samples)
-            return midpoint_terms(obs, samples, dt)
+            start = len(stacks)
+            result = midpoint_terms(obs, samples, dt)
+            evaluations.append(stacks[start:])
+            return result
 
-        monkeypatch.setattr(geometry, "gibbs_batch", record_batch)
+        monkeypatch.setattr(np.linalg, "eigh", record_eigh)
         monkeypatch.setattr(processes, "_midpoint_terms", record_evaluation)
         problem = GeodesicProblem(
             [0.16, 0.0], [-0.07, 0.24], interior_points=15, max_iters=2000, tolerance=1e-10
         )
         _, _, record = geodesic_between(PAULI_ZX, problem)
         assert record.converged and record.iterations > 1
-        assert len(blocks) == len(evaluations) > record.iterations
-        assert all(block.shape == (16, 2) for block in blocks)
-        distinct = {block.tobytes() for block in blocks}
-        assert len(distinct) == len(blocks)
+        assert len(stacks) == len(evaluations) > record.iterations
+        assert all(len(calls) == 1 for calls in evaluations)
+        assert all(stack.shape == (16, 2, 2) for stack in stacks)
+        distinct = {stack.tobytes() for stack in stacks}
+        assert len(distinct) == len(stacks)
 
 
 def loop_energy_gradient(obs, samples, dt, fd_step=1e-6):
