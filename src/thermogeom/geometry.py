@@ -21,6 +21,7 @@ A_i U)_bb, and the metric is one (n, m^2) @ (m^2, n) product per point.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -153,6 +154,24 @@ def _daleckii_krein(obs: ObservableSet, spectra: _Spectra) -> tuple[np.ndarray, 
     return a_tilde, f1
 
 
+@functools.lru_cache(maxsize=None)
+def _sorted_triples(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The m(m+1)(m+2)/6 distinct sorted index triples and the gather index.
+
+    Returns lo, mid, hi, each of shape (T,) with lo <= mid <= hi, and the
+    (m, m, m) index that sends (a, b, c) to the position of sorted(a, b, c).
+    The arrays are shared by every caller at this m, so they are read-only.
+    """
+    ordered = np.sort(np.indices((m, m, m)), axis=0).reshape(3, -1)
+    _, first, gather = np.unique(
+        np.ravel_multi_index(ordered, (m, m, m)), return_index=True, return_inverse=True
+    )
+    triples, gather = ordered[:, first], gather.reshape(m, m, m)
+    triples.flags.writeable = gather.flags.writeable = False
+    lo, mid, hi = triples
+    return lo, mid, hi, gather
+
+
 def _second_divided_differences(spectra: _Spectra) -> np.ndarray:
     """Second divided differences f2 of exp at y = x - ln Z, shape (P, m, m, m).
 
@@ -162,14 +181,15 @@ def _second_divided_differences(spectra: _Spectra) -> np.ndarray:
     psi(s, t) = (phi(s) - exp(-s) phi(t - s)) / t, whose denominator is the
     widest gap; below t = 1e-3 psi is its cubic Taylor polynomial.  Like f1,
     f2 tends to p_hi / 2 on degenerate triples and never divides by p.
+    f2 is symmetric in its three indices, so it is evaluated on the
+    m(m+1)(m+2)/6 distinct sorted triples only and gathered to (m, m, m).
     """
-    m = spectra.x.shape[1]
-    lo, mid, hi = np.sort(np.indices((m, m, m)), axis=0)
+    lo, mid, hi, gather = _sorted_triples(spectra.x.shape[1])
     y = spectra.x
     s, t = y[:, hi] - y[:, mid], y[:, hi] - y[:, lo]
     psi = 0.5 - (s + t) / 6 + (s * s + s * t + t * t) / 24 - (s + t) * (s * s + t * t) / 120
     np.divide(_phi(s) - np.exp(-s) * _phi(t - s), t, out=psi, where=t >= 1e-3)
-    return spectra.p[:, hi] * psi
+    return (spectra.p[:, hi] * psi)[:, gather]
 
 
 def state_derivatives(obs: ObservableSet, lam) -> list[HermitianOperator]:

@@ -211,6 +211,20 @@ def segment_speed_profile(
     return np.sqrt(np.clip(energies, 0.0, None) / dt)
 
 
+def _pinv_symmetric(a: np.ndarray) -> np.ndarray:
+    """Moore-Penrose pseudo-inverse of a real symmetric matrix or stack of them.
+
+    One stacked eigendecomposition a = V diag(w) V^T gives V diag(1/w) V^T,
+    with 0 in place of each |w| <= 1e-12 max|w| of its own matrix (the
+    rcond rule of `np.linalg.pinv`), so a zero matrix gives a zero matrix.
+    """
+    w, v = np.linalg.eigh(a)
+    size = np.abs(w)
+    keep = size > 1e-12 * size.max(axis=-1, keepdims=True)
+    inv = np.divide(1.0, w, out=np.zeros_like(w), where=keep)
+    return (v * inv[..., None, :]) @ v.swapaxes(-1, -2)
+
+
 def _sobolev_direction(g: np.ndarray, grad: np.ndarray, dt: float) -> np.ndarray:
     """The metric-weighted H^1 gradient d, shape (K-1, n), solving H d = grad.
 
@@ -219,12 +233,14 @@ def _sobolev_direction(g: np.ndarray, grad: np.ndarray, dt: float) -> np.ndarray
     Gradients and Differential Equations, LNM 1670).  The flux
     q_s = g_s (d_{s+1} - d_s) is C - F_s, F_s = (dt / 2) sum_{j<=s} grad_j;
     d_K = 0 fixes C = (sum g_s^+)^+ sum g_s^+ F_s, and d sums g_s^+ q_s.
-    Pseudo-inverses keep a redundant observable set (g singular) solvable.
+    Pseudo-inverses keep a redundant observable set (g singular) solvable:
+    each is `_pinv_symmetric`, which drops, per matrix, the eigenvalues with
+    |w| <= 1e-12 max|w|.
     """
-    g_inv = np.linalg.pinv(g, rcond=1e-12, hermitian=True)
+    g_inv = _pinv_symmetric(g)
     f = np.concatenate((np.zeros_like(grad[:1]), np.cumsum(0.5 * dt * grad, axis=0)))
     weighted = np.einsum("sij,sj->i", g_inv, f)
-    c = np.linalg.pinv(g_inv.sum(axis=0), rcond=1e-12, hermitian=True) @ weighted
+    c = _pinv_symmetric(g_inv.sum(axis=0)) @ weighted
     return np.cumsum(np.einsum("sij,sj->si", g_inv[:-1], c - f[:-1]), axis=0)
 
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from thermogeom import geometry
 from thermogeom.errors import NearSingularError, ValidationError
 from thermogeom.geometry import (
     MetricTensor,
@@ -14,7 +15,7 @@ from thermogeom.geometry import (
     metric_tensor,
     state_derivatives,
 )
-from thermogeom.gibbs import ObservableSet, gibbs_batch, gibbs_point
+from thermogeom.gibbs import ObservableSet, _spectra, gibbs_batch, gibbs_point
 from thermogeom.linalg import (
     DensityOperator,
     HermitianOperator,
@@ -296,6 +297,70 @@ class TestSecondDividedDifferences:
         f2 = _second_divided_differences(batch)[0]
         series = 0.5 - gap / 3 + gap**2 / 8 - gap**3 / 30 + gap**4 / 144 - gap**5 / 840
         assert f2[0, 1, 2] / batch.p[0, 2] == pytest.approx(series, rel=5e-13)
+
+
+def full_cube_f2(spectra):
+    """Reference: the f2 rule evaluated on all m^3 index triples, each sorted in place."""
+    m = spectra.x.shape[1]
+    lo, mid, hi = np.sort(np.indices((m, m, m)), axis=0)
+    y = spectra.x
+    s, t = y[:, hi] - y[:, mid], y[:, hi] - y[:, lo]
+    psi = 0.5 - (s + t) / 6 + (s * s + s * t + t * t) / 24 - (s + t) * (s * s + t * t) / 120
+    np.divide(geometry._phi(s) - np.exp(-s) * geometry._phi(t - s), t, out=psi, where=t >= 1e-3)
+    return spectra.p[:, hi] * psi
+
+
+def random_family(m, n, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(n, m, m)) + 1j * rng.normal(size=(n, m, m))
+    return ObservableSet([HermitianOperator(hermitize(x)) for x in a])
+
+
+# seeded non-commuting families at m = 2, 3, 8, 16, and the degenerate and
+# near-degenerate spectra on both sides of the t = 1e-3 series switch
+F2_SPECTRA = {
+    **{
+        f"m{m}": (random_family(m, n, m), np.random.default_rng(m).uniform(-0.8, 0.8, (5, n)))
+        for m, n in ((2, 3), (3, 8), (8, 8), (16, 4))
+    },
+    "degenerate-two-qubit": (DEGENERATE_PAIR, np.array([[0.7, 0.0, 0.0], [0.7, 1e-7, 0.0]])),
+    "degenerate-triple": (ObservableSet([HermitianOperator(np.diag([0.4, 0.4, 0.4]))]), np.ones((1, 1))),
+    **{
+        f"gap-{gap:.12g}": (ObservableSet([HermitianOperator(np.diag([gap, gap, 0.0]))]), np.ones((1, 1)))
+        for gap in (1e-9, 1e-4, 1e-3 * (1 - 1e-9), 1e-3 * (1 + 1e-9), 1e-2)
+    },
+}
+
+
+class TestSortedTripleF2:
+    @pytest.mark.parametrize("m", range(1, 17))
+    def test_distinct_sorted_triples_and_their_gather(self, m):
+        lo, mid, hi, gather = geometry._sorted_triples(m)
+        assert lo.shape == mid.shape == hi.shape == (m * (m + 1) * (m + 2) // 6,)
+        assert np.all(lo <= mid) and np.all(mid <= hi)
+        assert len({(a, b, c) for a, b, c in zip(lo, mid, hi)}) == len(lo)
+        assert gather.shape == (m, m, m)
+        ordered = np.sort(np.indices((m, m, m)), axis=0)
+        assert np.array_equal(np.stack([lo[gather], mid[gather], hi[gather]]), ordered)
+        assert not any(a.flags.writeable for a in (lo, mid, hi, gather))
+
+    def test_one_cached_entry_per_dimension(self):
+        assert all(x is y for x, y in zip(geometry._sorted_triples(5), geometry._sorted_triples(5)))
+
+    @pytest.mark.parametrize("name", F2_SPECTRA)
+    def test_f2_is_bitwise_the_full_cube_evaluation(self, name):
+        obs, lams = F2_SPECTRA[name]
+        spectra = _spectra(obs, lams)
+        assert np.array_equal(_second_divided_differences(spectra), full_cube_f2(spectra))
+
+    @pytest.mark.parametrize("name", F2_SPECTRA)
+    def test_form_derivatives_are_bitwise_those_on_the_full_cube(self, name, monkeypatch):
+        obs, lams = F2_SPECTRA[name]
+        v = np.random.default_rng(5).normal(size=lams.shape)
+        g, c = _quadratic_form_derivatives(obs, lams, v)
+        monkeypatch.setattr(geometry, "_second_divided_differences", full_cube_f2)
+        g_ref, c_ref = _quadratic_form_derivatives(obs, lams, v)
+        assert np.array_equal(g, g_ref) and np.array_equal(c, c_ref)
 
 
 def fd_form_gradient(obs, lams, v, step=1e-3):

@@ -37,6 +37,8 @@ TWO_QUBIT = ObservableSet(
     ],
     ["z1", "z2"],
 )
+# (sz, 2 sz) is the qubit family in u = l1 + 2 l2: g is singular at every point
+REDUNDANT = ObservableSet([HermitianOperator(SIGMA_Z), HermitianOperator(2.0 * SIGMA_Z)])
 RNG = np.random.default_rng(777)
 
 
@@ -200,11 +202,9 @@ class TestGeodesic:
         assert abs(report.length - gudermannian(1.0)) <= 1.5e-6
 
     def test_redundant_observables_have_a_singular_metric(self):
-        # (sz, 2 sz) is the qubit family in u = l1 + 2 l2, with g singular at
-        # every point: the discrete geodesic is the qubit's on [0, 1.1]
-        redundant = ObservableSet([HermitianOperator(SIGMA_Z), HermitianOperator(2.0 * SIGMA_Z)])
+        # the discrete geodesic of the redundant pair is the qubit's on [0, 1.1]
         _, report, record = geodesic_between(
-            redundant,
+            REDUNDANT,
             GeodesicProblem([0.0, 0.0], [0.3, 0.4], interior_points=15, tolerance=1e-8),
         )
         _, qubit_report, _ = geodesic_between(
@@ -344,9 +344,12 @@ class TestGeodesic:
 
     def test_one_decomposition_per_energy_evaluation(self, monkeypatch):
         # the start and every line-search trial each decompose their K
-        # midpoints once, in one stacked eigh; nothing else (no repeat for
-        # the gradient, no trailing node-grid report) decomposes a matrix
-        stacks, evaluations = [], []
+        # complex midpoint exponents once, in one stacked eigh; nothing else
+        # (no repeat for the gradient, no trailing node-grid report) does.
+        # Each Sobolev step decomposes two real metric stacks for its
+        # pseudo-inverses: the (K, n, n) metrics of the accepted evaluation
+        # and their (n, n) inverse sum
+        stacks, evaluations, metrics = [], [], []
         eigh = np.linalg.eigh
         midpoint_terms = processes._midpoint_terms
 
@@ -358,6 +361,7 @@ class TestGeodesic:
             start = len(stacks)
             result = midpoint_terms(obs, samples, dt)
             evaluations.append(stacks[start:])
+            metrics.append(result[2])
             return result
 
         monkeypatch.setattr(np.linalg, "eigh", record_eigh)
@@ -367,11 +371,16 @@ class TestGeodesic:
         )
         _, _, record = geodesic_between(PAULI_ZX, problem)
         assert record.converged and record.iterations > 1
-        assert len(stacks) == len(evaluations) > record.iterations
-        assert all(len(calls) == 1 for calls in evaluations)
-        assert all(stack.shape == (16, 2, 2) for stack in stacks)
-        distinct = {stack.tobytes() for stack in stacks}
-        assert len(distinct) == len(stacks)
+        exponents = [stack for stack in stacks if np.iscomplexobj(stack)]
+        assert len(exponents) == len(evaluations) > record.iterations
+        assert all(len(calls) == 1 and np.iscomplexobj(calls[0]) for calls in evaluations)
+        assert all(stack.shape == (16, 2, 2) for stack in exponents)
+        distinct = {stack.tobytes() for stack in exponents}
+        assert len(distinct) == len(exponents)
+        real = [stack for stack in stacks if not np.iscomplexobj(stack)]
+        assert len(real) == 2 * record.iterations
+        assert [stack.shape for stack in real] == [(16, 2, 2), (2, 2)] * record.iterations
+        assert all(any(np.array_equal(stack, g) for g in metrics) for stack in real[::2])
 
 
 def loop_energy_gradient(obs, samples, dt, fd_step=1e-6):
@@ -426,16 +435,15 @@ class TestEnergyGradient:
         assert str(from_gradient.value) == str(from_grid.value)
 
 
-def dense_sobolev_direction(g, grad, dt):
-    """Oracle: assemble (2 / dt) tridiag(-g_{j-1}, g_{j-1} + g_j, -g_j) and solve it."""
+def dense_sobolev_hessian(g, dt):
+    """Oracle: assemble (2 / dt) tridiag(-g_{j-1}, g_{j-1} + g_j, -g_j) densely."""
     k, n = g.shape[0], g.shape[1]
     h = np.zeros((k - 1, n, k - 1, n))
     for j in range(k - 1):
         h[j, :, j, :] = g[j] + g[j + 1]
         if j + 1 < k - 1:
             h[j, :, j + 1, :] = h[j + 1, :, j, :] = -g[j + 1]
-    h = (2.0 / dt) * h.reshape((k - 1) * n, (k - 1) * n)
-    return np.linalg.solve(h, grad.ravel()).reshape(k - 1, n)
+    return (2.0 / dt) * h.reshape((k - 1) * n, (k - 1) * n)
 
 
 class TestSobolevDirection:
@@ -447,9 +455,71 @@ class TestSobolevDirection:
         samples = np.random.default_rng(k).uniform(-0.8, 0.8, (k + 1, obs.n))
         _, grad, g = _midpoint_terms(obs, samples, 1.0 / k)
         direction = processes._sobolev_direction(g, grad, 1.0 / k)
-        reference = dense_sobolev_direction(g, grad, 1.0 / k)
+        h = dense_sobolev_hessian(g, 1.0 / k)
+        reference = np.linalg.solve(h, grad.ravel()).reshape(k - 1, obs.n)
         assert np.abs(direction - reference).max() <= 1e-12 * np.abs(reference).max()
         assert float((grad * direction).sum()) > 0.0
+
+    @pytest.mark.parametrize("k", [16, 33])
+    def test_redundant_family_solves_the_singular_system(self, k):
+        # H is singular, but grad lies in its range (E reads only l1 + 2 l2),
+        # so the pseudo-inverse step solves H d = grad to rounding
+        samples = np.random.default_rng(k).uniform(-0.8, 0.8, (k + 1, 2))
+        _, grad, g = _midpoint_terms(REDUNDANT, samples, 1.0 / k)
+        direction = processes._sobolev_direction(g, grad, 1.0 / k)
+        residual = dense_sobolev_hessian(g, 1.0 / k) @ direction.ravel() - grad.ravel()
+        assert np.abs(residual).max() <= 1e-12 * np.abs(grad).max()
+        assert float((grad * direction).sum()) > 0.0
+
+
+def spd_stack(rng, size, n):
+    a = rng.normal(size=(size, n, n))
+    return a @ a.swapaxes(1, 2) + 1e-3 * np.eye(n)
+
+
+def with_spectrum(rng, eigenvalues):
+    """A real symmetric matrix with the given eigenvalues in a seeded basis."""
+    q, _ = np.linalg.qr(rng.normal(size=(len(eigenvalues), len(eigenvalues))))
+    return (q * np.asarray(eigenvalues, dtype=float)) @ q.T
+
+
+class TestPinvSymmetric:
+    rng = np.random.default_rng(2024)
+    CASES = {
+        "spd-32x3": spd_stack(rng, 32, 3),
+        "spd-8x8": spd_stack(rng, 8, 8),
+        "spd-one-3": spd_stack(rng, 1, 3)[0],
+        "redundant-metrics": metric_grid(REDUNDANT, rng.uniform(-0.8, 0.8, (16, 2))),
+        # a global cutoff at 1e-12 * 1e8 would drop the second block's 1e-5;
+        # the third block's 1e-14-relative eigenvalue and the exact 0 drop
+        "mixed-rank": np.stack([
+            with_spectrum(rng, [1e8, 3.0, 1.0]),
+            with_spectrum(rng, [1.0, 0.5, 1e-5]),
+            with_spectrum(rng, [2.0, 2e-14, 0.0]),
+            with_spectrum(rng, [-4.0, 1.0, 0.0]),
+        ]),
+    }
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_matches_numpy_pinv_per_block(self, name):
+        a = self.CASES[name]
+        got = processes._pinv_symmetric(a)
+        ref = np.linalg.pinv(a, rcond=1e-12, hermitian=True)
+        assert got.shape == a.shape
+        for block, ref_block in zip(got.reshape(-1, *a.shape[-2:]), ref.reshape(-1, *a.shape[-2:])):
+            assert np.abs(block - ref_block).max() <= 1e-13 * np.abs(ref_block).max()
+
+    def test_redundant_metrics_are_singular(self):
+        w = np.linalg.eigvalsh(self.CASES["redundant-metrics"])
+        assert np.all(np.abs(w[:, 0]) <= 1e-12 * w[:, 1])
+
+    def test_zero_block_gives_exact_zeros(self):
+        a = np.stack([spd_stack(self.rng, 1, 3)[0], np.zeros((3, 3))])
+        got = processes._pinv_symmetric(a)
+        assert np.all(got[1] == 0.0)
+        ref = np.linalg.pinv(a[0], rcond=1e-12, hermitian=True)
+        assert np.abs(got[0] - ref).max() <= 1e-13 * np.abs(ref).max()
+        assert np.all(processes._pinv_symmetric(np.zeros((2, 2))) == 0.0)
 
 
 class TestObjectiveValidation:
