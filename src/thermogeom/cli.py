@@ -6,10 +6,13 @@ the parse alone, so it accepts exactly the configs the run accepts.  The
 parse reads every value through `thermogeom.inputs` or the library's own
 constructors, with no rule of its own: a key that is absent takes the
 default of the library parameter it feeds, read from its signature or
-dataclass, and a key set to null is refused like any other bad value.  Exit
-codes: 0 success, 2 config validation failure, 3 numerical-domain error
-(an IEEE overflow, division by zero or invalid operation in the computation
-among them), 4 geodesic non-convergence (artifact still written).
+dataclass, and a key set to null is refused like any other bad value.  The
+parse also knows the artifact's columns and rows, and refuses one of more
+than `inputs.MAX_CELLS` cells before anything is computed.  Exit codes: 0
+success, 2 config validation failure, 3 numerical-domain error (an IEEE
+overflow, division by zero or invalid operation in the computation among
+them, and a NaN or an infinity on its way into the artifact), 4 geodesic
+non-convergence (artifact still written).
 Identical configs produce byte-identical artifacts; outputs are written
 atomically.
 """
@@ -21,10 +24,11 @@ import dataclasses
 import functools
 import inspect
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -44,7 +48,7 @@ from .contact import ThermoPoint, _legendrian_grid, legendrian_residual
 from .errors import NumericalDomainError, ValidationError
 from .geometry import metric_grid
 from .gibbs import ObservableSet, gibbs_point
-from .inputs import count, counts, points, positive, vector
+from .inputs import MAX_CELLS, count, counts, points, positive, vector
 from .processes import (
     MIN_PATH_STEPS,
     GeodesicProblem,
@@ -134,15 +138,31 @@ def _require_connection(cfg: RunConfig) -> ConnectionSpec:
     return cfg.connection
 
 
-# Each cmd_* parses and checks its whole config section, then returns the
-# job that computes the artifact: (json_payload, csv_header, csv_rows).
-# --validate stops after the parse, so it accepts exactly what the run does.
-Artifact = tuple[dict, list[str], list[list]]
-Job = Callable[[], Artifact]
+Artifact = tuple[dict, list[list]]  # the JSON payload and the CSV rows
+
+
+class Job(NamedTuple):
+    """What a subcommand's parse returns: the artifact's shape, and the run that fills it.
+
+    Each cmd_* parses and checks its whole config section, then returns the
+    CSV header and row count, known before anything is computed, and the
+    run that computes the artifact.  --validate stops after the parse, so it
+    accepts exactly what the run does.
+    """
+
+    header: list[str]
+    rows: int
+    run: Callable[[], Artifact]
 
 
 def cmd_gibbs(cfg: RunConfig) -> Job:
     lam = vector(_section(cfg, "gibbs", "lambda").get("lambda"), cfg.obs.n, "gibbs.lambda")
+    header = (
+        [f"l{i + 1}" for i in range(cfg.obs.n)]
+        + ["Z", "log_Z", "S"]
+        + [f"a{i + 1}" for i in range(cfg.obs.n)]
+        + [f"p{i + 1}" for i in range(cfg.obs.dim)]
+    )
 
     def run() -> Artifact:
         point = gibbs_point(cfg.obs, lam)
@@ -155,26 +175,20 @@ def cmd_gibbs(cfg: RunConfig) -> Job:
             "S": point.S,
             "rho_eigenvalues": eigs,
         }
-        header = (
-            [f"l{i + 1}" for i in range(cfg.obs.n)]
-            + ["Z", "log_Z", "S"]
-            + [f"a{i + 1}" for i in range(cfg.obs.n)]
-            + [f"p{i + 1}" for i in range(cfg.obs.dim)]
-        )
         row = lam.tolist() + [point.Z, point.log_Z, point.S] + point.a.tolist() + eigs
-        return payload, header, [row]
+        return payload, [row]
 
-    return run
+    return Job(header, 1, run)
 
 
 def cmd_metric(cfg: RunConfig) -> Job:
     pts = _grid_points(_section(cfg, "metric", "grid").get("grid"), cfg.obs.n)
+    n = cfg.obs.n
+    pairs = [(i, j) for i in range(n) for j in range(i, n)]
+    header = [f"l{i + 1}" for i in range(n)] + [f"g_{i + 1}_{j + 1}" for i, j in pairs]
 
     def run() -> Artifact:
         g = metric_grid(cfg.obs, pts)
-        n = cfg.obs.n
-        pairs = [(i, j) for i in range(n) for j in range(i, n)]
-        header = [f"l{i + 1}" for i in range(n)] + [f"g_{i + 1}_{j + 1}" for i, j in pairs]
         rows = [
             list(pts[p]) + [float(g[p, i, j]) for i, j in pairs]
             for p in range(pts.shape[0])
@@ -183,9 +197,9 @@ def cmd_metric(cfg: RunConfig) -> Job:
             "columns": header,
             "rows": [[float(v) for v in row] for row in rows],
         }
-        return payload, header, rows
+        return payload, rows
 
-    return run
+    return Job(header, len(pts), run)
 
 
 def cmd_length(cfg: RunConfig) -> Job:
@@ -200,10 +214,9 @@ def cmd_length(cfg: RunConfig) -> Job:
             "steps": path.steps,
             "segment_lengths": [float(v) for v in report.segment_lengths],
         }
-        header = ["length", "energy", "duration", "steps"]
-        return payload, header, [[report.length, report.energy, path.duration, path.steps]]
+        return payload, [[report.length, report.energy, path.duration, path.steps]]
 
-    return run
+    return Job(["length", "energy", "duration", "steps"], 1, run)
 
 
 def cmd_entropy_production(cfg: RunConfig) -> Job:
@@ -220,11 +233,9 @@ def cmd_entropy_production(cfg: RunConfig) -> Job:
             "rates": [float(v) for v in rates],
             "times": [float(t) for t in times],
         }
-        header = ["t", "rate"]
-        rows: list[list] = [[float(t), float(r)] for t, r in zip(times, rates)]
-        return payload, header, rows
+        return payload, [[float(t), float(r)] for t, r in zip(times, rates)]
 
-    return run
+    return Job(["t", "rate"], path.steps + 1, run)
 
 
 def cmd_geodesic(cfg: RunConfig) -> Job:
@@ -237,6 +248,7 @@ def cmd_geodesic(cfg: RunConfig) -> Job:
             "end": vector(sec.get("end"), n, "geodesic.end"),
         }
     )
+    header = ["t"] + [f"l{i + 1}" for i in range(n)]
 
     def run() -> Artifact:
         path, report, record = geodesic_between(cfg.obs, problem)
@@ -253,7 +265,6 @@ def cmd_geodesic(cfg: RunConfig) -> Job:
                 "energy_final": record.energy_final,
             },
         }
-        header = ["t"] + [f"l{i + 1}" for i in range(cfg.obs.n)]
         rows = [
             [float(t)] + list(map(float, row))
             for t, row in zip(path.times, path.samples)
@@ -263,9 +274,9 @@ def cmd_geodesic(cfg: RunConfig) -> Job:
             f"grad_norm={record.grad_norm:.3e} converged={record.converged}",
             file=sys.stderr,
         )
-        return payload, header, rows
+        return payload, rows
 
-    return run
+    return Job(header, problem.interior_points + 2, run)
 
 
 def cmd_third_law(cfg: RunConfig) -> Job:
@@ -281,14 +292,13 @@ def cmd_third_law(cfg: RunConfig) -> Job:
             "length": scan.lengths.tolist(),
             "increment": [v for v in increments],
         }
-        header = ["Lambda", "length", "increment"]
         rows = [
             [float(scan.lambdas[j]), float(scan.lengths[j]), "" if increments[j] is None else increments[j]]
             for j in range(scan.lambdas.size)
         ]
-        return payload, header, rows
+        return payload, rows
 
-    return run
+    return Job(["Lambda", "length", "increment"], lambdas.size, run)
 
 
 def cmd_boundary_entropy(cfg: RunConfig) -> Job:
@@ -304,14 +314,13 @@ def cmd_boundary_entropy(cfg: RunConfig) -> Job:
             "ground_degeneracy": scan.ground_degeneracy,
             "limit_entropy": scan.limit_entropy,
         }
-        header = ["Lambda", "S", "gap_to_ln_k"]
         rows = [
             [float(scan.lambdas[j]), float(scan.entropies[j]), float(scan.gaps[j])]
             for j in range(scan.lambdas.size)
         ]
-        return payload, header, rows
+        return payload, rows
 
-    return run
+    return Job(["Lambda", "S", "gap_to_ln_k"], lambdas.size, run)
 
 
 def cmd_contact_check(cfg: RunConfig) -> Job:
@@ -321,10 +330,9 @@ def cmd_contact_check(cfg: RunConfig) -> Job:
     def run() -> Artifact:
         residual = legendrian_residual(cfg.obs, pts)
         payload = {"max_residual": residual, "grid_points": int(pts.shape[0])}
-        header = ["max_residual", "grid_points"]
-        return payload, header, [[residual, int(pts.shape[0])]]
+        return payload, [[residual, int(pts.shape[0])]]
 
-    return run
+    return Job(["max_residual", "grid_points"], 1, run)
 
 
 def _holonomy_payload(result: HolonomyResult) -> dict:
@@ -376,9 +384,9 @@ def cmd_holonomy(cfg: RunConfig) -> Job:
             payload = _holonomy_payload(results[0])
         else:
             payload = {"results": [_holonomy_payload(r) for r in results]}
-        return payload, ["method", "dS"], [[r.method, r.dS] for r in results]
+        return payload, [[r.method, r.dS] for r in results]
 
-    return run
+    return Job(["method", "dS"], 2 if method == "both" else 1, run)
 
 
 def cmd_curvature_map(cfg: RunConfig) -> Job:
@@ -392,16 +400,13 @@ def cmd_curvature_map(cfg: RunConfig) -> Job:
     if not isinstance(planes, list):
         raise ValidationError("curvature_map.pairs must be a list of [k, l] planes")
     pairs = [_plane(p, n) for p in planes]
+    header = [f"l{i + 1}" for i in range(n)] + [f"R_{k + 1}_{l + 1}" for k, l in pairs]
 
     def run() -> Artifact:
-        header = [f"l{i + 1}" for i in range(n)] + [
-            f"R_{k + 1}_{l + 1}" for k, l in pairs
-        ]
         rows = np.column_stack([pts] + [curvature(spec, pts, k, l) for k, l in pairs]).tolist()
-        payload = {"columns": header, "rows": rows}
-        return payload, header, rows
+        return {"columns": header, "rows": rows}, rows
 
-    return run
+    return Job(header, len(pts), run)
 
 
 def cmd_flatness(cfg: RunConfig) -> Job:
@@ -417,10 +422,9 @@ def cmd_flatness(cfg: RunConfig) -> Job:
             "max_abs_curvature": report.max_abs_curvature,
             "tol": tol,
         }
-        header = ["flat", "max_abs_curvature", "tol"]
-        return payload, header, [[str(report.flat).lower(), report.max_abs_curvature, tol]]
+        return payload, [[str(report.flat).lower(), report.max_abs_curvature, tol]]
 
-    return run
+    return Job(["flat", "max_abs_curvature", "tol"], 1, run)
 
 
 _HANDLERS: dict[str, Callable[[RunConfig], Job]] = {
@@ -441,6 +445,12 @@ _HANDLERS: dict[str, Callable[[RunConfig], Job]] = {
 CONFIG_KEYS = frozenset({"observables", "connection", *(c.replace("-", "_") for c in _HANDLERS)})
 
 
+# Neither renderer writes a NaN or an infinity: each raises this, which
+# `main` reports as a numerical-domain error (exit 3), as it does an IEEE
+# exception in the computation.
+_NON_FINITE = "the artifact would hold a NaN or an infinity"
+
+
 def _render_csv(header: list[str], rows: list[list]) -> str:
     def cell(v) -> str:
         if isinstance(v, str):
@@ -449,6 +459,8 @@ def _render_csv(header: list[str], rows: list[list]) -> str:
             return str(v).lower()
         if isinstance(v, (int, np.integer)):
             return str(int(v))
+        if not math.isfinite(v):
+            raise FloatingPointError(_NON_FINITE)
         return ser.format_float(v)
 
     lines = [",".join(header)]
@@ -457,7 +469,10 @@ def _render_csv(header: list[str], rows: list[list]) -> str:
 
 
 def _render_json(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=True) + "\n"
+    try:
+        return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError:  # allow_nan=False refused a NaN or an infinity
+        raise FloatingPointError(_NON_FINITE) from None
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -492,13 +507,20 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
         job = _HANDLERS[args.command](load_run_config(args.config))
+        cells = len(job.header) * job.rows
+        if cells > MAX_CELLS:
+            raise ValidationError(
+                f"the {args.command} artifact would hold {job.rows} rows x {len(job.header)} "
+                f"columns = {cells} cells, more than {MAX_CELLS}"
+            )
         if args.validate:
             print(f"{args.command}: config OK", file=sys.stderr)
             return 0
         try:
             # any IEEE exception but underflow ends the run: no NaN or inf is written
             with np.errstate(all="raise", under="ignore"):
-                payload, header, rows = job()
+                payload, rows = job.run()
+            text = _render_json(payload) if args.format == "json" else _render_csv(job.header, rows)
         except FloatingPointError as exc:
             raise NumericalDomainError(f"{args.command}: {exc}") from exc
     except ValidationError as exc:
@@ -507,7 +529,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     except NumericalDomainError as exc:
         print(f"numerical domain error: {exc}", file=sys.stderr)
         return 3
-    text = _render_json(payload) if args.format == "json" else _render_csv(header, rows)
     _emit(text, args.out)
     if args.command == "geodesic" and not payload["convergence"]["converged"]:
         print("geodesic did not converge; artifact written", file=sys.stderr)

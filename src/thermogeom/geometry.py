@@ -10,13 +10,17 @@ the same eigendecomposition, the exact gradient of v^T g v in lam that the
 geodesic solver's energy gradient is built from.  The distance is
 d^2 = tr A + tr B - 2 tr[(A^{1/2} B A^{1/2})^{1/2}].
 
-At a block of P points every SLD computation reads only the block's
-spectral core from `gibbs` (one stacked eigendecomposition, no rho and no
-expectations), and the contractions run as matrix products over the whole
-batch: the n observables are rotated into every eigenbasis by one
-(n m, m) @ (m, P m) product and one (n m, m) @ (m, m) product per point,
-each centred by its own p-weighted diagonal, a_i = sum_b p_b (U^dagger
-A_i U)_bb, and the metric is one (n, m^2) @ (m^2, n) product per point.
+A call checks its whole (P, n) parameter block first, then runs it in
+blocks of points (`linalg._in_blocks`) whose largest intermediate, the
+(n, m, m) rotated observables or the (m, m, m) second divided differences
+per point, stays within 256 KiB.  Every SLD computation on a block reads
+only its spectral core from `gibbs` (one stacked eigendecomposition per
+block, no rho and no expectations), and the contractions run as matrix
+products over the whole block: the n observables are rotated into every
+eigenbasis by one (n m, m) @ (m, P m) product and one (n m, m) @ (m, m)
+product per point, each centred by its own p-weighted diagonal,
+a_i = sum_b p_b (U^dagger A_i U)_bb, and the metric is one
+(n, m^2) @ (m^2, n) product per point.
 """
 
 from __future__ import annotations
@@ -31,9 +35,9 @@ from .errors import (
     NumericalConsistencyError,
     ValidationError,
 )
-from .gibbs import ObservableSet, _Spectra, _spectra, observables
+from .gibbs import ObservableSet, _guarded, _Spectra, _spectra, observables
 from .inputs import count, points, vector
-from .linalg import DensityOperator, HermitianOperator, hermitize
+from .linalg import DensityOperator, HermitianOperator, _in_blocks, hermitize
 
 __all__ = [
     "MetricTensor",
@@ -198,7 +202,7 @@ def state_derivatives(obs: ObservableSet, lam) -> list[HermitianOperator]:
     Each derivative is self-adjoint and traceless (the trace of rho is
     constant along the family).
     """
-    spectra = _spectra(obs, vector(lam, observables(obs).n, "lam")[None])
+    spectra = _spectra(obs, _guarded(obs, vector(lam, observables(obs).n, "lam")[None]))
     a_tilde, f1 = _daleckii_krein(obs, spectra)
     u = spectra.U[0]
     drho = u @ (-a_tilde[0] * f1[0]) @ u.conj().T
@@ -214,7 +218,7 @@ def metric_tensor(obs: ObservableSet, lam) -> MetricTensor:
 def _sld_frame(
     obs: ObservableSet, lams: np.ndarray
 ) -> tuple[_Spectra, np.ndarray, np.ndarray, np.ndarray]:
-    """What every SLD computation at a (P, n) block starts from.
+    """What every SLD computation at a `_guarded` (P, n) block starts from.
 
     The block's spectra (one stacked eigendecomposition, no rho), the
     p_a + p_b denominators checked against `SLD_DENOM_FLOOR` (the exit-3
@@ -242,8 +246,16 @@ def metric_grid(obs: ObservableSet, lams) -> np.ndarray:
     L_i,ab = 2 (d_i rho)_ab / (p_a + p_b), so
     g_ij = sum_ab 1/2 (p_a + p_b) Re(L_i,ab L_j,ba)
          = Re sum_ab 2 / (p_a + p_b) (d_i rho)_ab conj((d_j rho)_ab),
-    one stacked eigendecomposition for the whole block.
+    one stacked eigendecomposition per block of points whose (n, m, m)
+    rotated observables stay within 256 KiB.
     """
+    lams = _guarded(obs, lams)
+    m = obs.dim
+    return _in_blocks(functools.partial(_metric_block, obs), 16 * obs.n * m * m, lams)
+
+
+def _metric_block(obs: ObservableSet, lams: np.ndarray) -> np.ndarray:
+    """`metric_grid` on one block of `_guarded` points."""
     return _metric_from_frame(*_sld_frame(obs, lams)[1:])
 
 
@@ -274,7 +286,19 @@ def _quadratic_form_derivatives(
     (Bhatia, Matrix Analysis, V.3).  The two halves of the first trace are
     complex conjugates, so c_k = Re sum_ab At_k,ab W_ab with
     W = 4 N^T + f1 (L_v^2)^T and N_ac = sum_b L_v,ab At_v,bc f2_abc.
+    It runs on blocks of points whose (n, m, m) rotated observables and
+    (m, m, m) f2 each stay within 256 KiB, v split with lam.
     """
+    lams = _guarded(obs, lams)
+    m = obs.dim
+    point_bytes = max(16 * obs.n * m * m, 8 * m**3)
+    return _in_blocks(functools.partial(_form_block, obs), point_bytes, lams, v)
+
+
+def _form_block(
+    obs: ObservableSet, lams: np.ndarray, v: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """`_quadratic_form_derivatives` on one block of `_guarded` points."""
     spectra, denom, a_tilde, f1 = _sld_frame(obs, lams)
     a_v = np.einsum("pi,piab->pab", v, a_tilde)
     sld = -2.0 * a_v * f1 / denom

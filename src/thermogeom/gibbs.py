@@ -9,17 +9,20 @@ formed; the guard |lam_i| <= 1e3 keeps the shifted exponent in range for
 observables of moderate norm, and an exponent that overflows all the same
 raises `ParameterRangeError`.
 
-At a block of P points the exponents are one (P, n) @ (n, m^2) product and
-share one stacked eigendecomposition.  That spectral core (lam, ln Z, the
-eigenvalues x, the populations p and the eigenvectors U) is all the metric
-reads.  `gibbs_batch` adds the expectations a and the entropy S to make
-a `FamilyBatch`; it forms rho = (U p) U^dagger only as the intermediate of
-a, one (P, m^2) @ (m^2, n) product, and keeps no rho.  `gibbs_point` forms
-its one Hermitian rho from the batch's (p, U).
+A call checks its whole (P, n) parameter block first, then runs it in
+blocks of points (`linalg._in_blocks`) whose rho stack stays within 256 KiB.
+In each block the exponents are one (P, n) @ (n, m^2) product and share one
+stacked eigendecomposition.  That spectral core (lam, ln Z, the eigenvalues
+x, the populations p and the eigenvectors U) is all the metric reads.
+`gibbs_batch` adds the expectations a and the entropy S to make a
+`FamilyBatch`; it forms rho = (U p) U^dagger only as the intermediate of a,
+one (P, m^2) @ (m^2, n) product, and keeps no rho.  `gibbs_point` forms its
+one Hermitian rho from the batch's (p, U).
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -31,6 +34,7 @@ from .linalg import (
     CENTRAL_STENCILS,
     DensityOperator,
     HermitianOperator,
+    _in_blocks,
     central_difference,
     hermitize,
 )
@@ -167,11 +171,11 @@ class FamilyBatch(NamedTuple):
     S: np.ndarray  # (P,)
 
 
-def _spectra(obs: ObservableSet, lams) -> _Spectra:
-    """The guarded eigendecomposition of the exponent at a (P, n) block, with p and ln Z.
+def _guarded(obs: ObservableSet, lams) -> np.ndarray:
+    """lams as a (P, n) float block of points, each |lam_i| within LAMBDA_GUARD.
 
-    The exponents are one (P, n) @ (n, m^2) product and share one stacked
-    eigendecomposition; the metric reads nothing else.
+    A batched call checks its whole block here before its first block of
+    points runs, so a bad row anywhere raises before any work.
     """
     lams = points(lams, observables(obs).n, "parameter block")
     worst = float(np.abs(lams).max(initial=0.0))
@@ -179,6 +183,15 @@ def _spectra(obs: ObservableSet, lams) -> _Spectra:
         raise ParameterRangeError(
             f"|lambda| = {worst:.4g} exceeds the overflow guard {LAMBDA_GUARD:g}"
         )
+    return lams
+
+
+def _spectra(obs: ObservableSet, lams: np.ndarray) -> _Spectra:
+    """The eigendecomposition of the exponent at a `_guarded` (P, n) block, with p and ln Z.
+
+    The exponents are one (P, n) @ (n, m^2) product and share one stacked
+    eigendecomposition; the metric reads nothing else.
+    """
     m = obs.dim
     # an overflowing entry is named by the isfinite check below
     with np.errstate(over="ignore", invalid="ignore"):
@@ -197,11 +210,19 @@ def _spectra(obs: ObservableSet, lams) -> _Spectra:
 def gibbs_batch(obs: ObservableSet, lams) -> FamilyBatch:
     """Evaluate the family at a (P, n) block of parameter points at once.
 
-    One stacked eigendecomposition serves every point; this is the
-    workhorse behind grids and paths.  The expectations come from
-    rho = (U p) U^dagger, formed only for them: every a_k = tr(A_k rho) is
-    one (P, m^2) @ (m^2, n) product.
+    One stacked eigendecomposition serves every point of a block of points
+    whose (m, m) rho stack stays within 256 KiB; this is the workhorse
+    behind grids and paths.  The expectations come from rho = (U p) U^dagger,
+    formed only for them: every a_k = tr(A_k rho) is one
+    (P, m^2) @ (m^2, n) product.
     """
+    lams = _guarded(obs, lams)
+    family = functools.partial(_family_block, obs)
+    return FamilyBatch(*_in_blocks(family, 16 * obs.dim * obs.dim, lams))
+
+
+def _family_block(obs: ObservableSet, lams: np.ndarray) -> FamilyBatch:
+    """`gibbs_batch` on one block of `_guarded` points."""
     spectra = _spectra(obs, lams)
     p, u = spectra.p, spectra.U
     rho = (u * p[:, None, :]) @ u.conj().swapaxes(1, 2)

@@ -25,11 +25,17 @@ import numpy as np
 
 from .errors import ValidationError
 
-__all__ = ["MAX_COUNT", "number", "positive", "count", "counts", "reals", "vector", "points"]
+__all__ = [
+    "MAX_COUNT", "MAX_CELLS", "number", "positive", "count", "counts", "reals", "vector", "points"
+]
 
 # Upper bound on every count a config can ask for (grid points, path steps,
 # iterations); checked before anything of that size is allocated.
 MAX_COUNT = 1 << 20
+# Upper bound on the cells (CSV rows x columns) of one CLI artifact, checked
+# at the parse before anything is computed: 2^22 cells of 17-digit floats
+# are about 90 MB of CSV.
+MAX_CELLS = 1 << 22
 
 
 def _is_real(x: object) -> bool:

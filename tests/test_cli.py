@@ -9,12 +9,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from thermogeom import cli
 from thermogeom.cli import CONFIG_KEYS, main
-from thermogeom.inputs import MAX_COUNT
+from thermogeom.inputs import MAX_CELLS, MAX_COUNT
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 SHIPPED = sorted(p.stem[len("run_"):] for p in CONFIG_DIR.glob("run_*.json"))
@@ -610,6 +611,11 @@ def _metric_scaled_qubit():
     return {"observables": obs, "metric": {"grid": grid}}
 
 
+def _gibbs_saturated_z():
+    # ln Z = 800 is exact, but Z = e^800 is past the float range
+    return {"observables": qubit_observables(), "gibbs": {"lambda": [800.0]}}
+
+
 @pytest.mark.parametrize(
     "command, config, message",
     [
@@ -620,8 +626,10 @@ def _metric_scaled_qubit():
             "overflow in '1e+300*l1/1e-11' (operand 1.5625e+298 at l1=0.015625, l2=0.0)",
         ),
         ("metric", _metric_scaled_qubit, "metric: overflow encountered in"),
+        # the library's Z saturates to inf by design; the artifact refuses it
+        ("gibbs", _gibbs_saturated_z, "gibbs: the artifact would hold a NaN or an infinity"),
     ],
-    ids=["holonomy-quotient", "metric-scaled-qubit"],
+    ids=["holonomy-quotient", "metric-scaled-qubit", "gibbs-saturated-z"],
 )
 def test_non_finite_result_exits_3(command, config, message, tmp_path, capsys):
     # each run once wrote NaN or Infinity into an artifact and exited 0
@@ -632,6 +640,48 @@ def test_non_finite_result_exits_3(command, config, message, tmp_path, capsys):
         assert run([command, "--config", cfg, "--format", fmt, "--out", out]) == 3
         assert not out.exists()
     assert f"numerical domain error: {message}" in capsys.readouterr().err
+
+
+def _random_observables(m, n, seed):
+    rng = np.random.default_rng(seed)
+    observables = []
+    for k in range(n):
+        a = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
+        a = (a + a.conj().T) / 2
+        matrix = [[[z.real, z.imag] for z in row] for row in a]
+        observables.append({"name": f"A{k + 1}", "matrix": matrix})
+    return {"dim": m, "observables": observables}
+
+
+def _metric_of_32_observables_at_m16():
+    # 2^16 points x 560 columns; the unsplit (P, n, m, m) block alone was 8 GiB
+    grid = {"start": [-0.05] * 32, "stop": [0.05] * 32, "num": [2] * 16 + [1] * 16}
+    doc = {"observables": _random_observables(16, 32, seed=32), "metric": {"grid": grid}}
+    return doc, 65536 * 560
+
+
+def _curvature_map_of_repeated_planes():
+    doc = shipped_config("curvature_map")
+    doc["curvature_map"] = {
+        "grid": {"start": [0.0, 0.0], "stop": [1.0, 1.0], "num": [1024, 1024]},
+        "pairs": [[1, 2]] * 3,
+    }
+    return doc, 1024 * 1024 * 5
+
+
+@pytest.mark.parametrize(
+    "command, config",
+    [("metric", _metric_of_32_observables_at_m16), ("curvature-map", _curvature_map_of_repeated_planes)],
+)
+def test_artifact_past_the_cell_cap_exits_2(command, config, tmp_path, capsys):
+    doc, cells = config()
+    assert cells > MAX_CELLS
+    cfg = write_config(tmp_path, "cfg.json", doc)
+    out = tmp_path / "artifact"
+    assert run([command, "--config", cfg, "--validate"]) == 2
+    assert run([command, "--config", cfg, "--format", "csv", "--out", out]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err.count(f"= {cells} cells, more than {MAX_CELLS}") == 2
 
 
 def test_lambda_list_is_capped_before_its_entries_are_read(tmp_path, capsys):

@@ -17,7 +17,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from thermogeom import geometry, gibbs
+from thermogeom import geometry, gibbs, linalg
+from thermogeom.errors import ParameterRangeError
 from thermogeom.geometry import (
     _phi,
     _quadratic_form_derivatives,
@@ -26,7 +27,7 @@ from thermogeom.geometry import (
     state_derivatives,
 )
 from thermogeom.gibbs import FamilyBatch, ObservableSet, _spectra, gibbs_batch
-from thermogeom.linalg import HermitianOperator
+from thermogeom.linalg import _BLOCK_BYTES, HermitianOperator, _in_blocks
 
 RTOL = 1e-13
 DIMS = (2, 3, 4, 8, 16)
@@ -88,6 +89,19 @@ def assert_close(actual, expected, rtol):
     assert np.abs(actual - expected).max() <= rtol * scale
 
 
+def eigh_stacks(monkeypatch):
+    """The shapes of the stacks every later np.linalg.eigh call decomposes."""
+    stacks = []
+    eigh = np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        stacks.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    return stacks
+
+
 @pytest.fixture
 def reference(monkeypatch):
     """Run a callable with the element-wise contractions swapped into geometry."""
@@ -146,17 +160,11 @@ def test_the_metric_path_reads_only_the_spectra(name, monkeypatch):
     call, size = METRIC_PATH[name]
     obs = family(4, 3, seed=11)
     lams = block(3, 5, seed=11)
-    stacks = []
-    eigh = np.linalg.eigh
-
-    def counted(a, *args, **kwargs):
-        stacks.append(np.shape(a))
-        return eigh(a, *args, **kwargs)
 
     def refused(*args, **kwargs):
         raise AssertionError("the metric path called gibbs_batch")
 
-    monkeypatch.setattr(np.linalg, "eigh", counted)
+    stacks = eigh_stacks(monkeypatch)
     for module in (gibbs, geometry):
         monkeypatch.setattr(module, "gibbs_batch", refused, raising=False)
     call(obs, lams)
@@ -180,21 +188,90 @@ def test_the_centring_value_is_the_expectation(m):
         assert_close(centring[..., b], expected, 1e-14)
 
 
-# metric_grid's tracemalloc peak, in units of one complex (P, n, m, m) block,
-# measured at commit 9102af4 (numpy 2.4) before the contractions were reshaped
-PARENT_PEAK_BLOCKS = {(16, 4, 256): 2.897, (4, 3, 2000): 3.335, (8, 8, 256): 2.472}
+def test_in_blocks_splits_rows_by_the_byte_budget():
+    seen = []
+
+    def kernel(lams, v):
+        seen.append(len(lams))
+        return lams.sum(axis=1), (lams * v)[:, :, None]
+
+    lams = np.arange(30.0).reshape(10, 3)
+    v = -lams
+    # 10 rows at 1/4 of the budget each: blocks of 4, 4 and 2 rows
+    total, product = _in_blocks(kernel, _BLOCK_BYTES // 4, lams, v)
+    assert seen == [4, 4, 2]
+    assert np.array_equal(total, lams.sum(axis=1))
+    assert np.array_equal(product, (lams * v)[:, :, None])
+    # a row past the budget is a block of its own
+    seen.clear()
+    total, _ = _in_blocks(kernel, 2 * _BLOCK_BYTES, lams, v)
+    assert seen == [1] * 10 and np.array_equal(total, lams.sum(axis=1))
+    # rows that fit in one block are the kernel's own call, with no copy
+    result = (lams, v)
+    assert _in_blocks(lambda *args: result, _BLOCK_BYTES // 10, lams, v) is result
 
 
-@pytest.mark.parametrize("m, n, size", sorted(PARENT_PEAK_BLOCKS))
-def test_rotation_peak_memory_stays_at_the_parent(m, n, size):
+# each batched layer as a call on (obs, lams), and the fields of its result
+LAYERS = {
+    "metric_grid": lambda obs, lams: (metric_grid(obs, lams),),
+    "quadratic_form_derivatives": lambda obs, lams: _quadratic_form_derivatives(
+        obs, lams, np.random.default_rng(3).normal(size=lams.shape)
+    ),
+    "gibbs_batch": lambda obs, lams: gibbs_batch(obs, lams)[1:],
+}
+
+
+@pytest.mark.parametrize("name", sorted(LAYERS))
+@pytest.mark.parametrize("m, n, size", [(16, 4, 256), (4, 3, 2000)])
+def test_blocks_agree_with_the_one_block_evaluation(m, n, size, name, monkeypatch):
+    obs = family(m, n, seed=m + n)
+    lams = block(n, size, seed=size)
+    stacks = eigh_stacks(monkeypatch)
+    blocked = LAYERS[name](obs, lams)
+    assert len(stacks) > 1 and sum(shape[0] for shape in stacks) == size
+    stacks.clear()
+    monkeypatch.setattr(linalg, "_BLOCK_BYTES", 1 << 40)
+    whole = LAYERS[name](obs, lams)
+    assert stacks == [(size, m, m)]
+    for got, expected in zip(blocked, whole, strict=True):
+        assert got.shape == expected.shape
+        assert_close(got, expected, 1e-15)
+
+
+@pytest.mark.parametrize("name", sorted(LAYERS))
+def test_the_guard_reads_every_block_before_the_first_runs(name, monkeypatch):
+    # two rows past the guard in different blocks: the message names the
+    # worse one, as for an unsplit call, and nothing is decomposed
+    obs = family(4, 3, seed=5)
+    lams = block(3, 2000, seed=5)
+    lams[10, 0], lams[1900, 2] = 1500.0, -2500.0
+    stacks = eigh_stacks(monkeypatch)
+    with pytest.raises(ParameterRangeError) as raised:
+        LAYERS[name](obs, lams)
+    assert str(raised.value) == "|lambda| = 2500 exceeds the overflow guard 1000"
+    assert stacks == []
+
+
+# the tracemalloc peak of each layer, in block budgets past its result (the
+# (P, n, n) metric and the (P, n) gradient), at most; measured at 3.4 and 4.8
+PEAK_BUDGETS = {"metric_grid": 4, "quadratic_form_derivatives": 6}
+
+
+@pytest.mark.parametrize("name", sorted(PEAK_BUDGETS))
+@pytest.mark.parametrize(
+    "m, n, size", [(4, 3, 2000), (8, 8, 256), (16, 4, 256), (16, 4, 4096), (16, 32, 512)]
+)
+def test_peak_memory_is_bounded_by_the_block_budget(m, n, size, name):
+    # whatever P: before the blocks the peak of metric_grid was about three
+    # complex (P, n, m, m) arrays, about 190 MB at (16, 4, 4096)
     obs = family(m, n, seed=7)
     lams = block(n, size, seed=7)
-    metric_grid(obs, lams)
+    LAYERS[name](obs, lams)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        metric_grid(obs, lams)
+        LAYERS[name](obs, lams)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert peak <= PARENT_PEAK_BLOCKS[(m, n, size)] * size * n * m * m * 16
+    assert peak <= PEAK_BUDGETS[name] * _BLOCK_BYTES + size * (n + 1) * n * 8
