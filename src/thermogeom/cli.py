@@ -189,15 +189,8 @@ def cmd_metric(cfg: RunConfig) -> Job:
 
     def run() -> Artifact:
         g = metric_grid(cfg.obs, pts)
-        rows = [
-            list(pts[p]) + [float(g[p, i, j]) for i, j in pairs]
-            for p in range(pts.shape[0])
-        ]
-        payload = {
-            "columns": header,
-            "rows": [[float(v) for v in row] for row in rows],
-        }
-        return payload, rows
+        rows = np.column_stack([pts] + [g[:, i, j] for i, j in pairs]).tolist()
+        return {"columns": header, "rows": rows}, rows
 
     return Job(header, len(pts), run)
 
@@ -290,7 +283,7 @@ def cmd_third_law(cfg: RunConfig) -> Job:
         payload = {
             "Lambda": scan.lambdas.tolist(),
             "length": scan.lengths.tolist(),
-            "increment": [v for v in increments],
+            "increment": increments,
         }
         rows = [
             [float(scan.lambdas[j]), float(scan.lengths[j]), "" if increments[j] is None else increments[j]]
@@ -314,11 +307,7 @@ def cmd_boundary_entropy(cfg: RunConfig) -> Job:
             "ground_degeneracy": scan.ground_degeneracy,
             "limit_entropy": scan.limit_entropy,
         }
-        rows = [
-            [float(scan.lambdas[j]), float(scan.entropies[j]), float(scan.gaps[j])]
-            for j in range(scan.lambdas.size)
-        ]
-        return payload, rows
+        return payload, np.column_stack([scan.lambdas, scan.entropies, scan.gaps]).tolist()
 
     return Job(["Lambda", "S", "gap_to_ln_k"], lambdas.size, run)
 

@@ -85,8 +85,8 @@ def _in_blocks(kernel, point_bytes: int, *blocks: np.ndarray):
 
 
 def hermitize(a: np.ndarray) -> np.ndarray:
-    """Hermitian part (A + A^dagger)/2."""
-    return (a + a.conj().T) / 2
+    """Hermitian part A/2 + A^dagger/2: halving first, no sum of finite entries overflows."""
+    return a / 2 + a.conj().T / 2
 
 
 def _freeze(a: np.ndarray, dtype=complex) -> np.ndarray:

@@ -9,7 +9,8 @@ constant-speed.  One batch at the segment midpoints gives the segment
 energies, the exact energy gradient (the metric's first derivatives in
 closed form) and the metrics of a Sobolev (H^1) descent step, whose
 iteration count does not grow with the segment count; the geodesic's
-reported length and energy are that same midpoint rule.
+reported length and energy are that same midpoint rule.  Both ray scans
+read every state on their ray off one `eigvalsh` of sum_i d_i A_i.
 """
 
 from __future__ import annotations
@@ -18,9 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ParameterRangeError, ValidationError
 from .geometry import _quadratic_form_derivatives, metric_grid
-from .gibbs import ObservableSet, gibbs_batch, observables
+from .gibbs import ObservableSet, _guarded, observables
 from .inputs import MAX_COUNT, count, points, positive, vector
 
 __all__ = [
@@ -332,6 +333,23 @@ class ThirdLawScan:
     increments: np.ndarray
 
 
+def _ray(obs: ObservableSet, direction, lambdas) -> tuple[np.ndarray, np.ndarray]:
+    """The checked Lambda list and y = w_0 - w, ascending, from w = eigvalsh(sum_i d_i A_i).
+
+    Every rho(s d) = exp(-s H_d) / Z commutes with H_d, so its populations,
+    ascending as in `gibbs._spectra`, are exp(s y) / sum exp(s y).
+    """
+    d = _unit_direction(direction, observables(obs).n)
+    lam = _check_lambda_list(lambdas)
+    _guarded(obs, lam[-1] * d[None])
+    w = np.linalg.eigvalsh(np.einsum("k,kij->ij", d, obs._stack))
+    with np.errstate(over="ignore", invalid="ignore"):  # named by the isfinite check below
+        y = w[0] - w[::-1]
+    if not np.isfinite(y).all():
+        raise ParameterRangeError(f"sum_i d_i A_i overflows along direction = {d.tolist()}")
+    return lam, y
+
+
 def third_law_scan(
     obs: ObservableSet,
     direction,
@@ -341,15 +359,16 @@ def third_law_scan(
     """Thermodynamic lengths along one ray toward the boundary.
 
     The ray 0 -> max(Lambda) * d is sampled at spacing max(Lambda) / steps
-    with every Lambda inserted as a node; one `metric_grid` batch gives the
-    speeds sqrt(d^T g d) at all nodes, and each length is the cumulative
-    trapezoid sum at its Lambda.
+    with every Lambda inserted as a node.  The speed sqrt(d^T g d) at a node
+    is the closed-form standard deviation of `_ray`'s y under its
+    populations, and each length is the cumulative trapezoid sum at its Lambda.
     """
-    d = _unit_direction(direction, observables(obs).n)
-    lam = _check_lambda_list(lambdas)
-    nodes = np.union1d(np.linspace(0.0, lam[-1], count(steps, "steps", MIN_PATH_STEPS) + 1), lam)
-    q = np.einsum("i,kij,j->k", d, metric_grid(obs, nodes[:, None] * d), d)
-    speeds = np.sqrt(np.clip(q, 0.0, None))
+    steps = count(steps, "steps", MIN_PATH_STEPS)
+    lam, y = _ray(obs, direction, lambdas)
+    nodes = np.union1d(np.linspace(0.0, lam[-1], steps + 1), lam)
+    e = np.exp(np.multiply.outer(nodes, y))
+    p = e / e.sum(axis=1, keepdims=True)
+    speeds = np.sqrt((p * (y - p @ y[:, None]) ** 2).sum(axis=1))
     segments = 0.5 * (speeds[:-1] + speeds[1:]) * np.diff(nodes)
     lengths = np.concatenate(([0.0], np.cumsum(segments)))[np.searchsorted(nodes, lam)]
     return ThirdLawScan(lam, lengths, np.diff(lengths))
@@ -376,13 +395,10 @@ class BoundaryEntropyScan:
 def boundary_entropy_limit(
     obs: ObservableSet, direction, lambdas
 ) -> BoundaryEntropyScan:
-    """Entropies S(rho_{Lambda d}) and their gap to the ln k limit."""
-    d = _unit_direction(direction, observables(obs).n)
-    lam = _check_lambda_list(lambdas)
-    h_d = np.einsum("k,kij->ij", d, obs._stack)
-    w = np.linalg.eigvalsh(h_d)
-    spread = max(float(w[-1] - w[0]), 1.0)
-    k = int(np.sum(w - w[0] <= 1e-8 * spread))
-    batch = gibbs_batch(obs, lam[:, None] * d[None, :])
-    gaps = batch.S - np.log(k)
-    return BoundaryEntropyScan(lam, batch.S.copy(), gaps, k)
+    """Entropies S = -sum p ln p of rho_{Lambda d} and their gap to the ln k limit."""
+    lam, y = _ray(obs, direction, lambdas)
+    k = int(np.sum(-y <= 1e-8 * max(float(-y[0]), 1.0)))
+    e = np.exp(np.multiply.outer(lam, y))
+    p = e / e.sum(axis=1, keepdims=True)
+    entropies = -(p * np.log(p, out=np.zeros_like(p), where=p > 0.0)).sum(axis=1)
+    return BoundaryEntropyScan(lam, entropies, entropies - np.log(k), k)

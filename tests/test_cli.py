@@ -571,6 +571,18 @@ def test_overflowing_exponent_exits_3(command, section, tmp_path):
     assert not out.exists()
 
 
+def test_observable_near_the_float_limit_validates_and_exits_3(tmp_path, capsys):
+    # sz * 1e308 is a valid observable; at lambda = 1 its exponent spread overflows
+    huge = qubit_observables()
+    huge["observables"][0]["matrix"] = [[[1e308, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-1e308, 0.0]]]
+    cfg = write_config(tmp_path, "cfg.json", {"observables": huge, "gibbs": {"lambda": [1.0]}})
+    out = tmp_path / "artifact"
+    assert run(["gibbs", "--config", cfg, "--validate"]) == 0
+    assert run(["gibbs", "--config", cfg, "--out", out]) == 3
+    assert not out.exists()
+    assert "numerical domain error: gibbs: overflow" in capsys.readouterr().err
+
+
 def test_overflowing_field_exits_3(tmp_path, capsys):
     # every operand is finite, but the product overflows on the rectangle
     doc = shipped_config("holonomy")

@@ -37,6 +37,11 @@ class TestHermitianOperator:
         with pytest.raises(ValidationError):
             HermitianOperator([[np.inf, 0.0], [0.0, 1.0]])
 
+    def test_entries_near_the_float_limit_stay_finite(self):
+        # A + A^dagger is past the float range here; A/2 + A^dagger/2 is not
+        a = np.array([[1e308, 1e308 - 1e308j], [1e308 + 1e308j, -1e308]])
+        assert np.array_equal(HermitianOperator(a).matrix, a)
+
     def test_matrix_is_read_only(self):
         h = HermitianOperator(SIGMA_Z)
         with pytest.raises(ValueError):

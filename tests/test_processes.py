@@ -1,12 +1,13 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
-from thermogeom import processes
-from thermogeom.errors import NearSingularError, ValidationError
+from thermogeom import geometry, gibbs, processes
+from thermogeom.errors import NearSingularError, ParameterRangeError, ValidationError
 from thermogeom.geometry import fidelity, metric_grid
-from thermogeom.gibbs import ObservableSet, gibbs_point
+from thermogeom.gibbs import LAMBDA_GUARD, ObservableSet, gibbs_point
 from thermogeom.inputs import MAX_COUNT
 from thermogeom.linalg import HermitianOperator
 from thermogeom.processes import (
@@ -587,28 +588,102 @@ class TestThirdLawScan:
         ray = straight_path(np.zeros(obs.n), 2.0 * np.asarray(direction), 64)
         assert scan.lengths[-1] == pytest.approx(thermo_length(obs, ray).length, rel=1e-12)
 
-    def test_one_metric_batch_and_no_per_ray_length(self, monkeypatch):
-        calls = []
-
-        def counted(obs, lams):
-            calls.append(len(lams))
-            return metric_grid(obs, lams)
-
-        def forbidden(*args, **kwargs):
-            raise AssertionError("the scan integrates one ray")
-
-        monkeypatch.setattr(processes, "metric_grid", counted)
-        monkeypatch.setattr(processes, "thermo_length", forbidden)
-        monkeypatch.setattr(processes, "straight_path", forbidden)
-        third_law_scan(QUBIT, [1.0], [1.0, 2.0, 4.0, 8.0], steps=512)
-        assert calls == [513]
-
     def test_off_grid_lambda_is_read_at_its_inserted_node(self):
         scan = third_law_scan(QUBIT, [1.0], [0.3, 1.0], steps=8)
         nodes = np.array([0.0, 0.125, 0.25, 0.3, 0.375, 0.5, 0.625, 0.75, 0.875, 1.0])
         speeds = np.sqrt(metric_grid(QUBIT, nodes[:, None])[:, 0, 0])
         cumulative = np.cumsum(0.5 * (speeds[:-1] + speeds[1:]) * np.diff(nodes))
         assert scan.lengths.tolist() == pytest.approx([cumulative[2], cumulative[-1]], rel=1e-14)
+
+
+class TestRaysFromOneSpectrum:
+    """Both ray scans read every state on lam = s d off one eigvalsh of H_d = sum_i d_i A_i."""
+
+    SIZES = [(2, 3), (3, 4), (4, 3), (8, 5), (16, 4)]
+
+    @staticmethod
+    def unit(rng, n):
+        d = rng.normal(size=n)
+        return d / np.linalg.norm(d)
+
+    def test_neither_scan_reaches_the_batched_layers(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a ray scan needs only the spectrum of H_d")
+
+        for module, name in [
+            (processes, "metric_grid"),
+            (geometry, "metric_grid"),
+            (gibbs, "gibbs_batch"),
+            (gibbs, "_spectra"),
+            (geometry, "_spectra"),
+        ]:
+            monkeypatch.setattr(module, name, forbidden)
+        obs = random_family(4, 3, seed=5)
+        d = self.unit(np.random.default_rng(5), 3)
+        third_law_scan(obs, d, [1.0, 2.0, 4.0], steps=64)
+        boundary_entropy_limit(obs, d, [0.0, 1.0, 4.0])
+
+    @pytest.mark.parametrize("m, n", SIZES)
+    def test_ray_speed_is_the_variance_of_the_spectrum(self, m, n):
+        # non-commuting complex families: d^T g(s d) d = Var_p(s)(w), p(s) ~ exp(-s w)
+        obs = random_family(m, n, seed=100 * m + n)
+        d = self.unit(np.random.default_rng(m + n), n)
+        w = np.linalg.eigvalsh(np.einsum("k,kij->ij", d, obs._stack))
+        s = np.array([0.0, 0.1, 0.4, 1.0])
+        q = np.einsum("i,kij,j->k", d, metric_grid(obs, s[:, None] * d), d)
+        e = np.exp(-np.multiply.outer(s, w - w[0]))
+        p = e / e.sum(axis=1, keepdims=True)
+        var = (p * (w - p @ w[:, None]) ** 2).sum(axis=1)
+        assert np.abs(q - var).max() <= 1e-12 * var.max()
+
+    @pytest.mark.parametrize("m, n", SIZES)
+    def test_scan_is_the_trapezoid_of_metric_speeds(self, m, n):
+        obs = random_family(m, n, seed=100 * m + n)
+        d = self.unit(np.random.default_rng(m + n), n)
+        scan = third_law_scan(obs, d, [0.25, 1.0], steps=16)
+        nodes = np.linspace(0.0, 1.0, 17)
+        q = np.einsum("i,kij,j->k", d, metric_grid(obs, nodes[:, None] * d), d)
+        speeds = np.sqrt(q)
+        cumulative = np.cumsum(0.5 * (speeds[:-1] + speeds[1:]) * np.diff(nodes))
+        assert scan.lengths == pytest.approx([cumulative[3], cumulative[-1]], rel=1e-12)
+
+    @pytest.mark.parametrize("m, n", SIZES)
+    def test_entropies_match_the_gibbs_states(self, m, n):
+        obs = random_family(m, n, seed=100 * m + n)
+        d = self.unit(np.random.default_rng(m + n), n)
+        lam = [0.0, 0.5, 2.0, 8.0]
+        scan = boundary_entropy_limit(obs, d, lam)
+        expected = [gibbs_point(obs, s * d).S for s in lam]
+        assert scan.entropies == pytest.approx(expected, rel=1e-12, abs=1e-13)
+
+    def test_qubit_length_to_lambda_40_is_the_gudermannian(self):
+        # at Lambda = 40 the SLD denominator 2 p_b = 3.6e-35 is far below SLD_DENOM_FLOOR,
+        # and the scan divides by no such sum
+        lam = [1.0, 8.0, 20.0, 40.0]
+        scan = third_law_scan(QUBIT, [1.0], lam, steps=4096)
+        for got, at in zip(scan.lengths, lam):
+            assert got == pytest.approx(gudermannian(at), abs=1e-5)
+
+    def test_non_commuting_ray_to_lambda_40_is_finite_and_nondecreasing(self):
+        obs = random_family(8, 5, seed=85)
+        d = self.unit(np.random.default_rng(85), 5)
+        scan = third_law_scan(obs, d, [1.0, 8.0, 20.0, 40.0])
+        assert np.isfinite(scan.lengths).all()
+        assert np.all(np.diff(scan.lengths) >= 0.0)
+
+    @pytest.mark.parametrize("scan", [third_law_scan, boundary_entropy_limit])
+    def test_lambda_past_the_guard_is_refused(self, scan):
+        message = f"|lambda| = 1001 exceeds the overflow guard {LAMBDA_GUARD:g}"
+        with pytest.raises(ParameterRangeError, match=re.escape(message)):
+            scan(QUBIT, [1.0], [1.0, 1001.0])
+
+    @pytest.mark.parametrize("scan", [third_law_scan, boundary_entropy_limit])
+    def test_overflowing_ray_observable_is_refused(self, scan):
+        # each A_i is finite, but H_d = sum_i A_i / 3 is past the float range
+        big = HermitianOperator(np.diag([8.9e307, -8.9e307]))
+        obs = ObservableSet([big] * 9)
+        with pytest.raises(ParameterRangeError, match="overflows"):
+            scan(obs, np.full(9, 1.0 / 3.0), [0.5, 1.0])
 
 
 class TestLambdaList:
