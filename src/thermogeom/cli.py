@@ -44,7 +44,7 @@ from .connection import (
     holonomy_via_lift,
     rectangle_loop,
 )
-from .contact import ThermoPoint, _legendrian_grid, legendrian_residual
+from .contact import ThermoPoint, legendrian_residual
 from .errors import NumericalDomainError, ValidationError
 from .geometry import metric_grid
 from .gibbs import ObservableSet, gibbs_point
@@ -314,7 +314,7 @@ def cmd_boundary_entropy(cfg: RunConfig) -> Job:
 
 def cmd_contact_check(cfg: RunConfig) -> Job:
     grid = _section(cfg, "contact_check", "grid").get("grid")
-    pts = _legendrian_grid(cfg.obs, _grid_points(grid, cfg.obs.n))
+    pts = _grid_points(grid, cfg.obs.n, 1)
 
     def run() -> Artifact:
         residual = legendrian_residual(cfg.obs, pts)

@@ -3,7 +3,9 @@
 The global contact form is eta = dS - sum_i lam_i da_i.  Equilibrium
 embeddings lam -> (S(lam), a(lam), lam) annihilate eta (the first law in
 entropy representation); off equilibrium, S and a are independent target
-coordinates.  The state function maps any point to a Gibbs state through
+coordinates.  The Legendrian residual checks the first law in closed form,
+with the Kubo-Mori Hessian (weight f1, no floor) as da/dlam.  The state
+function maps any point to a Gibbs state through
 mu_i = lam_i + f_i(S, a, lam) with f_i vanishing on equilibrium.
 """
 
@@ -17,9 +19,9 @@ import numpy as np
 
 from . import exprlang
 from .errors import DegenerateMetricError, SignatureError, ValidationError
-from .geometry import MetricTensor
-from .gibbs import ObservableSet, _tap_room, gibbs_batch, gibbs_point, observables
-from .linalg import DensityOperator, central_difference
+from .geometry import MetricTensor, _equilibrium_tangent
+from .gibbs import ObservableSet, _guarded, gibbs_batch, gibbs_point, observables
+from .linalg import DensityOperator
 from .inputs import count, number, points, positive, vector
 
 __all__ = [
@@ -51,8 +53,6 @@ MU_VALIDATION_TOL = 1e-8
 _MU_GRID_SEED = 173651
 # a g_S of at most this magnitude makes the fields degenerate
 G_S_FLOOR = 1e-12
-# step and order of the central difference of (S, a) in the Legendrian residual
-_LEGENDRIAN_STENCIL = (1e-5, 4)
 
 
 def _check_g_S(g_s, lam) -> None:
@@ -309,32 +309,17 @@ def contact_volume_coefficient(n: int) -> float:
     return value
 
 
-def _legendrian_grid(obs: ObservableSet, lambda_grid) -> np.ndarray:
-    """The (P, n) points of a Legendrian-residual grid, P >= 1, whose taps stay within LAMBDA_GUARD."""
-    return _tap_room(points(lambda_grid, observables(obs).n, "grid", 1), *_LEGENDRIAN_STENCIL)
-
-
 def legendrian_residual(obs: ObservableSet, lambda_grid) -> float:
-    """max |dS/dlam_k - sum_i lam_i da_i/dlam_k| over a grid of base points.
+    """max |dS/dlam + K lam|, zero by the first law, over a grid of P >= 1 base points.
 
-    `linalg.central_difference`, at order 4 with step 1e-5,
-    differentiates (S, a) from one `gibbs_batch` call over every tap; the
-    residual vanishes on the equilibrium submanifold (the first law), so
-    this is the Legendrian diagnostic.  A point within 2e-5 of
-    LAMBDA_GUARD raises `ValidationError`, since its taps would cross the
-    guard.
+    Both derivatives are closed forms (`geometry._equilibrium_tangent`):
+    da/dlam = -K, the Kubo-Mori Hessian of ln Z with weight f1 on
+    |At_ab|^2, and dS/dlam_k = sum_a p_a y_a At_k,aa with y = x - ln Z.
+    Nothing divides by a population, so points up to LAMBDA_GUARD are taken.
     """
-    grid = _legendrian_grid(obs, lambda_grid)
-    n = obs.n
-
-    def entropy_and_expectations(taps: np.ndarray) -> np.ndarray:
-        batch = gibbs_batch(obs, taps.reshape(-1, n))
-        values = np.concatenate((batch.S[:, None], batch.a), axis=1)
-        return values.reshape(*taps.shape[:-1], n + 1)
-
-    d = central_difference(entropy_and_expectations, grid, *_LEGENDRIAN_STENCIL)
-    residual = d[..., 0] - np.einsum("pi,pki->pk", grid, d[..., 1:])
-    return float(np.max(np.abs(residual)))
+    grid = _guarded(obs, points(lambda_grid, observables(obs).n, "grid", 1))
+    ds, k = _equilibrium_tangent(obs, grid)
+    return float(np.max(np.abs(ds + (k @ grid[:, :, None])[..., 0])))
 
 
 def state_function(

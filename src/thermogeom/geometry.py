@@ -7,19 +7,21 @@ closed-form in the eigenbasis of the exponent (Daleckii-Krein divided
 differences; Bhatia, Matrix Analysis, V.3), so one eigendecomposition per
 point gives the exact metric.  The second divided differences give, from
 the same eigendecomposition, the exact gradient of v^T g v in lam that the
-geodesic solver's energy gradient is built from.  The distance is
+geodesic solver's energy gradient is built from, and the Kubo-Mori (BKM)
+Hessian K = grad^2 ln Z, weight f1 on |At_ab|^2 with no floor, is the
+exact da/dlam of the Legendrian residual.  The distance is
 d^2 = tr A + tr B - 2 tr[(A^{1/2} B A^{1/2})^{1/2}].
 
 A call checks its whole (P, n) parameter block first, then runs it in
 blocks of points (`linalg._in_blocks`) whose largest intermediate, the
 (n, m, m) rotated observables or the (m, m, m) second divided differences
-per point, stays within 256 KiB.  Every SLD computation on a block reads
+per point, stays within 256 KiB.  Every computation on a block reads
 only its spectral core from `gibbs` (one stacked eigendecomposition per
 block, no rho and no expectations), and the contractions run as matrix
 products over the whole block: the n observables are rotated into every
 eigenbasis by one (n m, m) @ (m, P m) product and one (n m, m) @ (m, m)
 product per point, each centred by its own p-weighted diagonal,
-a_i = sum_b p_b (U^dagger A_i U)_bb, and the metric is one
+a_i = sum_b p_b (U^dagger A_i U)_bb, and a metric is one
 (n, m^2) @ (m^2, n) product per point.
 """
 
@@ -256,16 +258,36 @@ def metric_grid(obs: ObservableSet, lams) -> np.ndarray:
 
 def _metric_block(obs: ObservableSet, lams: np.ndarray) -> np.ndarray:
     """`metric_grid` on one block of `_guarded` points."""
-    return _metric_from_frame(*_sld_frame(obs, lams)[1:])
+    _, denom, a_tilde, f1 = _sld_frame(obs, lams)
+    return _metric_from_frame(a_tilde, f1 * np.sqrt(2.0 / denom))
 
 
-def _metric_from_frame(denom: np.ndarray, a_tilde: np.ndarray, f1: np.ndarray) -> np.ndarray:
-    """The (P, n, n) metric from an SLD frame; overwrites a_tilde."""
-    # F_i = At_i * f1 sqrt(2 / (p_a + p_b)), built in At's buffer by one
-    # scaling, is -d_i rho * sqrt(2 / (p_a + p_b)); g = Re F F^H is blind to
-    # that sign and is one (n, m^2) @ (m^2, n) product per point
+def _equilibrium_tangent(obs: ObservableSet, lams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """dS/dlam, (P, n), and the Kubo-Mori Hessian K = grad^2 ln Z, (P, n, n), at `_guarded` lams.
+
+    U^dagger d_k rho U = -At_k * f1 gives K = -da/dlam = Re F F^H for F = At * sqrt(f1),
+    and dp_a = -p_a At_k,aa gives dS/dlam_k = sum_a p_a y_a At_k,aa, y = x - ln Z.
+    Neither divides by a population (no `SLD_DENOM_FLOOR`); blocks as in `metric_grid`.
+    """
+    m = obs.dim
+    return _in_blocks(functools.partial(_tangent_block, obs), 16 * obs.n * m * m, lams)
+
+
+def _tangent_block(obs: ObservableSet, lams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`_equilibrium_tangent` on one block of `_guarded` points."""
+    spectra = _spectra(obs, lams)
+    a_tilde, f1 = _daleckii_krein(obs, spectra)
+    ds = np.einsum("pkaa,pa->pk", a_tilde.real, spectra.p * (spectra.x - spectra.log_Z[:, None]))
+    return ds, _metric_from_frame(a_tilde, np.sqrt(f1))
+
+
+def _metric_from_frame(a_tilde: np.ndarray, weight: np.ndarray) -> np.ndarray:
+    """Re F F^H, (P, n, n), for F_i = At_i * weight, weight (P, m, m); overwrites a_tilde."""
+    # F is built in At's buffer by one scaling; with the SLD weight
+    # f1 sqrt(2 / (p_a + p_b)) it is -d_i rho sqrt(2 / (p_a + p_b)), to whose
+    # sign Re F F^H, one (n, m^2) @ (m^2, n) product per point, is blind
     f = a_tilde
-    f *= (f1 * np.sqrt(2.0 / denom))[:, None]
+    f *= weight[:, None]
     p, n, m = f.shape[:3]
     f = f.reshape(p, n, m * m)
     g = (f @ f.conj().swapaxes(1, 2)).real
@@ -305,4 +327,4 @@ def _form_block(
     n_ac = np.einsum("pab,pbc,pabc->pac", sld, a_v, _second_divided_differences(spectra))
     w = 4.0 * n_ac.swapaxes(1, 2) + f1 * (sld @ sld).swapaxes(1, 2)
     c = np.einsum("piab,pab->pi", a_tilde, w).real
-    return _metric_from_frame(denom, a_tilde, f1), c
+    return _metric_from_frame(a_tilde, f1 * np.sqrt(2.0 / denom)), c

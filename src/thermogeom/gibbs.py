@@ -97,7 +97,9 @@ class ObservableSet:
                     f"{len(names)} names for {len(obs)} observables"
                 )
         stack = np.stack([op.matrix for op in obs])
-        traceless = stack - np.trace(stack, axis1=1, axis2=2)[:, None, None] / dim * np.eye(dim)
+        # the rank rule is relative: scaled to parts within 1, no trace overflows
+        scaled = stack / (np.abs(stack.view(float)).max() or 1.0)
+        traceless = scaled - np.trace(scaled, axis1=1, axis2=2)[:, None, None] / dim * np.eye(dim)
         s = np.linalg.svd(traceless.reshape(len(obs), -1), compute_uv=False)
         independent = bool(
             s[0] > 0 and int(np.sum(s > _INDEPENDENCE_RTOL * s[0])) == len(obs)
@@ -252,22 +254,6 @@ def gibbs_point(obs: ObservableSet, lam) -> GibbsPoint:
     )
 
 
-def _tap_room(lams: np.ndarray, step: float, order: int) -> np.ndarray:
-    """lams, refused where a point within LAMBDA_GUARD has a central-difference tap past it.
-
-    The taps of `linalg.central_difference` at this step and order lie up
-    to the stencil's reach, its largest offset times step, from each point.
-    """
-    reach = CENTRAL_STENCILS[order][0][-1] * step
-    worst = float(np.abs(lams).max(initial=0.0))
-    if worst <= LAMBDA_GUARD < worst + reach:
-        raise ValidationError(
-            f"|lambda| = {worst!r} is within the stencil reach {reach:g} of the overflow "
-            f"guard {LAMBDA_GUARD:g}, so the finite-difference taps would cross it"
-        )
-    return lams
-
-
 def expectation_consistency(obs: ObservableSet, lam) -> float:
     """Max deviation of a_i from the central difference of -ln Z.
 
@@ -276,7 +262,14 @@ def expectation_consistency(obs: ObservableSet, lam) -> float:
     taps go to one `gibbs_batch` call; a lam within 1e-4 of LAMBDA_GUARD
     raises `ValidationError`, since its taps would cross the guard.
     """
-    lam = _tap_room(vector(lam, observables(obs).n, "lam"), *_CONSISTENCY_STENCIL)
+    lam = vector(lam, observables(obs).n, "lam")
+    reach = CENTRAL_STENCILS[_CONSISTENCY_STENCIL[1]][0][-1] * _CONSISTENCY_STENCIL[0]
+    worst = float(np.abs(lam).max())
+    if worst <= LAMBDA_GUARD < worst + reach:
+        raise ValidationError(
+            f"|lambda| = {worst!r} is within the stencil reach {reach:g} of the overflow "
+            f"guard {LAMBDA_GUARD:g}, so the finite-difference taps would cross it"
+        )
     point = gibbs_point(obs, lam)
 
     def neg_log_z(taps: np.ndarray) -> np.ndarray:

@@ -194,7 +194,7 @@ class TestContactCheckCommand:
             ["contact-check", "--config", CONFIG_DIR / "run_contact_check.json", "--out", out]
         )
         assert code == 0
-        assert json.loads(out.read_text())["max_residual"] < 1e-8
+        assert json.loads(out.read_text())["max_residual"] <= 1e-14
 
 
 class TestHolonomyCommand:
@@ -446,9 +446,6 @@ INVALID_EDITS = {
     "flatness_tol_negative": ("flatness", lambda s: s.update(tol=-1)),
     "section_kappa_negative": ("entropy_production", lambda s: s.update(kappa=-1)),
     "contact_grid_empty": ("contact_check", lambda s: s["grid"].update(num=[0])),
-    # within the guard, but within the Legendrian stencil's reach (2e-5) of it
-    "contact_grid_stop_at_tap_reach": ("contact_check", lambda s: s["grid"].update(stop=[999.99999])),
-    "contact_grid_start_at_tap_reach": ("contact_check", lambda s: s["grid"].update(start=[-999.99999])),
     "flatness_grid_empty": ("flatness", lambda s: s["grid"].update(num=[0, 5])),
     # the grid's step overflows, so its points are not finite
     "grid_span_overflows": ("metric", lambda s: s["grid"].update(start=[-1.7e308], stop=[1.7e308])),
@@ -474,6 +471,27 @@ INVALID_EDITS = {
     "h2_long_sum": ("holonomy", {"h": ["0", "+".join(["l1"] * 1000)]}),
     "h2_literal_past_float_range": ("holonomy", {"h": ["0", "l1*1e400"]}),
 }
+
+
+# (config, edit of its section) pairs that --validate and the run both accept
+VALID_EDITS = {
+    # the Legendrian residual is closed-form, so its grid may reach the guard
+    "contact_grid_stop_near_guard": ("contact_check", lambda s: s["grid"].update(stop=[999.99999])),
+    "contact_grid_start_near_guard": ("contact_check", lambda s: s["grid"].update(start=[-999.99999])),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VALID_EDITS))
+def test_valid_edit_exits_0_under_validate_and_run(name, tmp_path):
+    config, edit = VALID_EDITS[name]
+    doc = shipped_config(config)
+    edit(doc[config])
+    cfg = write_config(tmp_path, "cfg.json", doc)
+    out = tmp_path / "artifact"
+    command = config.replace("_", "-")
+    assert run([command, "--config", cfg, "--validate"]) == 0
+    assert run([command, "--config", cfg, "--out", out]) == 0
+    assert json.loads(out.read_text())["max_residual"] <= 1e-12
 
 
 # (config, key path, value): a key the config format does not have, which
@@ -581,6 +599,18 @@ def test_observable_near_the_float_limit_validates_and_exits_3(tmp_path, capsys)
     assert run(["gibbs", "--config", cfg, "--out", out]) == 3
     assert not out.exists()
     assert "numerical domain error: gibbs: overflow" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "diagonal", [[1e308, 1e308], [1.7e308, -1.7e308, -1.7e308]], ids=["identity", "traceless"]
+)
+def test_observable_at_the_float_limit_never_exits_1(diagonal, tmp_path):
+    # building the set once overflowed in its rank test and raised a traceback
+    matrix = [[[d if i == j else 0.0, 0.0] for j in range(len(diagonal))] for i, d in enumerate(diagonal)]
+    obs = {"dim": len(diagonal), "observables": [{"name": "big", "matrix": matrix}]}
+    cfg = write_config(tmp_path, "cfg.json", {"observables": obs, "gibbs": {"lambda": [1.0]}})
+    assert run(["gibbs", "--config", cfg, "--validate"]) in (0, 2)
+    assert run(["gibbs", "--config", cfg, "--out", tmp_path / "artifact"]) in (0, 2, 3)
 
 
 def test_overflowing_field_exits_3(tmp_path, capsys):

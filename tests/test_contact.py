@@ -23,8 +23,14 @@ from thermogeom.contact import (
     state_function,
     wedge_top_coefficient,
 )
-from thermogeom.errors import DegenerateMetricError, SignatureError, ValidationError
-from thermogeom.geometry import metric_tensor
+from thermogeom.errors import (
+    DegenerateMetricError,
+    NearSingularError,
+    ParameterRangeError,
+    SignatureError,
+    ValidationError,
+)
+from thermogeom.geometry import metric_grid, metric_tensor
 from thermogeom.gibbs import ObservableSet, gibbs_point
 from thermogeom.linalg import HermitianOperator
 
@@ -214,15 +220,24 @@ class TestLegendrianResidual:
         with pytest.raises(ValidationError, match="0 points; it needs at least 1"):
             legendrian_residual(QUBIT, np.zeros((0, 1)))
 
-    @pytest.mark.parametrize("lam", [999.99999, -999.99999])
-    def test_taps_may_not_cross_the_guard(self, lam):
-        # the point itself is within the guard, its taps at +-2e-5 are not
-        gibbs_point(QUBIT, [lam])
-        with pytest.raises(ValidationError, match="within the stencil reach 2e-05 of the overflow guard"):
-            legendrian_residual(QUBIT, [[0.5], [lam]])
+    def test_grid_may_reach_the_guard(self):
+        # no finite-difference taps: a grid point may sit on LAMBDA_GUARD itself
+        grid = [[1000.0], [999.99999], [0.5], [-999.99999], [-1000.0]]
+        assert legendrian_residual(QUBIT, grid) <= 1e-12
+        with pytest.raises(ParameterRangeError):
+            legendrian_residual(QUBIT, [[0.5], [1000.0000001]])
 
-    def test_taps_may_reach_the_guard(self):
-        assert legendrian_residual(QUBIT, [[999.99998], [-999.99998]]) < 1e-8
+    def test_grid_may_pass_the_sld_floor(self):
+        # metric_grid refuses this point (p_a + p_b < SLD_DENOM_FLOOR); the
+        # residual divides by no population and stays at rounding level
+        rng = np.random.default_rng(8)
+        a = rng.normal(size=(5, 8, 8)) + 1j * rng.normal(size=(5, 8, 8))
+        obs = ObservableSet([HermitianOperator((x + x.conj().T) / 2) for x in a])
+        lam = 12.0 * rng.uniform(-1.0, 1.0, (1, 5))
+        with pytest.raises(NearSingularError):
+            metric_grid(obs, lam)
+        residual = legendrian_residual(obs, lam)
+        assert math.isfinite(residual) and residual <= 1e-10
 
 
 class TestMuExtension:

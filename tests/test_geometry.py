@@ -6,7 +6,9 @@ import pytest
 from thermogeom import geometry
 from thermogeom.errors import NearSingularError, ValidationError
 from thermogeom.geometry import (
+    SLD_DENOM_FLOOR,
     MetricTensor,
+    _equilibrium_tangent,
     _quadratic_form_derivatives,
     _second_divided_differences,
     bw_distance,
@@ -15,7 +17,13 @@ from thermogeom.geometry import (
     metric_tensor,
     state_derivatives,
 )
-from thermogeom.gibbs import ObservableSet, _spectra, gibbs_batch, gibbs_point
+from thermogeom.gibbs import (
+    ObservableSet,
+    _spectra,
+    gibbs_batch,
+    gibbs_point,
+    injectivity_diagnostic,
+)
 from thermogeom.linalg import (
     DensityOperator,
     HermitianOperator,
@@ -418,3 +426,55 @@ class TestQuadraticFormDerivatives:
         with pytest.raises(NearSingularError) as from_form:
             _quadratic_form_derivatives(QUBIT, lams, np.ones((2, 1)))
         assert str(from_form.value) == str(from_grid.value)
+
+
+# seeded non-commuting families for the Kubo-Mori (BKM) Hessian
+TANGENT_FAMILIES = [(2, 3), (3, 4), (4, 3), (8, 5), (16, 4)]
+
+
+def tangent_points(m, n, seed):
+    """A family and 6 points of it inside the SLD floor, |lam_i| up to 0.5."""
+    obs = random_family(m, n, seed)
+    lams = np.random.default_rng(seed).uniform(-0.5, 0.5, (6, n))
+    assert _spectra(obs, lams).p.min() > 1e3 * SLD_DENOM_FLOOR
+    return obs, lams
+
+
+class TestEquilibriumTangent:
+    @pytest.mark.parametrize("m,n", TANGENT_FAMILIES)
+    def test_metrics_agree_along_lam_and_nest(self, m, n):
+        # g lam = K lam = C lam, since sum_i lam_i At_i is diagonal in the
+        # eigenbasis, and Petz's order g <= K <= C: their weights on
+        # |At_ab|^2 are L^2 / A, L and A, for L the logarithmic and A the
+        # arithmetic mean of p_a and p_b
+        obs, lams = tangent_points(m, n, 100 + m)
+        _, hessians = _equilibrium_tangent(obs, lams)
+        for g, k, lam in zip(metric_grid(obs, lams), hessians, lams):
+            c = injectivity_diagnostic(obs, lam)[0]
+            scale = np.abs(c).max()
+            along = c @ lam
+            for metric in (g, k):
+                assert np.abs(metric @ lam - along).max() <= 1e-12 * scale * np.abs(lam).max()
+            for lower, upper in ((g, k), (k, c)):
+                assert np.linalg.eigvalsh(upper - lower)[0] >= -1e-12 * scale
+
+    @pytest.mark.parametrize("m,n", TANGENT_FAMILIES)
+    def test_matches_differenced_gibbs_batch(self, m, n):
+        obs, lams = tangent_points(m, n, 200 + m)
+
+        def entropy_and_expectations(taps):
+            batch = gibbs_batch(obs, taps.reshape(-1, n))
+            return np.concatenate((batch.S[:, None], batch.a), axis=1).reshape(*taps.shape[:-1], n + 1)
+
+        ref = central_difference(entropy_and_expectations, lams, 1e-4, 4)
+        ds, k = _equilibrium_tangent(obs, lams)
+        for exact, differenced in ((ds, ref[..., 0]), (-k, ref[..., 1:])):
+            assert np.abs(exact - differenced).max() <= 1e-8 * np.abs(differenced).max()
+
+    def test_exact_on_the_qubit(self):
+        # K = d^2 ln(2 cosh lam) / d lam^2 = sech^2 lam; dS/dlam = -lam sech^2 lam
+        lams = np.linspace(-3.0, 3.0, 13)[:, None]
+        ds, k = _equilibrium_tangent(QUBIT, lams)
+        sech2 = 1.0 / np.cosh(lams[:, 0]) ** 2
+        np.testing.assert_allclose(k[:, 0, 0], sech2, rtol=1e-14, atol=0.0)
+        np.testing.assert_allclose(ds[:, 0], -lams[:, 0] * sech2, rtol=1e-13, atol=1e-16)

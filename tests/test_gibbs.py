@@ -63,6 +63,16 @@ class TestObservableSet:
         assert not obs.independent
         assert injectivity_diagnostic(obs, np.full(obs.n, 0.3))[1] < obs.n
 
+    @pytest.mark.parametrize(
+        "diagonal, independent",
+        [([1e308, 1e308], False), ([1.7e308, -1.7e308, -1.7e308], True)],
+        ids=["identity-near-the-float-limit", "traceless-part-near-the-float-limit"],
+    )
+    def test_rank_rule_survives_entries_near_the_float_limit(self, diagonal, independent):
+        # the trace of the unscaled stack overflows, and its SVD did not converge
+        obs = ObservableSet([HermitianOperator(np.diag(diagonal))])
+        assert obs.independent is independent
+
     def test_default_names(self):
         obs = ObservableSet([HermitianOperator(SIGMA_Z), HermitianOperator(SIGMA_X)])
         assert obs.names == ("A1", "A2")

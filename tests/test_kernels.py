@@ -8,8 +8,9 @@ observables at all P points through one (n m, m) @ (m, P m) product and one
 its p-weighted diagonal.  The reference below keeps the element-wise forms
 (einsum exponent, einsum rho, einsum trace, broadcast U^dagger A U centred
 by the batch's a) and is swapped into `geometry` in place of the spectral
-core to give the metric and the quadratic-form gradient along the old
-contractions, so the two routes differ only in how they sum.
+core to give the metric, the quadratic-form gradient and the Kubo-Mori
+Hessian along the old contractions, so the two routes differ only in how
+they sum.
 """
 
 import tracemalloc
@@ -20,13 +21,14 @@ import pytest
 from thermogeom import geometry, gibbs, linalg
 from thermogeom.errors import ParameterRangeError
 from thermogeom.geometry import (
+    _equilibrium_tangent,
     _phi,
     _quadratic_form_derivatives,
     metric_grid,
     metric_tensor,
     state_derivatives,
 )
-from thermogeom.gibbs import FamilyBatch, ObservableSet, _spectra, gibbs_batch
+from thermogeom.gibbs import FamilyBatch, ObservableSet, _guarded, _spectra, gibbs_batch
 from thermogeom.linalg import _BLOCK_BYTES, HermitianOperator, _in_blocks
 
 RTOL = 1e-13
@@ -59,8 +61,8 @@ def reference_daleckii_krein(obs, batch):
     return a_tilde, f1
 
 
-def reference_metric_from_frame(denom, a_tilde, f1):
-    f = -a_tilde * f1[:, None] * np.sqrt(2.0 / denom)[:, None]
+def reference_metric_from_frame(a_tilde, weight):
+    f = -a_tilde * weight[:, None]
     f = f.reshape(*f.shape[:2], -1)
     g = (f @ f.conj().swapaxes(1, 2)).real
     return (g + g.swapaxes(1, 2)) / 2
@@ -131,6 +133,8 @@ def test_gemm_kernels_match_the_element_wise_formulas(m, n, size, reference):
     ref_g, ref_c = reference(_quadratic_form_derivatives, obs, lams, v)
     assert_close(new_g, ref_g, RTOL)
     assert_close(new_c, ref_c, RTOL)
+    for new, ref in zip(_equilibrium_tangent(obs, lams), reference(_equilibrium_tangent, obs, lams)):
+        assert_close(new, ref, RTOL)
 
 
 @pytest.mark.parametrize("n", COUNTS)
@@ -151,6 +155,7 @@ METRIC_PATH = {
         5,
     ),
     "state_derivatives": (lambda obs, lams: state_derivatives(obs, lams[0]), 1),
+    "equilibrium_tangent": (lambda obs, lams: _equilibrium_tangent(obs, lams), 5),
 }
 
 
@@ -218,6 +223,8 @@ LAYERS = {
         obs, lams, np.random.default_rng(3).normal(size=lams.shape)
     ),
     "gibbs_batch": lambda obs, lams: gibbs_batch(obs, lams)[1:],
+    # the Legendrian residual guards its grid before the tangent reads it
+    "equilibrium_tangent": lambda obs, lams: _equilibrium_tangent(obs, _guarded(obs, lams)),
 }
 
 
@@ -253,8 +260,9 @@ def test_the_guard_reads_every_block_before_the_first_runs(name, monkeypatch):
 
 
 # the tracemalloc peak of each layer, in block budgets past its result (the
-# (P, n, n) metric and the (P, n) gradient), at most; measured at 3.4 and 4.8
-PEAK_BUDGETS = {"metric_grid": 4, "quadratic_form_derivatives": 6}
+# (P, n, n) metric or Hessian and the (P, n) gradient or dS/dlam), at most;
+# measured at 3.4, 4.8 and 3.4
+PEAK_BUDGETS = {"metric_grid": 4, "quadratic_form_derivatives": 6, "equilibrium_tangent": 4}
 
 
 @pytest.mark.parametrize("name", sorted(PEAK_BUDGETS))

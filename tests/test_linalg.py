@@ -213,12 +213,12 @@ def _central_difference_callers() -> set[str]:
     return callers
 
 
-def test_finite_differences_are_the_two_black_box_checks():
+def test_finite_difference_is_the_one_black_box_check():
     callers = _central_difference_callers()
-    assert callers == {"contact.legendrian_residual", "gibbs.expectation_consistency"}
-    # and README's finite-difference paragraph names exactly them
+    assert callers == {"gibbs.expectation_consistency"}
+    # and README's finite-difference paragraph names exactly it
     readme = (SRC.parents[1] / "README.md").read_text(encoding="utf-8")
-    start = readme.index("The remaining finite differences")
+    start = readme.index("The remaining finite difference")
     paragraph = readme[start : readme.index("\n\n", start)]
     functions = {
         d.name
