@@ -9,10 +9,11 @@ default of the library parameter it feeds, read from its signature or
 dataclass, and a key set to null is refused like any other bad value.  The
 parse also knows the artifact's columns and rows, and refuses one of more
 than `inputs.MAX_CELLS` cells before anything is computed.  Exit codes: 0
-success, 2 config validation failure, 3 numerical-domain error (an IEEE
-overflow, division by zero or invalid operation in the computation among
-them, and a NaN or an infinity on its way into the artifact), 4 geodesic
-non-convergence (artifact still written).
+success, 2 config validation failure or an --out that cannot be written,
+3 numerical-domain error (an IEEE overflow, division by zero or invalid
+operation in the computation among them, and a NaN or an infinity on its
+way into the artifact), 4 geodesic non-convergence (artifact still
+written).
 Identical configs produce byte-identical artifacts; outputs are written
 atomically.
 """
@@ -166,7 +167,7 @@ def cmd_gibbs(cfg: RunConfig) -> Job:
 
     def run() -> Artifact:
         point = gibbs_point(cfg.obs, lam)
-        eigs = [float(v) for v in point.rho.eigenvalues]
+        eigs = point.rho.eigenvalues.tolist()
         payload = {
             "lambda": lam.tolist(),
             "Z": point.Z,
@@ -205,7 +206,7 @@ def cmd_length(cfg: RunConfig) -> Job:
             "energy": report.energy,
             "duration": path.duration,
             "steps": path.steps,
-            "segment_lengths": [float(v) for v in report.segment_lengths],
+            "segment_lengths": report.segment_lengths.tolist(),
         }
         return payload, [[report.length, report.energy, path.duration, path.steps]]
 
@@ -220,13 +221,8 @@ def cmd_entropy_production(cfg: RunConfig) -> Job:
     def run() -> Artifact:
         rates, total = entropy_production(cfg.obs, path, kappa)
         times = path.times
-        payload = {
-            "kappa": kappa,
-            "total": total,
-            "rates": [float(v) for v in rates],
-            "times": [float(t) for t in times],
-        }
-        return payload, [[float(t), float(r)] for t, r in zip(times, rates)]
+        payload = {"kappa": kappa, "total": total, "rates": rates.tolist(), "times": times.tolist()}
+        return payload, np.column_stack([times, rates]).tolist()
 
     return Job(["t", "rate"], path.steps + 1, run)
 
@@ -246,22 +242,13 @@ def cmd_geodesic(cfg: RunConfig) -> Job:
     def run() -> Artifact:
         path, report, record = geodesic_between(cfg.obs, problem)
         payload = {
-            "samples": [list(map(float, row)) for row in path.samples],
+            "samples": path.samples.tolist(),
             "duration": path.duration,
             "length": report.length,
             "energy": report.energy,
-            "convergence": {
-                "iterations": record.iterations,
-                "grad_norm": record.grad_norm,
-                "converged": record.converged,
-                "energy_initial": record.energy_initial,
-                "energy_final": record.energy_final,
-            },
+            "convergence": dataclasses.asdict(record),
         }
-        rows = [
-            [float(t)] + list(map(float, row))
-            for t, row in zip(path.times, path.samples)
-        ]
+        rows = np.column_stack([path.times, path.samples]).tolist()
         print(
             f"geodesic: iterations={record.iterations} "
             f"grad_norm={record.grad_norm:.3e} converged={record.converged}",
@@ -279,17 +266,14 @@ def cmd_third_law(cfg: RunConfig) -> Job:
 
     def run() -> Artifact:
         scan = third_law_scan(cfg.obs, direction, lambdas, steps=steps)
-        increments = [None] + [float(v) for v in scan.increments]
+        increments = scan.increments.tolist()
         payload = {
             "Lambda": scan.lambdas.tolist(),
             "length": scan.lengths.tolist(),
-            "increment": increments,
+            "increment": [None] + increments,
         }
-        rows = [
-            [float(scan.lambdas[j]), float(scan.lengths[j]), "" if increments[j] is None else increments[j]]
-            for j in range(scan.lambdas.size)
-        ]
-        return payload, rows
+        columns = np.column_stack([scan.lambdas, scan.lengths]).tolist()
+        return payload, [row + [inc] for row, inc in zip(columns, [""] + increments)]
 
     return Job(["Lambda", "length", "increment"], lambdas.size, run)
 
@@ -318,14 +302,10 @@ def cmd_contact_check(cfg: RunConfig) -> Job:
 
     def run() -> Artifact:
         residual = legendrian_residual(cfg.obs, pts)
-        payload = {"max_residual": residual, "grid_points": int(pts.shape[0])}
-        return payload, [[residual, int(pts.shape[0])]]
+        payload = {"max_residual": residual, "grid_points": len(pts)}
+        return payload, [[residual, len(pts)]]
 
     return Job(["max_residual", "grid_points"], 1, run)
-
-
-def _holonomy_payload(result: HolonomyResult) -> dict:
-    return {"dS": result.dS, "method": result.method}
 
 
 def _rectangle(obj: Any, n: int) -> tuple[dict, tuple[int, int], int]:
@@ -369,10 +349,8 @@ def cmd_holonomy(cfg: RunConfig) -> Job:
         if method != "lift":
             corners, grid, _ = rect
             results.append(holonomy_via_curvature(spec, **corners, grid=grid))
-        if len(results) == 1:
-            payload = _holonomy_payload(results[0])
-        else:
-            payload = {"results": [_holonomy_payload(r) for r in results]}
+        payloads = [dataclasses.asdict(r) for r in results]
+        payload = payloads[0] if len(payloads) == 1 else {"results": payloads}
         return payload, [[r.method, r.dS] for r in results]
 
     return Job(["method", "dS"], 2 if method == "both" else 1, run)
@@ -406,11 +384,7 @@ def cmd_flatness(cfg: RunConfig) -> Job:
 
     def run() -> Artifact:
         report = flatness_check(spec, pts, tol)
-        payload = {
-            "flat": report.flat,
-            "max_abs_curvature": report.max_abs_curvature,
-            "tol": tol,
-        }
+        payload = {**dataclasses.asdict(report), "tol": tol}
         return payload, [[str(report.flat).lower(), report.max_abs_curvature, tol]]
 
     return Job(["flat", "max_abs_curvature", "tol"], 1, run)
@@ -444,10 +418,6 @@ def _render_csv(header: list[str], rows: list[list]) -> str:
     def cell(v) -> str:
         if isinstance(v, str):
             return v
-        if isinstance(v, bool):
-            return str(v).lower()
-        if isinstance(v, (int, np.integer)):
-            return str(int(v))
         if not math.isfinite(v):
             raise FloatingPointError(_NON_FINITE)
         return ser.format_float(v)
@@ -462,13 +432,6 @@ def _render_json(payload: dict) -> str:
         return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
     except ValueError:  # allow_nan=False refused a NaN or an infinity
         raise FloatingPointError(_NON_FINITE) from None
-
-
-def _emit(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        ser.atomic_write_text(out, text)
 
 
 @functools.cache
@@ -518,7 +481,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     except NumericalDomainError as exc:
         print(f"numerical domain error: {exc}", file=sys.stderr)
         return 3
-    _emit(text, args.out)
+    if args.out is None:
+        sys.stdout.write(text)
+    else:
+        try:
+            ser.atomic_write_text(args.out, text)
+        except OSError as exc:  # atomic_write_text has removed its temp file
+            print(f"config error: cannot write {args.out}: {exc.strerror or exc}", file=sys.stderr)
+            return 2
     if args.command == "geodesic" and not payload["convergence"]["converged"]:
         print("geodesic did not converge; artifact written", file=sys.stderr)
         return 4

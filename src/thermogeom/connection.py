@@ -35,7 +35,7 @@ from . import exprlang
 from .errors import ValidationError
 from .contact import ThermoPoint, _check_g_S
 from .inputs import count, counts, points, positive, reals, vector
-from .processes import ParamPath
+from .processes import ParamPath, _trapezoid
 
 __all__ = [
     "ConnectionSpec",
@@ -273,7 +273,8 @@ def holonomy_via_curvature(
     """Hol dS = -double integral of R_kl over a coordinate rectangle.
 
     Composite 2-D trapezoid on an (N_k+1) x (N_l+1) grid, whose nodes go
-    to `curvature` as one batch; matches the lift holonomy of the
+    to `curvature` as one batch: `processes._trapezoid` along l, then along
+    k.  It matches the lift holonomy of the
     counterclockwise boundary loop by Stokes.  The rectangle is checked as
     in `rectangle_loop` (plane, corners, base), and grid is two positive
     integers whose product, the number of cells, is at most MAX_COUNT.
@@ -286,13 +287,10 @@ def holonomy_via_curvature(
     pts[:, k] = np.repeat(xs, n_l + 1)
     pts[:, l] = np.tile(ys, n_k + 1)
     values = curvature(spec, pts, k, l).reshape(n_k + 1, n_l + 1)
-    wx = np.full(n_k + 1, 1.0)
-    wx[0] = wx[-1] = 0.5
-    wy = np.full(n_l + 1, 1.0)
-    wy[0] = wy[-1] = 0.5
-    dx = (hi[0] - lo[0]) / n_k
-    dy = (hi[1] - lo[1]) / n_l
-    return HolonomyResult(-float(dx * dy * (wx @ values @ wy)), "curvature-integral")
+    along_l = _trapezoid(values.T, (hi[1] - lo[1]) / n_l).sum(axis=0)
+    return HolonomyResult(
+        -float(_trapezoid(along_l, (hi[0] - lo[0]) / n_k).sum()), "curvature-integral"
+    )
 
 
 @dataclass(frozen=True)

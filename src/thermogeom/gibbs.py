@@ -97,8 +97,10 @@ class ObservableSet:
                     f"{len(names)} names for {len(obs)} observables"
                 )
         stack = np.stack([op.matrix for op in obs])
-        # the rank rule is relative: scaled to parts within 1, no trace overflows
-        scaled = stack / (np.abs(stack.view(float)).max() or 1.0)
+        # the rank rule is relative: scaled to parts within 1, no trace overflows,
+        # as reals (a complex division by a subnormal largest part overflows)
+        parts = stack.view(float)
+        scaled = (parts / (np.abs(parts).max() or 1.0)).view(complex)
         traceless = scaled - np.trace(scaled, axis1=1, axis2=2)[:, None, None] / dim * np.eye(dim)
         s = np.linalg.svd(traceless.reshape(len(obs), -1), compute_uv=False)
         independent = bool(
@@ -232,8 +234,12 @@ def _family_block(obs: ObservableSet, lams: np.ndarray) -> FamilyBatch:
     # the hermitised rho
     mm = obs.dim * obs.dim
     a = (rho.reshape(len(p), mm) @ obs._stack.conj().reshape(obs.n, mm).T).real
-    logp = np.where(p > 0.0, np.log(np.where(p > 0.0, p, 1.0)), 0.0)
-    return FamilyBatch(*spectra, a, -(p * logp).sum(axis=1))
+    return FamilyBatch(*spectra, a, _entropy(p))
+
+
+def _entropy(p: np.ndarray) -> np.ndarray:
+    """S = -sum p ln p over the last axis of a stack of populations, 0 ln 0 = 0."""
+    return -(p * np.log(p, out=np.zeros_like(p), where=p > 0.0)).sum(axis=-1)
 
 
 def gibbs_point(obs: ObservableSet, lam) -> GibbsPoint:

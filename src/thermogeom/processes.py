@@ -3,25 +3,28 @@
 Paths are piecewise linear on a uniform time grid.  `thermo_length` and
 `entropy_production` take velocities from central differences (one-sided
 at the ends) and integrate with the composite trapezoid rule, so
-refinement is by raising the sample count.  Geodesics minimize the
-midpoint-rule path energy with fixed endpoints, which makes minimizers
-constant-speed.  One batch at the segment midpoints gives the segment
-energies, the exact energy gradient (the metric's first derivatives in
-closed form) and the metrics of a Sobolev (H^1) descent step, whose
-iteration count does not grow with the segment count; the geodesic's
-reported length and energy are that same midpoint rule.  Both ray scans
-read every state on their ray off one `eigvalsh` of sum_i d_i A_i.
+refinement is by raising the sample count; each total is the sum of
+`_trapezoid`'s segment terms.  Geodesics minimize the midpoint-rule
+path energy with fixed endpoints, which makes minimizers constant-speed.
+One batch at the segment midpoints gives the segment energies, the exact
+energy gradient (the metric's first derivatives in closed form) and the
+metrics of a Sobolev (H^1) descent step, whose iteration count does not
+grow with the segment count; the geodesic's reported length and energy,
+`discrete_path_energy` and `segment_speed_profile` all read that same
+batch's segment energies.  Both ray scans read every state on their ray
+off one `eigvalsh` of sum_i d_i A_i.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ParameterRangeError, ValidationError
 from .geometry import _quadratic_form_derivatives, metric_grid
-from .gibbs import ObservableSet, _guarded, observables
+from .gibbs import ObservableSet, _entropy, _guarded, observables
 from .inputs import MAX_COUNT, count, points, positive, vector
 
 __all__ = [
@@ -84,7 +87,9 @@ def straight_path(
 class LengthReport:
     """Length and energy of a path with per-segment contributions that sum to them.
 
-    `thermo_length` uses the node trapezoid, `geodesic_between` the midpoint rule.
+    `thermo_length` uses the node trapezoid, `geodesic_between` the midpoint
+    rule; under either rule length and energy are exactly (bitwise) the sums
+    of the segment arrays.
     """
 
     length: float
@@ -93,8 +98,9 @@ class LengthReport:
     segment_energies: np.ndarray
 
 
-def _trapezoid(y: np.ndarray, dx: float) -> float:
-    return float(dx * (0.5 * (y[0] + y[-1]) + y[1:-1].sum()))
+def _trapezoid(y: np.ndarray, dx) -> np.ndarray:
+    """Trapezoid segment terms of node values y along axis 0; dx is a float or one per segment."""
+    return 0.5 * (y[:-1] + y[1:]) * dx
 
 
 def _speed_squared(obs: ObservableSet, path: ParamPath) -> np.ndarray:
@@ -114,13 +120,8 @@ def thermo_length(obs: ObservableSet, path: ParamPath) -> LengthReport:
     """
     dt = path.duration / path.steps
     q = _speed_squared(obs, path)
-    speeds = np.sqrt(q)
-    return LengthReport(
-        length=_trapezoid(speeds, dt),
-        energy=_trapezoid(q, dt),
-        segment_lengths=0.5 * (speeds[:-1] + speeds[1:]) * dt,
-        segment_energies=0.5 * (q[:-1] + q[1:]) * dt,
-    )
+    lengths, energies = _trapezoid(np.sqrt(q), dt), _trapezoid(q, dt)
+    return LengthReport(float(lengths.sum()), float(energies.sum()), lengths, energies)
 
 
 def entropy_production(
@@ -136,7 +137,7 @@ def entropy_production(
     kappa = positive(kappa, "kappa")
     dt = path.duration / path.steps
     rates = kappa * _speed_squared(obs, path)
-    return rates, _trapezoid(rates, dt)
+    return rates, float(_trapezoid(rates, dt).sum())
 
 
 @dataclass(frozen=True)
@@ -190,13 +191,11 @@ def _midpoint_terms(
 
 
 def _segment_energies(obs: ObservableSet, samples, duration) -> tuple[np.ndarray, float]:
-    """The e_s of `_midpoint_terms` from `metric_grid` at the midpoints, and dt."""
+    """The checked samples' e_s of `_midpoint_terms`, the numbers the geodesic minimizes, and dt."""
     positive(duration, "duration")
     samples = points(samples, observables(obs).n, "samples", 2)
     dt = duration / (samples.shape[0] - 1)
-    deltas = samples[1:] - samples[:-1]
-    gv = np.einsum("kij,kj->ki", metric_grid(obs, 0.5 * (samples[:-1] + samples[1:])), deltas)
-    return np.einsum("ki,ki->k", deltas, gv) / dt, dt
+    return _midpoint_terms(obs, samples, dt)[0], dt
 
 
 def discrete_path_energy(obs: ObservableSet, samples: np.ndarray, duration: float) -> float:
@@ -300,7 +299,7 @@ def geodesic_between(
 
 def _unit_direction(direction, n: int) -> np.ndarray:
     d = vector(direction, n, "direction")
-    norm = float(np.linalg.norm(d))
+    norm = math.hypot(*d)  # scaled: no overflow for |d_i| near the float limit
     if abs(norm - 1.0) > 1e-8:
         raise ValidationError(f"direction must be a unit vector, |d| = {norm!r}")
     return d
@@ -350,6 +349,12 @@ def _ray(obs: ObservableSet, direction, lambdas) -> tuple[np.ndarray, np.ndarray
     return lam, y
 
 
+def _populations(s: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The populations exp(s y) / sum exp(s y) of the ray states at the Lambdas s, (len(s), m)."""
+    e = np.exp(np.multiply.outer(s, y))
+    return e / e.sum(axis=1, keepdims=True)
+
+
 def third_law_scan(
     obs: ObservableSet,
     direction,
@@ -366,10 +371,9 @@ def third_law_scan(
     steps = count(steps, "steps", MIN_PATH_STEPS)
     lam, y = _ray(obs, direction, lambdas)
     nodes = np.union1d(np.linspace(0.0, lam[-1], steps + 1), lam)
-    e = np.exp(np.multiply.outer(nodes, y))
-    p = e / e.sum(axis=1, keepdims=True)
+    p = _populations(nodes, y)
     speeds = np.sqrt((p * (y - p @ y[:, None]) ** 2).sum(axis=1))
-    segments = 0.5 * (speeds[:-1] + speeds[1:]) * np.diff(nodes)
+    segments = _trapezoid(speeds, np.diff(nodes))
     lengths = np.concatenate(([0.0], np.cumsum(segments)))[np.searchsorted(nodes, lam)]
     return ThirdLawScan(lam, lengths, np.diff(lengths))
 
@@ -398,7 +402,5 @@ def boundary_entropy_limit(
     """Entropies S = -sum p ln p of rho_{Lambda d} and their gap to the ln k limit."""
     lam, y = _ray(obs, direction, lambdas)
     k = int(np.sum(-y <= 1e-8 * max(float(-y[0]), 1.0)))
-    e = np.exp(np.multiply.outer(lam, y))
-    p = e / e.sum(axis=1, keepdims=True)
-    entropies = -(p * np.log(p, out=np.zeros_like(p), where=p > 0.0)).sum(axis=1)
+    entropies = _entropy(_populations(lam, y))
     return BoundaryEntropyScan(lam, entropies, entropies - np.log(k), k)

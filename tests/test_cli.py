@@ -206,7 +206,9 @@ class TestHolonomyCommand:
         assert code == 0
         results = {r["method"]: r for r in json.loads(out.read_text())["results"]}
         assert results["lift"]["dS"] == pytest.approx(-1.0, abs=1e-6)
-        assert results["curvature-integral"]["dS"] == pytest.approx(-1.0, abs=1e-6)
+        curvature_dS = results["curvature-integral"]["dS"]
+        assert curvature_dS == pytest.approx(-1.0, rel=1e-14)
+        assert curvature_dS == pytest.approx(results["lift"]["dS"], abs=1e-12)
         assert all(set(r) == {"dS", "method"} for r in results.values())
 
     def test_csv_has_one_dS_column(self, tmp_path):
@@ -395,6 +397,21 @@ class TestStdoutFallback(object):
         assert run(["gibbs", "--config", cfg]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["S"] == pytest.approx(math.log(2), rel=1e-12)
+
+
+@pytest.mark.parametrize("where", ["an existing directory", "under a regular file"])
+def test_unwritable_out_exits_2_and_leaves_nothing(where, tmp_path, capsys):
+    if where == "an existing directory":
+        out = tmp_path / "taken"
+        out.mkdir()
+    else:
+        (tmp_path / "file").write_text("kept")
+        out = tmp_path / "file" / "x.json"
+    before = sorted(tmp_path.rglob("*"))
+    assert run(["gibbs", "--config", CONFIG_DIR / "run_gibbs.json", "--out", out]) == 2
+    assert f"config error: cannot write {out}: " in capsys.readouterr().err
+    assert sorted(tmp_path.rglob("*")) == before
+    assert where == "an existing directory" or (tmp_path / "file").read_text() == "kept"
 
 
 class TestModuleEntryPoint:
@@ -602,7 +619,9 @@ def test_observable_near_the_float_limit_validates_and_exits_3(tmp_path, capsys)
 
 
 @pytest.mark.parametrize(
-    "diagonal", [[1e308, 1e308], [1.7e308, -1.7e308, -1.7e308]], ids=["identity", "traceless"]
+    "diagonal",
+    [[1e308, 1e308], [1.7e308, -1.7e308, -1.7e308], [2.2e-309, 0.0, 0.0]],
+    ids=["identity", "traceless", "subnormal"],
 )
 def test_observable_at_the_float_limit_never_exits_1(diagonal, tmp_path):
     # building the set once overflowed in its rank test and raised a traceback
@@ -797,9 +816,16 @@ def test_readme_schema_sketch_lists_exactly_the_config_keys(tmp_path):
 
 
 _DELETE = object()
+# |x| from 1e-3 to 1e300 at a log-uniform exponent, either sign
+_MAGNITUDES = st.builds(
+    lambda sign, exponent: sign * 10.0**exponent,
+    st.sampled_from([-1.0, 1.0]),
+    st.floats(-3.0, 300.0),
+)
 _JSON_VALUES = st.one_of(
     st.integers(-3, 20),
     st.floats(-1e3, 1e3),
+    _MAGNITUDES,
     st.booleans(),
     st.text(max_size=3),
     st.none(),
@@ -807,6 +833,8 @@ _JSON_VALUES = st.one_of(
     st.just({}),
     st.just(MAX_COUNT + 1),
 )
+# the cells of a CSV artifact that are not numbers
+_CSV_WORDS = {"", "true", "false", "lift", "curvature-integral"}
 
 
 def _sites(doc, prefix=()):
@@ -822,6 +850,33 @@ def _sites(doc, prefix=()):
         yield from _sites(value, prefix + (key,))
 
 
+def _mutation(data, old):
+    """A replacement for old, or _DELETE; a string may instead get a constant spliced in."""
+    values = [st.just(_DELETE), _JSON_VALUES]
+    if isinstance(old, str):
+        # an expression keeps its text and gains a constant of any magnitude
+        values.append(st.builds(
+            lambda op, c: f"({old}){op}({c!r})", st.sampled_from("+-*/^"), _MAGNITUDES
+        ))
+    return data.draw(st.one_of(*values), label="value")
+
+
+def _refuse_constant(name):
+    raise AssertionError(f"the artifact holds {name}")
+
+
+def _check_artifact(text, fmt):
+    """Parse an artifact strictly: no NaN or Infinity in JSON, every CSV number finite."""
+    if fmt == "json":
+        json.loads(text, parse_constant=_refuse_constant)
+        return
+    header, *rows = text.splitlines()
+    for row in rows:
+        cells = row.split(",")
+        assert len(cells) == len(header.split(","))
+        assert all(c in _CSV_WORDS or math.isfinite(float(c)) for c in cells), row
+
+
 @pytest.fixture(scope="module")
 def fuzz_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz")
@@ -832,19 +887,28 @@ def fuzz_dir(tmp_path_factory):
 @given(data=st.data())
 def test_mutated_config_keeps_the_exit_contract(config, data, fuzz_dir):
     doc = shipped_config(config)
+    # inline observables: each matrix entry is a mutation site
+    doc["observables"] = json.loads(Path(doc["observables"]).read_text())
     *parents, last = data.draw(st.sampled_from(list(_sites(doc))), label="site")
-    value = data.draw(st.one_of(st.just(_DELETE), _JSON_VALUES), label="value")
     holder = functools.reduce(operator.getitem, parents, doc)
+    value = _mutation(data, holder[last])
     if value is _DELETE:
         del holder[last]
     else:
         holder[last] = value
+        if parents[-3:-2] == ["matrix"] and isinstance(value, float):
+            # keep the matrix Hermitian: conj(value) goes to the mirrored entry
+            matrix, (i, j) = functools.reduce(operator.getitem, parents[:-2], doc), parents[-2:]
+            matrix[j][i][last] = value if last == 0 else -value
+    fmt = data.draw(st.sampled_from(["json", "csv"]), label="format")
     cfg = write_config(fuzz_dir, f"{config}.json", doc)
     out = fuzz_dir / f"{config}.out"
     out.unlink(missing_ok=True)
     command = config.replace("_", "-")
     validate = run([command, "--config", cfg, "--validate"])
-    ran = run([command, "--config", cfg, "--out", out])
+    ran = run([command, "--config", cfg, "--format", fmt, "--out", out])
     assert validate in (0, 2, 3) and ran in (0, 2, 3, 4)
     assert (validate == 2) == (ran == 2)
     assert out.exists() == (ran in (0, 4))
+    if out.exists():
+        _check_artifact(out.read_text(), fmt)

@@ -188,6 +188,17 @@ class TestHolonomy:
         assert result.dS == pytest.approx(-1.0, abs=1e-9)
         assert result.method == "curvature-integral"
 
+    @pytest.mark.parametrize(
+        "lo, hi, grid",
+        [([-0.5, 0.25], [1.5, 0.75], (8, 3)), ([0.3, -2.0], [0.8, 1.1], (5, 7))],
+    )
+    def test_unit_curvature_gives_minus_the_area(self, lo, hi, grid):
+        # rectangles off the unit square, at uneven grids
+        spec = spec2(h=("0", "l1"))  # R = 1
+        area = (hi[0] - lo[0]) * (hi[1] - lo[1])
+        result = holonomy_via_curvature(spec, lo, hi, 0, 1, grid=grid)
+        assert result.dS == pytest.approx(-area, rel=1e-14)
+
     def test_curvature_integral_iterated(self):
         spec = spec2(h=("0", "l1*l2"))  # R = l2, integral over square = 1/2
         result = holonomy_via_curvature(spec, [0, 0], [1, 1], 0, 1, grid=(64, 64))

@@ -65,11 +65,20 @@ class TestObservableSet:
 
     @pytest.mark.parametrize(
         "diagonal, independent",
-        [([1e308, 1e308], False), ([1.7e308, -1.7e308, -1.7e308], True)],
-        ids=["identity-near-the-float-limit", "traceless-part-near-the-float-limit"],
+        [
+            ([1e308, 1e308], False),
+            ([1.7e308, -1.7e308, -1.7e308], True),
+            ([2.2e-309, 0.0, 0.0], True),
+        ],
+        ids=[
+            "identity-near-the-float-limit",
+            "traceless-part-near-the-float-limit",
+            "subnormal-largest-part",
+        ],
     )
     def test_rank_rule_survives_entries_near_the_float_limit(self, diagonal, independent):
-        # the trace of the unscaled stack overflows, and its SVD did not converge
+        # the trace of the unscaled stack overflows, and its SVD did not converge;
+        # a complex division by a subnormal largest part overflowed
         obs = ObservableSet([HermitianOperator(np.diag(diagonal))])
         assert obs.independent is independent
 

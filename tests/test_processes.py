@@ -708,6 +708,15 @@ def test_ray_direction_is_a_finite_real_vector_of_n_components(direction):
         _unit_direction(direction, 1)
 
 
+@pytest.mark.parametrize("direction", [[1e300], [-1e200, 1e200], [1e-300, 0.0]])
+def test_ray_direction_norm_is_named_without_overflow(direction):
+    # |d|^2 overflowed (or underflowed) for entries near the float limit,
+    # a RuntimeWarning where the norm belongs in the message
+    norm = math.hypot(*direction)
+    with pytest.raises(ValidationError, match=re.escape(f"|d| = {norm!r}")):
+        _unit_direction(direction, len(direction))
+
+
 class TestBoundaryEntropyLimit:
     def test_qubit_ray_to_pure_state(self):
         scan = boundary_entropy_limit(QUBIT, [1.0], [0.0, 1.0, 4.0, 16.0])
@@ -731,3 +740,62 @@ class TestBoundaryEntropyLimit:
     def test_gap_column_is_signed_difference(self):
         scan = boundary_entropy_limit(QUBIT, [1.0], [0.0])
         assert scan.gaps[0] == pytest.approx(math.log(2) - math.log(1))
+
+
+class TestOnePathPerNumber:
+    """Each reported total is the sum of the segment terms reported beside it."""
+
+    @staticmethod
+    def walk(n, seed):
+        rng = np.random.default_rng(seed)
+        steps = rng.normal(0.0, 0.05, size=(33, n))
+        return ParamPath(rng.uniform(0.5, 3.0), np.cumsum(steps, axis=0))
+
+    @pytest.mark.parametrize(
+        "obs, seed", [(PAULI_ZX, 5), (PAULI, 2), (GELL_MANN, 5)], ids=["zx", "bloch", "gell-mann"]
+    )
+    def test_node_trapezoid_totals_are_the_segment_sums(self, obs, seed):
+        # non-commuting families on seeded random walks: bitwise, not to
+        # rounding (a separately spelled total missed the sum by an ulp on each)
+        path = self.walk(obs.n, seed)
+        report = thermo_length(obs, path)
+        assert report.length == float(report.segment_lengths.sum())
+        assert report.energy == float(report.segment_energies.sum())
+        rates, total = entropy_production(obs, path, kappa=1.0)
+        assert total == report.energy
+        assert report.segment_energies.tolist() == (
+            0.5 * (rates[:-1] + rates[1:]) * (path.duration / path.steps)
+        ).tolist()
+
+    @pytest.mark.parametrize("obs", [PAULI_ZX, GELL_MANN], ids=["zx", "gell-mann"])
+    def test_path_energy_is_the_geodesic_objective(self, obs, monkeypatch):
+        rng = np.random.default_rng(obs.n)
+        problem = GeodesicProblem(
+            rng.uniform(-0.3, 0.3, obs.n), rng.uniform(-0.3, 0.3, obs.n),
+            interior_points=15, max_iters=50, tolerance=1e-8, duration=1.5,
+        )
+        path, report, _ = geodesic_between(obs, problem)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return metric_grid(*args, **kwargs)
+
+        monkeypatch.setattr(processes, "metric_grid", counted)
+        monkeypatch.setattr(geometry, "metric_grid", counted)
+        energy = discrete_path_energy(obs, path.samples, path.duration)
+        speeds = segment_speed_profile(obs, path.samples, path.duration)
+        assert calls == []
+        assert energy == report.energy
+        dt = path.duration / path.steps
+        assert speeds.tolist() == np.sqrt(report.segment_energies / dt).tolist()
+
+    def test_ray_entropy_is_the_gibbs_entropy(self):
+        # a random m = 8 family: the ray's spectrum of H_d and gibbs_batch's
+        # eigendecomposition of each exponent give the same S
+        obs = random_family(8, 3, seed=88)
+        d = TestRaysFromOneSpectrum.unit(np.random.default_rng(88), 3)
+        lam = np.array([0.0, 0.05, 0.3, 1.0, 2.5, 6.0])
+        scan = boundary_entropy_limit(obs, d, lam)
+        expected = gibbs.gibbs_batch(obs, lam[:, None] * d).S
+        assert np.abs(scan.entropies - expected).max() <= 1e-14
