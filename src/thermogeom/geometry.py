@@ -21,8 +21,10 @@ block, no rho and no expectations), and the contractions run as matrix
 products over the whole block: the n observables are rotated into every
 eigenbasis by one (n m, m) @ (m, P m) product and one (n m, m) @ (m, m)
 product per point, each centred by its own p-weighted diagonal,
-a_i = sum_b p_b (U^dagger A_i U)_bb, and a metric is one
-(n, m^2) @ (m^2, n) product per point.
+a_i = sum_b p_b (U^dagger A_i U)_bb, and a metric is one real
+(n, 2 m^2) @ (2 m^2, n) product per point on the (re, im) view of the
+weighted observables.  The second divided differences come from the first
+by the divided-difference recursion.
 """
 
 from __future__ import annotations
@@ -161,41 +163,54 @@ def _daleckii_krein(obs: ObservableSet, spectra: _Spectra) -> tuple[np.ndarray, 
 
 
 @functools.lru_cache(maxsize=None)
-def _sorted_triples(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The m(m+1)(m+2)/6 distinct sorted index triples and the gather index.
+def _sorted_triples(m: int) -> tuple[np.ndarray, ...]:
+    """The m(m+1)(m+2)/6 distinct sorted index triples, their gather and pair indices.
 
-    Returns lo, mid, hi, each of shape (T,) with lo <= mid <= hi, and the
-    (m, m, m) index that sends (a, b, c) to the position of sorted(a, b, c).
-    The arrays are shared by every caller at this m, so they are read-only.
+    Returns lo, mid, hi, each of shape (T,) with lo <= mid <= hi, the
+    (m, m, m) index that sends (a, b, c) to the position of sorted(a, b, c),
+    and the flat (m^2) indices mid m + hi and lo m + mid of the pairs whose
+    first divided differences give f2.  The arrays are shared by every
+    caller at this m, so they are read-only.
     """
     ordered = np.sort(np.indices((m, m, m)), axis=0).reshape(3, -1)
     _, first, gather = np.unique(
         np.ravel_multi_index(ordered, (m, m, m)), return_index=True, return_inverse=True
     )
-    triples, gather = ordered[:, first], gather.reshape(m, m, m)
-    triples.flags.writeable = gather.flags.writeable = False
-    lo, mid, hi = triples
-    return lo, mid, hi, gather
+    lo, mid, hi = ordered[:, first]
+    out = lo, mid, hi, gather.reshape(m, m, m), mid * m + hi, lo * m + mid
+    for a in out:
+        a.flags.writeable = False
+    return out
 
 
-def _second_divided_differences(spectra: _Spectra) -> np.ndarray:
+def _second_divided_differences(spectra: _Spectra, f1: np.ndarray) -> np.ndarray:
     """Second divided differences f2 of exp at y = x - ln Z, shape (P, m, m, m).
 
     x ascends, so each index triple sorts to (lo, mid, hi) with
-    y_lo <= y_mid <= y_hi.  With the gaps s = y_hi - y_mid <= t = y_hi - y_lo,
-    f2 = (f1[mid, hi] - f1[lo, mid]) / t = p_hi psi(s, t) and
-    psi(s, t) = (phi(s) - exp(-s) phi(t - s)) / t, whose denominator is the
-    widest gap; below t = 1e-3 psi is its cubic Taylor polynomial.  Like f1,
-    f2 tends to p_hi / 2 on degenerate triples and never divides by p.
-    f2 is symmetric in its three indices, so it is evaluated on the
-    m(m+1)(m+2)/6 distinct sorted triples only and gathered to (m, m, m).
+    y_lo <= y_mid <= y_hi, and with t = y_hi - y_lo the recursion
+    f2 = (f1[mid, hi] - f1[lo, mid]) / t reads the block's own first divided
+    differences f1, (P, m, m) (Bhatia, Matrix Analysis, V.3).  Its difference
+    cancels as t shrinks, so f2 is exactly p_hi / 2 on coincident triples
+    (t = 0) and, on near-coincident ones (0 < t < 1e-3), p_hi times the
+    cubic Taylor polynomial of (phi(s) - exp(-s) phi(t - s)) / t with
+    s = y_hi - y_mid, evaluated only when the block has any.  Like f1, f2
+    never divides by p.  f2 is symmetric in its three indices, so it is
+    evaluated on the m(m+1)(m+2)/6 distinct sorted triples only and
+    gathered to (m, m, m).
     """
-    lo, mid, hi, gather = _sorted_triples(spectra.x.shape[1])
+    lo, mid, hi, gather, mid_hi, lo_mid = _sorted_triples(spectra.x.shape[1])
     y = spectra.x
-    s, t = y[:, hi] - y[:, mid], y[:, hi] - y[:, lo]
-    psi = 0.5 - (s + t) / 6 + (s * s + s * t + t * t) / 24 - (s + t) * (s * s + t * t) / 120
-    np.divide(_phi(s) - np.exp(-s) * _phi(t - s), t, out=psi, where=t >= 1e-3)
-    return (spectra.p[:, hi] * psi)[:, gather]
+    t = y[:, hi] - y[:, lo]
+    p_hi = spectra.p[:, hi]
+    f1 = f1.reshape(len(f1), -1)
+    f2 = p_hi / 2
+    np.divide(f1[:, mid_hi] - f1[:, lo_mid], t, out=f2, where=t >= 1e-3)
+    near = (t > 0.0) & (t < 1e-3)
+    if near.any():
+        s, t = (y[:, hi] - y[:, mid])[near], t[near]
+        series = 0.5 - (s + t) / 6 + (s * s + s * t + t * t) / 24 - (s + t) * (s * s + t * t) / 120
+        f2[near] = p_hi[near] * series
+    return f2[:, gather]
 
 
 def state_derivatives(obs: ObservableSet, lam) -> list[HermitianOperator]:
@@ -282,15 +297,20 @@ def _tangent_block(obs: ObservableSet, lams: np.ndarray) -> tuple[np.ndarray, np
 
 
 def _metric_from_frame(a_tilde: np.ndarray, weight: np.ndarray) -> np.ndarray:
-    """Re F F^H, (P, n, n), for F_i = At_i * weight, weight (P, m, m); overwrites a_tilde."""
+    """Re F F^H, (P, n, n), for F_i = At_i * weight, weight (P, m, m); overwrites a_tilde.
+
+    Re (F F^H)_ij = sum_ab (Re F_i,ab Re F_j,ab + Im F_i,ab Im F_j,ab), so on
+    F's (re, im) view it is one real (n, 2 m^2) @ (2 m^2, n) GEMM per point,
+    with no conjugate copy and half the flops of the complex product.
+    """
     # F is built in At's buffer by one scaling; with the SLD weight
     # f1 sqrt(2 / (p_a + p_b)) it is -d_i rho sqrt(2 / (p_a + p_b)), to whose
-    # sign Re F F^H, one (n, m^2) @ (m^2, n) product per point, is blind
+    # sign Re F F^H is blind
     f = a_tilde
     f *= weight[:, None]
     p, n, m = f.shape[:3]
-    f = f.reshape(p, n, m * m)
-    g = (f @ f.conj().swapaxes(1, 2)).real
+    f = f.view(float).reshape(p, n, 2 * m * m)
+    g = f @ f.swapaxes(1, 2)
     return (g + g.swapaxes(1, 2)) / 2
 
 
@@ -324,7 +344,7 @@ def _form_block(
     spectra, denom, a_tilde, f1 = _sld_frame(obs, lams)
     a_v = np.einsum("pi,piab->pab", v, a_tilde)
     sld = -2.0 * a_v * f1 / denom
-    n_ac = np.einsum("pab,pbc,pabc->pac", sld, a_v, _second_divided_differences(spectra))
+    n_ac = np.einsum("pab,pbc,pabc->pac", sld, a_v, _second_divided_differences(spectra, f1))
     w = 4.0 * n_ac.swapaxes(1, 2) + f1 * (sld @ sld).swapaxes(1, 2)
     c = np.einsum("piab,pab->pi", a_tilde, w).real
     return _metric_from_frame(a_tilde, f1 * np.sqrt(2.0 / denom)), c

@@ -79,8 +79,13 @@ def straight_path(
     """Uniform-speed straight segment from lam_a to lam_b."""
     a = vector(lam_a, None, "lam_a")
     b = vector(lam_b, a.size, "lam_b")
-    ts = np.linspace(0.0, 1.0, count(steps, "steps", MIN_PATH_STEPS) + 1)
-    return ParamPath(duration, a[None, :] + ts[:, None] * (b - a)[None, :])
+    return ParamPath(duration, _straight_samples(a, b, count(steps, "steps", MIN_PATH_STEPS)))
+
+
+def _straight_samples(a: np.ndarray, b: np.ndarray, steps: int) -> np.ndarray:
+    """The steps + 1 uniform samples from a to b, checked endpoints and count assumed."""
+    ts = np.linspace(0.0, 1.0, steps + 1)
+    return a[None, :] + ts[:, None] * (b - a)[None, :]
 
 
 @dataclass(frozen=True)
@@ -261,9 +266,7 @@ def geodesic_between(
     """
     k_total = problem.interior_points + 1
     dt = problem.duration / k_total
-    samples = straight_path(
-        problem.start, problem.end, steps=k_total, duration=problem.duration
-    ).samples
+    samples = _straight_samples(problem.start, problem.end, k_total)
     segments, grad, g = _midpoint_terms(obs, samples, dt)
     energy = energy_initial = float(segments.sum())
     converged = False

@@ -272,43 +272,58 @@ class TestMetricTensor:
 
 
 def diagonal_batch(energies):
-    """A one-point batch whose exponent has the eigenvalues -energies."""
-    return gibbs_batch(ObservableSet([HermitianOperator(np.diag(energies))]), [[1.0]])
+    """A one-point batch whose exponent has the eigenvalues -energies, and its f2."""
+    obs = ObservableSet([HermitianOperator(np.diag(energies))])
+    batch = gibbs_batch(obs, [[1.0]])
+    return batch, _second_divided_differences(batch, geometry._daleckii_krein(obs, batch)[1])
 
 
 class TestSecondDividedDifferences:
     def test_textbook_quotient_at_separated_points(self):
-        batch = diagonal_batch([3.0, 1.2, 0.0])
+        batch, f2 = diagonal_batch([3.0, 1.2, 0.0])
         x, p = batch.x[0], batch.p[0]
 
         def f1(i, j):
             return p[i] if i == j else (p[j] - p[i]) / (x[j] - x[i])
 
-        f2 = _second_divided_differences(batch)[0]
         for a, b, c in np.ndindex(3, 3, 3):
             lo, mid, hi = sorted((a, b, c))
             if lo == hi:
                 ref = p[lo] / 2
             else:
                 ref = (f1(mid, hi) - f1(lo, mid)) / (x[hi] - x[lo])
-            assert f2[a, b, c] == pytest.approx(ref, rel=1e-13)
+            assert f2[0, a, b, c] == pytest.approx(ref, rel=1e-13)
 
     def test_degenerate_triples_give_half_the_population(self):
-        batch = diagonal_batch([0.4, 0.4, 0.4])
-        assert np.allclose(_second_divided_differences(batch), batch.p[0, 0] / 2, rtol=1e-15, atol=0)
+        batch, f2 = diagonal_batch([0.4, 0.4, 0.4])
+        assert np.array_equal(f2, np.full_like(f2, batch.p[0, 0] / 2))
 
     @pytest.mark.parametrize("gap", [1e-9, 1e-4, 1e-3 * (1 - 1e-9), 1e-3 * (1 + 1e-9), 1e-2])
     def test_small_gaps_match_the_series(self, gap):
         # f2[0, -g, -g] of exp is (1 - (1 + g) e^{-g}) / g^2, exactly
         # 1/2 - g/3 + g^2/8 - g^3/30 + ...; both sides of the t = 1e-3 switch
-        batch = diagonal_batch([gap, gap, 0.0])
-        f2 = _second_divided_differences(batch)[0]
+        batch, f2 = diagonal_batch([gap, gap, 0.0])
         series = 0.5 - gap / 3 + gap**2 / 8 - gap**3 / 30 + gap**4 / 144 - gap**5 / 840
-        assert f2[0, 1, 2] / batch.p[0, 2] == pytest.approx(series, rel=5e-13)
+        assert f2[0, 0, 1, 2] / batch.p[0, 2] == pytest.approx(series, rel=5e-13)
 
 
-def full_cube_f2(spectra):
+def full_cube_f2(spectra, f1):
     """Reference: the f2 rule evaluated on all m^3 index triples, each sorted in place."""
+    m = spectra.x.shape[1]
+    lo, mid, hi = np.sort(np.indices((m, m, m)), axis=0)
+    y = spectra.x
+    s, t = y[:, hi] - y[:, mid], y[:, hi] - y[:, lo]
+    f2 = spectra.p[:, hi] / 2
+    np.divide(f1[:, mid, hi] - f1[:, lo, mid], t, out=f2, where=t >= 1e-3)
+    series = 0.5 - (s + t) / 6 + (s * s + s * t + t * t) / 24 - (s + t) * (s * s + t * t) / 120
+    return np.where((t > 0.0) & (t < 1e-3), spectra.p[:, hi] * series, f2)
+
+
+def psi_f2(spectra):
+    """Reference: f2 = p_hi (phi(s) - exp(-s) phi(t - s)) / t on all m^3 sorted triples.
+
+    Below t = 1e-3 it is the cubic series; it reads no f1, so it checks the recursion.
+    """
     m = spectra.x.shape[1]
     lo, mid, hi = np.sort(np.indices((m, m, m)), axis=0)
     y = spectra.x
@@ -343,14 +358,15 @@ F2_SPECTRA = {
 class TestSortedTripleF2:
     @pytest.mark.parametrize("m", range(1, 17))
     def test_distinct_sorted_triples_and_their_gather(self, m):
-        lo, mid, hi, gather = geometry._sorted_triples(m)
+        lo, mid, hi, gather, mid_hi, lo_mid = geometry._sorted_triples(m)
         assert lo.shape == mid.shape == hi.shape == (m * (m + 1) * (m + 2) // 6,)
         assert np.all(lo <= mid) and np.all(mid <= hi)
         assert len({(a, b, c) for a, b, c in zip(lo, mid, hi)}) == len(lo)
         assert gather.shape == (m, m, m)
         ordered = np.sort(np.indices((m, m, m)), axis=0)
         assert np.array_equal(np.stack([lo[gather], mid[gather], hi[gather]]), ordered)
-        assert not any(a.flags.writeable for a in (lo, mid, hi, gather))
+        assert np.array_equal(mid_hi, mid * m + hi) and np.array_equal(lo_mid, lo * m + mid)
+        assert not any(a.flags.writeable for a in (lo, mid, hi, gather, mid_hi, lo_mid))
 
     def test_one_cached_entry_per_dimension(self):
         assert all(x is y for x, y in zip(geometry._sorted_triples(5), geometry._sorted_triples(5)))
@@ -359,7 +375,32 @@ class TestSortedTripleF2:
     def test_f2_is_bitwise_the_full_cube_evaluation(self, name):
         obs, lams = F2_SPECTRA[name]
         spectra = _spectra(obs, lams)
-        assert np.array_equal(_second_divided_differences(spectra), full_cube_f2(spectra))
+        f1 = geometry._daleckii_krein(obs, spectra)[1]
+        assert np.array_equal(_second_divided_differences(spectra, f1), full_cube_f2(spectra, f1))
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 8, 16])
+    def test_recursion_matches_the_psi_formula_on_a_mixed_batch(self, m):
+        # one batch of a non-commuting family at |lam| from 1e-6 to 30, plus
+        # diagonal rows with an exactly degenerate pair and, for m > 2, a
+        # 3e-4 gap: separated, near-coincident and coincident distinct triples
+        rng = np.random.default_rng(100 + m)
+        levels = np.sort(rng.uniform(-1.0, 1.0, m))
+        levels[1] = levels[0]
+        if m > 2:
+            levels[-1] = levels[-2] + 3e-4
+        h = hermitize(rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m)))
+        obs = ObservableSet([HermitianOperator(h), HermitianOperator(np.diag(levels))])
+        scales = np.geomspace(1e-6, 30.0, 12)
+        lams = np.concatenate(
+            (scales[:, None] * rng.normal(size=(12, 2)), np.column_stack((np.zeros(12), scales)))
+        )
+        spectra = _spectra(obs, lams)
+        f2 = _second_divided_differences(spectra, geometry._daleckii_krein(obs, spectra)[1])
+        lo, mid, hi = np.sort(np.indices((m, m, m)), axis=0)
+        t = spectra.x[:, hi] - spectra.x[:, lo]
+        assert ((t == 0.0) & (lo < hi)).any() and ((t > 0.0) & (t < 1e-3)).any() and (t >= 1e-3).any()
+        ref = psi_f2(spectra)
+        assert np.all(np.abs(f2 - ref) <= 1e-12 * ref)
 
     @pytest.mark.parametrize("name", F2_SPECTRA)
     def test_form_derivatives_are_bitwise_those_on_the_full_cube(self, name, monkeypatch):

@@ -790,6 +790,23 @@ class TestOnePathPerNumber:
         dt = path.duration / path.steps
         assert speeds.tolist() == np.sqrt(report.segment_energies / dt).tolist()
 
+    @pytest.mark.parametrize("obs", [PAULI_ZX, GELL_MANN], ids=["zx", "gell-mann"])
+    def test_geodesic_seed_is_the_straight_path(self, obs):
+        # the solver seeds from straight_path's unchecked core: its first
+        # energy is that of the public straight_path, bitwise, and at a
+        # tolerance the seed already meets it returns that very path
+        rng = np.random.default_rng(obs.n + 1)
+        start, end = rng.uniform(-0.5, 0.5, obs.n), rng.uniform(-0.5, 0.5, obs.n)
+        seed = straight_path(start, end, 21, 1.5).samples
+        for tolerance, iterations in ((1e-8, 3), (1e3, 0)):
+            problem = GeodesicProblem(
+                start, end, interior_points=20, max_iters=3, duration=1.5, tolerance=tolerance
+            )
+            path, _, record = geodesic_between(obs, problem)
+            assert record.iterations == iterations
+            assert record.energy_initial == discrete_path_energy(obs, seed, 1.5)
+        assert np.array_equal(path.samples, seed)
+
     def test_ray_entropy_is_the_gibbs_entropy(self):
         # a random m = 8 family: the ray's spectrum of H_d and gibbs_batch's
         # eigendecomposition of each exponent give the same S
