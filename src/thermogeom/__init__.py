@@ -27,12 +27,12 @@ from .gibbs import (
     ObservableSet,
     expectation_consistency,
     gibbs_point,
-    injectivity_diagnostic,
 )
 from .geometry import (
     MetricTensor,
     bw_distance,
     fidelity,
+    injectivity_diagnostic,
     metric_grid,
     metric_tensor,
     state_derivatives,

@@ -9,7 +9,9 @@ point gives the exact metric.  The second divided differences give, from
 the same eigendecomposition, the exact gradient of v^T g v in lam that the
 geodesic solver's energy gradient is built from, and the Kubo-Mori (BKM)
 Hessian K = grad^2 ln Z, weight f1 on |At_ab|^2 with no floor, is the
-exact da/dlam of the Legendrian residual.  The distance is
+exact da/dlam of the Legendrian residual.  The covariance C of
+`injectivity_diagnostic` is the third weight, (p_a + p_b) / 2, on the
+same product as g and K.  The distance is
 d^2 = tr A + tr B - 2 tr[(A^{1/2} B A^{1/2})^{1/2}].
 
 A call checks its whole (P, n) parameter block first, then runs it in
@@ -37,9 +39,10 @@ import numpy as np
 from .errors import (
     NearSingularError,
     NumericalConsistencyError,
+    NumericalDomainError,
     ValidationError,
 )
-from .gibbs import ObservableSet, _guarded, _Spectra, _spectra, observables
+from .gibbs import _INDEPENDENCE_RTOL, ObservableSet, _guarded, _Spectra, _spectra, observables
 from .inputs import count, points, vector
 from .linalg import DensityOperator, HermitianOperator, _in_blocks, hermitize
 
@@ -50,6 +53,7 @@ __all__ = [
     "state_derivatives",
     "metric_tensor",
     "metric_grid",
+    "injectivity_diagnostic",
 ]
 
 # How far below zero a metric eigenvalue may fall before the metric is not PSD.
@@ -312,6 +316,30 @@ def _metric_from_frame(a_tilde: np.ndarray, weight: np.ndarray) -> np.ndarray:
     f = f.view(float).reshape(p, n, 2 * m * m)
     g = f @ f.swapaxes(1, 2)
     return (g + g.swapaxes(1, 2)) / 2
+
+
+def injectivity_diagnostic(obs: ObservableSet, lam) -> tuple[np.ndarray, int]:
+    """Symmetrized covariance C_ij = Re tr(rho Atil_i Atil_j) and its rank.
+
+    Atil_i = A_i - a_i I.  In the eigenbasis C weighs |At_ab|^2 by
+    (p_a + p_b) / 2, so it is one `_metric_from_frame` product.  Rank
+    deficiency (rank < n, relative threshold 1e-10) flags a locally
+    non-injective Gibbs map, e.g. redundant observables, and with it a broken
+    zeroth law.  A covariance that overflows raises `NumericalDomainError`.
+    """
+    lam = vector(lam, observables(obs).n, "lam")
+    spectra = _spectra(obs, _guarded(obs, lam[None]))
+    p = spectra.p
+    # an overflowing entry is named by the isfinite check below
+    with np.errstate(over="ignore", invalid="ignore"):
+        a_tilde, _ = _daleckii_krein(obs, spectra)
+        c = _metric_from_frame(a_tilde, np.sqrt((p[:, :, None] + p[:, None, :]) / 2))[0]
+    if not np.isfinite(c).all():
+        raise NumericalDomainError(f"the covariance overflows at lambda = {lam.tolist()}")
+    w = np.abs(np.linalg.eigvalsh(c))
+    top = float(w.max(initial=0.0))
+    rank = 0 if top == 0.0 else int(np.sum(w > _INDEPENDENCE_RTOL * top))
+    return c, rank
 
 
 def _quadratic_form_derivatives(

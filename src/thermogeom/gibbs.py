@@ -17,7 +17,9 @@ x, the populations p and the eigenvectors U) is all the metric reads.
 `gibbs_batch` adds the expectations a and the entropy S to make a
 `FamilyBatch`; it forms rho = (U p) U^dagger only as the intermediate of a,
 one (P, m^2) @ (m^2, n) product, and keeps no rho.  `gibbs_point` forms its
-one Hermitian rho from the batch's (p, U).
+one Hermitian rho from the batch's (p, U).  `expectation_consistency`
+checks a = -d ln Z / d lam against the central difference of ln Z, with
+lam and its taps in one `gibbs_batch` call.
 """
 
 from __future__ import annotations
@@ -30,14 +32,7 @@ import numpy as np
 
 from .errors import ParameterRangeError, ValidationError
 from .inputs import points, vector
-from .linalg import (
-    CENTRAL_STENCILS,
-    DensityOperator,
-    HermitianOperator,
-    _in_blocks,
-    central_difference,
-    hermitize,
-)
+from .linalg import DensityOperator, HermitianOperator, _in_blocks, hermitize
 
 __all__ = [
     "LAMBDA_GUARD",
@@ -47,13 +42,12 @@ __all__ = [
     "gibbs_batch",
     "gibbs_point",
     "expectation_consistency",
-    "injectivity_diagnostic",
 ]
 
 LAMBDA_GUARD = 1e3
 _INDEPENDENCE_RTOL = 1e-10
-# step and order of the central difference of -ln Z
-_CONSISTENCY_STENCIL = (1e-4, 2)
+# step of the central difference of -ln Z
+_CONSISTENCY_STEP = 1e-4
 
 
 class ObservableSet:
@@ -264,40 +258,19 @@ def expectation_consistency(obs: ObservableSet, lam) -> float:
     """Max deviation of a_i from the central difference of -ln Z.
 
     Check of the equilibrium consistency condition a_i = -d ln Z / d lam_i
-    through `linalg.central_difference` at order 2 with step 1e-4, whose
-    taps go to one `gibbs_batch` call; a lam within 1e-4 of LAMBDA_GUARD
-    raises `ValidationError`, since its taps would cross the guard.
+    at order 2 with step h = 1e-4: lam and its 2n taps lam -+ h e_i go to
+    one `gibbs_batch` call, and a is read from its row 0.  A lam within h of
+    LAMBDA_GUARD raises `ValidationError`, since its taps would cross the guard.
     """
     lam = vector(lam, observables(obs).n, "lam")
-    reach = CENTRAL_STENCILS[_CONSISTENCY_STENCIL[1]][0][-1] * _CONSISTENCY_STENCIL[0]
+    h = _CONSISTENCY_STEP
     worst = float(np.abs(lam).max())
-    if worst <= LAMBDA_GUARD < worst + reach:
+    if worst <= LAMBDA_GUARD < worst + h:
         raise ValidationError(
-            f"|lambda| = {worst!r} is within the stencil reach {reach:g} of the overflow "
+            f"|lambda| = {worst!r} is within the stencil reach {h:g} of the overflow "
             f"guard {LAMBDA_GUARD:g}, so the finite-difference taps would cross it"
         )
-    point = gibbs_point(obs, lam)
-
-    def neg_log_z(taps: np.ndarray) -> np.ndarray:
-        return -gibbs_batch(obs, taps.reshape(-1, obs.n)).log_Z.reshape(taps.shape[:-1])
-
-    fd = central_difference(neg_log_z, lam, *_CONSISTENCY_STENCIL)
-    return float(np.max(np.abs(point.a - fd)))
-
-
-def injectivity_diagnostic(obs: ObservableSet, lam) -> tuple[np.ndarray, int]:
-    """Symmetrized covariance C_ij = Re tr(rho Atil_i Atil_j) and its rank.
-
-    Atil_i = A_i - a_i I.  Rank deficiency (rank < n, relative threshold
-    1e-10) flags a locally non-injective Gibbs map, e.g. redundant
-    observables, and with it a broken zeroth law.
-    """
-    point = gibbs_point(obs, lam)
-    m = obs.dim
-    centered = obs._stack - point.a[:, None, None] * np.eye(m)
-    c = np.einsum("ij,ajk,bki->ab", point.rho.matrix, centered, centered).real
-    c = (c + c.T) / 2
-    w = np.abs(np.linalg.eigvalsh(c))
-    top = float(w.max(initial=0.0))
-    rank = 0 if top == 0.0 else int(np.sum(w > _INDEPENDENCE_RTOL * top))
-    return c, rank
+    n = obs.n
+    batch = gibbs_batch(obs, lam + np.vstack((np.zeros(n), -h * np.eye(n), h * np.eye(n))))
+    log_z = batch.log_Z[1:].reshape(2, n)
+    return float(np.max(np.abs(batch.a[0] - (log_z[0] - log_z[1]) / (2 * h))))

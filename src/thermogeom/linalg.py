@@ -7,9 +7,8 @@ targets: one built from a matrix is decomposed once by `np.linalg.eigh`,
 and a Gibbs state keeps the populations and eigenvectors of its family's
 batch (`gibbs.gibbs_point`), so no state is decomposed twice.
 
-It also holds the one stencil table and the batched `central_difference`
-behind every finite difference in the package, and `_in_blocks`, which runs
-each batched layer over blocks of points of bounded size.
+It also holds `_in_blocks`, which runs each batched layer over blocks of
+points of bounded size.
 """
 
 from __future__ import annotations
@@ -28,31 +27,6 @@ __all__ = [
 
 HERMITICITY_ATOL = 1e-12
 EIGENVALUE_CLAMP = 1e-12  # density eigenvalues in [-clamp, 0] are set to 0
-
-# Central first-derivative stencils keyed by order (Fornberg, Math. Comp. 51,
-# 1988): tap offsets in units of the step, integer weights, common denominator.
-CENTRAL_STENCILS = {
-    2: (np.array([-1.0, 1.0]), np.array([-1.0, 1.0]), 2.0),
-    4: (np.array([-2.0, -1.0, 1.0, 2.0]), np.array([1.0, -8.0, 8.0, -1.0]), 12.0),
-}
-
-
-def central_difference(f, x, step: float, order: int) -> np.ndarray:
-    """Central first derivatives of f at the points x of shape (..., n).
-
-    f maps points of shape (..., n) to values of shape (..., *out).  The
-    taps of every point along every coordinate form one array of shape
-    (..., n, taps, n), so f is called once.  The result has shape
-    (..., n, *out); entry [..., a, ...] is the derivative along coordinate a.
-    """
-    offsets, weights, denom = CENTRAL_STENCILS[order]
-    x = np.asarray(x, dtype=float)
-    n = x.shape[-1]
-    taps = np.broadcast_to(x[..., None, None, :], (*x.shape[:-1], n, offsets.size, n)).copy()
-    taps[..., np.arange(n), :, np.arange(n)] += offsets * step
-    vals = np.moveaxis(f(taps), x.ndim, -1)
-    return (vals @ weights) / (denom * step)
-
 
 # The bytes one block of points may give a batched layer's largest
 # intermediate.  At 256 KiB the heap hands one block's freed arrays to the

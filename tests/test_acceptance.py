@@ -23,8 +23,8 @@ from thermogeom.contact import (
     legendrian_residual,
     wedge_top_coefficient,
 )
-from thermogeom.geometry import bw_distance, metric_grid, metric_tensor
-from thermogeom.gibbs import ObservableSet, gibbs_point, injectivity_diagnostic
+from thermogeom.geometry import bw_distance, injectivity_diagnostic, metric_grid, metric_tensor
+from thermogeom.gibbs import ObservableSet, gibbs_point
 from thermogeom.linalg import HermitianOperator
 from thermogeom.processes import (
     GeodesicProblem,

@@ -13,23 +13,13 @@ from thermogeom.geometry import (
     _second_divided_differences,
     bw_distance,
     fidelity,
+    injectivity_diagnostic,
     metric_grid,
     metric_tensor,
     state_derivatives,
 )
-from thermogeom.gibbs import (
-    ObservableSet,
-    _spectra,
-    gibbs_batch,
-    gibbs_point,
-    injectivity_diagnostic,
-)
-from thermogeom.linalg import (
-    DensityOperator,
-    HermitianOperator,
-    central_difference,
-    hermitize,
-)
+from thermogeom.gibbs import ObservableSet, _spectra, gibbs_batch, gibbs_point
+from thermogeom.linalg import DensityOperator, HermitianOperator, hermitize
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Z = np.diag([1.0, -1.0]).astype(complex)
@@ -58,6 +48,33 @@ DEGENERATE_PAIR = ObservableSet(
         HermitianOperator(np.kron(PAULIS[2], np.eye(2))),
     ]
 )
+
+
+def order4_difference(f, x, step):
+    """Order-4 central first derivatives of f at the points x of shape (..., n).
+
+    f maps points of shape (..., n) to values of shape (..., *out) and is
+    called once, on the four taps of every point along every coordinate,
+    shape (..., n, 4, n).  The result has shape (..., n, *out); entry
+    [..., a, ...] is the derivative along coordinate a (Fornberg, Math.
+    Comp. 51, 1988).
+    """
+    n = x.shape[-1]
+    taps = np.broadcast_to(x[..., None, None, :], (*x.shape[:-1], n, 4, n)).copy()
+    taps[..., np.arange(n), :, np.arange(n)] += np.array([-2.0, -1.0, 1.0, 2.0]) * step
+    vals = np.moveaxis(f(taps), x.ndim, -1)
+    return (vals @ np.array([1.0, -8.0, 8.0, -1.0])) / (12.0 * step)
+
+
+def reference_covariance(obs, lam):
+    """C_ij = Re tr(rho Atil_i Atil_j) as an einsum over rho, symmetrised, and its rank."""
+    point = gibbs_point(obs, lam)
+    centered = obs._stack - point.a[:, None, None] * np.eye(obs.dim)
+    c = np.einsum("ij,ajk,bki->ab", point.rho.matrix, centered, centered).real
+    c = (c + c.T) / 2
+    w = np.abs(np.linalg.eigvalsh(c))
+    top = float(w.max())
+    return c, 0 if top == 0.0 else int(np.sum(w > 1e-10 * top))
 
 
 def fd_state_derivatives(obs, lam, step=5e-4):
@@ -420,7 +437,7 @@ def fd_form_gradient(obs, lams, v, step=1e-3):
         vb = v[:, None, None, :]
         return np.einsum("...i,...ij,...j->...", vb, g, vb)
 
-    return central_difference(form, lams, step, 4)
+    return order4_difference(form, lams, step)
 
 
 class TestQuadraticFormDerivatives:
@@ -487,17 +504,18 @@ class TestEquilibriumTangent:
         # g lam = K lam = C lam, since sum_i lam_i At_i is diagonal in the
         # eigenbasis, and Petz's order g <= K <= C: their weights on
         # |At_ab|^2 are L^2 / A, L and A, for L the logarithmic and A the
-        # arithmetic mean of p_a and p_b
+        # arithmetic mean of p_a and p_b; C is checked both from the frame
+        # and as the einsum over rho
         obs, lams = tangent_points(m, n, 100 + m)
         _, hessians = _equilibrium_tangent(obs, lams)
         for g, k, lam in zip(metric_grid(obs, lams), hessians, lams):
-            c = injectivity_diagnostic(obs, lam)[0]
-            scale = np.abs(c).max()
-            along = c @ lam
-            for metric in (g, k):
-                assert np.abs(metric @ lam - along).max() <= 1e-12 * scale * np.abs(lam).max()
-            for lower, upper in ((g, k), (k, c)):
-                assert np.linalg.eigvalsh(upper - lower)[0] >= -1e-12 * scale
+            for c in (injectivity_diagnostic(obs, lam)[0], reference_covariance(obs, lam)[0]):
+                scale = np.abs(c).max()
+                along = c @ lam
+                for metric in (g, k):
+                    assert np.abs(metric @ lam - along).max() <= 1e-12 * scale * np.abs(lam).max()
+                for lower, upper in ((g, k), (k, c)):
+                    assert np.linalg.eigvalsh(upper - lower)[0] >= -1e-12 * scale
 
     @pytest.mark.parametrize("m,n", TANGENT_FAMILIES)
     def test_matches_differenced_gibbs_batch(self, m, n):
@@ -507,7 +525,7 @@ class TestEquilibriumTangent:
             batch = gibbs_batch(obs, taps.reshape(-1, n))
             return np.concatenate((batch.S[:, None], batch.a), axis=1).reshape(*taps.shape[:-1], n + 1)
 
-        ref = central_difference(entropy_and_expectations, lams, 1e-4, 4)
+        ref = order4_difference(entropy_and_expectations, lams, 1e-4)
         ds, k = _equilibrium_tangent(obs, lams)
         for exact, differenced in ((ds, ref[..., 0]), (-k, ref[..., 1:])):
             assert np.abs(exact - differenced).max() <= 1e-8 * np.abs(differenced).max()
@@ -519,3 +537,28 @@ class TestEquilibriumTangent:
         sech2 = 1.0 / np.cosh(lams[:, 0]) ** 2
         np.testing.assert_allclose(k[:, 0, 0], sech2, rtol=1e-14, atol=0.0)
         np.testing.assert_allclose(ds[:, 0], -lams[:, 0] * sech2, rtol=1e-13, atol=1e-16)
+
+
+# the frame's covariance against the einsum over rho: the seeded tangent
+# families, the degenerate middle eigenvalue, a redundant pair (rank 1) and
+# the identity (C = 0, rank 0)
+COVARIANCE_FAMILIES = {
+    **{f"m{m}n{n}": tangent_points(m, n, 300 + m) for m, n in TANGENT_FAMILIES},
+    "degenerate-pair": (DEGENERATE_PAIR, [[0.7, 0.0, 0.0], [0.7, 1e-7, 0.0], [0.0, 0.0, 0.0]]),
+    "redundant": (
+        ObservableSet([HermitianOperator(SIGMA_Z), HermitianOperator(2 * SIGMA_Z)]),
+        [[0.3, 0.0], [0.3, 0.1], [-1.2, 0.4]],
+    ),
+    "identity": (ObservableSet([HermitianOperator(np.eye(2))]), [[0.4], [0.0], [-2.5]]),
+}
+
+
+class TestFrameCovariance:
+    @pytest.mark.parametrize("name", sorted(COVARIANCE_FAMILIES))
+    def test_matches_the_einsum_over_rho(self, name):
+        obs, lams = COVARIANCE_FAMILIES[name]
+        for lam in lams:
+            c, rank = injectivity_diagnostic(obs, lam)
+            ref, ref_rank = reference_covariance(obs, lam)
+            assert rank == ref_rank
+            assert np.abs(c - ref).max() <= 1e-13 * np.abs(ref).max()

@@ -1,16 +1,18 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from thermogeom.errors import ParameterRangeError, ValidationError
+from thermogeom import gibbs
+from thermogeom.errors import NumericalDomainError, ParameterRangeError, ValidationError
+from thermogeom.geometry import injectivity_diagnostic
 from thermogeom.gibbs import (
     ObservableSet,
     expectation_consistency,
     gibbs_batch,
     gibbs_point,
-    injectivity_diagnostic,
 )
 from thermogeom.linalg import HermitianOperator, hermitize
 from thermogeom.serialization import observable_set_from_json
@@ -225,6 +227,23 @@ class TestExpectationConsistency:
     def test_taps_may_reach_the_guard(self):
         assert expectation_consistency(QUBIT, [999.9999]) < 1e-8
 
+    def test_lam_and_its_taps_are_one_batch(self, monkeypatch):
+        # row 0 is lam itself, then lam - h e_i and lam + h e_i
+        blocks = []
+        batch = gibbs.gibbs_batch
+
+        def counted(obs, lams):
+            blocks.append(np.array(lams))
+            return batch(obs, lams)
+
+        monkeypatch.setattr(gibbs, "gibbs_batch", counted)
+        obs = ObservableSet([HermitianOperator(a) for a in (SIGMA_Z, SIGMA_X, np.diag([1.0, 0.0]))])
+        lam = np.array([0.3, -0.2, 0.5])
+        expectation_consistency(obs, lam)
+        assert len(blocks) == 1 and blocks[0].shape == (7, 3)
+        steps = np.vstack((np.zeros(3), -1e-4 * np.eye(3), 1e-4 * np.eye(3)))
+        assert np.array_equal(blocks[0], lam + steps)
+
 
 class TestInjectivityDiagnostic:
     def test_redundant_pair_is_rank_deficient(self):
@@ -251,6 +270,15 @@ class TestInjectivityDiagnostic:
         )
         _, rank = injectivity_diagnostic(pair, [0.5, -0.2])
         assert rank == 2
+
+    def test_overflowing_covariance_raises(self):
+        # its variance (1e300)^2 is no double: a rank of 0 would call a
+        # rank-1 covariance non-injective
+        obs = ObservableSet([HermitianOperator(np.diag([1e300, -1e300]))])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalDomainError, match=r"overflows at lambda = \[0\.0\]"):
+                injectivity_diagnostic(obs, [0.0])
 
 
 class TestMaxEntropyProperty:

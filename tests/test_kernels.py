@@ -24,6 +24,7 @@ from thermogeom.geometry import (
     _equilibrium_tangent,
     _phi,
     _quadratic_form_derivatives,
+    injectivity_diagnostic,
     metric_grid,
     metric_tensor,
     state_derivatives,
@@ -156,6 +157,7 @@ METRIC_PATH = {
     ),
     "state_derivatives": (lambda obs, lams: state_derivatives(obs, lams[0]), 1),
     "equilibrium_tangent": (lambda obs, lams: _equilibrium_tangent(obs, lams), 5),
+    "injectivity_diagnostic": (lambda obs, lams: injectivity_diagnostic(obs, lams[0]), 1),
 }
 
 

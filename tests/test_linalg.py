@@ -7,12 +7,7 @@ import pytest
 
 from thermogeom.errors import ValidationError
 from thermogeom.gibbs import ObservableSet, gibbs_point
-from thermogeom.linalg import (
-    CENTRAL_STENCILS,
-    DensityOperator,
-    HermitianOperator,
-    central_difference,
-)
+from thermogeom.linalg import DensityOperator, HermitianOperator
 
 RNG = np.random.default_rng(20250810)
 
@@ -121,102 +116,15 @@ class TestDensityOperator:
             DensityOperator(matrix)
 
 
-class TestCentralDifference:
-    A = np.array([[2.0, -1.0, 0.5], [-1.0, 3.0, 0.25], [0.5, 0.25, -1.5]])
-    B = np.array([0.3, -2.0, 1.1])
-    X = RNG.uniform(-1.0, 1.0, (4, 5, 3))
-
-    def quadratic(self, x):
-        return np.einsum("...i,ij,...j->...", x, self.A, x) + x @ self.B + 0.7
-
-    @staticmethod
-    def quartic(x):
-        # degree 4 in each coordinate, with mixed terms
-        return np.stack(
-            (x[..., 0] ** 4 - 2.0 * x[..., 0] ** 3 * x[..., 1] + x[..., 2] ** 2,
-             x[..., 1] ** 4 + 3.0 * x[..., 0] * x[..., 2] ** 3),
-            axis=-1,
-        )
-
-    @staticmethod
-    def quartic_gradient(x):
-        x0, x1, x2 = x[..., 0], x[..., 1], x[..., 2]
-        d0 = np.stack((4 * x0**3 - 6 * x0**2 * x1, 3 * x2**3), axis=-1)
-        d1 = np.stack((-2 * x0**3, 4 * x1**3), axis=-1)
-        d2 = np.stack((2 * x2, 9 * x0 * x2**2), axis=-1)
-        return np.stack((d0, d1, d2), axis=-2)
-
-    def test_orders_are_the_table_keys(self):
-        assert sorted(CENTRAL_STENCILS) == [2, 4]
-        for offsets, weights, denom in CENTRAL_STENCILS.values():
-            assert weights @ offsets == denom  # exact on linear functions
-
-    def test_order_two_is_exact_on_quadratics(self):
-        d = central_difference(self.quadratic, self.X, 0.1, 2)
-        assert d.shape == (4, 5, 3)
-        np.testing.assert_allclose(d, 2.0 * self.X @ self.A + self.B, rtol=0.0, atol=1e-13)
-
-    def test_order_four_is_exact_on_quartics(self):
-        d = central_difference(self.quartic, self.X, 0.1, 4)
-        assert d.shape == (4, 5, 3, 2)
-        np.testing.assert_allclose(d, self.quartic_gradient(self.X), rtol=0.0, atol=1e-12)
-        # order 2 is not: its truncation error shows at this step
-        assert np.max(np.abs(central_difference(self.quartic, self.X, 0.1, 2) - d)) > 1e-3
-
-    def test_single_point(self):
-        full = central_difference(self.quartic, self.X, 1e-3, 4)
-        one = central_difference(self.quartic, self.X[1, 2], 1e-3, 4)
-        assert one.shape == (3, 2)
-        assert np.array_equal(one, full[1, 2])
-
-    def test_f_is_called_once_on_every_tap(self):
-        shapes = []
-
-        def f(taps):
-            shapes.append(taps.shape)
-            return self.quadratic(taps)
-
-        central_difference(f, self.X, 1e-4, 4)
-        assert shapes == [(4, 5, 3, 4, 3)]
-
-    def test_taps_move_one_coordinate(self):
-        seen = []
-
-        def f(taps):
-            seen.append(taps.copy())
-            return taps[..., 0]
-
-        central_difference(f, np.array([1.0, 0.0, 2.0]), 0.5, 4)
-        expect = np.array([[1.0, -1.0, 2.0], [1.0, -0.5, 2.0], [1.0, 0.5, 2.0], [1.0, 1.0, 2.0]])
-        assert seen[0].shape == (3, 4, 3)
-        assert np.array_equal(seen[0][1], expect)
-        assert np.array_equal(seen[0][[0, 2], :, 1], np.zeros((2, 4)))
-
-
 SRC = Path(__file__).resolve().parents[1] / "src" / "thermogeom"
 
 
-def _central_difference_callers() -> set[str]:
-    """module.function for each top-level function or method that calls central_difference."""
-    callers = set()
-    for path in sorted(SRC.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        defs = [d for d in tree.body if isinstance(d, ast.FunctionDef)]
-        for cls in (c for c in tree.body if isinstance(c, ast.ClassDef)):
-            defs += [d for d in cls.body if isinstance(d, ast.FunctionDef)]
-        for d in defs:
-            for node in ast.walk(d):
-                if isinstance(node, ast.Call) and "central_difference" in (
-                    getattr(node.func, "id", None), getattr(node.func, "attr", None)
-                ):
-                    callers.add(f"{path.stem}.{d.name}")
-    return callers
-
-
 def test_finite_difference_is_the_one_black_box_check():
-    callers = _central_difference_callers()
-    assert callers == {"gibbs.expectation_consistency"}
-    # and README's finite-difference paragraph names exactly it
+    # no library module keeps a generic difference machinery
+    for path in sorted(SRC.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        assert "central_difference" not in text and "CENTRAL_STENCILS" not in text, path.name
+    # and README's finite-difference paragraph names exactly the one check
     readme = (SRC.parents[1] / "README.md").read_text(encoding="utf-8")
     start = readme.index("The remaining finite difference")
     paragraph = readme[start : readme.index("\n\n", start)]
@@ -227,4 +135,4 @@ def test_finite_difference_is_the_one_black_box_check():
         if isinstance(d, ast.FunctionDef)
     }
     named = set(re.findall(r"`(\w+)`", paragraph)) & functions
-    assert named == {c.split(".")[1] for c in callers}
+    assert named == {"expectation_consistency"}
