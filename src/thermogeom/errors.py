@@ -18,7 +18,7 @@ class NearSingularError(NumericalDomainError):
 
 
 class ParameterRangeError(NumericalDomainError):
-    """Intensive parameter outside the overflow guard, or an exponent that overflows."""
+    """Intensive parameter outside the overflow guard, or a point whose result is not finite."""
 
 
 class NumericalConsistencyError(NumericalDomainError):

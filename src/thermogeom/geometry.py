@@ -14,10 +14,11 @@ exact da/dlam of the Legendrian residual.  The covariance C of
 same product as g and K.  The distance is
 d^2 = tr A + tr B - 2 tr[(A^{1/2} B A^{1/2})^{1/2}].
 
-A call checks its whole (P, n) parameter block first, then runs it in
-blocks of points (`linalg._in_blocks`) whose largest intermediate, the
-(n, m, m) rotated observables or the (m, m, m) second divided differences
-per point, stays within 256 KiB.  Every computation on a block reads
+A call checks its whole (P, n) parameter block first (a single point is a
+block of one), then runs it in blocks of points (`linalg._in_blocks`) whose
+largest intermediate, the (n, m, m) rotated observables or the (m, m, m)
+second divided differences per point, stays within 256 KiB; the runner
+names the first point whose result is not finite.  Every computation on a block reads
 only its spectral core from `gibbs` (one stacked eigendecomposition per
 block, no rho and no expectations), and the contractions run as matrix
 products over the whole block: the n observables are rotated into every
@@ -39,12 +40,11 @@ import numpy as np
 from .errors import (
     NearSingularError,
     NumericalConsistencyError,
-    NumericalDomainError,
     ValidationError,
 )
 from .gibbs import _INDEPENDENCE_RTOL, ObservableSet, _guarded, _Spectra, _spectra, observables
 from .inputs import count, points, vector
-from .linalg import DensityOperator, HermitianOperator, _in_blocks, hermitize
+from .linalg import DensityOperator, HermitianOperator, _freeze, _in_blocks, hermitize
 
 __all__ = [
     "MetricTensor",
@@ -79,9 +79,7 @@ class MetricTensor:
             raise NumericalConsistencyError(
                 f"metric has eigenvalue {w_min:.3e} below the PSD tolerance"
             )
-        g = g.copy()
-        g.flags.writeable = False
-        object.__setattr__(self, "g", g)
+        object.__setattr__(self, "g", _freeze(g, float))
         object.__setattr__(self, "lam", lam)
 
 
@@ -221,13 +219,20 @@ def state_derivatives(obs: ObservableSet, lam) -> list[HermitianOperator]:
     """Partial derivatives of the family map, one per parameter direction.
 
     Each derivative is self-adjoint and traceless (the trace of rho is
-    constant along the family).
+    constant along the family).  The point is a block of one.
     """
-    spectra = _spectra(obs, _guarded(obs, vector(lam, observables(obs).n, "lam")[None]))
+    lam = _guarded(obs, vector(lam, observables(obs).n, "lam")[None])
+    drho = _in_blocks(functools.partial(_derivative_block, obs), 16 * obs.n * obs.dim**2, lam)
+    return [HermitianOperator(d) for d in drho[0]]
+
+
+def _derivative_block(obs: ObservableSet, lams: np.ndarray) -> np.ndarray:
+    """`state_derivatives` on one block of `_guarded` points, (P, n, m, m), exactly Hermitian."""
+    spectra = _spectra(obs, lams)
     a_tilde, f1 = _daleckii_krein(obs, spectra)
-    u = spectra.U[0]
-    drho = u @ (-a_tilde[0] * f1[0]) @ u.conj().T
-    return [HermitianOperator(d) for d in drho]
+    u = spectra.U[:, None]
+    drho = u @ (-a_tilde * f1[:, None]) @ u.conj().swapaxes(2, 3)
+    return drho / 2 + drho.conj().swapaxes(2, 3) / 2
 
 
 def metric_tensor(obs: ObservableSet, lam) -> MetricTensor:
@@ -325,21 +330,23 @@ def injectivity_diagnostic(obs: ObservableSet, lam) -> tuple[np.ndarray, int]:
     (p_a + p_b) / 2, so it is one `_metric_from_frame` product.  Rank
     deficiency (rank < n, relative threshold 1e-10) flags a locally
     non-injective Gibbs map, e.g. redundant observables, and with it a broken
-    zeroth law.  A covariance that overflows raises `NumericalDomainError`.
+    zeroth law.  The point is a block of one, so a covariance that overflows
+    raises `ParameterRangeError` naming lam.
     """
-    lam = vector(lam, observables(obs).n, "lam")
-    spectra = _spectra(obs, _guarded(obs, lam[None]))
-    p = spectra.p
-    # an overflowing entry is named by the isfinite check below
-    with np.errstate(over="ignore", invalid="ignore"):
-        a_tilde, _ = _daleckii_krein(obs, spectra)
-        c = _metric_from_frame(a_tilde, np.sqrt((p[:, :, None] + p[:, None, :]) / 2))[0]
-    if not np.isfinite(c).all():
-        raise NumericalDomainError(f"the covariance overflows at lambda = {lam.tolist()}")
+    lam = _guarded(obs, vector(lam, observables(obs).n, "lam")[None])
+    c = _in_blocks(functools.partial(_covariance_block, obs), 16 * obs.n * obs.dim**2, lam)[0]
     w = np.abs(np.linalg.eigvalsh(c))
     top = float(w.max(initial=0.0))
     rank = 0 if top == 0.0 else int(np.sum(w > _INDEPENDENCE_RTOL * top))
     return c, rank
+
+
+def _covariance_block(obs: ObservableSet, lams: np.ndarray) -> np.ndarray:
+    """`injectivity_diagnostic`'s C on one block of `_guarded` points, (P, n, n)."""
+    spectra = _spectra(obs, lams)
+    p = spectra.p
+    a_tilde, _ = _daleckii_krein(obs, spectra)
+    return _metric_from_frame(a_tilde, np.sqrt((p[:, :, None] + p[:, None, :]) / 2))
 
 
 def _quadratic_form_derivatives(

@@ -6,11 +6,13 @@ a_i = tr(A_i rho_lam) = -d ln Z / d lam_i and the equilibrium entropy is
 S = ln Z + sum_i lam_i a_i.  The exponent is shifted by its maximum
 eigenvalue before exponentiation, so only ln Z (never Z itself) is
 formed; the guard |lam_i| <= 1e3 keeps the shifted exponent in range for
-observables of moderate norm, and an exponent that overflows all the same
-raises `ParameterRangeError`.
+observables of moderate norm.  A shifted exponent past the double range
+gives a population of exactly 0, which is no failure.
 
 A call checks its whole (P, n) parameter block first, then runs it in
-blocks of points (`linalg._in_blocks`) whose rho stack stays within 256 KiB.
+blocks of points (`linalg._in_blocks`) whose rho stack stays within 256 KiB;
+a point whose numbers are not all finite (an exponent that overflows all
+the same) raises `ParameterRangeError` naming it.
 In each block the exponents are one (P, n) @ (n, m^2) product and share one
 stacked eigendecomposition.  That spectral core (lam, ln Z, the eigenvalues
 x, the populations p and the eigenvectors U) is all the metric reads.
@@ -32,7 +34,7 @@ import numpy as np
 
 from .errors import ParameterRangeError, ValidationError
 from .inputs import points, vector
-from .linalg import DensityOperator, HermitianOperator, _in_blocks, hermitize
+from .linalg import DensityOperator, HermitianOperator, _freeze, _in_blocks, hermitize
 
 __all__ = [
     "LAMBDA_GUARD",
@@ -100,14 +102,12 @@ class ObservableSet:
         independent = bool(
             s[0] > 0 and int(np.sum(s > _INDEPENDENCE_RTOL * s[0])) == len(obs)
         )
-        stack = stack.copy()
-        stack.flags.writeable = False
         object.__setattr__(self, "observables", obs)
         object.__setattr__(self, "names", names)
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "n", len(obs))
         object.__setattr__(self, "independent", independent)
-        object.__setattr__(self, "_stack", stack)
+        object.__setattr__(self, "_stack", _freeze(stack))
 
     def __setattr__(self, name, value):
         raise AttributeError("ObservableSet is immutable")
@@ -191,14 +191,8 @@ def _spectra(obs: ObservableSet, lams: np.ndarray) -> _Spectra:
     eigendecomposition; the metric reads nothing else.
     """
     m = obs.dim
-    # an overflowing entry is named by the isfinite check below
-    with np.errstate(over="ignore", invalid="ignore"):
-        exponent = (-lams @ obs._stack.reshape(obs.n, m * m)).reshape(len(lams), m, m)
+    exponent = (-lams @ obs._stack.reshape(obs.n, m * m)).reshape(len(lams), m, m)
     w, u = np.linalg.eigh(exponent)
-    if not np.isfinite(w).all():
-        # |lam| <= LAMBDA_GUARD does not bound lam * A: this exponent overflowed
-        at = lams[int(np.argmin(np.isfinite(w).all(axis=1)))].tolist()
-        raise ParameterRangeError(f"the exponent -sum_i lam_i A_i overflows at lambda = {at}")
     shift = w[:, -1:]
     e = np.exp(w - shift)
     z_tilde = e.sum(axis=1)
@@ -232,8 +226,8 @@ def _family_block(obs: ObservableSet, lams: np.ndarray) -> FamilyBatch:
 
 
 def _entropy(p: np.ndarray) -> np.ndarray:
-    """S = -sum p ln p over the last axis of a stack of populations, 0 ln 0 = 0."""
-    return -(p * np.log(p, out=np.zeros_like(p), where=p > 0.0)).sum(axis=-1)
+    """S = 0 - sum p ln p over the last axis of populations, 0 ln 0 = 0: a pure state reads +0.0."""
+    return 0.0 - (p * np.log(p, out=np.zeros_like(p), where=p > 0.0)).sum(axis=-1)
 
 
 def gibbs_point(obs: ObservableSet, lam) -> GibbsPoint:
@@ -241,15 +235,11 @@ def gibbs_point(obs: ObservableSet, lam) -> GibbsPoint:
     batch = gibbs_batch(obs, vector(lam, observables(obs).n, "lam")[None])
     p, u = batch.p[0], batch.U[0]
     rho = DensityOperator._with_spectrum(hermitize((u * p) @ u.conj().T), p[::-1], u[:, ::-1])
-    lam_row = batch.lam[0].copy()
-    lam_row.flags.writeable = False
-    a = batch.a[0].copy()
-    a.flags.writeable = False
     return GibbsPoint(
-        lam=lam_row,
+        lam=_freeze(batch.lam[0], float),
         log_Z=float(batch.log_Z[0]),
         rho=rho,
-        a=a,
+        a=_freeze(batch.a[0], float),
         S=float(batch.S[0]),
     )
 

@@ -7,15 +7,16 @@ targets: one built from a matrix is decomposed once by `np.linalg.eigh`,
 and a Gibbs state keeps the populations and eigenvectors of its family's
 batch (`gibbs.gibbs_point`), so no state is decomposed twice.
 
-It also holds `_in_blocks`, which runs each batched layer over blocks of
-points of bounded size.
+It also holds `_in_blocks`, the one runner of every per-point layer,
+single points and ray scans included: it runs blocks of points of bounded
+size and names the first point whose result is not finite.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ParameterRangeError, ValidationError
 
 __all__ = [
     "HERMITICITY_ATOL",
@@ -41,16 +42,26 @@ def _in_blocks(kernel, point_bytes: int, *blocks: np.ndarray):
     Each block holds as many rows as keep point_bytes per row within
     `_BLOCK_BYTES`, and at least one.  Rows that fit in one block go to the
     kernel whole, with no copy.  The kernel returns an array or a tuple of
-    arrays, each with one leading row per point, and so does this.
+    arrays, each with one leading row per point, and so does this.  Each
+    block runs with numpy's overflow and invalid-value flags ignored and its
+    result is checked instead: the first row whose fields are not all
+    finite raises `ParameterRangeError` naming blocks[0] at that row, while
+    an exact limit such as exp(-inf) = 0 is no failure.
     """
     size = len(blocks[0])
     rows = max(1, _BLOCK_BYTES // point_bytes)
-    if size <= rows:
-        return kernel(*blocks)
     out = None
-    for start in range(0, size, rows):
-        part = kernel(*(b[start : start + rows] for b in blocks))
+    for start in range(0, max(size, 1), rows):
+        block = blocks if size <= rows else [b[start : start + rows] for b in blocks]
+        with np.errstate(over="ignore", invalid="ignore"):
+            part = kernel(*block)
         fields = (part,) if isinstance(part, np.ndarray) else part
+        if not all(np.isfinite(f).all() for f in fields):
+            finite = [np.isfinite(f.reshape(len(f), -1)).all(axis=1) for f in fields]
+            at = block[0][int(np.argmin(np.logical_and.reduce(finite)))].tolist()
+            raise ParameterRangeError(f"the computation overflows at lambda = {at}")
+        if size <= rows:
+            return part
         if out is None:
             out = tuple(np.empty((size, *f.shape[1:]), f.dtype) for f in fields)
         for whole, f in zip(out, fields):

@@ -12,7 +12,8 @@ metrics of a Sobolev (H^1) descent step, whose iteration count does not
 grow with the segment count; the geodesic's reported length and energy,
 `discrete_path_energy` and `segment_speed_profile` all read that same
 batch's segment energies.  Both ray scans read every state on their ray
-off one `eigvalsh` of sum_i d_i A_i.
+off one `eigvalsh` of sum_i d_i A_i and run over their nodes in blocks of
+points (`linalg._in_blocks`), which names a failing point Lambda d.
 """
 
 from __future__ import annotations
@@ -22,10 +23,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterRangeError, ValidationError
+from .errors import ValidationError
 from .geometry import _quadratic_form_derivatives, metric_grid
 from .gibbs import ObservableSet, _entropy, _guarded, observables
 from .inputs import MAX_COUNT, count, points, positive, vector
+from .linalg import _freeze, _in_blocks
 
 __all__ = [
     "ParamPath",
@@ -56,9 +58,8 @@ class ParamPath:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "duration", positive(self.duration, "duration"))
-        samples = points(self.samples, None, "samples", MIN_PATH_STEPS + 1, MAX_COUNT + 1).copy()
-        samples.flags.writeable = False
-        object.__setattr__(self, "samples", samples)
+        samples = points(self.samples, None, "samples", MIN_PATH_STEPS + 1, MAX_COUNT + 1)
+        object.__setattr__(self, "samples", _freeze(samples, float))
 
     @property
     def steps(self) -> int:
@@ -335,27 +336,29 @@ class ThirdLawScan:
     increments: np.ndarray
 
 
-def _ray(obs: ObservableSet, direction, lambdas) -> tuple[np.ndarray, np.ndarray]:
-    """The checked Lambda list and y = w_0 - w, ascending, from w = eigvalsh(sum_i d_i A_i).
-
-    Every rho(s d) = exp(-s H_d) / Z commutes with H_d, so its populations,
-    ascending as in `gibbs._spectra`, are exp(s y) / sum exp(s y).
-    """
+def _ray(obs: ObservableSet, direction, lambdas) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The unit direction d, the checked Lambda list and w = eigvalsh(sum_i d_i A_i)."""
     d = _unit_direction(direction, observables(obs).n)
     lam = _check_lambda_list(lambdas)
     _guarded(obs, lam[-1] * d[None])
-    w = np.linalg.eigvalsh(np.einsum("k,kij->ij", d, obs._stack))
-    with np.errstate(over="ignore", invalid="ignore"):  # named by the isfinite check below
+    return d, lam, np.linalg.eigvalsh(np.einsum("k,kij->ij", d, obs._stack))
+
+
+def _along_ray(field, d: np.ndarray, w: np.ndarray, nodes: np.ndarray):
+    """field(p, y) at the ray points s d, s in nodes, in blocks of nodes (`linalg._in_blocks`).
+
+    Every rho(s d) = exp(-s H_d) / Z commutes with H_d, so with y = w_0 - w,
+    ascending as in `gibbs._spectra`, its populations are p = exp(s y) / sum exp(s y).
+    y is formed in the block, so a field that is not finite, an H_d past the
+    double range included, names its first such point s d.
+    """
+
+    def block(_, s):
         y = w[0] - w[::-1]
-    if not np.isfinite(y).all():
-        raise ParameterRangeError(f"sum_i d_i A_i overflows along direction = {d.tolist()}")
-    return lam, y
+        e = np.exp(np.multiply.outer(s, y))
+        return field(e / e.sum(axis=1, keepdims=True), y)
 
-
-def _populations(s: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """The populations exp(s y) / sum exp(s y) of the ray states at the Lambdas s, (len(s), m)."""
-    e = np.exp(np.multiply.outer(s, y))
-    return e / e.sum(axis=1, keepdims=True)
+    return _in_blocks(block, 8 * len(w), np.multiply.outer(nodes, d), nodes)
 
 
 def third_law_scan(
@@ -368,17 +371,21 @@ def third_law_scan(
 
     The ray 0 -> max(Lambda) * d is sampled at spacing max(Lambda) / steps
     with every Lambda inserted as a node.  The speed sqrt(d^T g d) at a node
-    is the closed-form standard deviation of `_ray`'s y under its
+    is the closed-form standard deviation of `_along_ray`'s y under its
     populations, and each length is the cumulative trapezoid sum at its Lambda.
     """
     steps = count(steps, "steps", MIN_PATH_STEPS)
-    lam, y = _ray(obs, direction, lambdas)
+    d, lam, w = _ray(obs, direction, lambdas)
     nodes = np.union1d(np.linspace(0.0, lam[-1], steps + 1), lam)
-    p = _populations(nodes, y)
-    speeds = np.sqrt((p * (y - p @ y[:, None]) ** 2).sum(axis=1))
+    speeds = _along_ray(_standard_deviation, d, w, nodes)
     segments = _trapezoid(speeds, np.diff(nodes))
     lengths = np.concatenate(([0.0], np.cumsum(segments)))[np.searchsorted(nodes, lam)]
     return ThirdLawScan(lam, lengths, np.diff(lengths))
+
+
+def _standard_deviation(p: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The standard deviation of y under each row of populations p."""
+    return np.sqrt((p * (y - p @ y[:, None]) ** 2).sum(axis=1))
 
 
 @dataclass(frozen=True)
@@ -403,7 +410,7 @@ def boundary_entropy_limit(
     obs: ObservableSet, direction, lambdas
 ) -> BoundaryEntropyScan:
     """Entropies S = -sum p ln p of rho_{Lambda d} and their gap to the ln k limit."""
-    lam, y = _ray(obs, direction, lambdas)
-    k = int(np.sum(-y <= 1e-8 * max(float(-y[0]), 1.0)))
-    entropies = _entropy(_populations(lam, y))
+    d, lam, w = _ray(obs, direction, lambdas)
+    entropies = _along_ray(lambda p, _: _entropy(p), d, w, lam)
+    k = int(np.sum(w - w[0] <= 1e-8 * max(float(w[-1] - w[0]), 1.0)))
     return BoundaryEntropyScan(lam, entropies, entropies - np.log(k), k)

@@ -607,7 +607,8 @@ def test_overflowing_exponent_exits_3(command, section, tmp_path):
 
 
 def test_observable_near_the_float_limit_validates_and_exits_3(tmp_path, capsys):
-    # sz * 1e308 is a valid observable; at lambda = 1 its exponent spread overflows
+    # sz * 1e308 is a valid observable; at lambda = 1, log_Z = 1e308 and p = (0, 1)
+    # are exact, but Z = e^(1e308) is no double, so the artifact refuses it
     huge = qubit_observables()
     huge["observables"][0]["matrix"] = [[[1e308, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-1e308, 0.0]]]
     cfg = write_config(tmp_path, "cfg.json", {"observables": huge, "gibbs": {"lambda": [1.0]}})
@@ -615,7 +616,7 @@ def test_observable_near_the_float_limit_validates_and_exits_3(tmp_path, capsys)
     assert run(["gibbs", "--config", cfg, "--validate"]) == 0
     assert run(["gibbs", "--config", cfg, "--out", out]) == 3
     assert not out.exists()
-    assert "numerical domain error: gibbs: overflow" in capsys.readouterr().err
+    assert "numerical domain error: gibbs: the artifact would hold a NaN" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -686,7 +687,7 @@ def _gibbs_saturated_z():
             _holonomy_quotient_overflow,
             "overflow in '1e+300*l1/1e-11' (operand 1.5625e+298 at l1=0.015625, l2=0.0)",
         ),
-        ("metric", _metric_scaled_qubit, "metric: overflow encountered in"),
+        ("metric", _metric_scaled_qubit, "the computation overflows at lambda = [-1e-201]"),
         # the library's Z saturates to inf by design; the artifact refuses it
         ("gibbs", _gibbs_saturated_z, "gibbs: the artifact would hold a NaN or an infinity"),
     ],

@@ -188,6 +188,21 @@ class TestStateDerivatives:
         assert gibbs_point(PAULI, [400.0, 0.0, 0.0]).rho.eigenvalues[-1] == 0.0
         assert np.abs(d_x.matrix + SIGMA_X / 800.0).max() < 1e-17
 
+    @pytest.mark.parametrize("scale", [1e6, 1e100])
+    def test_large_observable_is_no_config_error(self, scale):
+        # U X U^dagger rounds off Hermitian by about eps |A|, which once
+        # failed HermitianOperator's absolute 1e-12 check with a ValidationError
+        rng = np.random.default_rng(1)
+        a = rng.normal(size=(2, 4, 4)) + 1j * rng.normal(size=(2, 4, 4))
+        a = a + a.conj().swapaxes(1, 2)
+        obs = ObservableSet([HermitianOperator(scale * a[0]), HermitianOperator(a[1])])
+        unit = ObservableSet([HermitianOperator(a[0]), HermitianOperator(a[1])])
+        # the same states, so d/dlam_1 is scale times the unit family's d/dlam_1
+        ders = state_derivatives(obs, [0.3 / scale, 0.2])
+        for d, ref, factor in zip(ders, state_derivatives(unit, [0.3, 0.2]), (scale, 1.0)):
+            expected = factor * ref.matrix
+            assert np.abs(d.matrix - expected).max() <= 1e-9 * np.abs(expected).max()
+
     def test_degenerate_two_qubit_spectrum(self):
         # H = 0.7 (z1 + z2) has a doubly degenerate middle eigenvalue, and
         # x1 x2 couples exactly that pair

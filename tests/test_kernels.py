@@ -13,13 +13,16 @@ Hessian along the old contractions, so the two routes differ only in how
 they sum.
 """
 
+import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 from thermogeom import geometry, gibbs, linalg
-from thermogeom.errors import ParameterRangeError
+from thermogeom.contact import legendrian_residual
+from thermogeom.errors import ParameterRangeError, ThermoGeomError, ValidationError
 from thermogeom.geometry import (
     _equilibrium_tangent,
     _phi,
@@ -29,8 +32,25 @@ from thermogeom.geometry import (
     metric_tensor,
     state_derivatives,
 )
-from thermogeom.gibbs import FamilyBatch, ObservableSet, _guarded, _spectra, gibbs_batch
+from thermogeom.gibbs import (
+    FamilyBatch,
+    ObservableSet,
+    _guarded,
+    _spectra,
+    gibbs_batch,
+    gibbs_point,
+)
 from thermogeom.linalg import _BLOCK_BYTES, HermitianOperator, _in_blocks
+from thermogeom.processes import (
+    GeodesicProblem,
+    boundary_entropy_limit,
+    discrete_path_energy,
+    entropy_production,
+    geodesic_between,
+    straight_path,
+    third_law_scan,
+    thermo_length,
+)
 
 RTOL = 1e-13
 DIMS = (2, 3, 4, 8, 16)
@@ -285,3 +305,93 @@ def test_peak_memory_is_bounded_by_the_block_budget(m, n, size, name):
     finally:
         tracemalloc.stop()
     assert peak <= PEAK_BUDGETS[name] * _BLOCK_BYTES + size * (n + 1) * n * 8
+
+
+def test_in_blocks_names_the_first_row_that_is_not_finite():
+    def kernel(lams):
+        return lams.sum(axis=1), np.exp(lams[:, 1:] * 1e3)
+
+    lams = np.zeros((10, 2))
+    lams[[6, 8], 1] = 1.0
+    # rows 6 and 8 overflow the second field, in the second and third blocks
+    with pytest.raises(ParameterRangeError, match=r"overflows at lambda = \[0\.0, 1\.0\]$"):
+        _in_blocks(kernel, _BLOCK_BYTES // 4, lams)
+    # an exact limit, exp(-inf) = 0, is no failure
+    total, e = _in_blocks(kernel, _BLOCK_BYTES // 4, -1e306 * lams)
+    assert np.array_equal(total, -1e306 * lams.sum(axis=1)) and not e[[6, 8]].any()
+
+
+def _path(end):
+    return straight_path(np.zeros_like(end), end, steps=8)
+
+
+def _unit(end):
+    return np.full(end.size, end.size**-0.5)
+
+
+def _gibbs_point_fields(obs, end):
+    point = gibbs_point(obs, 0 * end)
+    return point.log_Z, point.rho.matrix, point.a, point.S
+
+
+def _geodesic_fields(obs, end):
+    path, report, _ = geodesic_between(obs, GeodesicProblem(0 * end, end, interior_points=7))
+    return path.samples, report.segment_energies
+
+
+# every Gibbs-family layer as a call on (obs, end): at lam = 0 or along the
+# segment from 0 to end, |end_i| = min(1, 1 / s), so every state on it is
+# mixed and the variance s^2 of s sz leaves the double range past s = 1.3e154
+SCALED_LAYERS = {
+    "gibbs_batch": lambda obs, end: gibbs_batch(obs, np.outer([0.0, 0.5, 1.0], end))[1:],
+    "gibbs_point": _gibbs_point_fields,
+    "metric_grid": lambda obs, end: metric_grid(obs, np.outer([0.0, 1.0], end)),
+    "metric_tensor": lambda obs, end: metric_tensor(obs, 0 * end).g,
+    "state_derivatives": lambda obs, end: [d.matrix for d in state_derivatives(obs, end)],
+    "injectivity_diagnostic": lambda obs, end: injectivity_diagnostic(obs, 0 * end)[0],
+    "legendrian_residual": lambda obs, end: legendrian_residual(obs, np.outer([0.0, 1.0], end)),
+    "thermo_length": lambda obs, end: thermo_length(obs, _path(end)).segment_lengths,
+    "entropy_production": lambda obs, end: entropy_production(obs, _path(end))[0],
+    "discrete_path_energy": lambda obs, end: discrete_path_energy(obs, _path(end).samples, 1.0),
+    "geodesic_between": _geodesic_fields,
+    "third_law_scan": lambda obs, end: third_law_scan(obs, _unit(end), [1.0, 2.0]).lengths,
+    "boundary_entropy_limit": lambda obs, end: boundary_entropy_limit(
+        obs, _unit(end), [0.0, 1.0, 400.0]
+    ).entropies,
+}
+SCALES = (1e-300, 1e-150, 1.0, 1e150, 1e200, 1e300)
+# the layers whose numbers at s = 1e300 are no doubles, by the variance at lam = 0
+NAMED_AT_1E300 = (
+    "metric_grid",
+    "metric_tensor",
+    "injectivity_diagnostic",
+    "legendrian_residual",
+    "third_law_scan",
+)
+
+
+def _scaled_family(scale, with_sx):
+    ops = [HermitianOperator(scale * np.diag([1.0, -1.0]))]
+    if with_sx:
+        ops.append(HermitianOperator(np.array([[0.0, 1.0], [1.0, 0.0]])))
+    return ObservableSet(ops)
+
+
+@pytest.mark.parametrize("with_sx", [False, True], ids=["s-sz", "s-sz-sx"])
+@pytest.mark.parametrize("scale", SCALES)
+@pytest.mark.parametrize("name", sorted(SCALED_LAYERS))
+def test_every_layer_is_finite_or_names_its_failure(name, scale, with_sx):
+    obs = _scaled_family(scale, with_sx)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            result = SCALED_LAYERS[name](obs, np.full(obs.n, min(1.0, 1 / scale)))
+        except ThermoGeomError as exc:
+            assert not isinstance(exc, ValidationError), exc
+            assert scale != 1.0, exc
+            if scale == 1e300 and name in NAMED_AT_1E300:
+                assert re.search(r"lambda = \[", str(exc)), exc
+            return
+    assert not (scale == 1e300 and name in NAMED_AT_1E300)
+    for field in result if isinstance(result, (tuple, list)) else (result,):
+        assert np.isfinite(field).all()

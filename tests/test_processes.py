@@ -111,6 +111,16 @@ class TestThermoLength:
         assert report.length == pytest.approx(gudermannian(1.0), abs=1e-4)
         assert report.length == pytest.approx(0.8658, abs=1e-4)
 
+    @pytest.mark.parametrize("k", [64, 256])
+    @pytest.mark.parametrize("r", [0.3, 1.0, 2.5])
+    def test_bloch_circle_closed_form(self, r, k):
+        # the circle |lam| = r has length 2 pi tanh r; the central difference
+        # reads each chord speed times sin h / h, h = 2 pi / k, about 1 - 6.6 / k^2
+        theta = np.linspace(0.0, 2.0 * math.pi, k + 1)
+        circle = r * np.stack((np.cos(theta), np.sin(theta), np.zeros_like(theta)), axis=1)
+        length = thermo_length(PAULI, ParamPath(1.0, circle)).length
+        assert abs(length / (2.0 * math.pi * math.tanh(r)) - 1.0) <= 7.0 / k**2
+
     def test_time_rescaled_copy_same_length(self):
         path = straight_path([0.0], [1.0], steps=64, duration=1.0)
         slow = straight_path([0.0], [1.0], steps=64, duration=2.0)
@@ -262,6 +272,20 @@ class TestGeodesic:
             gudermannian(1.5) - gudermannian(0.0),
         )
         assert report.length == pytest.approx(oracle, rel=5e-3)
+
+    @pytest.mark.parametrize("k", [16, 32, 64])
+    def test_two_qubit_path_is_the_flat_straight_line(self, k):
+        # u = gd(lam) per axis makes g = diag(sech^2 lam_1, sech^2 lam_2) flat, so
+        # the geodesic is the uniform straight line u* in u and L* = |gd(b) - gd(a)|
+        a, b = np.array([-1.2, 0.0]), np.array([1.2, 1.5])
+        problem = GeodesicProblem(a, b, interior_points=k - 1, tolerance=1e-9, max_iters=500)
+        path, report, record = geodesic_between(TWO_QUBIT, problem)
+        gd = np.vectorize(gudermannian)
+        u_star = gd(a) + np.linspace(0.0, 1.0, k + 1)[:, None] * (gd(b) - gd(a))
+        excess = report.length / float(np.linalg.norm(gd(b) - gd(a))) - 1.0
+        assert record.converged
+        assert 0.0 <= excess <= 0.1 / k**2
+        assert np.abs(gd(path.samples) - u_star).max() <= 0.2 / k**2
 
     def test_non_convergence_is_flagged_not_raised(self):
         problem = GeodesicProblem(
@@ -728,6 +752,13 @@ class TestBoundaryEntropyLimit:
         ]
         assert np.allclose(scan.entropies[1:], expected, atol=1e-12)
         assert scan.entropies[-1] < 1e-6
+
+    def test_pure_state_entropy_is_positive_zero(self):
+        # at Lambda = 400 the excited population exp(-800) / Z is 0.0: S is
+        # exactly zero, and +0.0, as is its gap to ln 1
+        scan = boundary_entropy_limit(QUBIT, [1.0], [0.0, 400.0])
+        for s in (scan.entropies[1], scan.gaps[1], gibbs_point(QUBIT, [400.0]).S):
+            assert s == 0.0 and math.copysign(1.0, s) == 1.0
 
     def test_qutrit_degenerate_ground_space(self):
         obs = ObservableSet([HermitianOperator(np.diag([1.0, 0.0, 0.0]))])
