@@ -474,12 +474,12 @@ def main(argv: Sequence[str] | None = None) -> int:
                 payload, rows = job.run()
             text = _render_json(payload) if args.format == "json" else _render_csv(job.header, rows)
         except FloatingPointError as exc:
-            raise NumericalDomainError(f"{args.command}: {exc}") from exc
+            raise NumericalDomainError(str(exc)) from exc
     except ValidationError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except NumericalDomainError as exc:
-        print(f"numerical domain error: {exc}", file=sys.stderr)
+        print(f"numerical domain error: {args.command}: {exc}", file=sys.stderr)
         return 3
     if args.out is None:
         sys.stdout.write(text)

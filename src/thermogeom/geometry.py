@@ -25,9 +25,10 @@ products over the whole block: the n observables are rotated into every
 eigenbasis by one (n m, m) @ (m, P m) product and one (n m, m) @ (m, m)
 product per point, each centred by its own p-weighted diagonal,
 a_i = sum_b p_b (U^dagger A_i U)_bb, and a metric is one real
-(n, 2 m^2) @ (2 m^2, n) product per point on the (re, im) view of the
-weighted observables.  The second divided differences come from the first
-by the divided-difference recursion.
+(n, w) @ (w, n) product per point on the float view of the weighted
+observables, w = 2 m^2 for a complex set and m^2 for a real one.  The
+second divided differences come from the first by the divided-difference
+recursion.
 """
 
 from __future__ import annotations
@@ -222,7 +223,8 @@ def state_derivatives(obs: ObservableSet, lam) -> list[HermitianOperator]:
     constant along the family).  The point is a block of one.
     """
     lam = _guarded(obs, vector(lam, observables(obs).n, "lam")[None])
-    drho = _in_blocks(functools.partial(_derivative_block, obs), 16 * obs.n * obs.dim**2, lam)
+    point_bytes = obs._stack.itemsize * obs.n * obs.dim**2
+    drho = _in_blocks(functools.partial(_derivative_block, obs), point_bytes, lam)
     return [HermitianOperator(d) for d in drho[0]]
 
 
@@ -276,8 +278,8 @@ def metric_grid(obs: ObservableSet, lams) -> np.ndarray:
     rotated observables stay within 256 KiB.
     """
     lams = _guarded(obs, lams)
-    m = obs.dim
-    return _in_blocks(functools.partial(_metric_block, obs), 16 * obs.n * m * m, lams)
+    point_bytes = obs._stack.itemsize * obs.n * obs.dim**2
+    return _in_blocks(functools.partial(_metric_block, obs), point_bytes, lams)
 
 
 def _metric_block(obs: ObservableSet, lams: np.ndarray) -> np.ndarray:
@@ -293,8 +295,8 @@ def _equilibrium_tangent(obs: ObservableSet, lams: np.ndarray) -> tuple[np.ndarr
     and dp_a = -p_a At_k,aa gives dS/dlam_k = sum_a p_a y_a At_k,aa, y = x - ln Z.
     Neither divides by a population (no `SLD_DENOM_FLOOR`); blocks as in `metric_grid`.
     """
-    m = obs.dim
-    return _in_blocks(functools.partial(_tangent_block, obs), 16 * obs.n * m * m, lams)
+    point_bytes = obs._stack.itemsize * obs.n * obs.dim**2
+    return _in_blocks(functools.partial(_tangent_block, obs), point_bytes, lams)
 
 
 def _tangent_block(obs: ObservableSet, lams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -309,8 +311,9 @@ def _metric_from_frame(a_tilde: np.ndarray, weight: np.ndarray) -> np.ndarray:
     """Re F F^H, (P, n, n), for F_i = At_i * weight, weight (P, m, m); overwrites a_tilde.
 
     Re (F F^H)_ij = sum_ab (Re F_i,ab Re F_j,ab + Im F_i,ab Im F_j,ab), so on
-    F's (re, im) view it is one real (n, 2 m^2) @ (2 m^2, n) GEMM per point,
-    with no conjugate copy and half the flops of the complex product.
+    F's float view, f.itemsize // 8 * m^2 columns wide (2 m^2 for a complex F,
+    m^2 for a real one), it is one real GEMM per point, with no conjugate copy
+    and, for a complex F, half the flops of the complex product.
     """
     # F is built in At's buffer by one scaling; with the SLD weight
     # f1 sqrt(2 / (p_a + p_b)) it is -d_i rho sqrt(2 / (p_a + p_b)), to whose
@@ -318,7 +321,7 @@ def _metric_from_frame(a_tilde: np.ndarray, weight: np.ndarray) -> np.ndarray:
     f = a_tilde
     f *= weight[:, None]
     p, n, m = f.shape[:3]
-    f = f.view(float).reshape(p, n, 2 * m * m)
+    f = f.view(float).reshape(p, n, f.itemsize // 8 * m * m)
     g = f @ f.swapaxes(1, 2)
     return (g + g.swapaxes(1, 2)) / 2
 
@@ -334,7 +337,8 @@ def injectivity_diagnostic(obs: ObservableSet, lam) -> tuple[np.ndarray, int]:
     raises `ParameterRangeError` naming lam.
     """
     lam = _guarded(obs, vector(lam, observables(obs).n, "lam")[None])
-    c = _in_blocks(functools.partial(_covariance_block, obs), 16 * obs.n * obs.dim**2, lam)[0]
+    point_bytes = obs._stack.itemsize * obs.n * obs.dim**2
+    c = _in_blocks(functools.partial(_covariance_block, obs), point_bytes, lam)[0]
     w = np.abs(np.linalg.eigvalsh(c))
     top = float(w.max(initial=0.0))
     rank = 0 if top == 0.0 else int(np.sum(w > _INDEPENDENCE_RTOL * top))
@@ -368,7 +372,7 @@ def _quadratic_form_derivatives(
     """
     lams = _guarded(obs, lams)
     m = obs.dim
-    point_bytes = max(16 * obs.n * m * m, 8 * m**3)
+    point_bytes = max(obs._stack.itemsize * obs.n * m * m, 8 * m**3)
     return _in_blocks(functools.partial(_form_block, obs), point_bytes, lams, v)
 
 

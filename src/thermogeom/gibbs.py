@@ -16,6 +16,9 @@ the same) raises `ParameterRangeError` naming it.
 In each block the exponents are one (P, n) @ (n, m^2) product and share one
 stacked eigendecomposition.  That spectral core (lam, ln Z, the eigenvalues
 x, the populations p and the eigenvectors U) is all the metric reads.
+A set stores its observables as float64 when every imaginary part is exactly
+0 (complex128 otherwise), and every kernel follows that dtype, so a real set
+decomposes real exponents and its U is real; the public operators stay complex.
 `gibbs_batch` adds the expectations a and the entropy S to make a
 `FamilyBatch`; it forms rho = (U p) U^dagger only as the intermediate of a,
 one (P, m^2) @ (m^2, n) product, and keeps no rho.  `gibbs_point` forms its
@@ -59,7 +62,8 @@ class ObservableSet:
     A_i - tr(A_i) / dim I have full numerical rank n (relative singular-value
     threshold 1e-10).  A multiple of the identity leaves rho unchanged, so a
     set that is redundant up to the identity makes the Gibbs map
-    non-injective.
+    non-injective.  The stack the kernels read is float64 when no entry has a
+    nonzero imaginary part, and complex128 otherwise.
     """
 
     __slots__ = ("observables", "names", "dim", "n", "independent", "_stack")
@@ -107,7 +111,8 @@ class ObservableSet:
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "n", len(obs))
         object.__setattr__(self, "independent", independent)
-        object.__setattr__(self, "_stack", _freeze(stack))
+        stack = stack if stack.imag.any() else stack.real
+        object.__setattr__(self, "_stack", _freeze(stack, stack.dtype))
 
     def __setattr__(self, name, value):
         raise AttributeError("ObservableSet is immutable")
@@ -164,7 +169,7 @@ class FamilyBatch(NamedTuple):
     log_Z: np.ndarray  # (P,)
     x: np.ndarray  # (P, m) eigenvalues of the exponent -sum_i lam_i A_i, ascending
     p: np.ndarray  # (P, m) populations exp(x) / Z, ascending
-    U: np.ndarray  # (P, m, m) eigenvectors (columns) shared with the exponent
+    U: np.ndarray  # (P, m, m) eigenvectors (columns) of the exponent, float64 for a real set
     a: np.ndarray  # (P, n)
     S: np.ndarray  # (P,)
 
@@ -210,7 +215,7 @@ def gibbs_batch(obs: ObservableSet, lams) -> FamilyBatch:
     """
     lams = _guarded(obs, lams)
     family = functools.partial(_family_block, obs)
-    return FamilyBatch(*_in_blocks(family, 16 * obs.dim * obs.dim, lams))
+    return FamilyBatch(*_in_blocks(family, obs._stack.itemsize * obs.dim**2, lams))
 
 
 def _family_block(obs: ObservableSet, lams: np.ndarray) -> FamilyBatch:

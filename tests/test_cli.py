@@ -174,6 +174,14 @@ class TestMetricCommand:
         )
         assert run(["metric", "--config", cfg, "--out", tmp_path / "x.csv"]) == 3
 
+    def test_library_domain_error_names_the_subcommand(self, tmp_path, capsys):
+        # the SLD floor is the library's own NumericalDomainError, not a numpy flag
+        grid = {"start": [30.0], "stop": [31.0], "num": [2]}
+        cfg = write_config(tmp_path, "cfg.json", {"observables": qubit_observables(), "metric": {"grid": grid}})
+        assert run(["metric", "--config", cfg, "--validate"]) == 0
+        assert run(["metric", "--config", cfg, "--out", tmp_path / "x.json"]) == 3
+        assert "numerical domain error: metric: eigenvalue sum" in capsys.readouterr().err
+
 
 class TestLengthCommand:
     def test_qubit_unit_path_oracle(self, tmp_path):
@@ -685,9 +693,9 @@ def _gibbs_saturated_z():
         (
             "holonomy",
             _holonomy_quotient_overflow,
-            "overflow in '1e+300*l1/1e-11' (operand 1.5625e+298 at l1=0.015625, l2=0.0)",
+            "holonomy: overflow in '1e+300*l1/1e-11' (operand 1.5625e+298 at l1=0.015625, l2=0.0)",
         ),
-        ("metric", _metric_scaled_qubit, "the computation overflows at lambda = [-1e-201]"),
+        ("metric", _metric_scaled_qubit, "metric: the computation overflows at lambda = [-1e-201]"),
         # the library's Z saturates to inf by design; the artifact refuses it
         ("gibbs", _gibbs_saturated_z, "gibbs: the artifact would hold a NaN or an infinity"),
     ],

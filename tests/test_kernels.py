@@ -100,6 +100,24 @@ def family(m, n, seed):
     return ObservableSet(mats)
 
 
+def real_family(m, n, seed):
+    """n seeded non-commuting real symmetric observables of unit spectral norm: a real set."""
+    rng = np.random.default_rng(seed)
+    mats = []
+    for _ in range(n):
+        a = rng.normal(size=(m, m))
+        a = a + a.T
+        mats.append(HermitianOperator(a / np.abs(np.linalg.eigvalsh(a)).max()))
+    return ObservableSet(mats)
+
+
+def complex_twin(obs):
+    """obs with its stack held complex, so that every kernel runs in complex arithmetic."""
+    twin = ObservableSet(list(obs.observables), list(obs.names))
+    object.__setattr__(twin, "_stack", linalg._freeze(obs._stack, complex))
+    return twin
+
+
 def block(n, size, seed):
     """size points whose exponent spectra spread by at most 4."""
     rng = np.random.default_rng(seed)
@@ -296,15 +314,84 @@ def test_peak_memory_is_bounded_by_the_block_budget(m, n, size, name):
     # complex (P, n, m, m) arrays, about 190 MB at (16, 4, 4096)
     obs = family(m, n, seed=7)
     lams = block(n, size, seed=7)
-    LAYERS[name](obs, lams)
+    peak = traced_peak(LAYERS[name], obs, lams)
+    assert peak <= PEAK_BUDGETS[name] * _BLOCK_BYTES + size * (n + 1) * n * 8
+
+
+def traced_peak(call, *args):
+    """The tracemalloc peak of call(*args) past what was held before it, after one warm-up call."""
+    call(*args)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        LAYERS[name](obs, lams)
-        peak = tracemalloc.get_traced_memory()[1] - base
+        call(*args)
+        return tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
+
+
+# the rows of one block of a real (16, 4) set and of its complex twin: the
+# rotated observables bound the metric's and the tangent's blocks, so a real
+# block holds twice the rows; f2, real for both, bounds the quadratic form's
+REAL_BLOCK_ROWS = {"metric_grid": (32, 16), "quadratic_form_derivatives": (8, 8), "equilibrium_tangent": (32, 16)}
+
+
+@pytest.mark.parametrize("name", sorted(PEAK_BUDGETS))
+def test_a_real_block_holds_more_rows_within_the_block_budget(name, monkeypatch):
+    m, n, size = 16, 4, 4096
+    obs = real_family(m, n, seed=7)
+    lams = block(n, size, seed=7)
+    peak = traced_peak(LAYERS[name], obs, lams)
     assert peak <= PEAK_BUDGETS[name] * _BLOCK_BYTES + size * (n + 1) * n * 8
+    rows, stacks = [], eigh_stacks(monkeypatch)
+    for each in (obs, complex_twin(obs)):
+        stacks.clear()
+        LAYERS[name](each, lams)
+        assert sum(shape[0] for shape in stacks) == size
+        rows.append(stacks[0][0])
+    assert tuple(rows) == REAL_BLOCK_ROWS[name]
+
+
+def test_a_set_with_no_imaginary_part_is_stored_real():
+    sz, sx = np.diag([1.0, -1.0]), np.array([[0.0, 1.0], [1.0, 0.0]])
+    sy = np.array([[0.0, -1j], [1j, 0.0]])
+    tiny = np.array([[0.0, 1.0 - 1e-300j], [1.0 + 1e-300j, 0.0]])
+    real, held = (ObservableSet([HermitianOperator(a) for a in ops]) for ops in ((sz, sx), (sz, tiny)))
+    assert real._stack.dtype == np.float64
+    assert ObservableSet([HermitianOperator(sz), HermitianOperator(sy)])._stack.dtype == np.complex128
+    assert held._stack.dtype == np.complex128
+    # the public dtypes stay complex; only the batch's eigenvectors follow the set
+    lam = [0.3, -0.7]
+    point = gibbs_point(real, lam)
+    assert point.rho.matrix.dtype == point.rho.eigenvectors.dtype == np.complex128
+    assert all(d.matrix.dtype == np.complex128 for d in state_derivatives(real, lam))
+    assert all(op.matrix.dtype == np.complex128 for op in real.observables)
+    assert gibbs_batch(real, [lam]).U.dtype == np.float64
+    assert gibbs_batch(held, [lam]).U.dtype == np.complex128
+
+
+@pytest.mark.parametrize("m, n", [(2, 2), (4, 3), (8, 8), (16, 4)])
+def test_a_real_set_agrees_with_its_complex_twin(m, n):
+    obs = real_family(m, n, seed=100 * m + n)
+    twin = complex_twin(obs)
+    # enough points for two blocks of the layer with the most rows per block
+    size = _BLOCK_BYTES // (8 * m * m) + 1
+    lams = block(n, size, seed=m)
+    v = np.random.default_rng(m).normal(size=lams.shape)
+    lam, d = lams[0], np.full(n, n**-0.5)
+    layers = {
+        "gibbs_batch": lambda o: [getattr(gibbs_batch(o, lams), f) for f in ("log_Z", "p", "a", "S")],
+        "metric_grid": lambda o: [metric_grid(o, lams)],
+        "quadratic_form_derivatives": lambda o: _quadratic_form_derivatives(o, lams, v),
+        "equilibrium_tangent": lambda o: _equilibrium_tangent(o, lams),
+        "injectivity_diagnostic": lambda o: injectivity_diagnostic(o, lam),
+        "state_derivatives": lambda o: [np.array([a.matrix for a in state_derivatives(o, lam)])],
+        "third_law_scan": lambda o: [third_law_scan(o, d, [1.0, 2.0]).lengths],
+    }
+    for name, call in layers.items():
+        for got, expected in zip(call(obs), call(twin), strict=True):
+            assert np.shape(got) == np.shape(expected), name
+            assert_close(got, expected, 1e-13)
 
 
 def test_in_blocks_names_the_first_row_that_is_not_finite():
@@ -370,18 +457,23 @@ NAMED_AT_1E300 = (
 )
 
 
-def _scaled_family(scale, with_sx):
-    ops = [HermitianOperator(scale * np.diag([1.0, -1.0]))]
-    if with_sx:
-        ops.append(HermitianOperator(np.array([[0.0, 1.0], [1.0, 0.0]])))
-    return ObservableSet(ops)
+# the partner of s sz: none and sx run in real arithmetic, sy in complex
+PARTNERS = {
+    "s-sz": [],
+    "s-sz-sx": [np.array([[0.0, 1.0], [1.0, 0.0]])],
+    "s-sz-sy": [np.array([[0.0, -1j], [1j, 0.0]])],
+}
 
 
-@pytest.mark.parametrize("with_sx", [False, True], ids=["s-sz", "s-sz-sx"])
+def _scaled_family(scale, partner):
+    return ObservableSet([HermitianOperator(a) for a in [scale * np.diag([1.0, -1.0]), *partner]])
+
+
+@pytest.mark.parametrize("partner", PARTNERS.values(), ids=PARTNERS)
 @pytest.mark.parametrize("scale", SCALES)
 @pytest.mark.parametrize("name", sorted(SCALED_LAYERS))
-def test_every_layer_is_finite_or_names_its_failure(name, scale, with_sx):
-    obs = _scaled_family(scale, with_sx)
+def test_every_layer_is_finite_or_names_its_failure(name, scale, partner):
+    obs = _scaled_family(scale, partner)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:

@@ -367,20 +367,37 @@ class TestGeodesic:
         assert report.segment_lengths.sum() == pytest.approx(report.length, rel=1e-12)
         assert report.segment_energies.sum() == pytest.approx(report.energy, rel=1e-12)
 
-    def test_one_decomposition_per_energy_evaluation(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "obs, start, end, dtype",
+        [
+            (PAULI_ZX, [0.16, 0.0], [-0.07, 0.24], np.float64),
+            (PAULI, [0.16, 0.0, 0.05], [-0.07, 0.24, -0.1], np.complex128),
+        ],
+        ids=["zx", "zxy"],
+    )
+    def test_one_decomposition_per_energy_evaluation(self, obs, start, end, dtype, monkeypatch):
         # the start and every line-search trial each decompose their K
-        # complex midpoint exponents once, in one stacked eigh; nothing else
-        # (no repeat for the gradient, no trailing node-grid report) does.
-        # Each Sobolev step decomposes two real metric stacks for its
-        # pseudo-inverses: the (K, n, n) metrics of the accepted evaluation
-        # and their (n, n) inverse sum
+        # midpoint exponents once, in one stacked eigh of the spectral core,
+        # real for a real set; nothing else (no repeat for the gradient, no
+        # trailing node-grid report) does.  Each Sobolev step decomposes two
+        # real metric stacks for its pseudo-inverses: the (K, n, n) metrics of
+        # the accepted evaluation and their (n, n) inverse sum
         stacks, evaluations, metrics = [], [], []
+        in_spectra = [False]
         eigh = np.linalg.eigh
+        spectra = geometry._spectra
         midpoint_terms = processes._midpoint_terms
 
         def record_eigh(a, *args, **kwargs):
-            stacks.append(np.array(a))
+            stacks.append((in_spectra[0], np.array(a)))
             return eigh(a, *args, **kwargs)
+
+        def record_spectra(obs, lams):
+            in_spectra[0] = True
+            try:
+                return spectra(obs, lams)
+            finally:
+                in_spectra[0] = False
 
         def record_evaluation(obs, samples, dt):
             start = len(stacks)
@@ -390,22 +407,23 @@ class TestGeodesic:
             return result
 
         monkeypatch.setattr(np.linalg, "eigh", record_eigh)
+        monkeypatch.setattr(geometry, "_spectra", record_spectra)
         monkeypatch.setattr(processes, "_midpoint_terms", record_evaluation)
-        problem = GeodesicProblem(
-            [0.16, 0.0], [-0.07, 0.24], interior_points=15, max_iters=2000, tolerance=1e-10
-        )
-        _, _, record = geodesic_between(PAULI_ZX, problem)
+        problem = GeodesicProblem(start, end, interior_points=15, max_iters=2000, tolerance=1e-10)
+        _, _, record = geodesic_between(obs, problem)
         assert record.converged and record.iterations > 1
-        exponents = [stack for stack in stacks if np.iscomplexobj(stack)]
+        exponents = [stack for tagged, stack in stacks if tagged]
         assert len(exponents) == len(evaluations) > record.iterations
-        assert all(len(calls) == 1 and np.iscomplexobj(calls[0]) for calls in evaluations)
-        assert all(stack.shape == (16, 2, 2) for stack in exponents)
+        assert all(len(calls) == 1 and calls[0][0] for calls in evaluations)
+        assert all(stack.shape == (16, 2, 2) and stack.dtype == dtype for stack in exponents)
         distinct = {stack.tobytes() for stack in exponents}
         assert len(distinct) == len(exponents)
-        real = [stack for stack in stacks if not np.iscomplexobj(stack)]
-        assert len(real) == 2 * record.iterations
-        assert [stack.shape for stack in real] == [(16, 2, 2), (2, 2)] * record.iterations
-        assert all(any(np.array_equal(stack, g) for g in metrics) for stack in real[::2])
+        sobolev = [stack for tagged, stack in stacks if not tagged]
+        assert len(sobolev) == 2 * record.iterations
+        n = obs.n
+        assert [stack.shape for stack in sobolev] == [(16, n, n), (n, n)] * record.iterations
+        assert all(stack.dtype == np.float64 for stack in sobolev)
+        assert all(any(np.array_equal(stack, g) for g in metrics) for stack in sobolev[::2])
 
 
 def loop_energy_gradient(obs, samples, dt, fd_step=1e-6):
