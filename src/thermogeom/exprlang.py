@@ -11,8 +11,10 @@ nests deeper than `MAX_DEPTH` levels.
 
 `Program` is the one evaluator.  It compiles a tuple of expressions once
 into straight-line code whose instructions apply numpy ufuncs to whole
-arrays, in IEEE doubles per element; equal subtrees share one register and
-are evaluated once per run, and a register is dropped after its last use.
+arrays, in IEEE doubles per element, or at one point to float64 scalars
+(+ - * / and negation in numpy's scalar math: the same bits at a fraction
+of a ufunc call's cost); equal subtrees share one register and are
+evaluated once per run, and a register is dropped after its last use.
 Its one failure rule is IEEE 754's: each expression runs with numpy's
 floating-point exceptions raised (underflow aside), and an operation that
 raises fails where its finite arguments give a non-finite value, so
@@ -37,6 +39,7 @@ one expression.
 from __future__ import annotations
 
 import math
+import operator
 import re
 import struct
 from dataclasses import dataclass
@@ -292,8 +295,8 @@ def parse(text: str, n: int) -> Expr:
 
 def _env_shape(values: tuple) -> tuple[int, ...]:
     """Broadcast shape of the env values; np.broadcast takes 64 operands at most."""
-    shape: tuple[int, ...] = ()
-    for i in range(0, len(values), 63):
+    shape = np.broadcast(*values[:64]).shape if values else ()
+    for i in range(64, len(values), 63):
         shape = np.broadcast(np.empty(shape, dtype=bool), *values[i : i + 63]).shape
     return shape
 
@@ -317,7 +320,7 @@ def _domain(
 
 def _var(node: Var, env):
     try:
-        return np.asarray(env[node.name], dtype=float)
+        return np.asarray(env[node.name], dtype=float)[()]
     except KeyError:
         raise ExprNameError(f"unbound variable {node.name!r}") from None
 
@@ -343,6 +346,16 @@ _UFUNCS = {
     "max": np.maximum,
     "pow": np.power,
 }
+
+
+# a one-point run's twin of each arithmetic ufunc, rounding and raising as it
+# does; ^ is not **, which rounds differently, and as np.power takes x*x, sqrt
+# and 1/x at exponents 2, 0.5 and -1 only where the exponent has stride 0, an
+# exponent that reads a variable goes in as a (1,) array, as in a batch, when
+# the env's shape is (1,) or (1, 1) rather than ()
+_SCALAR_OPS = {np.add: operator.add, np.subtract: operator.sub, np.multiply: operator.mul,
+               np.divide: operator.truediv, np.negative: operator.neg,
+               np.power: lambda a, b: np.power(a, np.array([b]))[0]}
 # the named causes of a failure, tried in order: the ufunc, the elements it
 # fails at for that cause, the name, and the argument the message prints
 # (a negative base takes integer exponents only: (-2)^3 = -8)
@@ -369,7 +382,7 @@ def _failed(fn, node: Expr, env, args: tuple):
         if not np.any(bad):
             return out
         for ufunc, test, what, k in _CAUSES:
-            if ufunc is fn and np.any(cause := bad & test(*args)):
+            if fn in (ufunc, _SCALAR_OPS.get(ufunc)) and np.any(cause := bad & test(*args)):
                 raise _domain(node, what, args[k], cause, env)
         raise _domain(node, "overflow", args[0], bad, env)
 
@@ -383,7 +396,7 @@ class Program:
     expression in turn, and a register is dropped after its last reader.
     """
 
-    __slots__ = ("exprs", "_registers", "_segments")
+    __slots__ = ("exprs", "_registers", "_segments", "_one_point")
 
     def __init__(self, exprs: Sequence[Expr]) -> None:
         self.exprs = tuple(exprs)
@@ -414,7 +427,7 @@ class Program:
             reg = numbering.get(key)
             if reg is None:
                 reg = numbering[key] = len(registers)
-                registers.append(e.value if kind is Num else None)
+                registers.append(np.float64(e.value) if kind is Num else None)
                 if kind is Var:
                     code.append([_var, e, None, None, reg, []])
                 elif kind is not Num:
@@ -435,21 +448,47 @@ class Program:
                 dropped.append(reg)
         self._registers = tuple(registers)
         self._segments = tuple(segments)
+        self._one_point: dict[bool, tuple] = {}
 
     def __len__(self) -> int:
         """The number of instructions; constants take none."""
         return sum(len(steps) for steps, _, _ in self._segments)
+
+    def _at_one_point(self, shaped: bool) -> tuple:
+        """The segments with each ufunc swapped for its one-point twin, built on first use."""
+        if shaped not in self._one_point:
+            varies: set[int] = set()  # the registers that read a variable
+            def twin(fn, node, a, b, reg, done):
+                if a is None or a in varies or b in varies:
+                    varies.add(reg)
+                keep = fn is np.power and not (shaped and b in varies)
+                return (fn if keep else _SCALAR_OPS.get(fn, fn), node, a, b, reg, done)
+            self._one_point[shaped] = tuple(
+                ([twin(*step) for step in steps], out, dropped) for steps, out, dropped in self._segments
+            )
+        return self._one_point[shaped]
 
     def run(self, env: Mapping[str, float | np.ndarray]) -> Iterator[float | np.ndarray]:
         """Yield each expression's value in order, as `eval_expr` gives it alone.
 
         Expression k runs only when its value is asked for, so a caller can
         check it before a later one runs.  Values may share memory with each
-        other and with the env arrays.
+        other and with the env arrays.  An env value that is not real
+        numbers raises `ValidationError` naming its variable.  An env of one
+        element, as in shape (), (1,) or (1, 1), runs on float64 scalars
+        with the ufuncs' bits and errors (see `_SCALAR_OPS`).
         """
+        env = {name: np.asarray(value) for name, value in env.items()}
+        for name, value in env.items():
+            if value.dtype.kind not in "iuf":
+                raise ValidationError(f"variable {name!r} must be real numbers, got dtype {value.dtype}")
+        shape = _env_shape(tuple(env.values()))
+        segments = self._segments
+        if one_point := math.prod(shape) == 1:
+            env = {name: np.float64(value.item()) for name, value in env.items()}
+            segments = self._at_one_point(bool(shape))
         regs = list(self._registers)
-        shape = None
-        for steps, out, dropped in self._segments:
+        for steps, out, dropped in segments:
             # held for one expression, never across a yield
             with np.errstate(all="raise", under="ignore"):
                 for fn, node, a, b, reg, done in steps:
@@ -468,12 +507,12 @@ class Program:
             value = regs[out]
             for r in dropped:
                 regs[r] = None
-            if shape is None:
-                shape = _env_shape(tuple(env.values()))
             if not shape:
                 yield float(value)
+            elif one_point:
+                yield np.array(value, ndmin=len(shape))
             else:
-                yield value if np.shape(value) == shape else np.broadcast_to(value, shape).copy()
+                yield value if np.shape(value) == shape else np.full(shape, value)
 
 
 def numbered(what: str, texts: object, k: int) -> dict[str, object]:
@@ -512,18 +551,19 @@ def compile_fields(named_texts: Mapping[str, object], n: int, allowed: Collectio
 def eval_expr(e: Expr, env: Mapping[str, float | np.ndarray]) -> float | np.ndarray:
     """Evaluate elementwise in IEEE doubles over the broadcast of the env values.
 
-    Each variable value is a float or an array, and the arrays must
-    broadcast together.  `Program((e,))` applies numpy ufuncs to whole
-    arrays, one per distinct subtree.  The result has the broadcast shape
-    of all env values; it is a float when every value is a scalar, so a
-    single point is the one-element case of the same program.  An
-    operation whose finite arguments give a non-finite value at any element
-    (division by zero, log or sqrt outside its domain, zero to a negative
-    power, a negative base with a non-integer exponent, overflow in any
-    operation) raises ExprDomainError naming the node, the operand at the
-    first offending element in C order, and the variable values there.  A
-    non-finite variable value is passed through: log(l1) at l1 = -inf is
-    nan, not an error.
+    Each variable value is a real number or an array of them (else
+    ValidationError), and the arrays must broadcast together.
+    `Program((e,))` applies numpy ufuncs to whole arrays, one per distinct
+    subtree, or their bitwise scalar twins where the env has one element.
+    The result has the broadcast shape of all env values; it is a float
+    when every value is a scalar, so a single point is the one-element
+    case of the same program.  An operation whose finite arguments give a
+    non-finite value at any element (division by zero, log or sqrt outside
+    its domain, zero to a negative power, a negative base with a
+    non-integer exponent, overflow in any operation) raises ExprDomainError
+    naming the node, the operand at the first offending element in C
+    order, and the variable values there.  A non-finite variable value is
+    passed through: log(l1) at l1 = -inf is nan, not an error.
     """
     return next(Program((e,)).run(env))
 

@@ -414,6 +414,14 @@ class TestBatchedMatchesPointwise:
         assert np.min(np.abs(batched)) > 1e-3  # the spec is curved here
 
     @pytest.mark.parametrize("k, l", PAIRS3)
+    def test_single_point_curvature_is_the_batch_row(self, k, l):
+        # a single point runs on float64 scalars, a batch on arrays: within the
+        # 4 ulp that SIMD loops may differ by
+        batched = curvature(CURVED3, POINTS3, k, l)
+        single = pointwise_curvature(CURVED3, POINTS3, k, l)
+        assert np.all(np.abs(single - batched) <= 4 * np.spacing(np.abs(batched)))
+
+    @pytest.mark.parametrize("k, l", PAIRS3)
     def test_curvature_matches_a_per_tap_loop(self, k, l):
         expect = np.array([tap_loop_curvature(CURVED3, lam, k, l) for lam in POINTS3])
         assert_rel_close(curvature(CURVED3, POINTS3, k, l), expect, rel=1e-10)

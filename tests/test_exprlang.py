@@ -542,6 +542,128 @@ def test_each_register_is_dropped_after_its_last_reader():
     assert (steps2, out2, dropped2) == ([], l2, [l2])
 
 
+# ---- one-point runs ----------------------------------------------------------
+
+# one expression per entry of _UFUNCS, over l1 (and l2 for a binary one), and
+# powers whose exponent numpy may take a shortcut at
+_ONE_OP = {
+    **{
+        op: Neg(Var("l1")) if op == "neg"
+        else BinOp(op, Var("l1"), Var("l2")) if op in "+-*/^"
+        else Call(op, (Var("l1"), Var("l2"))[: exprlang._FUNCTIONS[op]])
+        for op in exprlang._UFUNCS
+    },
+    **{text: parse(text, 2) for text in ["l1^2", "l1^0.5", "l1^-1", "pow(l1, 2)", "2^l1", "l1^(l2*1)"]},
+}
+_ONE_POINTS = [
+    *[(a, b) for a in (0.0, -0.0, 1.0, -1.0, 0.5, -2.0, 3.0, 700.0) for b in (0.0, -1.0, 0.5, 2.0, -3.5)],
+    *zip(*np.random.default_rng(11).uniform(-30.0, 30.0, (2, 200))),
+    *zip(np.random.default_rng(12).uniform(-30.0, 30.0, 300), [2.0, 0.5, -1.0] * 100),
+    (1e308, 10.0),
+    (-1e308, 1e308),
+    (1e-300, 1e-300),
+    (-math.inf, 0.5),
+]
+
+
+def _outcome_of(evaluate, e, env):
+    try:
+        return evaluate(e, env)
+    except ExprDomainError as exc:
+        return exc
+
+
+def _same_outcome(x, y):
+    if isinstance(x, ExprDomainError) or isinstance(y, ExprDomainError):
+        return type(x) is type(y) and str(x) == str(y)
+    return _same_bits(x, y)
+
+
+@pytest.mark.parametrize("name", sorted(_ONE_OP))
+def test_one_point_run_is_the_array_arithmetic_bit_for_bit(name):
+    e = _ONE_OP[name]
+    program = Program((e,))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for a, b in _ONE_POINTS:
+            batch = _outcome_of(_walk_expr, e, {"l1": np.array([a]), "l2": np.array([b])})
+            for shape in [(), (1,), (1, 1)]:
+                env = {"l1": np.full(shape, a), "l2": np.full(shape, b)} if shape else {"l1": a, "l2": b}
+                got = _outcome_of(lambda e, env: next(program.run(env)), e, env)
+                # a float at shape (), an array of the env's shape otherwise
+                assert isinstance(got, ExprDomainError) or type(got) is (np.ndarray if shape else float)
+                # the arithmetic the ufuncs do on the env's own values
+                assert _same_outcome(got, _outcome_of(_walk_expr, e, env)), (a, b, shape)
+                # and that of a (1,) batch, but where a 0-d exponent that reads
+                # a variable is 2, 0.5 or -1: np.power takes x*x, sqrt or 1/x
+                # there, as on a constant exponent
+                if not isinstance(got, ExprDomainError):
+                    got = np.reshape(got, 1)
+                if shape or b not in (2.0, 0.5, -1.0) or name not in ("^", "pow", "l1^(l2*1)"):
+                    assert _same_outcome(got, batch), (a, b, shape)
+    # a batched run keeps the ufuncs: the one-point instructions are built on first use
+    batched = Program((e,))
+    _outcomes(batched.run({"l1": np.array([0.5, 2.0]), "l2": 1.0}))
+    assert batched._one_point == {}
+
+
+@pytest.mark.parametrize(
+    "text, point, cause",
+    [
+        ("l1/l2", (1.0, 0.0), "division by zero"),
+        ("l1^l2", (0.0, -1.0), "zero raised to a negative power"),
+        ("pow(l1, l2)", (-2.0, 0.5), "negative base with non-integer exponent"),
+        ("l2 + log(l1)", (0.0, 1.0), "log of non-positive value"),
+        ("l2 + sqrt(l1)", (-1.0, 1.0), "sqrt of negative value"),
+        ("l1*l2", (1e308, 10.0), "overflow"),
+        ("l1 - l2", (-1e308, 1e308), "overflow"),
+    ],
+)
+def test_one_point_failure_reads_as_the_batch_failure(text, point, cause):
+    e = parse(text, 2)
+    batch = {name: np.array([x, 0.75, 1.5]) for name, x in zip(("l1", "l2"), point)}
+    with pytest.raises(ExprDomainError, match=f"^{cause} in ") as err:
+        eval_expr(e, batch)
+    for shape in [(), (1,), (1, 1)]:
+        env = {name: np.full(shape, x) for name, x in zip(("l1", "l2"), point)}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ExprDomainError) as one:
+                eval_expr(e, env)
+        assert str(one.value) == str(err.value)
+
+
+@pytest.mark.parametrize(
+    "text, cause", [("1/0", "division by zero"), ("0^-1", "zero raised to a negative power")]
+)
+@pytest.mark.parametrize(
+    "env",
+    [{}, {"l1": 0.5}, {"l1": np.ones((1, 1))}, {"l1": np.ones(3)}],
+    ids=["empty", "scalar", "1x1", "batch"],
+)
+def test_constant_only_failure_is_a_domain_error(text, cause, env):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ExprDomainError, match=f"^{cause} in "):
+            eval_expr(parse(text, 2), env)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [1j, object(), "abc", np.array([1j, 2]), None],
+    ids=["complex", "object", "string", "complex-array", "None"],
+)
+@pytest.mark.parametrize("l2", [0.5, np.array([0.5, 1.0, 2.0])], ids=["one point", "three points"])
+def test_an_env_value_that_is_not_real_numbers_is_refused(bad, l2):
+    e = parse("l1*2 + l2", 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="variable 'l1' must be real numbers"):
+            eval_expr(e, {"l1": bad, "l2": l2})
+        with pytest.raises(ValidationError, match="variable 'l1' must be real numbers"):
+            list(Program((e,)).run({"l2": l2, "l1": bad}))
+
+
 # ---- symbolic derivatives ----------------------------------------------------
 
 
