@@ -28,7 +28,8 @@ a_i = sum_b p_b (U^dagger A_i U)_bb, and a metric is one real
 (n, w) @ (w, n) product per point on the float view of the weighted
 observables, w = 2 m^2 for a complex set and m^2 for a real one.  The
 second divided differences come from the first by the divided-difference
-recursion.
+recursion, and the geodesic's form derivatives contract them with the
+rotated observables by a broadcast product and a matrix product per point.
 """
 
 from __future__ import annotations
@@ -199,21 +200,26 @@ def _second_divided_differences(spectra: _Spectra, f1: np.ndarray) -> np.ndarray
     s = y_hi - y_mid, evaluated only when the block has any.  Like f1, f2
     never divides by p.  f2 is symmetric in its three indices, so it is
     evaluated on the m(m+1)(m+2)/6 distinct sorted triples only and
-    gathered to (m, m, m).
+    gathered to (m, m, m).  Each gather along the triple axis is
+    `ndarray.take`, the gather of x[:, index] at a third of its dispatch
+    cost on a geodesic's block.
     """
     lo, mid, hi, gather, mid_hi, lo_mid = _sorted_triples(spectra.x.shape[1])
     y = spectra.x
-    t = y[:, hi] - y[:, lo]
-    p_hi = spectra.p[:, hi]
+    t = y.take(hi, axis=1) - y.take(lo, axis=1)
+    p_hi = spectra.p.take(hi, axis=1)
     f1 = f1.reshape(len(f1), -1)
     f2 = p_hi / 2
-    np.divide(f1[:, mid_hi] - f1[:, lo_mid], t, out=f2, where=t >= 1e-3)
-    near = (t > 0.0) & (t < 1e-3)
-    if near.any():
+    big = t >= 1e-3
+    np.divide(f1.take(mid_hi, axis=1) - f1.take(lo_mid, axis=1), t, out=f2, where=big)
+    # t >= 0, so the block has a near-coincident triple exactly when more t
+    # are nonzero than are big
+    if np.count_nonzero(t) > np.count_nonzero(big):
+        near = (t > 0.0) & ~big
         s, t = (y[:, hi] - y[:, mid])[near], t[near]
         series = 0.5 - (s + t) / 6 + (s * s + s * t + t * t) / 24 - (s + t) * (s * s + t * t) / 120
         f2[near] = p_hi[near] * series
-    return f2[:, gather]
+    return f2.take(gather, axis=1)
 
 
 def state_derivatives(obs: ObservableSet, lam) -> list[HermitianOperator]:
@@ -367,8 +373,12 @@ def _quadratic_form_derivatives(
     (Bhatia, Matrix Analysis, V.3).  The two halves of the first trace are
     complex conjugates, so c_k = Re sum_ab At_k,ab W_ab with
     W = 4 N^T + f1 (L_v^2)^T and N_ac = sum_b L_v,ab At_v,bc f2_abc.
-    It runs on blocks of points whose (n, m, m) rotated observables and
-    (m, m, m) f2 each stay within 256 KiB, v split with lam.
+    At_v = v . At is a (1, n) @ (n, m^2) product per point, and row a of N
+    is row a of L_v times the (m, m) matrix (At_v,bc f2_abc)_bc, one
+    broadcast product away from f2; c stays an einsum, which a product per
+    point overtakes only on blocks of under about 32 points.  It runs on
+    blocks of points whose (n, m, m) rotated observables and (m, m, m) f2
+    each stay within 256 KiB, v split with lam.
     """
     lams = _guarded(obs, lams)
     m = obs.dim
@@ -381,9 +391,15 @@ def _form_block(
 ) -> tuple[np.ndarray, np.ndarray]:
     """`_quadratic_form_derivatives` on one block of `_guarded` points."""
     spectra, denom, a_tilde, f1 = _sld_frame(obs, lams)
-    a_v = np.einsum("pi,piab->pab", v, a_tilde)
+    size, n, m = a_tilde.shape[:3]
+    a_v = (v[:, None] @ a_tilde.reshape(size, n, m * m)).reshape(size, m, m)
     sld = -2.0 * a_v * f1 / denom
-    n_ac = np.einsum("pab,pbc,pabc->pac", sld, a_v, _second_divided_differences(spectra, f1))
+    # the (P, m, m, m) product At_v,bc f2_abc, formed in f2's own buffer for a
+    # real set and in one complex copy of f2 for a complex one, then dropped
+    y = _second_divided_differences(spectra, f1).astype(a_v.dtype, order="C", copy=False)
+    y *= a_v[:, None]
+    n_ac = (sld[:, :, None] @ y)[:, :, 0]
+    del y
     w = 4.0 * n_ac.swapaxes(1, 2) + f1 * (sld @ sld).swapaxes(1, 2)
     c = np.einsum("piab,pab->pi", a_tilde, w).real
     return _metric_from_frame(a_tilde, f1 * np.sqrt(2.0 / denom)), c

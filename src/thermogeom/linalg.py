@@ -30,9 +30,13 @@ HERMITICITY_ATOL = 1e-12
 EIGENVALUE_CLAMP = 1e-12  # density eigenvalues in [-clamp, 0] are set to 0
 
 # The bytes one block of points may give a batched layer's largest
-# intermediate.  At 256 KiB the heap hands one block's freed arrays to the
-# next; at 1 MiB each block was mapped afresh, and a metric-sweep rotation
-# took 13x the minor page faults (7500 against 560).
+# intermediate.  Once the heap has warmed up, at 256 KiB it hands one
+# block's freed arrays to the next (a repeated 4096-point m = 16, n = 4
+# `metric_grid` call takes 256 minor page faults); at 1 MiB each block was
+# mapped afresh, and a metric-sweep rotation took 13x the minor page faults
+# (7500 against 560).  A fresh interpreter, as every CLI run is, has no
+# warm heap: glibc maps the first blocks' arrays and trims what they free,
+# so the first such call takes about 33,000 faults.
 _BLOCK_BYTES = 1 << 18
 
 

@@ -186,13 +186,14 @@ def _midpoint_terms(
     at its midpoint m_s, and gv_s = g_s dl_s, the midpoint-rule segment energy
     is e_s = dl_s . gv_s / dt, and node j, which ends segment j-1 and starts
     segment j, has dE/dx_j = [2 gv_{j-1} + c_{j-1} / 2 - 2 gv_j + c_j / 2] / dt.
-    Returns e, shape (K,), the gradient, shape (K-1, n), and g, shape (K, n, n).
+    e is a (1, n) @ (n, 1) product per segment.  Returns e, shape (K,), the
+    gradient, shape (K-1, n), and g, shape (K, n, n).
     """
     mids = 0.5 * (samples[:-1] + samples[1:])
     deltas = samples[1:] - samples[:-1]
     g, c = _quadratic_form_derivatives(obs, mids, deltas)
     gv = np.einsum("kij,kj->ki", g, deltas)
-    energies = np.einsum("ki,ki->k", deltas, gv) / dt
+    energies = (deltas[:, None] @ gv[:, :, None])[:, 0, 0] / dt
     return energies, (2.0 * (gv[:-1] - gv[1:]) + 0.5 * (c[:-1] + c[1:])) / dt, g
 
 
@@ -227,7 +228,7 @@ def _pinv_symmetric(a: np.ndarray) -> np.ndarray:
     w, v = np.linalg.eigh(a)
     size = np.abs(w)
     keep = size > 1e-12 * size.max(axis=-1, keepdims=True)
-    inv = np.divide(1.0, w, out=np.zeros_like(w), where=keep)
+    inv = np.divide(1.0, w, out=np.zeros(w.shape), where=keep)
     return (v * inv[..., None, :]) @ v.swapaxes(-1, -2)
 
 
@@ -239,15 +240,18 @@ def _sobolev_direction(g: np.ndarray, grad: np.ndarray, dt: float) -> np.ndarray
     Gradients and Differential Equations, LNM 1670).  The flux
     q_s = g_s (d_{s+1} - d_s) is C - F_s, F_s = (dt / 2) sum_{j<=s} grad_j;
     d_K = 0 fixes C = (sum g_s^+)^+ sum g_s^+ F_s, and d sums g_s^+ q_s.
-    Pseudo-inverses keep a redundant observable set (g singular) solvable:
-    each is `_pinv_symmetric`, which drops, per matrix, the eigenvalues with
+    Each g_s^+ is symmetric, so sum g_s^+ F_s is one (1, K n) @ (K n, n)
+    product of the flattened F with the stacked rows of g^+.  Pseudo-inverses
+    keep a redundant observable set (g singular) solvable: each is
+    `_pinv_symmetric`, which drops, per matrix, the eigenvalues with
     |w| <= 1e-12 max|w|.
     """
     g_inv = _pinv_symmetric(g)
-    f = np.concatenate((np.zeros_like(grad[:1]), np.cumsum(0.5 * dt * grad, axis=0)))
-    weighted = np.einsum("sij,sj->i", g_inv, f)
+    f = np.zeros(g.shape[:2])
+    (0.5 * dt * grad).cumsum(axis=0, out=f[1:])
+    weighted = f.reshape(-1) @ g_inv.reshape(-1, g.shape[1])
     c = _pinv_symmetric(g_inv.sum(axis=0)) @ weighted
-    return np.cumsum(np.einsum("sij,sj->si", g_inv[:-1], c - f[:-1]), axis=0)
+    return np.einsum("sij,sj->si", g_inv[:-1], c - f[:-1]).cumsum(axis=0)
 
 
 def geodesic_between(
@@ -259,24 +263,24 @@ def geodesic_between(
     `_sobolev_direction`'s closed-form H^1 gradient, backtracked (monotone
     Armijo) from the full step, so the iteration count hardly moves with K.
     The start and every trial are one `_midpoint_terms` batch each; an
-    accepted trial's gradient and metrics drive the next step.  Converged
-    means max |dE/dx| < tolerance.  The report is the midpoint rule the
-    solver minimized: its energy is `energy_final` and its length sums
-    |dl_s|_g.  Non-convergence is flagged in the record, never raised; the
-    last iterate, which is also the best, is still returned.
+    accepted trial's gradient and metrics drive the next step and are
+    tested for convergence, so a step that reaches the tolerance ends the
+    search even when it is the last allowed one.  The record describes the
+    returned path: `iterations` counts its accepted steps, `grad_norm` is
+    its max |dE/dx| and converged means grad_norm < tolerance.  The report
+    is the midpoint rule the solver minimized: its energy is `energy_final`
+    and its length sums |dl_s|_g.  Non-convergence is flagged in the
+    record, never raised; the last iterate, which is also the best, is
+    still returned.
     """
     k_total = problem.interior_points + 1
     dt = problem.duration / k_total
     samples = _straight_samples(problem.start, problem.end, k_total)
     segments, grad, g = _midpoint_terms(obs, samples, dt)
     energy = energy_initial = float(segments.sum())
-    converged = False
-    for iterations in range(1, problem.max_iters + 1):
-        grad_norm = float(np.abs(grad).max())
-        if grad_norm < problem.tolerance:
-            converged = True
-            iterations -= 1
-            break
+    grad_norm = float(np.abs(grad).max())
+    iterations = 0
+    while grad_norm >= problem.tolerance and iterations < problem.max_iters:
         direction = _sobolev_direction(g, grad, dt)
         slope = float((grad * direction).sum())
         t = 1.0
@@ -290,6 +294,8 @@ def geodesic_between(
         else:
             break
         samples, energy, (segments, grad, g) = trial, trial_energy, trial_terms
+        grad_norm = float(np.abs(grad).max())
+        iterations += 1
     segment_lengths = np.sqrt(np.clip(segments, 0.0, None) * dt)
     report = LengthReport(
         length=float(segment_lengths.sum()),
@@ -297,7 +303,9 @@ def geodesic_between(
         segment_lengths=segment_lengths,
         segment_energies=segments,
     )
-    record = ConvergenceRecord(iterations, grad_norm, converged, energy_initial, energy)
+    record = ConvergenceRecord(
+        iterations, grad_norm, grad_norm < problem.tolerance, energy_initial, energy
+    )
     return ParamPath(problem.duration, samples), report, record
 
 

@@ -264,6 +264,21 @@ class TestGeodesicCommand:
         assert doc["convergence"]["converged"] is False
         assert len(doc["samples"]) == 9
 
+    def test_convergence_on_the_last_allowed_step_exits_0(self, tmp_path):
+        # the one allowed step of this sz, sx solve reaches max |grad E| = 3.2e-5
+        sx = {"name": "sx", "matrix": [[[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]]}
+        obs = qubit_observables()
+        obs["observables"].append(sx)
+        section = {"start": [0.16, 0.0], "end": [-0.11027, 0.24096], "interior_points": 15,
+                   "max_iters": 1, "tolerance": 3e-4}
+        cfg = write_config(tmp_path, "cfg.json", {"observables": obs, "geodesic": section})
+        out = tmp_path / "geo.json"
+        assert run(["geodesic", "--config", cfg, "--out", out]) == 0
+        convergence = json.loads(out.read_text())["convergence"]
+        assert convergence["converged"] is True
+        assert convergence["iterations"] == 1
+        assert convergence["grad_norm"] < 3e-4
+
     def test_converged_run(self, tmp_path):
         out = tmp_path / "geo.json"
         code = run(

@@ -10,7 +10,10 @@ its p-weighted diagonal.  The reference below keeps the element-wise forms
 by the batch's a) and is swapped into `geometry` in place of the spectral
 core to give the metric, the quadratic-form gradient and the Kubo-Mori
 Hessian along the old contractions, so the two routes differ only in how
-they sum.
+they sum.  The geodesic step's own contractions keep their einsum forms
+here too: `reference_form_block` is swapped in for `geometry._form_block`,
+and the midpoint terms and the Sobolev direction are recomputed with
+theirs.
 """
 
 import re
@@ -20,7 +23,7 @@ import warnings
 import numpy as np
 import pytest
 
-from thermogeom import geometry, gibbs, linalg
+from thermogeom import geometry, gibbs, linalg, processes
 from thermogeom.contact import legendrian_residual
 from thermogeom.errors import ParameterRangeError, ThermoGeomError, ValidationError
 from thermogeom.geometry import (
@@ -87,6 +90,36 @@ def reference_metric_from_frame(a_tilde, weight):
     f = f.reshape(*f.shape[:2], -1)
     g = (f @ f.conj().swapaxes(1, 2)).real
     return (g + g.swapaxes(1, 2)) / 2
+
+
+def reference_form_block(obs, lams, v):
+    """`geometry._form_block` with v . At and N as the einsums they replace."""
+    spectra, denom, a_tilde, f1 = geometry._sld_frame(obs, lams)
+    a_v = np.einsum("pi,piab->pab", v, a_tilde)
+    sld = -2.0 * a_v * f1 / denom
+    f2 = geometry._second_divided_differences(spectra, f1)
+    n_ac = np.einsum("pab,pbc,pabc->pac", sld, a_v, f2)
+    w = 4.0 * n_ac.swapaxes(1, 2) + f1 * (sld @ sld).swapaxes(1, 2)
+    c = np.einsum("piab,pab->pi", a_tilde, w).real
+    return geometry._metric_from_frame(a_tilde, f1 * np.sqrt(2.0 / denom)), c
+
+
+def reference_midpoint_terms(obs, samples, dt):
+    """`processes._midpoint_terms` with the segment energies dl . g dl as an einsum."""
+    mids = 0.5 * (samples[:-1] + samples[1:])
+    deltas = samples[1:] - samples[:-1]
+    g, c = _quadratic_form_derivatives(obs, mids, deltas)
+    gv = np.einsum("kij,kj->ki", g, deltas)
+    energies = np.einsum("ki,ki->k", deltas, gv) / dt
+    return energies, (2.0 * (gv[:-1] - gv[1:]) + 0.5 * (c[:-1] + c[1:])) / dt, g
+
+
+def reference_sobolev_direction(g, grad, dt):
+    """`processes._sobolev_direction` with sum_s g_s^+ F_s as an einsum."""
+    g_inv = processes._pinv_symmetric(g)
+    f = np.concatenate((np.zeros_like(grad[:1]), np.cumsum(0.5 * dt * grad, axis=0)))
+    c = processes._pinv_symmetric(g_inv.sum(axis=0)) @ np.einsum("sij,sj->i", g_inv, f)
+    return np.cumsum(np.einsum("sij,sj->si", g_inv[:-1], c - f[:-1]), axis=0)
 
 
 def family(m, n, seed):
@@ -174,6 +207,31 @@ def test_gemm_kernels_match_the_element_wise_formulas(m, n, size, reference):
     assert_close(new_c, ref_c, RTOL)
     for new, ref in zip(_equilibrium_tangent(obs, lams), reference(_equilibrium_tangent, obs, lams)):
         assert_close(new, ref, RTOL)
+
+
+@pytest.mark.parametrize("kind", ["complex", "real"])
+@pytest.mark.parametrize("m, n", [(2, 1), (2, 3), (4, 3), (8, 8)])
+def test_geodesic_contractions_match_the_einsum_forms(m, n, kind, monkeypatch):
+    # a path of as many midpoints as two blocks of the form derivatives hold
+    obs = (family if kind == "complex" else real_family)(m, n, seed=10 * m + n)
+    rows = _BLOCK_BYTES // max(obs._stack.itemsize * n * m * m, 8 * m**3)
+    samples = block(n, rows + 2, seed=m + n)
+    dt = 1.0 / (rows + 1)
+    mids, deltas = 0.5 * (samples[:-1] + samples[1:]), samples[1:] - samples[:-1]
+    stacks = eigh_stacks(monkeypatch)
+    new_form = _quadratic_form_derivatives(obs, mids, deltas)
+    assert [shape[0] for shape in stacks] == [rows, 1]
+    new_terms = processes._midpoint_terms(obs, samples, dt)
+    with monkeypatch.context() as patch:
+        patch.setattr(geometry, "_form_block", reference_form_block)
+        ref_form = _quadratic_form_derivatives(obs, mids, deltas)
+        ref_terms = reference_midpoint_terms(obs, samples, dt)
+    for got, expected in zip((*new_form, *new_terms), (*ref_form, *ref_terms), strict=True):
+        assert got.shape == expected.shape
+        assert_close(got, expected, RTOL)
+    direction = processes._sobolev_direction(new_terms[2], new_terms[1], dt)
+    expected = reference_sobolev_direction(ref_terms[2], ref_terms[1], dt)
+    assert_close(direction, expected, RTOL)
 
 
 @pytest.mark.parametrize("n", COUNTS)

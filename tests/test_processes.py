@@ -296,6 +296,39 @@ class TestGeodesic:
         assert record.iterations == 1
         assert path.samples.shape == (17, 2)
 
+    @pytest.mark.parametrize("max_iters", [1, 2])
+    def test_a_step_that_converges_on_the_last_allowed_iteration_says_so(self, max_iters):
+        # the one step this sz, sx solve takes reaches max |grad E| = 3.2e-5 < 3e-4
+        problem = GeodesicProblem(
+            [0.16, 0.0], [-0.11027, 0.24096], interior_points=15, max_iters=max_iters,
+            tolerance=3e-4,
+        )
+        path, _, record = geodesic_between(PAULI_ZX, problem)
+        _, grad, _ = _midpoint_terms(PAULI_ZX, path.samples, 1.0 / 16)
+        assert record.converged
+        assert record.iterations == 1
+        assert record.grad_norm == float(np.abs(grad).max())
+
+    @pytest.mark.parametrize(
+        "max_iters, converged, iterations",
+        [(1, False, 1), (2, False, 2), (3, True, 3), (400, True, 3)],
+    )
+    def test_the_record_describes_the_returned_path(self, max_iters, converged, iterations):
+        # the shipped problem: its third step reaches max |grad E| = 2.7e-5 < 1e-4,
+        # and after one step the returned path's gradient is 4.2e-3, not the
+        # straight line's 4.8e-2
+        problem = GeodesicProblem(
+            [0.0], [1.0], interior_points=15, max_iters=max_iters, tolerance=1e-4
+        )
+        path, report, record = geodesic_between(QUBIT, problem)
+        energies, grad, _ = _midpoint_terms(QUBIT, path.samples, 1.0 / 16)
+        assert record.converged is converged
+        assert record.iterations == iterations
+        assert record.grad_norm == float(np.abs(grad).max())
+        assert record.energy_final == report.energy == float(energies.sum())
+        if max_iters == 1:
+            assert record.grad_norm == pytest.approx(4.22e-3, rel=1e-3)
+
     def test_endpoints_fixed(self):
         problem = GeodesicProblem(
             [-0.8, 0.2], [0.5, 1.0], interior_points=9, max_iters=100, tolerance=1e-4
