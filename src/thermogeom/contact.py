@@ -20,7 +20,7 @@ import numpy as np
 from . import exprlang
 from .errors import DegenerateMetricError, SignatureError, ValidationError
 from .geometry import MetricTensor, _equilibrium_tangent
-from .gibbs import ObservableSet, _guarded, gibbs_batch, gibbs_point, observables
+from .gibbs import ObservableSet, gibbs_batch, gibbs_point, observables
 from .linalg import DensityOperator
 from .inputs import count, number, points, positive, vector
 
@@ -317,7 +317,7 @@ def legendrian_residual(obs: ObservableSet, lambda_grid) -> float:
     |At_ab|^2, and dS/dlam_k = sum_a p_a y_a At_k,aa with y = x - ln Z.
     Nothing divides by a population, so points up to LAMBDA_GUARD are taken.
     """
-    grid = _guarded(obs, points(lambda_grid, observables(obs).n, "grid", 1))
+    grid = points(lambda_grid, observables(obs).n, "grid", 1)
     ds, k = _equilibrium_tangent(obs, grid)
     return float(np.max(np.abs(ds + (k @ grid[:, :, None])[..., 0])))
 

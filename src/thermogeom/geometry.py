@@ -14,16 +14,20 @@ exact da/dlam of the Legendrian residual.  The covariance C of
 same product as g and K.  The distance is
 d^2 = tr A + tr B - 2 tr[(A^{1/2} B A^{1/2})^{1/2}].
 
-A call checks its whole (P, n) parameter block first (a single point is a
-block of one), then runs it in blocks of points (`linalg._in_blocks`) whose
-largest intermediate, the (n, m, m) rotated observables or the (m, m, m)
-second divided differences per point, stays within 256 KiB; the runner
-names the first point whose result is not finite.  Every computation on a block reads
-only its spectral core from `gibbs` (one stacked eigendecomposition per
-block, no rho and no expectations), and the contractions run as matrix
-products over the whole block: the n observables are rotated into every
-eigenbasis by one (n m, m) @ (m, P m) product and one (n m, m) @ (m, m)
-product per point, each centred by its own p-weighted diagonal,
+Every layer read off the Daleckii-Krein frame (At, f1) runs through one
+runner, `_frame_layer`.  It checks the whole (P, n) parameter block first
+(a single point is a block of one), then runs it in blocks of points
+(`linalg._in_blocks`) whose largest intermediate, the (n, m, m) rotated
+observables or the (m, m, m) second divided differences per point, stays
+within 256 KiB, and names the first point whose result is not finite.
+Each block reads only its spectral core from `gibbs` (one stacked
+eigendecomposition, no rho and no expectations) and the frame, and hands
+them to its layer's finisher: `_derivatives` (d_i rho), `_metric` (g),
+`_tangent` (dS/dlam and K), `_covariance` (C) or `_form` (g and the
+gradient of v^T g v).  The contractions run as matrix products over the
+whole block: the n observables are rotated into every eigenbasis by one
+(n m, m) @ (m, P m) product and one (n m, m) @ (m, m) product per point,
+each centred by its own p-weighted diagonal,
 a_i = sum_b p_b (U^dagger A_i U)_bb, and a metric is one real
 (n, w) @ (w, n) product per point on the float view of the weighted
 observables, w = 2 m^2 for a complex set and m^2 for a real one.  The
@@ -222,25 +226,36 @@ def _second_divided_differences(spectra: _Spectra, f1: np.ndarray) -> np.ndarray
     return f2.take(gather, axis=1)
 
 
+def _frame_layer(obs: ObservableSet, finish, lams, *extra: np.ndarray, point_bytes: int = 0):
+    """finish(spectra, At, f1, *extra) on a guarded (P, n) block, run in blocks of points.
+
+    Blocks are sized by the larger of the (n, m, m) rotated observables and
+    point_bytes per point; the extra arrays, one row per point, split with lams.
+    """
+    lams = _guarded(obs, lams)
+    point_bytes = max(obs._stack.itemsize * obs.n * obs.dim**2, point_bytes)
+
+    def kernel(lams: np.ndarray, *extra: np.ndarray):
+        spectra = _spectra(obs, lams)
+        return finish(spectra, *_daleckii_krein(obs, spectra), *extra)
+
+    return _in_blocks(kernel, point_bytes, lams, *extra)
+
+
 def state_derivatives(obs: ObservableSet, lam) -> list[HermitianOperator]:
     """Partial derivatives of the family map, one per parameter direction.
 
     Each derivative is self-adjoint and traceless (the trace of rho is
     constant along the family).  The point is a block of one.
     """
-    lam = _guarded(obs, vector(lam, observables(obs).n, "lam")[None])
-    point_bytes = obs._stack.itemsize * obs.n * obs.dim**2
-    drho = _in_blocks(functools.partial(_derivative_block, obs), point_bytes, lam)
-    return [HermitianOperator(d) for d in drho[0]]
+    lam = vector(lam, observables(obs).n, "lam")[None]
+    return [HermitianOperator(d) for d in _frame_layer(obs, _derivatives, lam)[0]]
 
 
-def _derivative_block(obs: ObservableSet, lams: np.ndarray) -> np.ndarray:
-    """`state_derivatives` on one block of `_guarded` points, (P, n, m, m), exactly Hermitian."""
-    spectra = _spectra(obs, lams)
-    a_tilde, f1 = _daleckii_krein(obs, spectra)
+def _derivatives(spectra: _Spectra, a_tilde: np.ndarray, f1: np.ndarray) -> np.ndarray:
+    """d_i rho = U (-At_i * f1) U^dagger, (P, n, m, m), exactly Hermitian."""
     u = spectra.U[:, None]
-    drho = u @ (-a_tilde * f1[:, None]) @ u.conj().swapaxes(2, 3)
-    return drho / 2 + drho.conj().swapaxes(2, 3) / 2
+    return hermitize(u @ (-a_tilde * f1[:, None]) @ u.conj().swapaxes(2, 3))
 
 
 def metric_tensor(obs: ObservableSet, lam) -> MetricTensor:
@@ -249,17 +264,8 @@ def metric_tensor(obs: ObservableSet, lam) -> MetricTensor:
     return MetricTensor(lam, metric_grid(obs, lam[None])[0])
 
 
-def _sld_frame(
-    obs: ObservableSet, lams: np.ndarray
-) -> tuple[_Spectra, np.ndarray, np.ndarray, np.ndarray]:
-    """What every SLD computation at a `_guarded` (P, n) block starts from.
-
-    The block's spectra (one stacked eigendecomposition, no rho), the
-    p_a + p_b denominators checked against `SLD_DENOM_FLOOR` (the exit-3
-    boundary), and the Daleckii-Krein parts (centred observables, first
-    divided differences).
-    """
-    spectra = _spectra(obs, lams)
+def _sld_denominators(spectra: _Spectra) -> np.ndarray:
+    """p_a + p_b, (P, m, m), checked against `SLD_DENOM_FLOOR` (the exit-3 boundary)."""
     p = spectra.p
     denom = p[:, :, None] + p[:, None, :]
     worst = float(denom.min(initial=np.inf))
@@ -269,8 +275,7 @@ def _sld_frame(
             f"eigenvalue sum {worst:.3e} below {SLD_DENOM_FLOOR:.0e} at "
             f"lambda = {spectra.lam[idx].tolist()}; too close to the boundary"
         )
-    a_tilde, f1 = _daleckii_krein(obs, spectra)
-    return spectra, denom, a_tilde, f1
+    return denom
 
 
 def metric_grid(obs: ObservableSet, lams) -> np.ndarray:
@@ -283,32 +288,28 @@ def metric_grid(obs: ObservableSet, lams) -> np.ndarray:
     one stacked eigendecomposition per block of points whose (n, m, m)
     rotated observables stay within 256 KiB.
     """
-    lams = _guarded(obs, lams)
-    point_bytes = obs._stack.itemsize * obs.n * obs.dim**2
-    return _in_blocks(functools.partial(_metric_block, obs), point_bytes, lams)
+    return _frame_layer(obs, _metric, lams)
 
 
-def _metric_block(obs: ObservableSet, lams: np.ndarray) -> np.ndarray:
-    """`metric_grid` on one block of `_guarded` points."""
-    _, denom, a_tilde, f1 = _sld_frame(obs, lams)
-    return _metric_from_frame(a_tilde, f1 * np.sqrt(2.0 / denom))
+def _metric(spectra: _Spectra, a_tilde: np.ndarray, f1: np.ndarray) -> np.ndarray:
+    """`metric_grid`'s g: weight f1 sqrt(2 / (p_a + p_b)) on At."""
+    return _metric_from_frame(a_tilde, f1 * np.sqrt(2.0 / _sld_denominators(spectra)))
 
 
-def _equilibrium_tangent(obs: ObservableSet, lams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """dS/dlam, (P, n), and the Kubo-Mori Hessian K = grad^2 ln Z, (P, n, n), at `_guarded` lams.
+def _equilibrium_tangent(obs: ObservableSet, lams) -> tuple[np.ndarray, np.ndarray]:
+    """dS/dlam, (P, n), and the Kubo-Mori Hessian K = grad^2 ln Z, (P, n, n), at lams.
 
     U^dagger d_k rho U = -At_k * f1 gives K = -da/dlam = Re F F^H for F = At * sqrt(f1),
     and dp_a = -p_a At_k,aa gives dS/dlam_k = sum_a p_a y_a At_k,aa, y = x - ln Z.
     Neither divides by a population (no `SLD_DENOM_FLOOR`); blocks as in `metric_grid`.
     """
-    point_bytes = obs._stack.itemsize * obs.n * obs.dim**2
-    return _in_blocks(functools.partial(_tangent_block, obs), point_bytes, lams)
+    return _frame_layer(obs, _tangent, lams)
 
 
-def _tangent_block(obs: ObservableSet, lams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """`_equilibrium_tangent` on one block of `_guarded` points."""
-    spectra = _spectra(obs, lams)
-    a_tilde, f1 = _daleckii_krein(obs, spectra)
+def _tangent(
+    spectra: _Spectra, a_tilde: np.ndarray, f1: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """`_equilibrium_tangent`'s dS/dlam and K."""
     ds = np.einsum("pkaa,pa->pk", a_tilde.real, spectra.p * (spectra.x - spectra.log_Z[:, None]))
     return ds, _metric_from_frame(a_tilde, np.sqrt(f1))
 
@@ -328,8 +329,7 @@ def _metric_from_frame(a_tilde: np.ndarray, weight: np.ndarray) -> np.ndarray:
     f *= weight[:, None]
     p, n, m = f.shape[:3]
     f = f.view(float).reshape(p, n, f.itemsize // 8 * m * m)
-    g = f @ f.swapaxes(1, 2)
-    return (g + g.swapaxes(1, 2)) / 2
+    return hermitize(f @ f.swapaxes(1, 2))
 
 
 def injectivity_diagnostic(obs: ObservableSet, lam) -> tuple[np.ndarray, int]:
@@ -342,20 +342,17 @@ def injectivity_diagnostic(obs: ObservableSet, lam) -> tuple[np.ndarray, int]:
     zeroth law.  The point is a block of one, so a covariance that overflows
     raises `ParameterRangeError` naming lam.
     """
-    lam = _guarded(obs, vector(lam, observables(obs).n, "lam")[None])
-    point_bytes = obs._stack.itemsize * obs.n * obs.dim**2
-    c = _in_blocks(functools.partial(_covariance_block, obs), point_bytes, lam)[0]
+    lam = vector(lam, observables(obs).n, "lam")[None]
+    c = _frame_layer(obs, _covariance, lam)[0]
     w = np.abs(np.linalg.eigvalsh(c))
     top = float(w.max(initial=0.0))
     rank = 0 if top == 0.0 else int(np.sum(w > _INDEPENDENCE_RTOL * top))
     return c, rank
 
 
-def _covariance_block(obs: ObservableSet, lams: np.ndarray) -> np.ndarray:
-    """`injectivity_diagnostic`'s C on one block of `_guarded` points, (P, n, n)."""
-    spectra = _spectra(obs, lams)
+def _covariance(spectra: _Spectra, a_tilde: np.ndarray, f1: np.ndarray) -> np.ndarray:
+    """`injectivity_diagnostic`'s C: weight sqrt((p_a + p_b) / 2) on At."""
     p = spectra.p
-    a_tilde, _ = _daleckii_krein(obs, spectra)
     return _metric_from_frame(a_tilde, np.sqrt((p[:, :, None] + p[:, None, :]) / 2))
 
 
@@ -380,17 +377,14 @@ def _quadratic_form_derivatives(
     blocks of points whose (n, m, m) rotated observables and (m, m, m) f2
     each stay within 256 KiB, v split with lam.
     """
-    lams = _guarded(obs, lams)
-    m = obs.dim
-    point_bytes = max(obs._stack.itemsize * obs.n * m * m, 8 * m**3)
-    return _in_blocks(functools.partial(_form_block, obs), point_bytes, lams, v)
+    return _frame_layer(obs, _form, lams, v, point_bytes=8 * observables(obs).dim**3)
 
 
-def _form_block(
-    obs: ObservableSet, lams: np.ndarray, v: np.ndarray
+def _form(
+    spectra: _Spectra, a_tilde: np.ndarray, f1: np.ndarray, v: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """`_quadratic_form_derivatives` on one block of `_guarded` points."""
-    spectra, denom, a_tilde, f1 = _sld_frame(obs, lams)
+    """`_quadratic_form_derivatives`' g and c."""
+    denom = _sld_denominators(spectra)
     size, n, m = a_tilde.shape[:3]
     a_v = (v[:, None] @ a_tilde.reshape(size, n, m * m)).reshape(size, m, m)
     sld = -2.0 * a_v * f1 / denom

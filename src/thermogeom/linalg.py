@@ -74,8 +74,8 @@ def _in_blocks(kernel, point_bytes: int, *blocks: np.ndarray):
 
 
 def hermitize(a: np.ndarray) -> np.ndarray:
-    """Hermitian part A/2 + A^dagger/2: halving first, no sum of finite entries overflows."""
-    return a / 2 + a.conj().T / 2
+    """A/2 + A^dagger/2 over the last two axes: halving first, no finite sum overflows."""
+    return a / 2 + a.conj().swapaxes(-1, -2) / 2
 
 
 def _freeze(a: np.ndarray, dtype=complex) -> np.ndarray:

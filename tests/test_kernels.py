@@ -11,7 +11,7 @@ by the batch's a) and is swapped into `geometry` in place of the spectral
 core to give the metric, the quadratic-form gradient and the Kubo-Mori
 Hessian along the old contractions, so the two routes differ only in how
 they sum.  The geodesic step's own contractions keep their einsum forms
-here too: `reference_form_block` is swapped in for `geometry._form_block`,
+here too: `reference_form` is swapped in for the finisher `geometry._form`,
 and the midpoint terms and the Sobolev direction are recomputed with
 theirs.
 """
@@ -38,7 +38,6 @@ from thermogeom.geometry import (
 from thermogeom.gibbs import (
     FamilyBatch,
     ObservableSet,
-    _guarded,
     _spectra,
     gibbs_batch,
     gibbs_point,
@@ -92,9 +91,10 @@ def reference_metric_from_frame(a_tilde, weight):
     return (g + g.swapaxes(1, 2)) / 2
 
 
-def reference_form_block(obs, lams, v):
-    """`geometry._form_block` with v . At and N as the einsums they replace."""
-    spectra, denom, a_tilde, f1 = geometry._sld_frame(obs, lams)
+def reference_form(spectra, a_tilde, f1, v):
+    """`geometry._form` with v . At and N as the einsums they replace."""
+    p = spectra.p
+    denom = p[:, :, None] + p[:, None, :]
     a_v = np.einsum("pi,piab->pab", v, a_tilde)
     sld = -2.0 * a_v * f1 / denom
     f2 = geometry._second_divided_differences(spectra, f1)
@@ -223,7 +223,7 @@ def test_geodesic_contractions_match_the_einsum_forms(m, n, kind, monkeypatch):
     assert [shape[0] for shape in stacks] == [rows, 1]
     new_terms = processes._midpoint_terms(obs, samples, dt)
     with monkeypatch.context() as patch:
-        patch.setattr(geometry, "_form_block", reference_form_block)
+        patch.setattr(geometry, "_form", reference_form)
         ref_form = _quadratic_form_derivatives(obs, mids, deltas)
         ref_terms = reference_midpoint_terms(obs, samples, dt)
     for got, expected in zip((*new_form, *new_terms), (*ref_form, *ref_terms), strict=True):
@@ -321,8 +321,7 @@ LAYERS = {
         obs, lams, np.random.default_rng(3).normal(size=lams.shape)
     ),
     "gibbs_batch": lambda obs, lams: gibbs_batch(obs, lams)[1:],
-    # the Legendrian residual guards its grid before the tangent reads it
-    "equilibrium_tangent": lambda obs, lams: _equilibrium_tangent(obs, _guarded(obs, lams)),
+    "equilibrium_tangent": lambda obs, lams: _equilibrium_tangent(obs, lams),
 }
 
 
@@ -545,3 +544,24 @@ def test_every_layer_is_finite_or_names_its_failure(name, scale, partner):
     assert not (scale == 1e300 and name in NAMED_AT_1E300)
     for field in result if isinstance(result, (tuple, list)) else (result,):
         assert np.isfinite(field).all()
+
+
+# the three GEMM layers of s sz at lam = 0, each s^2 there
+SQUARED_LAYERS = {
+    "metric_grid": lambda obs, lams: metric_grid(obs, lams)[0, 0, 0],
+    "injectivity_diagnostic": lambda obs, lams: injectivity_diagnostic(obs, lams[0])[0][0, 0],
+    "equilibrium_tangent": lambda obs, lams: _equilibrium_tangent(obs, lams)[1][0, 0, 0],
+}
+
+
+@pytest.mark.parametrize("scale", (1e154, 1.3e154))
+@pytest.mark.parametrize("name", sorted(SQUARED_LAYERS))
+def test_a_metric_just_inside_the_double_range_is_returned(name, scale):
+    # s^2 is a finite double up to s = 1.34e154; a symmetrization that summed
+    # before halving overflowed past s = 9.5e153, and so did the first law
+    obs, lams = _scaled_family(scale, []), np.zeros((1, 1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = SQUARED_LAYERS[name](obs, lams)
+        assert legendrian_residual(obs, lams) == 0.0
+    assert abs(value - scale**2) <= 1e-15 * scale**2
