@@ -29,23 +29,11 @@ import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Any, Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from . import serialization as ser
-from .connection import (
-    MIN_LOOP_STEPS,
-    ConnectionSpec,
-    HolonomyResult,
-    Loop,
-    curvature,
-    flatness_check,
-    holonomy_via_curvature,
-    holonomy_via_lift,
-    rectangle_loop,
-)
-from .contact import ThermoPoint, legendrian_residual
 from .errors import NumericalDomainError, ValidationError
 from .geometry import metric_grid
 from .gibbs import ObservableSet, gibbs_point
@@ -61,6 +49,12 @@ from .processes import (
     third_law_scan,
     thermo_length,
 )
+
+# the expression and bundle modules (exprlang, contact, connection) are
+# imported by the subcommands and readers that use them, so the others
+# never load them
+if TYPE_CHECKING:
+    from .connection import ConnectionSpec
 
 __all__ = ["main", "entry"]
 
@@ -297,6 +291,8 @@ def cmd_boundary_entropy(cfg: RunConfig) -> Job:
 
 
 def cmd_contact_check(cfg: RunConfig) -> Job:
+    from .contact import legendrian_residual
+
     grid = _section(cfg, "contact_check", "grid").get("grid")
     pts = _grid_points(grid, cfg.obs.n, 1)
 
@@ -310,6 +306,8 @@ def cmd_contact_check(cfg: RunConfig) -> Job:
 
 def _rectangle(obj: Any, n: int) -> tuple[dict, tuple[int, int], int]:
     """Corners, plane and base shared by the loop and the surface; grid; steps."""
+    from .connection import MIN_LOOP_STEPS, holonomy_via_curvature, rectangle_loop
+
     ser.known_keys(obj, ("plane", "lo", "hi", "base", "grid", "steps"), "rectangle")
     k, l = _plane(obj.get("plane", [1, 2]), n)
     corners = {
@@ -325,6 +323,11 @@ def _rectangle(obj: Any, n: int) -> tuple[dict, tuple[int, int], int]:
 
 
 def cmd_holonomy(cfg: RunConfig) -> Job:
+    from .connection import (
+        HolonomyResult, Loop, holonomy_via_curvature, holonomy_via_lift, rectangle_loop,
+    )
+    from .contact import ThermoPoint
+
     spec = _require_connection(cfg)
     sec = _section(cfg, "holonomy", "method", "loop", "rectangle")
     n = cfg.obs.n
@@ -357,6 +360,8 @@ def cmd_holonomy(cfg: RunConfig) -> Job:
 
 
 def cmd_curvature_map(cfg: RunConfig) -> Job:
+    from .connection import curvature
+
     spec = _require_connection(cfg)
     sec = _section(cfg, "curvature_map", "grid", "pairs")
     n = cfg.obs.n
@@ -377,6 +382,8 @@ def cmd_curvature_map(cfg: RunConfig) -> Job:
 
 
 def cmd_flatness(cfg: RunConfig) -> Job:
+    from .connection import flatness_check
+
     spec = _require_connection(cfg)
     sec = _section(cfg, "flatness", "grid", "tol")
     pts = _grid_points(sec.get("grid"), cfg.obs.n, 1)

@@ -3,7 +3,9 @@
 Complex matrices travel as nested arrays of [re, im] pairs, row-major.
 Every reader checks its values through `thermogeom.inputs` and the
 library's own constructors.  Artifacts render floats with 17 significant
-digits (`format_float`), so they round-trip and diff cleanly.
+digits (`format_float`), so they round-trip and diff cleanly.  The path
+and connection readers import `processes`, `exprlang` and `connection`
+when called, so reading an observable set loads none of them.
 """
 
 from __future__ import annotations
@@ -12,17 +14,18 @@ import json
 import os
 import tempfile
 from pathlib import Path
-from typing import Any, Collection
+from typing import TYPE_CHECKING, Any, Collection
 
 import numpy as np
 
-from . import exprlang
-from .connection import ConnectionSpec
 from .errors import ValidationError
 from .gibbs import ObservableSet
 from .linalg import HermitianOperator
 from .inputs import MAX_COUNT, count, number, points, positive
-from .processes import MIN_PATH_STEPS, ParamPath
+
+if TYPE_CHECKING:
+    from .connection import ConnectionSpec
+    from .processes import ParamPath
 
 __all__ = [
     "known_keys",
@@ -89,6 +92,8 @@ def observable_set_from_json(obj: Any) -> ObservableSet:
 
 def path_from_json(obj: Any, n: int) -> ParamPath:
     """Either explicit samples or lambda_exprs in t evaluated on the grid."""
+    from .processes import MIN_PATH_STEPS, ParamPath
+
     known_keys(obj, ("duration", "samples", "lambda_exprs", "steps"), "path")
     duration = positive(obj.get("duration"), "path.duration")
     if "samples" in obj:
@@ -97,6 +102,8 @@ def path_from_json(obj: Any, n: int) -> ParamPath:
             raise ValidationError(f"path samples must have at most {MAX_COUNT + 1} rows")
         return ParamPath(duration, points(rows, n, "path samples"))
     if "lambda_exprs" in obj:
+        from . import exprlang
+
         steps = count(obj.get("steps"), "path.steps", floor=MIN_PATH_STEPS)
         texts = exprlang.numbered("lambda_exprs", obj["lambda_exprs"], n)
         program = exprlang.compile_fields(texts, n, {"t"})
@@ -107,6 +114,8 @@ def path_from_json(obj: Any, n: int) -> ParamPath:
 
 
 def connection_spec_from_json(obj: Any, n: int) -> ConnectionSpec:
+    from .connection import ConnectionSpec
+
     obj = known_keys(obj, ("g_S", "h"), "connection spec")
     return ConnectionSpec.parsed(obj.get("g_S"), obj.get("h"), n)
 

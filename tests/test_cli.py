@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from thermogeom import cli
+from thermogeom import cli, connection
 from thermogeom.cli import CONFIG_KEYS, main
 from thermogeom.inputs import MAX_CELLS, MAX_COUNT
 
@@ -577,9 +577,9 @@ def test_invalid_edit_exits_2_under_validate_and_run(name, tmp_path, capsys):
 LIBRARY_DEFAULTS = {
     ("entropy_production", ("kappa",)): (cli.entropy_production, "kappa", 2.0),
     ("third_law", ("steps",)): (cli.third_law_scan, "steps", 512),
-    ("holonomy", ("rectangle", "steps")): (cli.rectangle_loop, "steps", 128),
-    ("holonomy", ("rectangle", "grid")): (cli.holonomy_via_curvature, "grid", [32, 32]),
-    ("flatness", ("tol",)): (cli.flatness_check, "tol", 1e-6),
+    ("holonomy", ("rectangle", "steps")): (connection.rectangle_loop, "steps", 128),
+    ("holonomy", ("rectangle", "grid")): (connection.holonomy_via_curvature, "grid", [32, 32]),
+    ("flatness", ("tol",)): (connection.flatness_check, "tol", 1e-6),
 }
 
 

@@ -479,6 +479,59 @@ def loop_energy_gradient(obs, samples, dt, fd_step=1e-6):
     return (seg[:, :, 0] - seg[:, :, 1]) / (2.0 * fd_step)
 
 
+def classical_full_span(m, seed):
+    """n = m - 1 traceless diagonals D (rows) rotated by one seeded random unitary U.
+
+    A_k = U D_k U^dagger look non-diagonal, yet the family is every full-rank
+    state diagonal in U, with populations p_a proportional to exp(-lam . D_a).
+    """
+    rng = np.random.default_rng(seed)
+    d = rng.normal(size=(m - 1, m))
+    d -= d.mean(axis=1, keepdims=True)
+    q, r = np.linalg.qr(rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m)))
+    u = q * (np.diag(r) / np.abs(np.diag(r)))
+    obs = ObservableSet([HermitianOperator(u @ np.diag(dk) @ u.conj().T) for dk in d])
+    return obs, d, rng
+
+
+def classical_populations(d, lam):
+    e = -np.asarray(lam) @ d
+    p = np.exp(e - e.max())
+    return p / p.sum()
+
+
+class TestClassicalFullSpan:
+    @pytest.mark.parametrize("m", [3, 4])
+    def test_every_metric_is_the_classical_fisher_matrix(self, m):
+        # on a commuting family the SLD metric g, the Kubo-Mori Hessian K and
+        # the covariance C all reduce to sum_a p_a dD_ia dD_ja, dD = D - <D>
+        obs, d, rng = classical_full_span(m, 5)
+        for lam in rng.normal(size=(4, m - 1)):
+            p = classical_populations(d, lam)
+            centred = d - (d @ p)[:, None]
+            fisher = (centred * p) @ centred.T
+            c, rank = geometry.injectivity_diagnostic(obs, lam)
+            k = geometry._equilibrium_tangent(obs, lam[None])[1][0]
+            assert rank == m - 1
+            for metric in (geometry.metric_tensor(obs, lam).g, k, c):
+                assert np.abs(metric - fisher).max() <= 1e-13 * np.abs(fisher).max()
+
+    @pytest.mark.parametrize("seed", [3, 11])
+    @pytest.mark.parametrize("k", [16, 32])
+    def test_geodesic_length_is_the_bhattacharyya_angle(self, seed, k):
+        # the geodesic is the great circle of sqrt(p), of length
+        # L* = 2 arccos sum_a sqrt(p_a q_a); the midpoint rule may lie on
+        # either side of it, so the O(1/K^2) bound is two-sided
+        obs, d, rng = classical_full_span(4, seed)
+        a, b = rng.normal(size=(2, 3))
+        overlap = np.sqrt(classical_populations(d, a) * classical_populations(d, b)).sum()
+        exact = 2.0 * math.acos(float(overlap))
+        problem = GeodesicProblem(a, b, interior_points=k - 1, tolerance=1e-8)
+        _, report, record = geodesic_between(obs, problem)
+        assert record.converged
+        assert abs(report.length / exact - 1.0) <= 0.1 / k**2
+
+
 class TestEnergyGradient:
     @pytest.mark.parametrize(
         "obs, k",
