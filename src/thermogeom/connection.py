@@ -239,7 +239,8 @@ def curvature(spec: ConnectionSpec, lam, k: int, l: int) -> float | np.ndarray:
         raise ValidationError("curvature needs at least two parameters")
     k, l = count(k, "plane index", 0, spec.n - 1), count(l, "plane index", 0, spec.n - 1)
     lam = reals(lam, "lam")
-    pts = points(np.atleast_2d(lam), spec.n, "lam")
+    # one point is a block of one row; points' own reals passes the array through
+    pts = points(lam.reshape(1, -1) if lam.ndim < 2 else lam, spec.n, "lam")
     if k == l:
         out = np.zeros(pts.shape[0])
     elif k < l:

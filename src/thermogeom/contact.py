@@ -58,12 +58,14 @@ G_S_FLOOR = 1e-12
 def _check_g_S(g_s, lam) -> None:
     """Raise DegenerateMetricError at the first point where |g_S| <= G_S_FLOOR.
 
-    g_s holds one value per point and lam the points as rows; one point may come bare.
+    g_s holds one value per point and lam the points as rows; one point may
+    come bare.  A NaN g_S is not degenerate.  It allocates only when it
+    fails: the test runs on g_s as given, and the 1-D and 2-D views and the
+    message are built once it holds.
     """
-    g_s, lam = np.atleast_1d(g_s), np.atleast_2d(lam)
-    degenerate = np.abs(g_s) <= G_S_FLOOR
-    if degenerate.any():
-        at = int(np.argmax(degenerate))
+    if (np.abs(g_s) <= G_S_FLOOR).any():
+        g_s, lam = np.atleast_1d(g_s), np.atleast_2d(lam)
+        at = int(np.argmax(np.abs(g_s) <= G_S_FLOOR))
         raise DegenerateMetricError(
             f"|g_S| = {abs(float(g_s[at])):.3e} at lambda = {lam[at].tolist()}"
         )

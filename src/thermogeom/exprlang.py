@@ -14,7 +14,9 @@ into straight-line code whose instructions apply numpy ufuncs to whole
 arrays, in IEEE doubles per element, or at one point to float64 scalars
 (+ - * / and negation in numpy's scalar math: the same bits at a fraction
 of a ufunc call's cost); equal subtrees share one register and are
-evaluated once per run, and a register is dropped after its last use.
+evaluated once per run.  A batch drops a register after its last use; a
+one-point run's steps carry no release lists, since its registers hold
+float64 scalars, and a variable's step reads the float64 env by name.
 Its one failure rule is IEEE 754's: each expression runs with numpy's
 floating-point exceptions raised (underflow aside), and an operation that
 raises fails where its finite arguments give a non-finite value, so
@@ -318,11 +320,16 @@ def _domain(
     )
 
 
+def _unbound(node: Var) -> ExprNameError:
+    """The error for a variable the env does not bind, raised when it is read."""
+    return ExprNameError(f"unbound variable {node.name!r}")
+
+
 def _var(node: Var, env):
     try:
         return np.asarray(env[node.name], dtype=float)[()]
     except KeyError:
-        raise ExprNameError(f"unbound variable {node.name!r}") from None
+        raise _unbound(node) from None
 
 
 # each operation is one numpy ufunc, called on its argument values
@@ -393,7 +400,8 @@ class Program:
     An instruction is keyed by its operation, payload and argument registers
     (a constant by its float bits, so 0.0 and -0.0 stay apart): equal
     subtrees share one register.  Instructions follow the post-order of each
-    expression in turn, and a register is dropped after its last reader.
+    expression in turn, and a batched run drops a register after its last
+    reader (see `_at_one_point` for the one-point steps).
     """
 
     __slots__ = ("exprs", "_registers", "_segments", "_one_point")
@@ -455,16 +463,24 @@ class Program:
         return sum(len(steps) for steps, _, _ in self._segments)
 
     def _at_one_point(self, shaped: bool) -> tuple:
-        """The segments with each ufunc swapped for its one-point twin, built on first use."""
+        """The segments as one-point steps (fn, node, a, b, reg), built on first use.
+
+        Each ufunc is swapped for its one-point twin, and a variable's step
+        has fn None: it reads the float64 env by name.  A step carries no
+        release list, as a one-point run holds float64 scalars only.
+        """
         if shaped not in self._one_point:
             varies: set[int] = set()  # the registers that read a variable
             def twin(fn, node, a, b, reg, done):
-                if a is None or a in varies or b in varies:
+                if a is None:
+                    varies.add(reg)
+                    return (None, node, None, None, reg)
+                if a in varies or b in varies:
                     varies.add(reg)
                 keep = fn is np.power and not (shaped and b in varies)
-                return (fn if keep else _SCALAR_OPS.get(fn, fn), node, a, b, reg, done)
+                return (fn if keep else _SCALAR_OPS.get(fn, fn), node, a, b, reg)
             self._one_point[shaped] = tuple(
-                ([twin(*step) for step in steps], out, dropped) for steps, out, dropped in self._segments
+                ([twin(*step) for step in steps], out) for steps, out, _ in self._segments
             )
         return self._one_point[shaped]
 
@@ -476,19 +492,36 @@ class Program:
         other and with the env arrays.  An env value that is not real
         numbers raises `ValidationError` naming its variable.  An env of one
         element, as in shape (), (1,) or (1, 1), runs on float64 scalars
-        with the ufuncs' bits and errors (see `_SCALAR_OPS`).
+        with the ufuncs' bits and errors (see `_SCALAR_OPS`), through
+        one-point steps that carry no release lists.
         """
         env = {name: np.asarray(value) for name, value in env.items()}
         for name, value in env.items():
             if value.dtype.kind not in "iuf":
                 raise ValidationError(f"variable {name!r} must be real numbers, got dtype {value.dtype}")
         shape = _env_shape(tuple(env.values()))
-        segments = self._segments
-        if one_point := math.prod(shape) == 1:
-            env = {name: np.float64(value.item()) for name, value in env.items()}
-            segments = self._at_one_point(bool(shape))
         regs = list(self._registers)
-        for steps, out, dropped in segments:
+        if math.prod(shape) == 1:
+            env = {name: np.float64(value.item()) for name, value in env.items()}
+            for steps, out in self._at_one_point(bool(shape)):
+                # held for one expression, never across a yield
+                with np.errstate(all="raise", under="ignore"):
+                    for fn, node, a, b, reg in steps:
+                        try:
+                            if b is not None:
+                                regs[reg] = fn(regs[a], regs[b])
+                            elif fn is not None:
+                                regs[reg] = fn(regs[a])
+                            else:
+                                regs[reg] = env[node.name]
+                        except FloatingPointError:
+                            args = (regs[a],) if b is None else (regs[a], regs[b])
+                            regs[reg] = _failed(fn, node, env, args)
+                        except KeyError:
+                            raise _unbound(node) from None
+                yield float(regs[out]) if not shape else np.array(regs[out], ndmin=len(shape))
+            return
+        for steps, out, dropped in self._segments:
             # held for one expression, never across a yield
             with np.errstate(all="raise", under="ignore"):
                 for fn, node, a, b, reg, done in steps:
@@ -507,12 +540,7 @@ class Program:
             value = regs[out]
             for r in dropped:
                 regs[r] = None
-            if not shape:
-                yield float(value)
-            elif one_point:
-                yield np.array(value, ndmin=len(shape))
-            else:
-                yield value if np.shape(value) == shape else np.full(shape, value)
+            yield value if np.shape(value) == shape else np.full(shape, value)
 
 
 def numbered(what: str, texts: object, k: int) -> dict[str, object]:

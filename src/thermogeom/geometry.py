@@ -337,14 +337,22 @@ def injectivity_diagnostic(obs: ObservableSet, lam) -> tuple[np.ndarray, int]:
 
     Atil_i = A_i - a_i I.  In the eigenbasis C weighs |At_ab|^2 by
     (p_a + p_b) / 2, so it is one `_metric_from_frame` product.  Rank
-    deficiency (rank < n, relative threshold 1e-10) flags a locally
-    non-injective Gibbs map, e.g. redundant observables, and with it a broken
-    zeroth law.  The point is a block of one, so a covariance that overflows
+    deficiency (rank < n) flags a locally non-injective Gibbs map, e.g.
+    redundant observables, and with it a broken zeroth law.  The rank is
+    that of the correlation matrix D^-1/2 C D^-1/2, D = diag C (relative
+    eigenvalue threshold 1e-10), so a change of units A_i -> s_i A_i leaves
+    it as it is.  A dependent direction is a multiple of the identity, as
+    the set decides from its operators (`ObservableSet._live`), or a zero
+    variance.  The point is a block of one, so a covariance that overflows
     raises `ParameterRangeError` naming lam.
     """
     lam = vector(lam, observables(obs).n, "lam")[None]
     c = _frame_layer(obs, _covariance, lam)[0]
-    w = np.abs(np.linalg.eigvalsh(c))
+    d = np.sqrt(np.diag(c))
+    live = obs._live & (d > 0.0)
+    # divided by each deviation in turn, so no product of two over- or underflows
+    corr = c[np.ix_(live, live)] / d[live, None] / d[None, live]
+    w = np.abs(np.linalg.eigvalsh(corr))
     top = float(w.max(initial=0.0))
     rank = 0 if top == 0.0 else int(np.sum(w > _INDEPENDENCE_RTOL * top))
     return c, rank

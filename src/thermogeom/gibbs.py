@@ -51,6 +51,8 @@ __all__ = [
 
 LAMBDA_GUARD = 1e3
 _INDEPENDENCE_RTOL = 1e-10
+# a traceless part within this many dim eps of zero is a multiple of the identity
+_IDENTITY_ULPS = 16
 # step of the central difference of -ln Z
 _CONSISTENCY_STEP = 1e-4
 
@@ -59,14 +61,19 @@ class ObservableSet:
     """A finite set {A_1..A_n} of same-dimension observables with labels.
 
     The `independent` flag records whether the traceless parts
-    A_i - tr(A_i) / dim I have full numerical rank n (relative singular-value
-    threshold 1e-10).  A multiple of the identity leaves rho unchanged, so a
-    set that is redundant up to the identity makes the Gibbs map
-    non-injective.  The stack the kernels read is float64 when no entry has a
-    nonzero imaginary part, and complex128 otherwise.
+    A_i - tr(A_i) / dim I, each normalised on its own, have full numerical
+    rank n (relative singular-value threshold 1e-10), so a change of units
+    A_i -> s_i A_i leaves it as it is.  A multiple of the identity leaves
+    rho unchanged, so a set that is redundant up to the identity makes the
+    Gibbs map non-injective.  Which observables are such multiples is
+    decided once, from the operators alone: `_live` is False where the
+    traceless part of A_i, scaled to entries within 1, is within
+    16 dim eps of zero, the rounding of its trace.  The stack the kernels
+    read is float64 when no entry has a nonzero imaginary part, and
+    complex128 otherwise.
     """
 
-    __slots__ = ("observables", "names", "dim", "n", "independent", "_stack")
+    __slots__ = ("observables", "names", "dim", "n", "independent", "_live", "_stack")
 
     def __init__(
         self,
@@ -97,20 +104,28 @@ class ObservableSet:
                     f"{len(names)} names for {len(obs)} observables"
                 )
         stack = np.stack([op.matrix for op in obs])
-        # the rank rule is relative: scaled to parts within 1, no trace overflows,
-        # as reals (a complex division by a subnormal largest part overflows)
+        # the rank rule has no units: each observable is scaled to parts within 1,
+        # so no trace overflows, as reals (a complex division by a subnormal
+        # largest part overflows), and each traceless part to unit norm; a part
+        # that rounding alone can leave, a multiple of the identity, is zero
         parts = stack.view(float)
-        scaled = (parts / (np.abs(parts).max() or 1.0)).view(complex)
+        top = np.abs(parts).max(axis=(1, 2), keepdims=True)
+        scaled = (parts / np.where(top > 0.0, top, 1.0)).view(complex)
         traceless = scaled - np.trace(scaled, axis1=1, axis2=2)[:, None, None] / dim * np.eye(dim)
-        s = np.linalg.svd(traceless.reshape(len(obs), -1), compute_uv=False)
-        independent = bool(
-            s[0] > 0 and int(np.sum(s > _INDEPENDENCE_RTOL * s[0])) == len(obs)
-        )
+        traceless = traceless.reshape(len(obs), -1)
+        norms = np.linalg.norm(traceless, axis=1)
+        live = norms > _IDENTITY_ULPS * dim * np.finfo(float).eps
+        if live.all():
+            s = np.linalg.svd(traceless / norms[:, None], compute_uv=False)
+            independent = bool(np.sum(s > _INDEPENDENCE_RTOL * s[0]) == len(obs))
+        else:
+            independent = False
         object.__setattr__(self, "observables", obs)
         object.__setattr__(self, "names", names)
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "n", len(obs))
         object.__setattr__(self, "independent", independent)
+        object.__setattr__(self, "_live", _freeze(live, bool))
         stack = stack if stack.imag.any() else stack.real
         object.__setattr__(self, "_stack", _freeze(stack, stack.dtype))
 

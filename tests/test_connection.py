@@ -16,7 +16,14 @@ from thermogeom.connection import (
     horizontal_lift,
     rectangle_loop,
 )
-from thermogeom.contact import MMetricSpec, ThermoPoint, fiber_path_length
+from thermogeom.contact import (
+    MMetricSpec,
+    MuExtension,
+    ThermoPoint,
+    _check_g_S,
+    _point_env,
+    fiber_path_length,
+)
 from thermogeom.errors import DegenerateMetricError, ValidationError
 from thermogeom.exprlang import MAX_DEPTH
 from thermogeom.processes import ParamPath
@@ -497,6 +504,56 @@ class TestBatchedMatchesPointwise:
         assert len(lift) == path.steps + 1
         np.testing.assert_allclose([q.S for q in lift], expect, rtol=0.0, atol=1e-13)
         assert all(np.array_equal(q.a, p0.a) for q in lift)
+
+    def test_every_single_point_holder_is_the_batch_row(self):
+        # each holder runs its program on float64 scalars at one point and on
+        # arrays over a batch: within the 4 ulp that SIMD loops may differ by
+        def assert_row(single, row):
+            assert np.all(np.abs(single - row) <= 4 * np.spacing(np.abs(row)))
+
+        for lam, row in zip(POINTS3, CURVED3.gamma(POINTS3)):
+            assert_row(CURVED3.gamma(lam), row)
+
+        metric = MMetricSpec.parsed(
+            "2+sin(l1*l2)", ["1+l1^2", "exp(l2)", "2+cos(l3)"], ["l1*l3", "l2^3", "tanh(l1)+l3"], 3
+        )
+        columns = {f"l{i + 1}": POINTS3[:, i].copy() for i in range(3)}
+        rows = np.stack(list(metric.program.run(columns)), axis=-1)
+        for lam, row in zip(POINTS3, rows):
+            g_s, g_a, h = metric.evaluate(lam)
+            assert_row(np.concatenate(([g_s], g_a, h)), row)
+
+        texts = ["S*a1-l1^2", "sin(a2)*exp(l2)+S^2", "a3/(1+l3^2)-log(2+cos(S))"]
+        allowed = set(exprlang.allowed_variables(3)) - {"t"}
+        mu = MuExtension(3, exprlang.compile_fields(exprlang.numbered("f", texts, 3), 3, allowed))
+        rng = np.random.default_rng(29)
+        entropies, a = rng.uniform(0.1, 1.0, POINTS3.shape[0]), rng.uniform(-1.0, 1.0, POINTS3.shape)
+        rows = np.stack(list(mu.program.run(_point_env(entropies, a, POINTS3))), axis=-1)
+        for s, a_j, lam, row in zip(entropies, a, POINTS3, rows):
+            p = ThermoPoint(s, a_j, lam)
+            assert_row(mu.offsets(p), row)
+            assert_row(mu.mu_values(p), lam + row)
+
+    def test_single_point_degenerate_g_S_reads_as_the_batch_row(self):
+        spec = spec2(g_S="l1-0.25", h=("l2", "l1"))
+        metric = MMetricSpec.parsed("l1-0.25", ["1", "1"], ["0", "0"], 2)
+        pts = np.array([[1.0, 0.5], [0.25, -2.0], [0.25, 3.0]])
+        with pytest.raises(DegenerateMetricError, match=r"\[0\.25, -2\.0\]") as batch:
+            spec.gamma(pts)
+        with pytest.raises(DegenerateMetricError) as batch_curvature:
+            curvature(spec, pts, 0, 1)
+        assert str(batch_curvature.value) == str(batch.value)
+        for single in (spec.gamma, metric.evaluate, lambda lam: curvature(spec, lam, 0, 1)):
+            with pytest.raises(DegenerateMetricError) as one:
+                single(pts[1])
+            assert str(one.value) == str(batch.value)
+
+    def test_a_nan_g_S_is_not_degenerate(self):
+        # only |g_S| <= G_S_FLOOR is degenerate, at one point as in a batch
+        _check_g_S(np.array([np.nan, 1.0]), np.zeros((2, 2)))
+        _check_g_S(math.nan, np.zeros(2))
+        with pytest.raises(DegenerateMetricError, match=r"\|g_S\| = 0\.000e\+00 at lambda = \[1\.0, 2\.0\]"):
+            _check_g_S(np.array([np.nan, 0.0]), np.array([[0.0, 0.0], [1.0, 2.0]]))
 
     def test_holonomy_via_lift_matches_sequential_rk4(self):
         loop = rectangle_loop([-0.3, 0.1], [0.6, 0.9], 1, 2, steps=64, n=3, base=[0.2, 0.0, 0.0])

@@ -634,6 +634,38 @@ def test_one_point_failure_reads_as_the_batch_failure(text, point, cause):
 
 
 @pytest.mark.parametrize(
+    "second, env, error",
+    [
+        ("l1 * l2", {"l1": [0.5, 2.0, 3.0]}, ExprNameError),
+        ("log(l1 - 1)", {"l1": [0.5, 2.0, 3.0], "l2": [1.0, 1.0, 1.0]}, ExprDomainError),
+    ],
+    ids=["unbound", "domain"],
+)
+@pytest.mark.parametrize("shape", [(), (1,), (1, 1), (3,)])
+def test_a_run_fails_lazily_and_leaves_the_callers_error_state(second, env, error, shape):
+    # the first point of the batch is the one that fails, so a one-point run
+    # there must raise the batch's error text
+    program = Program([parse("l1 + 1", 2), parse(second, 2)])
+    with pytest.raises(error) as batch:
+        list(program.run({name: np.array(values) for name, values in env.items()}))
+    if shape == (3,):
+        point = {name: np.array(values) for name, values in env.items()}
+    else:
+        point = {name: np.full(shape, values[0]) for name, values in env.items()}
+    with np.errstate(all="warn"):
+        values = program.run(point)
+        first = next(values)
+        assert np.array_equal(first, np.reshape(np.add(point["l1"], 1.0), shape))
+        # between two yields the caller's error state is in force: 1/0 only warns
+        assert np.geterr()["divide"] == "warn"
+        with pytest.warns(RuntimeWarning, match="divide by zero"):
+            assert np.float64(1.0) / 0.0 == math.inf
+        with pytest.raises(error) as one:
+            next(values)
+    assert str(one.value) == str(batch.value)
+
+
+@pytest.mark.parametrize(
     "text, cause", [("1/0", "division by zero"), ("0^-1", "zero raised to a negative power")]
 )
 @pytest.mark.parametrize(

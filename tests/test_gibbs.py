@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thermogeom import gibbs
 from thermogeom.errors import NumericalDomainError, ParameterRangeError, ValidationError
@@ -19,10 +21,25 @@ from thermogeom.serialization import observable_set_from_json
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Z = np.diag([1.0, -1.0]).astype(complex)
+SIGMA_Y = np.array([[0.0, -1j], [1j, 0.0]])
 
 QUBIT = ObservableSet([HermitianOperator(SIGMA_Z)], ["sz"])
 QUTRIT = ObservableSet([HermitianOperator(np.diag([1.0, 0.0, -1.0]))], ["Jz"])
 RNG = np.random.default_rng(4211)
+
+
+_RANDOM = np.random.default_rng(907)
+# name -> (matrices, lam at unit scale, whether the set is independent)
+_UNIT_FREE_SETS = {
+    "bloch-pair": ([SIGMA_Z, SIGMA_X], np.array([1e-6, 2e-6]), True),
+    "pauli-triple": ([SIGMA_X, SIGMA_Y, SIGMA_Z], np.array([3e-6, -2e-6, 4e-6]), True),
+    "random-m4-n3": (
+        [hermitize(_RANDOM.normal(size=(4, 4)) + 1j * _RANDOM.normal(size=(4, 4))) for _ in range(3)],
+        _RANDOM.uniform(-5e-6, 5e-6, 3),
+        True,
+    ),
+    "redundant-triple": ([SIGMA_Z, SIGMA_X, SIGMA_Z + SIGMA_X], np.array([1e-6, 2e-6, -3e-6]), False),
+}
 
 
 def entropy(rho):
@@ -83,6 +100,25 @@ class TestObservableSet:
         # a complex division by a subnormal largest part overflowed
         obs = ObservableSet([HermitianOperator(np.diag(diagonal))])
         assert obs.independent is independent
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from(sorted(_UNIT_FREE_SETS)),
+        st.lists(st.floats(-8.0, 8.0), min_size=4, max_size=4),
+    )
+    def test_rank_verdicts_have_no_units(self, name, exponents):
+        # A_i -> s_i A_i with lam_i -> lam_i / s_i is a change of units: the same
+        # Gibbs states, so the set's flag and the covariance rank stay as at s_i = 1;
+        # lam is small enough that lam / s stays inside LAMBDA_GUARD
+        matrices, lam, independent = _UNIT_FREE_SETS[name]
+        rank = len(matrices) if independent else len(matrices) - 1
+
+        def verdicts(s):
+            obs = ObservableSet([HermitianOperator(f * m) for f, m in zip(s, matrices)])
+            return obs.independent, injectivity_diagnostic(obs, lam / s)[1]
+
+        assert verdicts(np.ones(len(matrices))) == (independent, rank)
+        assert verdicts(10.0 ** np.array(exponents[: len(matrices)])) == (independent, rank)
 
     def test_default_names(self):
         obs = ObservableSet([HermitianOperator(SIGMA_Z), HermitianOperator(SIGMA_X)])
@@ -270,6 +306,34 @@ class TestInjectivityDiagnostic:
         )
         _, rank = injectivity_diagnostic(pair, [0.5, -0.2])
         assert rank == 2
+
+    @pytest.mark.parametrize(
+        "matrices, lam",
+        [
+            ([SIGMA_Z], [24.0]),
+            ([SIGMA_Z], [40.0]),
+            ([SIGMA_Z], [300.0]),
+            ([np.diag([1.0, 0.0, 0.0]), np.diag([0.0, 1.0, 0.0])], [60.0, 50.0]),
+        ],
+        ids=["sz-24", "sz-40", "sz-300", "diagonal-pair-60-50"],
+    )
+    def test_a_cold_state_keeps_full_rank(self, matrices, lam):
+        # the variances (down to 1e-260 for sz at 300) are far below the
+        # entries, but no observable is a multiple of the identity
+        obs = ObservableSet([HermitianOperator(m) for m in matrices])
+        c, rank = injectivity_diagnostic(obs, lam)
+        assert np.all(np.diag(c) > 0.0)
+        assert rank == obs.n
+
+    @pytest.mark.parametrize("offset", [1e3, 1e11, 1e13])
+    @pytest.mark.parametrize("others", [[], [SIGMA_X]], ids=["sz", "sz-sx"])
+    def test_an_identity_offset_changes_no_verdict(self, offset, others):
+        # sz + c I gives the same states as sz; its entries c +- 1 are exact doubles
+        def verdicts(first):
+            obs = ObservableSet([HermitianOperator(m) for m in [first, *others]])
+            return obs.independent, injectivity_diagnostic(obs, [0.3, -0.2][: obs.n])[1]
+
+        assert verdicts(SIGMA_Z + offset * np.eye(2)) == verdicts(SIGMA_Z) == (True, 1 + len(others))
 
     def test_overflowing_covariance_raises(self):
         # its variance (1e300)^2 is no double: a rank of 0 would call a
